@@ -184,9 +184,11 @@ def _count_with_retries(
 
     ``first_data`` pins the first sample to an explicit data point (the second
     stays seed-driven, so a degenerate explicit point surfaces as instability).
+    A degenerate scene (``ValueError``, such as an image that is a point) is an
+    input error: reseeding the data cannot repair it.
     """
     last: Optional[DataInstabilityError] = None
-    for attempt in range(max(1, retries)):
+    for attempt in range(retries):
         seed = derive_seed(master, f"{label}:data:attempt{attempt}")
         try:
             if first_data is None:
@@ -197,6 +199,8 @@ def _count_with_retries(
             )
         except DataInstabilityError as exc:
             last = exc
+        except ValueError as exc:
+            raise _CliError(str(exc))
     raise _CliError(str(last or "data not generic; reseed"), EXIT_GENERICITY)
 
 
@@ -341,7 +345,7 @@ def cmd_l3(ns) -> int:
             label = f"l3:h{h}:n{n}"
             rep = None
             last_exc: Optional[Exception] = None
-            for attempt in range(max(1, ns.retries)):
+            for attempt in range(ns.retries):
                 alabel = f"{label}:attempt{attempt}"
                 try:
                     cams = tuple(
@@ -554,7 +558,7 @@ def cmd_scroll(ns) -> int:
         label = f"scroll:n{n}"
         rep = None
         last_exc: Optional[Exception] = None
-        for attempt in range(max(1, ns.retries)):
+        for attempt in range(ns.retries):
             alabel = f"{label}:attempt{attempt}"
             try:
                 arr = Arrangement(tuple(
@@ -686,6 +690,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
+        if getattr(ns, "retries", 1) < 1:
+            raise _CliError(f"--retries must be at least 1, got {ns.retries}")
         return ns.func(ns)
     except _CliError as exc:
         print(f"edcurve: error: {exc}", file=sys.stderr)

@@ -152,14 +152,10 @@ def critical_polynomial(f: RationalCurve, arr: Arrangement, u: DataPoint) -> Uni
     """
     u.check_shape(arr)
     charts = _image_charts(f, arr)
-    qcubes = [q * q * q for q, _ in charts]
+    outers = _products_excluding_each([q * q * q for q, _ in charts], UNI_ONE)
     g = UniPoly()
-    for i, (q, ps) in enumerate(charts):
+    for i, ((q, ps), outer) in enumerate(zip(charts, outers)):
         dq = q.derivative()
-        outer = UNI_ONE
-        for k, qc in enumerate(qcubes):
-            if k != i:
-                outer = outer * qc
         per_view = UniPoly()
         for j, p in enumerate(ps):
             lin = p - u.u[i][j] * q
@@ -167,6 +163,22 @@ def critical_polynomial(f: RationalCurve, arr: Arrangement, u: DataPoint) -> Uni
             per_view = per_view + lin * wron
         g = g + per_view * outer
     return g
+
+
+def _products_excluding_each(factors: Sequence, one) -> list:
+    """[prod_{k != i} factors[k] for each i] from prefix and suffix products.
+
+    Takes 3(n - 1) products instead of the n(n - 1) of rebuilding each one.
+    """
+    n = len(factors)
+    out = [one] * n
+    for i in range(1, n):
+        out[i] = out[i - 1] * factors[i - 1]
+    suffix = one
+    for i in range(n - 2, -1, -1):
+        suffix = suffix * factors[i + 1]
+        out[i] = out[i] * suffix
+    return out
 
 
 @dataclass(frozen=True)
@@ -183,11 +195,15 @@ def reduce_critical_polynomial(
     f: RationalCurve, arr: Arrangement, u: DataPoint
 ) -> ReducedCritical:
     g = critical_polynomial(f, arr, u)
+    charts = _image_charts(f, arr)
     if g.is_zero:
+        if all((p.derivative() * q - p * q.derivative()).is_zero
+               for q, ps in charts for p in ps):
+            raise ValueError("critical polynomial vanished identically: the image "
+                             "of the curve in every view is a point")
         raise ValueError("critical polynomial vanished identically; data sits on "
                          "the variety's symmetry locus")
     red = squarefree_part(g)
-    charts = _image_charts(f, arr)
     poles_removed = 0
     for q, _ in charts:
         if q.degree == 0:
@@ -345,6 +361,8 @@ def euler_cross_check(f: RationalCurve, arr: Arrangement, seed: int) -> int:
     s_inf = hom_distinct_root_count(prod_q)
 
     qsq = [q * q for q in qs]
+    outers = _products_excluding_each(qsq, HomPoly2(0, (Fraction(1),)))
+    prod_qsq = prod_q * prod_q
     for attempt in range(4):
         rng = random.Random(f"{seed}:euler-beta:{attempt}")
         beta = [
@@ -352,9 +370,8 @@ def euler_cross_check(f: RationalCurve, arr: Arrangement, seed: int) -> int:
             for _ in range(arr.n)
         ]
         beta0 = Fraction(rng.randint(1, 64), rng.randint(1, 8))
-        g_beta = beta0 * _prod_forms(qsq)
-        for i, img in enumerate(images):
-            outer = _prod_forms([qsq[k] for k in range(arr.n) if k != i])
+        g_beta = beta0 * prod_qsq
+        for i, (img, outer) in enumerate(zip(images, outers)):
             inner = HomPoly2(2 * f.e)
             for j, p in enumerate(img[1:]):
                 lin = p - beta[i][j] * qs[i]
@@ -367,12 +384,6 @@ def euler_cross_check(f: RationalCurve, arr: Arrangement, seed: int) -> int:
             return s_inf + s_q - 2
     raise NonGenericBetaError("non-generic beta")
 
-
-def _prod_forms(forms: Sequence[HomPoly2]) -> HomPoly2:
-    acc = HomPoly2(0, (Fraction(1),))
-    for h in forms:
-        acc = acc * h
-    return acc
 
 
 # ---------------------------------------------------------------------------

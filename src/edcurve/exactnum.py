@@ -7,11 +7,28 @@ arbitrary-precision rationals:
 * ``UniPoly`` — univariate polynomials over Q, dense ascending coefficients;
 * ``HomPoly2`` — homogeneous binary forms of a *formal* degree, so leading-zero
   coefficient data (roots at [0:1] or [1:0]) is never silently lost;
+* one product kernel for both (Kronecker substitution): each operand is
+  cleared to integers over one common denominator and packed into a single
+  Python int, one slot per coefficient.  A slot holds a signed value of
+  absolute value up to min(len) * max|a| * max|b|, the bound on any product
+  coefficient, so the slots of the one big-int product never interfere and
+  unpack to the exact integer coefficients; dividing by the product of the
+  two denominators gives the rational product.  CPython's Karatsuba does
+  the multiplication (Harvey, JSC 2009; von zur Gathen & Gerhard, Modern
+  Computer Algebra, section 8.4);
 * gcd / squarefree part / distinct-root counts via an integer primitive
   polynomial-remainder sequence (clears denominators once, divides out content
   at every step — no rational-coefficient blow-up);
 * Sylvester resultants and discriminants via fraction-free (Bareiss)
   determinant elimination on integer matrices;
+* a nonvanishing test for binary-form resultants that first runs Euclid mod
+  one prime p on the chart polynomials f(1, t), g(1, t).  Two forms share a
+  zero on P^1 either at [0:1], where both top coefficients vanish, or at a
+  common root of their chart polynomials.  When at most one top coefficient
+  is 0 the first case is excluded, and when p divides neither chart leading
+  coefficient, deg gcd mod p >= deg gcd over Q.  So a constant gcd mod p
+  proves Res != 0 over Q; it is the only answer taken from the modular run,
+  and every other outcome falls through to the exact resultant;
 * Sturm-sequence real-root isolation with certified bisection refinement.
 
 All values are immutable after construction and every operation is a pure
@@ -36,9 +53,10 @@ _RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 # Fixed large primes for the one-directional modular fast paths.  For p not
 # dividing the integer leading coefficients, deg gcd mod p >= deg gcd over Q,
-# so a constant modular gcd *proves* coprimality; likewise a nonzero modular
-# resultant proves nonvanishing.  Inconclusive answers fall through to the
-# exact algorithm, so these are never a source of approximation.
+# so a constant modular gcd *proves* coprimality, and for binary forms without
+# a common zero at [0:1] it likewise proves a nonzero resultant.
+# Inconclusive answers fall through to the exact algorithm, so these are never
+# a source of approximation.
 _PRIMES = (2305843009213693951, 2147483647, 999999999999999989)
 
 
@@ -59,11 +77,17 @@ def rat_to_str(x: Rat) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+# One shared Fraction per small integer: seeded scenes are built from small
+# integers, and a workload that keeps many scenes alive would otherwise hold a
+# separate 48-byte Fraction (and often a separate int) for every entry.
+_SMALL_RATS = tuple(Fraction(k) for k in range(-64, 65))
+
+
 def _as_rat(x) -> Rat:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
-        return Fraction(x)
+        return _SMALL_RATS[x + 64] if -64 <= x <= 64 else Fraction(x)
     if isinstance(x, str):
         return rat_from_str(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
@@ -174,6 +198,51 @@ def _mod_gcd_degree(a: Sequence[int], b: Sequence[int], p: int) -> int | None:
     return len(fa) - 1 if fa else None
 
 
+def _kron_pack(a: Sequence[int], nb: int) -> int:
+    """sum a[k] * 256**(nb*k) for |a[k]| < 2**(8*nb - 1), built bytewise in O(len)."""
+    pos = b"".join((x if x > 0 else 0).to_bytes(nb, "little") for x in a)
+    neg = b"".join((-x if x < 0 else 0).to_bytes(nb, "little") for x in a)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _kron_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Full product of two nonempty integer coefficient lists (Kronecker substitution).
+
+    Every product coefficient has absolute value at most
+    min(len) * max|a| * max|b| < 2**(8*nb - 1), so adding half a slot to every
+    slot makes each one a nonnegative digit below 256**nb: no borrows, and the
+    digits read back directly from the bytes of the biased product.
+    """
+    bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
+    size = len(a) + len(b) - 1
+    if not bound:
+        return [0] * size
+    nb = (bound.bit_length() + 8) // 8
+    half = 1 << (8 * nb - 1)
+    bias = int.from_bytes(half.to_bytes(nb, "little") * size, "little")
+    data = (_kron_pack(a, nb) * _kron_pack(b, nb) + bias).to_bytes(nb * size, "little")
+    return [int.from_bytes(data[k:k + nb], "little") - half
+            for k in range(0, nb * size, nb)]
+
+
+def _clear_denominators(cs: Sequence[Rat]) -> tuple[list[int], int]:
+    """(integer list, positive D) with D * cs integral, D the lcm of the denominators."""
+    d = 1
+    for c in cs:
+        d = d * c.denominator // _int_gcd(d, c.denominator)
+    return [c.numerator * (d // c.denominator) for c in cs], d
+
+
+def _rat_mul(a: Sequence[Rat], b: Sequence[Rat]) -> list[Rat]:
+    """Full product of two nonempty rational coefficient lists via ``_kron_mul``."""
+    ia, da = _clear_denominators(a)
+    ib, db = _clear_denominators(b)
+    d = da * db
+    if d == 1:
+        return [Fraction(c) for c in _kron_mul(ia, ib)]
+    return [Fraction(c, d) for c in _kron_mul(ia, ib)]
+
+
 def _bareiss_det(m: list[list[int]]) -> int:
     """Fraction-free determinant of an integer matrix (exact divisions only)."""
     n = len(m)
@@ -267,13 +336,7 @@ class UniPoly:
         if isinstance(other, UniPoly):
             if self.is_zero or other.is_zero:
                 return UniPoly()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a:
-                    for j, b in enumerate(other.coeffs):
-                        if b:
-                            out[i + j] += a * b
-            return UniPoly(tuple(out))
+            return UniPoly(tuple(_rat_mul(self.coeffs, other.coeffs)))
         return self.scale(_as_rat(other))
 
     __rmul__ = __mul__
@@ -325,10 +388,7 @@ class UniPoly:
 
     def int_coeffs(self) -> tuple[list[int], int]:
         """(integer coefficient list, positive denominator D) with D*self integral."""
-        d = 1
-        for c in self.coeffs:
-            d = d * c.denominator // _int_gcd(d, c.denominator)
-        return [int(c * d) for c in self.coeffs], d
+        return _clear_denominators(self.coeffs)
 
     def to_strs(self) -> list[str]:
         return [rat_to_str(c) for c in self.coeffs]
@@ -507,13 +567,7 @@ class HomPoly2:
     def __mul__(self, other):
         if isinstance(other, HomPoly2):
             e = self.degree + other.degree
-            out = [Fraction(0)] * (e + 1)
-            for i, a in enumerate(self.coeffs):
-                if a:
-                    for j, b in enumerate(other.coeffs):
-                        if b:
-                            out[i + j] += a * b
-            return HomPoly2(e, tuple(out))
+            return HomPoly2(e, tuple(_rat_mul(self.coeffs, other.coeffs)))
         c = _as_rat(other)
         return HomPoly2(self.degree, tuple(c * x for x in self.coeffs))
 
@@ -618,7 +672,7 @@ def hom_resultant(f: HomPoly2, g: HomPoly2) -> Rat:
 
 
 def hom_resultant_is_nonzero(f: HomPoly2, g: HomPoly2) -> bool:
-    """Exact nonvanishing test with a modular shortcut (nonzero mod p => nonzero)."""
+    """Exact nonvanishing test with a modular shortcut (coprime mod p => nonzero)."""
     if f.is_zero or g.is_zero:
         raise ValueError("resultant of a zero form")
     m, n = f.degree, g.degree
@@ -626,37 +680,12 @@ def hom_resultant_is_nonzero(f: HomPoly2, g: HomPoly2) -> bool:
         return hom_resultant(f, g) != 0
     a, _ = f.dehom().int_coeffs()
     b, _ = g.dehom().int_coeffs()
-    a = a + [0] * (m + 1 - len(a))
-    b = b + [0] * (n + 1 - len(b))
-    p = _PRIMES[0]
-    rows = _sylvester_matrix([x % p for x in a], [x % p for x in b], m, n)
-    if _det_mod(rows, p) != 0:
+    # with no common zero at [0:1] (one form has full chart degree), a constant
+    # chart gcd mod p proves Res != 0 (module docstring); None or a positive
+    # degree is inconclusive
+    if (len(a) == m + 1 or len(b) == n + 1) and _mod_gcd_degree(a, b, _PRIMES[0]) == 0:
         return True
     return hom_resultant(f, g) != 0
-
-
-def _det_mod(m: list[list[int]], p: int) -> int:
-    n = len(m)
-    det = 1
-    for k in range(n):
-        pivot = None
-        for i in range(k, n):
-            if m[i][k] % p:
-                pivot = i
-                break
-        if pivot is None:
-            return 0
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
-            det = -det
-        inv = pow(m[k][k], p - 2, p)
-        det = det * m[k][k] % p
-        for i in range(k + 1, n):
-            f = m[i][k] * inv % p
-            if f:
-                for j in range(k, n):
-                    m[i][j] = (m[i][j] - f * m[k][j]) % p
-    return det % p
 
 
 def hom_discriminant(f: HomPoly2) -> Rat:

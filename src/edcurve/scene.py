@@ -31,6 +31,7 @@ from typing import Sequence
 from .exactnum import (
     HomPoly2,
     Rat,
+    _as_rat,
     hom_discriminant,
     hom_gcd,
     hom_gcd_many,
@@ -112,7 +113,7 @@ class Camera:
     def __post_init__(self):
         if self.h < 1 or self.N < 1:
             raise ValueError("need h >= 1 and N >= 1")
-        rows = tuple(tuple(Fraction(x) for x in row) for row in self.entries)
+        rows = tuple(tuple(_as_rat(x) for x in row) for row in self.entries)
         if len(rows) != self.h + 1 or any(len(r) != self.N + 1 for r in rows):
             raise ValueError("camera must be (h+1) x (N+1)")
         object.__setattr__(self, "entries", rows)
@@ -320,7 +321,7 @@ def random_camera(seed: int, h: int, N: int, bound: int = 10) -> Camera:
     rng = random.Random(seed)
     for _ in range(_MAX_REJECTION_TRIES):
         entries = tuple(
-            tuple(Fraction(rng.randint(-bound, bound)) for _ in range(N + 1))
+            tuple(rng.randint(-bound, bound) for _ in range(N + 1))
             for _ in range(h + 1)
         )
         try:
@@ -393,7 +394,7 @@ def random_curve(seed: int, e: int, N: int, bound: int = 10) -> RationalCurve:
     rng = random.Random(seed)
     for _ in range(_MAX_REJECTION_TRIES):
         coords = tuple(
-            HomPoly2(e, tuple(Fraction(rng.randint(-bound, bound)) for _ in range(e + 1)))
+            HomPoly2(e, tuple(rng.randint(-bound, bound) for _ in range(e + 1)))
             for _ in range(N + 1)
         )
         try:

@@ -107,6 +107,22 @@ class TestEddeg:
         assert code == 2
         assert "data not generic" in err
 
+    def test_point_image_exits_one_without_traceback(self, capsys, tmp_path):
+        # the line through the camera centre [0:0:0:1] images to the point [1:0:0]
+        curve = tmp_path / "line.json"
+        curve.write_text(json.dumps({"N": 3, "degree": 1, "coords": [
+            ["0", "1"], ["0", "0"], ["0", "0"], ["1", "0"]]}))
+        cams = tmp_path / "cams.json"
+        cams.write_text(json.dumps({"cameras": [{"h": 2, "N": 3, "rows": [
+            ["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"]]}]}))
+        for cmd in ("eddeg", "triangulate"):
+            code, out, err = run_cli(capsys, cmd, "--curve", str(curve),
+                                     "--cameras", str(cams))
+            assert code == 1, cmd
+            assert out == ""
+            assert err.startswith("edcurve: error:")
+            assert "is a point" in err and "symmetry locus" not in err
+
     def test_explicit_pair_cross_check_agrees(self, capsys):
         env = run_json(capsys, "eddeg", "--curve", TW, "--cameras", PAIR,
                        "--seed", "2")
@@ -276,6 +292,19 @@ class TestParserBehavior:
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["eddeg", "--curve", TW])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("eddeg", "--curve", TW, "--cameras", ONE),
+        ("sweep", "--e", "1", "--n", "1"),
+        ("l3", "--n", "1"),
+        ("scroll", "--bezier1", BEZ1, "--bezier2", BEZ2, "--n", "1"),
+    ])
+    @pytest.mark.parametrize("retries", ["0", "-3"])
+    def test_nonpositive_retries_is_a_usage_error(self, capsys, argv, retries):
+        code, out, err = run_cli(capsys, *argv, "--retries", retries, "--json")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("edcurve: error: --retries")
 
 
 class TestConsoleEntryPoints:
