@@ -19,6 +19,7 @@ per-cell seeds, so identical invocations give byte-identical output.
 from __future__ import annotations
 
 import argparse
+import decimal
 import hashlib
 import json
 import sys
@@ -433,31 +434,7 @@ def cmd_triangulate(ns) -> int:
         res = triangulate(f, arr, u, tol)
     except ValueError as exc:
         raise _CliError(str(exc))
-    if res.no_finite_minimizer:
-        lines = ["no finite minimizer: no real critical parameter on the chart"]
-    else:
-        # text mode previews the exact values as floats; --json carries them exactly
-        lines = [f"real critical points: {len(res.critical_parameters)}"]
-        for k, (iv, d, b) in enumerate(zip(
-                res.critical_parameters, res.distances, res.distance_error_bounds)):
-            tag = "  <-- argmin" if k == res.argmin_index else ""
-            lines.append(
-                f"  [{k}] t ~= {float(iv.midpoint):.12g} "
-                f"(width <= {float(iv.width):.3g})  "
-                f"dist^2 ~= {float(d):.12g} (+-{float(b):.3g}){tag}"
-            )
-        lines.append(
-            "world point at argmin midpoint ~= ["
-            + " : ".join(f"{float(x):.12g}" for x in res.world_point) + "]"
-        )
-        for i, block in enumerate(res.image_blocks):
-            lines.append(
-                f"image {i} ~= (" + ", ".join(f"{float(x):.12g}" for x in block) + ")"
-            )
-        lines.append(
-            f"certified minimum lower bound ~= {float(res.min_lower_bound):.12g}"
-        )
-        lines.append("(exact rationals available with --json)")
+    lines = [] if ns.json else _triangulation_text(res)
     envelope = {
         "command": "triangulate",
         "seed": ns.seed,
@@ -471,6 +448,47 @@ def cmd_triangulate(ns) -> int:
     }
     _emit(ns, lines, envelope)
     return EXIT_OK
+
+
+def _approx(x: Fraction, digits: int) -> str:
+    """``format(float(x), f".{digits}g")``; outside the float range (overflow,
+    or a nonzero x that underflows to 0) the same style from a decimal
+    rounded once to ``digits`` digits."""
+    try:
+        approx = float(x)
+        if approx or not x:
+            return format(approx, f".{digits}g")
+    except OverflowError:
+        pass
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        return format((decimal.Decimal(x.numerator) / x.denominator).normalize(), "g")
+
+
+def _triangulation_text(res) -> list[str]:
+    """Text-mode preview of the exact values; --json carries them exactly."""
+    if res.no_finite_minimizer:
+        return ["no finite minimizer: no real critical parameter on the chart"]
+    lines = [f"real critical points: {len(res.critical_parameters)}"]
+    for k, (iv, d, b) in enumerate(zip(
+            res.critical_parameters, res.distances, res.distance_error_bounds)):
+        tag = "  <-- argmin" if k == res.argmin_index else ""
+        lines.append(
+            f"  [{k}] t ~= {_approx(iv.midpoint, 12)} "
+            f"(width <= {_approx(iv.width, 3)})  "
+            f"dist^2 ~= {_approx(d, 12)} (+-{_approx(b, 3)}){tag}"
+        )
+    lines.append(
+        "world point at argmin midpoint ~= ["
+        + " : ".join(_approx(x, 12) for x in res.world_point) + "]"
+    )
+    for i, block in enumerate(res.image_blocks):
+        lines.append(
+            f"image {i} ~= (" + ", ".join(_approx(x, 12) for x in block) + ")"
+        )
+    lines.append(f"certified minimum lower bound ~= {_approx(res.min_lower_bound, 12)}")
+    lines.append("(exact rationals available with --json)")
+    return lines
 
 
 def cmd_wedge(ns) -> int:

@@ -42,6 +42,7 @@ from .exactnum import (
     Rat,
     UNI_ONE,
     UniPoly,
+    _eval_int,
     distinct_root_count,
     hom_distinct_root_count,
     hom_resultant_is_nonzero,
@@ -144,14 +145,18 @@ def _image_charts(f: RationalCurve, arr: Arrangement):
     return charts
 
 
-def critical_polynomial(f: RationalCurve, arr: Arrangement, u: DataPoint) -> UniPoly:
+def critical_polynomial(
+    f: RationalCurve, arr: Arrangement, u: DataPoint, *, charts=None
+) -> UniPoly:
     """Numerator of d/dt of the squared distance, assembled term-exactly.
 
     g = sum_{i,j} (p_ij - u_ij q_i)(p'_ij q_i - p_ij q'_i) prod_{k != i} q_k^3;
-    degree <= 3en-2 by Wronskian leading-term cancellation.
+    degree <= 3en-2 by Wronskian leading-term cancellation.  ``charts`` may
+    pass in ``_image_charts(f, arr)`` when the caller already has it.
     """
     u.check_shape(arr)
-    charts = _image_charts(f, arr)
+    if charts is None:
+        charts = _image_charts(f, arr)
     outers = _products_excluding_each([q * q * q for q, _ in charts], UNI_ONE)
     g = UniPoly()
     for i, ((q, ps), outer) in enumerate(zip(charts, outers)):
@@ -192,10 +197,14 @@ class ReducedCritical:
 
 
 def reduce_critical_polynomial(
-    f: RationalCurve, arr: Arrangement, u: DataPoint
+    f: RationalCurve, arr: Arrangement, u: DataPoint, *, charts=None
 ) -> ReducedCritical:
-    g = critical_polynomial(f, arr, u)
-    charts = _image_charts(f, arr)
+    """Squarefree part of the critical polynomial, saturated against the
+    poles and the cusps; ``charts`` as in :func:`critical_polynomial`."""
+    u.check_shape(arr)
+    if charts is None:
+        charts = _image_charts(f, arr)
+    g = critical_polynomial(f, arr, u, charts=charts)
     if g.is_zero:
         if all((p.derivative() * q - p * q.derivative()).is_zero
                for q, ps in charts for p in ps):
@@ -296,10 +305,13 @@ def ed_degree_affine(
             raise ValueError("need exactly two explicit data points")
         samples = list(data_points)
 
+    for s in samples:
+        s.check_shape(arr)
+    charts = _image_charts(f, arr)
     counts = []
     reductions = []
     for s in samples:
-        rc = reduce_critical_polynomial(f, arr, s)
+        rc = reduce_critical_polynomial(f, arr, s, charts=charts)
         d = rc.reduced.degree
         assert d is not None
         counts.append(d)
@@ -463,13 +475,18 @@ class TriangulationResult:
 
 def _poly_abs_upper(p: UniPoly, lo: Rat, hi: Rat) -> Rat:
     """sum |c_k| M^k with M = max(|lo|, |hi|): an upper bound for |p| on [lo, hi]."""
+    c, d = p.int_coeffs()
+    return Fraction(*_abs_upper_parts([abs(x) for x in c], d, lo, hi))
+
+
+def _abs_upper_parts(abs_c: Sequence[int], d: int, lo: Rat, hi: Rat) -> tuple[int, int]:
+    """(num, den), den > 0, with num/den = sum (abs_c[k]/d) M^k, M = max(|lo|, |hi|).
+
+    Summed in integers as den(M)^deg * sum abs_c[k] M^k; the pair is not
+    reduced, so no gcd is taken.
+    """
     m = max(abs(lo), abs(hi))
-    acc = Fraction(0)
-    power = Fraction(1)
-    for c in p.coeffs:
-        acc += abs(c) * power
-        power *= m
-    return acc
+    return _eval_int(abs_c, m), d * m.denominator ** max(len(abs_c) - 1, 0)
 
 
 def triangulate(
@@ -491,8 +508,8 @@ def triangulate(
     if width_bound <= 0:
         raise ValueError("width bound must be positive")
     u.check_shape(arr)
-    rc = reduce_critical_polynomial(f, arr, u)
     charts = _image_charts(f, arr)
+    rc = reduce_critical_polynomial(f, arr, u, charts=charts)
     qprod = UNI_ONE
     for q, _ in charts:
         qprod = qprod * q
@@ -516,9 +533,13 @@ def triangulate(
     for iv in intervals:
         iv = refine_root(rc.reduced, iv, width_bound)
         # shrink past every real pole interval so each q_i is nonzero on iv;
-        # saturation already guarantees the bracketed roots are distinct, and
         # shrinking iv preserves disjointness from poles handled earlier, so
         # one pass suffices (shrunk pole intervals are written back).
+        # Termination: saturation divided every common factor with each q_i
+        # out of the reduced polynomial, so its root r and the pole z are
+        # distinct.  Each step at least halves both intervals, which keep
+        # bracketing r and z, so they are disjoint once the two widths sum
+        # to less than |r - z|.
         for idx, pv in enumerate(pole_ivs):
             while not (iv.hi <= pv.lo or pv.hi <= iv.lo):
                 iv = refine_root(rc.reduced, iv, iv.width / 2)
@@ -529,21 +550,31 @@ def triangulate(
     qcubes_all = UNI_ONE
     for q, _ in charts:
         qcubes_all = qcubes_all * q * q * q
+    q3_c, q3_d = qcubes_all.int_coeffs()
+    slope_c, slope_d = qcubes_all.derivative().int_coeffs()
+    slope_abs = [abs(x) for x in slope_c]
 
     distances = []
     bounds = []
     final_ivs = []
     for iv in pole_free:
-        # derivative bound needs a positive floor for |prod q^3| on the interval
+        # derivative bound needs a positive floor |Q(m)| - S * width/2 for
+        # |Q| = |prod q^3| on the interval, S the slope bound of Q' on it.
+        # Termination: the root r is pole-free, so Q(r) != 0; by the mean
+        # value theorem |Q(m)| >= |Q(r)| - S * width/2, and S never grows
+        # as the intervals nest, so the floor is positive once
+        # S * width < |Q(r)|.  The test is cross-multiplied in integers
+        # (every denominator is positive), so no gcd is taken per step.
         while True:
             m = iv.midpoint
-            qm = abs(qcubes_all.evaluate(m))
-            slope = _poly_abs_upper(qcubes_all.derivative(), iv.lo, iv.hi)
-            floor = qm - slope * iv.width / 2
-            if qm != 0 and floor > 0:
+            qn, qd = abs(_eval_int(q3_c, m)), q3_d * m.denominator ** (len(q3_c) - 1)
+            sn, sd = _abs_upper_parts(slope_abs, slope_d, iv.lo, iv.hi)
+            half = iv.width / 2
+            if qn * sd * half.denominator > sn * half.numerator * qd:
                 break
             iv = refine_root(rc.reduced, iv, iv.width / 2)
         m = iv.midpoint
+        floor = Fraction(qn, qd) - Fraction(sn, sd) * half
         dist = _exact_distance(charts, u, m)
         g_upper = _poly_abs_upper(rc.raw, iv.lo, iv.hi)
         err = g_upper / floor * iv.width / 2

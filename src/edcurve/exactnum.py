@@ -29,7 +29,9 @@ arbitrary-precision rationals:
   coefficient, deg gcd mod p >= deg gcd over Q.  So a constant gcd mod p
   proves Res != 0 over Q; it is the only answer taken from the modular run,
   and every other outcome falls through to the exact resultant;
-* Sturm-sequence real-root isolation with certified bisection refinement.
+* Sturm-sequence real-root isolation with certified bisection refinement;
+  every sign is taken in integer arithmetic, as the sign of a positive
+  multiple of the polynomial (cleared to integers) at the rational point.
 
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to share between threads.
@@ -41,6 +43,7 @@ by every JSON schema in the package.
 
 from __future__ import annotations
 
+import decimal
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -73,8 +76,17 @@ def rat_from_str(s: str) -> Rat:
 def rat_to_str(x: Rat) -> str:
     x = Fraction(x)
     if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+        return _int_to_str(x.numerator)
+    return f"{_int_to_str(x.numerator)}/{_int_to_str(x.denominator)}"
+
+
+def _int_to_str(n: int) -> str:
+    """str(n), also past the interpreter's int-to-str digit limit: an integral
+    Decimal (exponent 0) prints every digit and is not subject to it."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(decimal.Decimal(n))
 
 
 # One shared Fraction per small integer: seeded scenes are built from small
@@ -131,7 +143,8 @@ def _int_prem_clean(a: list[int], b: list[int]) -> list[int]:
     k = delta + 1
     if k % 2:
         k += 1
-    r = [x * lc**k for x in a]
+    lck = lc**k
+    r = [x * lck for x in a]
     # classical long division, quotient discarded; all arithmetic exact because
     # each elimination step uses quotient coef // lc which is exact after the
     # lc^k premultiplication
@@ -788,11 +801,25 @@ def _sturm_chain(p: UniPoly) -> list[list[int]]:
 
 
 def _eval_int(c: Sequence[int], x: Rat) -> int:
-    """Sign-faithful evaluation: numerator of c(x) after clearing x's denominator."""
+    """Sign-faithful evaluation: den^(len(c)-1) * c(x), an integer.
+
+    den is x's (positive) denominator, so the result has the sign of c(x).
+    Horner on num/den with a running power of den; when den is a power of two
+    (every point bisection produces), the power is a running shift instead.
+    """
     num, den = x.numerator, x.denominator
     acc = 0
+    if den & (den - 1) == 0:
+        step = den.bit_length() - 1
+        shift = 0
+        for k in range(len(c) - 1, -1, -1):
+            acc = acc * num + (c[k] << shift)
+            shift += step
+        return acc
+    power = 1
     for k in range(len(c) - 1, -1, -1):
-        acc = acc * num + c[k] * den ** (len(c) - 1 - k)
+        acc = acc * num + c[k] * power
+        power *= den
     return acc
 
 
@@ -801,16 +828,13 @@ def _sign(x) -> int:
 
 
 def _variations(chain: Sequence[Sequence[int]], x) -> int:
-    signs = []
-    for c in chain:
-        if x == "+inf":
-            s = _sign(c[-1])
-        elif x == "-inf":
-            s = _sign(c[-1]) * (-1 if (len(c) - 1) % 2 else 1)
-        else:
-            s = _sign(_eval_int(c, x))
-        if s:
-            signs.append(s)
+    if x == "+inf":
+        signs = [_sign(c[-1]) for c in chain]
+    elif x == "-inf":
+        signs = [_sign(c[-1]) * (-1 if (len(c) - 1) % 2 else 1) for c in chain]
+    else:
+        signs = [_sign(_eval_int(c, x)) for c in chain]
+    signs = [s for s in signs if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -841,12 +865,13 @@ def sturm_isolate(p: UniPoly) -> list[IsolatingInterval]:
             out.append(IsolatingInterval(a, c))
             continue
         m = (a + c) / 2
-        if p.evaluate(m) == 0:
+        # chain[0] is a positive multiple of p, so it has p's roots
+        if _eval_int(chain[0], m) == 0:
             # the midpoint is itself a root: fence it off symmetrically
             delta = (c - a) / 4
             while (
-                p.evaluate(m - delta) == 0
-                or p.evaluate(m + delta) == 0
+                _eval_int(chain[0], m - delta) == 0
+                or _eval_int(chain[0], m + delta) == 0
                 or _variations(chain, m - delta) - _variations(chain, m + delta) != 1
             ):
                 delta /= 2
@@ -864,23 +889,29 @@ def sturm_isolate(p: UniPoly) -> list[IsolatingInterval]:
 
 
 def refine_root(p: UniPoly, iv: IsolatingInterval, width_bound: Rat) -> IsolatingInterval:
-    """Bisect iv (which must bracket one simple root of p) down to the width bound."""
+    """Bisect iv (which must bracket one simple root of p) down to the width bound.
+
+    Every sign is taken on D * p with D > 0 the common denominator of p's
+    coefficients, in integer arithmetic (``_eval_int``); D * p and p have the
+    same sign everywhere.
+    """
     width_bound = _as_rat(width_bound)
     if width_bound <= 0:
         raise ValueError("width bound must be positive")
+    c, _ = p.int_coeffs()
     lo, hi = iv.lo, iv.hi
-    slo, shi = _sign(p.evaluate(lo)), _sign(p.evaluate(hi))
+    slo, shi = _sign(_eval_int(c, lo)), _sign(_eval_int(c, hi))
     if slo == 0 or shi == 0 or slo == shi:
         raise ValueError("invalid interval (sign conditions fail)")
     steps = iv.refinements
     while hi - lo > width_bound:
         m = (lo + hi) / 2
-        sm = _sign(p.evaluate(m))
+        sm = _sign(_eval_int(c, m))
         steps += 1
         if sm == 0:
             # landed exactly on the root: shrink to a symmetric window
             eps = min(width_bound, hi - m, m - lo) / 2
-            while p.evaluate(m - eps) == 0 or p.evaluate(m + eps) == 0:
+            while _eval_int(c, m - eps) == 0 or _eval_int(c, m + eps) == 0:
                 eps /= 2
             return IsolatingInterval(m - eps, m + eps, steps)
         if sm == slo:

@@ -7,12 +7,15 @@ import json
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
 import pytest
 
 from edcurve.cli import build_parser, derive_seed, main
+from edcurve.eddeg import DataPoint, triangulate
+from edcurve.scene import arrangement_from_dict, curve_from_dict
 
 DATA = Path(__file__).parent / "data"
 SCHEMAS = Path(__file__).parent.parent / "src" / "edcurve" / "schemas"
@@ -203,6 +206,36 @@ class TestTriangulate:
         assert res["no_finite_minimizer"] is False
         assert isinstance(res["distances"][0], str)
         assert res["argmin_index"] is not None
+
+    @staticmethod
+    def _far_data(tmp_path) -> str:
+        # 10^155 is far from the image: dist^2 ~ 10^310 overflows a float, the
+        # nearest interval is narrower than the smallest float, and exact
+        # values run past the default int-to-str digit limit
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({"u": [["1" + "0" * 155, "3"]]}))
+        return str(path)
+
+    def test_text_preview_of_values_outside_float_range(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "triangulate", "--curve", TW,
+                                 "--cameras", ONE, "--data", self._far_data(tmp_path))
+        assert code == 0, err
+        assert err == ""
+        assert "(width <= 1.05e-464)  dist^2 ~= 6.59003787936e+309" in out
+        assert "certified minimum lower bound ~= 6.59003787936e+309" in out
+
+    def test_json_carries_values_outside_float_range_exactly(self, capsys, tmp_path):
+        data = self._far_data(tmp_path)
+        env = run_json(capsys, "triangulate", "--curve", TW, "--cameras", ONE,
+                       "--data", data)
+        expected = triangulate(
+            curve_from_dict(json.loads(Path(TW).read_text())),
+            arrangement_from_dict(json.loads(Path(ONE).read_text())),
+            DataPoint.from_dict(json.loads(Path(data).read_text())),
+            Fraction(1, 10**9),
+        ).to_json_dict()
+        assert env["results"] == expected
+        assert max(len(d) for d in env["results"]["distances"]) > 4300
 
     def test_invalid_tolerance_exits_one(self, capsys):
         for bad in ("--tol=0", "--tol=-1/2", "--tol=abc"):

@@ -9,14 +9,16 @@ from __future__ import annotations
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bulk_properties
 from edcurve import exactnum
+from edcurve.eddeg import _poly_abs_upper
 from edcurve.exactnum import (
     _PRIMES,
     HomPoly2,
+    IsolatingInterval,
     UniPoly,
     distinct_root_count,
     hom_resultant,
@@ -235,3 +237,183 @@ class TestResultantShortcut:
         assert hom_resultant(f, g) != 0
         monkeypatch.setattr(exactnum, "hom_resultant", None)
         assert hom_resultant_is_nonzero(f, g) is True
+
+
+# -- integer sign evaluation against the Fraction reference ---------------------
+#
+# sturm_isolate and refine_root take every sign with integer arithmetic
+# (exactnum._eval_int on cleared coefficients).  The references below are the
+# same algorithms with every sign taken by Fraction evaluation, and a classical
+# Sturm chain over Q: each integer chain member is a positive multiple of the
+# matching member here, so the two must return identical intervals.
+
+def _sgn(x):
+    return (x > 0) - (x < 0)
+
+
+def _ref_chain(p):
+    chain = [p]
+    if not p.derivative().is_zero:
+        chain.append(p.derivative())
+    while len(chain) >= 2:
+        _, r = divmod(chain[-2], chain[-1])
+        if r.is_zero:
+            break
+        chain.append(-r)
+        if r.degree == 0:
+            break
+    return chain
+
+
+def _ref_variations(chain, x):
+    if x == "+inf":
+        signs = [_sgn(c.lc) for c in chain]
+    elif x == "-inf":
+        signs = [_sgn(c.lc) * (-1) ** c.degree for c in chain]
+    else:
+        signs = [_sgn(c.evaluate(x)) for c in chain]
+    signs = [s for s in signs if s]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _ref_isolate(p):
+    if p.degree == 0:
+        return []
+    chain = _ref_chain(p)
+    if _ref_variations(chain, "-inf") == _ref_variations(chain, "+inf"):
+        return []
+    b = F(int(1 + max(abs(c / p.lc) for c in p.coeffs)) + 1)
+    out = []
+    stack = [(-b, _ref_variations(chain, -b), b, _ref_variations(chain, b))]
+    while stack:
+        a, va, c, vc = stack.pop()
+        if va - vc == 0:
+            continue
+        if va - vc == 1:
+            out.append(IsolatingInterval(a, c))
+            continue
+        m = (a + c) / 2
+        if p.evaluate(m) == 0:
+            delta = (c - a) / 4
+            while (p.evaluate(m - delta) == 0 or p.evaluate(m + delta) == 0
+                   or _ref_variations(chain, m - delta)
+                   - _ref_variations(chain, m + delta) != 1):
+                delta /= 2
+            out.append(IsolatingInterval(m - delta, m + delta))
+            stack.append((a, va, m - delta, _ref_variations(chain, m - delta)))
+            stack.append((m + delta, _ref_variations(chain, m + delta), c, vc))
+        else:
+            vm = _ref_variations(chain, m)
+            stack.append((a, va, m, vm))
+            stack.append((m, vm, c, vc))
+    out.sort(key=lambda iv: iv.lo)
+    return out
+
+
+def _ref_refine(p, iv, width_bound):
+    lo, hi = iv.lo, iv.hi
+    slo, shi = _sgn(p.evaluate(lo)), _sgn(p.evaluate(hi))
+    if slo == 0 or shi == 0 or slo == shi:
+        raise ValueError("invalid interval (sign conditions fail)")
+    steps = iv.refinements
+    while hi - lo > width_bound:
+        m = (lo + hi) / 2
+        sm = _sgn(p.evaluate(m))
+        steps += 1
+        if sm == 0:
+            eps = min(width_bound, hi - m, m - lo) / 2
+            while p.evaluate(m - eps) == 0 or p.evaluate(m + eps) == 0:
+                eps /= 2
+            return IsolatingInterval(m - eps, m + eps, steps)
+        if sm == slo:
+            lo = m
+        else:
+            hi = m
+    return IsolatingInterval(lo, hi, steps)
+
+
+def _ref_abs_upper(p, lo, hi):
+    m = max(abs(lo), abs(hi))
+    acc, power = F(0), F(1)
+    for c in p.coeffs:
+        acc += abs(c) * power
+        power *= m
+    return acc
+
+
+# roots a bisection from an integer Cauchy box lands on exactly
+DYADIC_ROOTS = tuple(F(n, 4) for n in (0, 1, -1, 2, -2, 3, -3, 4, -4, 6))
+small_rat = st.builds(F, st.integers(min_value=-9, max_value=9),
+                      st.integers(min_value=1, max_value=8))
+
+
+@st.composite
+def planted_squarefree(draw):
+    """A squarefree polynomial with non-integral coefficients (denominators up
+    to 8) and up to five planted dyadic roots."""
+    roots = draw(st.lists(st.sampled_from(DYADIC_ROOTS), max_size=5, unique=True))
+    cofactor = draw(st.lists(small_rat, min_size=1, max_size=5))
+    lead = draw(st.sampled_from((1, -1))) * draw(st.integers(min_value=1, max_value=8))
+    p = poly_from_roots(roots) * UniPoly(tuple(cofactor) + (F(lead, 3),))
+    scale = draw(st.sampled_from((1, -1))) * F(draw(st.integers(min_value=1, max_value=9)),
+                                                draw(st.integers(min_value=1, max_value=8)))
+    return squarefree_part(p).scale(scale)
+
+
+# three planted roots on the first bisection points of the box [-3, 3]
+FENCED = poly_from_roots([F(0), F(3, 2), F(-3, 4)]) * UniPoly((F(1, 3), F(0), F(5, 7)))
+
+
+class TestIntegerSignsAgainstFractionReference:
+    def test_eval_int_is_the_cleared_value(self):
+        c = [7, -3, 0, 5, -11]
+        for x in (F(0), F(3), F(-5, 8), F(7, 1024), F(2, 3), F(-9, 10), F(1, 7**9)):
+            value = sum(F(ck) * x**k for k, ck in enumerate(c))
+            assert exactnum._eval_int(c, x) == value * x.denominator ** (len(c) - 1)
+
+    @settings(deadline=None)
+    @given(p=planted_squarefree())
+    @example(p=FENCED)
+    def test_isolation_and_refinement_match(self, p):
+        ivs = sturm_isolate(p)
+        assert ivs == _ref_isolate(p)
+        for iv in ivs:
+            for w in (iv.width / 2, F(1, 3), F(1, 2**20), F(1, 10**9)):
+                assert refine_root(p, iv, w) == _ref_refine(p, iv, w)
+
+    @settings(deadline=None)
+    @given(p=planted_squarefree(),
+           ends=st.lists(st.one_of(small_rat, st.sampled_from(DYADIC_ROOTS)),
+                         min_size=2, max_size=2, unique=True),
+           w=st.sampled_from((F(1, 2), F(1, 3), F(1, 64), F(1, 10**6))))
+    # the first midpoint 0 is a root and the window's right end 1/4 is one too
+    @example(p=poly_from_roots([F(0), F(1, 4), F(-3, 8)]), ends=[F(-1, 2), F(1, 2)],
+             w=F(1, 2))
+    def test_refinement_of_any_interval_matches(self, p, ends, w):
+        iv = IsolatingInterval(min(ends), max(ends), 3)
+        try:
+            expected = _ref_refine(p, iv, w)
+        except ValueError:
+            with pytest.raises(ValueError):
+                refine_root(p, iv, w)
+            return
+        assert refine_root(p, iv, w) == expected
+
+    def test_planted_roots_reach_both_exact_root_branches(self):
+        # the first midpoint 0 is a root: sturm_isolate fences it off with a
+        # window centred on it, and refining that window lands on the root
+        ivs = sturm_isolate(FENCED)
+        assert ivs == _ref_isolate(FENCED)
+        fenced = [iv for iv in ivs if iv.midpoint == 0]
+        assert len(fenced) == 1 and fenced[0].refinements == 0
+        refined = refine_root(FENCED, fenced[0], F(1, 100))
+        assert refined == _ref_refine(FENCED, fenced[0], F(1, 100))
+        assert refined.midpoint == 0 and refined.refinements == 1
+
+    @given(p=polys(max_deg=8), ends=st.lists(small_rat, min_size=2, max_size=2))
+    @example(p=UniPoly(), ends=[F(-1, 3), F(5, 7)])
+    def test_abs_upper_is_the_same_rational(self, p, ends):
+        p = p.scale(F(5, 8))
+        bound = _poly_abs_upper(p, *ends)
+        assert isinstance(bound, F)
+        assert bound == _ref_abs_upper(p, *ends)
