@@ -21,7 +21,7 @@ from fractions import Fraction as F
 from edcurve.cli import derive_seed
 from edcurve.eddeg import (
     CuspError,
-    DataInstabilityError,
+    count_cell,
     ed_degree_affine,
     euler_cross_check,
     projective_ed_degree_smooth_curve,
@@ -45,18 +45,13 @@ def H(e, *coeffs):
     return HomPoly2(e, tuple(F(c) for c in coeffs))
 
 
-def count_with_retries(f, arr_factory, base_seed, label, attempts=8,
-                       require_certificate=True):
-    for attempt in range(attempts):
-        arr = arr_factory(attempt)
-        try:
-            rep = ed_degree_affine(
-                f, arr, derive_seed(base_seed, f"{label}:a{attempt}:data"))
-        except (DataInstabilityError, ValueError):
-            continue
-        if rep.certificate.passes or not require_certificate:
-            return rep
-    raise RuntimeError(f"{label}: no stable generic run in {attempts} attempts")
+def count_with_retries(f, arr_factory, base_seed, label, require_certificate=True):
+    """The accepted count of a cell whose cameras are redrawn on each of
+    eight attempts."""
+    return count_cell(
+        f, arr_factory, lambda k: derive_seed(base_seed, f"{label}:a{k}:data"), 8,
+        require_certificate=require_certificate,
+    ).report
 
 
 def main(argv=None) -> int:

@@ -11,8 +11,9 @@ Layers, bottom up:
 * :mod:`edcurve.grassmann` — Pluecker lines, wedge cameras, the conic of
   lines meeting three skew lines, and Bezier scrolls.
 * :mod:`edcurve.eddeg` — the critical polynomial, ED degrees of affine
-  multiview curves, the Euler-characteristic cross-check, projective
-  smooth-curve counts, and certified triangulation.
+  multiview curves, the reseeding runner for one (e, n, h) cell, the
+  Euler-characteristic cross-check, projective smooth-curve counts, and
+  certified triangulation.
 * :mod:`edcurve.cli` — seeded, reproducible command-line drivers.
 """
 
@@ -75,12 +76,15 @@ from .grassmann import (
     wedge_camera,
 )
 from .eddeg import (
+    CellExhaustedError,
+    CellOutcome,
     CuspError,
     DataInstabilityError,
     DataPoint,
     EDReport,
     NonGenericBetaError,
     TriangulationResult,
+    count_cell,
     critical_polynomial,
     ed_degree_affine,
     euler_cross_check,
@@ -93,6 +97,8 @@ __all__ = [
     "Arrangement",
     "BezierCurve",
     "Camera",
+    "CellExhaustedError",
+    "CellOutcome",
     "CuspError",
     "DataInstabilityError",
     "DataPoint",
@@ -114,6 +120,7 @@ __all__ = [
     "bezier_scroll",
     "camera_from_dict",
     "camera_to_dict",
+    "count_cell",
     "critical_polynomial",
     "curve_from_dict",
     "curve_multidegree",

@@ -22,16 +22,18 @@ import argparse
 import decimal
 import hashlib
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .eddeg import (
-    DataInstabilityError,
+    CellExhaustedError,
+    CellOutcome,
     DataPoint,
     EDReport,
     NonGenericBetaError,
-    ed_degree_affine,
+    count_cell,
     euler_cross_check,
     random_data_point,
     triangulate,
@@ -171,7 +173,7 @@ def _report_text(rep: EDReport) -> list[str]:
     return lines
 
 
-def _count_with_retries(
+def _count(
     f: RationalCurve,
     arr: Arrangement,
     master: int,
@@ -179,30 +181,31 @@ def _count_with_retries(
     retries: int,
     *,
     first_data: Optional[DataPoint] = None,
-    allow_h1: bool = False,
 ) -> EDReport:
-    """Run the two-sample count, re-deriving the data seed on instability.
+    """The cell's count on a fixed arrangement, reseeding only the data.
 
-    ``first_data`` pins the first sample to an explicit data point (the second
-    stays seed-driven, so a degenerate explicit point surfaces as instability).
     A degenerate scene (``ValueError``, such as an image that is a point) is an
     input error: reseeding the data cannot repair it.
     """
-    last: Optional[DataInstabilityError] = None
-    for attempt in range(retries):
-        seed = derive_seed(master, f"{label}:data:attempt{attempt}")
-        try:
-            if first_data is None:
-                return ed_degree_affine(f, arr, seed, allow_h1=allow_h1)
-            samples = (first_data, random_data_point(seed, arr.n, arr.h))
-            return ed_degree_affine(
-                f, arr, seed, allow_h1=allow_h1, data_points=samples
-            )
-        except DataInstabilityError as exc:
-            last = exc
-        except ValueError as exc:
-            raise _CliError(str(exc))
-    raise _CliError(str(last or "data not generic; reseed"), EXIT_GENERICITY)
+    try:
+        return count_cell(
+            f, arr, lambda k: derive_seed(master, f"{label}:data:attempt{k}"),
+            retries, require_certificate=False, first_data=first_data,
+        ).report
+    except ValueError as exc:
+        raise _CliError(str(exc))
+
+
+def _count_redrawn(f: RationalCurve, draw, master: int, label: str,
+                   retries: int) -> CellOutcome:
+    """The cell's certified count, redrawing cameras and data each attempt."""
+    try:
+        return count_cell(
+            f, draw, lambda k: derive_seed(master, f"{label}:attempt{k}:data"),
+            retries,
+        )
+    except CellExhaustedError as exc:
+        raise _CliError(f"{label}: {exc}", EXIT_GENERICITY)
 
 
 def _attach_cross_check(rep: EDReport, f, arr, master: int, label: str) -> EDReport:
@@ -234,7 +237,7 @@ def cmd_eddeg(ns) -> int:
             first.check_shape(arr)
         except ValueError as exc:
             raise _CliError(f"{ns.data}: {exc}")
-    rep = _count_with_retries(f, arr, ns.seed, "eddeg", ns.retries, first_data=first)
+    rep = _count(f, arr, ns.seed, "eddeg", ns.retries, first_data=first)
     rep = _attach_cross_check(rep, f, arr, ns.seed, "eddeg")
     envelope = {
         "command": "eddeg",
@@ -287,11 +290,13 @@ def cmd_sweep(ns) -> int:
         cell = {"e": e, "n": n, "h": h, "variant": variant, "cell_seed":
                 derive_seed(ns.seed, label)}
         try:
-            rep = _count_with_retries(f, arr, ns.seed, label, ns.retries)
+            rep = _count(f, arr, ns.seed, label, ns.retries)
             rep = _attach_cross_check(rep, f, arr, ns.seed, label)
-        except _CliError as exc:
+        except (_CliError, CellExhaustedError) as exc:
             cell["status"] = "error"
-            cell["error"] = str(exc)
+            # one table line per cell: an exhausted cell shows its last reason
+            cell["error"] = (exc.reasons[-1] if isinstance(exc, CellExhaustedError)
+                             else str(exc))
             cells.append(cell)
             continue
         cell["ed_degree"] = rep.ed_degree
@@ -344,36 +349,18 @@ def cmd_l3(ns) -> int:
     for h in hs:
         for n in nss:
             label = f"l3:h{h}:n{n}"
-            rep = None
-            last_exc: Optional[Exception] = None
-            for attempt in range(ns.retries):
-                alabel = f"{label}:attempt{attempt}"
-                try:
-                    cams = tuple(
-                        wedge_camera(
-                            random_camera(
-                                derive_seed(ns.seed, f"{alabel}:cam{i}"), h, 3
-                            ),
-                            2,
-                        ).as_camera()
-                        for i in range(n)
-                    )
-                    arr = Arrangement(cams)
-                    rep = ed_degree_affine(
-                        f, arr, derive_seed(ns.seed, f"{alabel}:data")
-                    )
-                except (DataInstabilityError, ValueError) as exc:
-                    last_exc = exc
-                    continue
-                if rep.certificate.passes:
-                    break
-                last_exc = RuntimeError("wedge arrangement failed the certificate")
-                rep = None
-            if rep is None:
-                raise _CliError(
-                    f"{label}: {last_exc}", EXIT_GENERICITY
-                )
-            wedge_h = arr.h
+
+            def draw(k):
+                return Arrangement(tuple(
+                    wedge_camera(random_camera(
+                        derive_seed(ns.seed, f"{label}:attempt{k}:cam{i}"), h, 3
+                    ), 2).as_camera()
+                    for i in range(n)
+                ))
+
+            outcome = _count_redrawn(f, draw, ns.seed, label, ns.retries)
+            rep = outcome.report
+            wedge_h = outcome.arrangement.h
             formula = 6 * n - 2
             match = rep.ed_degree == formula
             all_match = all_match and match
@@ -574,25 +561,14 @@ def cmd_scroll(ns) -> int:
     all_match = True
     for n in nss:
         label = f"scroll:n{n}"
-        rep = None
-        last_exc: Optional[Exception] = None
-        for attempt in range(ns.retries):
-            alabel = f"{label}:attempt{attempt}"
-            try:
-                arr = Arrangement(tuple(
-                    random_camera(derive_seed(ns.seed, f"{alabel}:cam{i}"), 2, 5)
-                    for i in range(n)
-                ))
-                rep = ed_degree_affine(f, arr, derive_seed(ns.seed, f"{alabel}:data"))
-            except (DataInstabilityError, ValueError) as exc:
-                last_exc = exc
-                continue
-            if rep.certificate.passes:
-                break
-            last_exc = RuntimeError("camera sample failed the certificate")
-            rep = None
-        if rep is None:
-            raise _CliError(f"{label}: {last_exc}", EXIT_GENERICITY)
+
+        def draw(k):
+            return Arrangement(tuple(
+                random_camera(derive_seed(ns.seed, f"{label}:attempt{k}:cam{i}"), 2, 5)
+                for i in range(n)
+            ))
+
+        rep = _count_redrawn(f, draw, ns.seed, label, ns.retries).report
         formula = 3 * expected * n - 2
         match = rep.ed_degree == formula
         all_match = all_match and match
@@ -710,10 +686,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if getattr(ns, "retries", 1) < 1:
             raise _CliError(f"--retries must be at least 1, got {ns.retries}")
-        return ns.func(ns)
+        code = ns.func(ns)
+        sys.stdout.flush()  # a closed pipe fails here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # the reader went away; the interpreter flushes stdout again at exit,
+        # so point it at devnull to keep that flush from raising too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("edcurve: error: output pipe closed before all output was written",
+              file=sys.stderr)
+        return EXIT_INPUT
     except _CliError as exc:
         print(f"edcurve: error: {exc}", file=sys.stderr)
         return exc.code
+    except CellExhaustedError as exc:
+        print(f"edcurve: error: {exc}", file=sys.stderr)
+        return EXIT_GENERICITY
 
 
 if __name__ == "__main__":

@@ -34,7 +34,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 from .exactnum import (
     HomPoly2,
@@ -339,6 +339,75 @@ def ed_degree_affine(
         n=arr.n,
         h=arr.h,
     )
+
+
+# ---------------------------------------------------------------------------
+# one (e, n, h) cell: reseeded attempts until a count is accepted
+# ---------------------------------------------------------------------------
+
+class CellExhaustedError(RuntimeError):
+    """Every attempt of a cell was rejected; ``reasons`` holds one per attempt."""
+
+    def __init__(self, reasons: Sequence[str]):
+        self.reasons = tuple(reasons)
+        super().__init__("no attempt accepted ("
+                         + " | ".join(f"attempt {k}: {r}"
+                                      for k, r in enumerate(self.reasons)) + ")")
+
+
+@dataclass(frozen=True)
+class CellOutcome:
+    """The accepted count, the arrangement it used, and why each earlier
+    attempt was rejected, in order."""
+
+    report: EDReport
+    arrangement: Arrangement
+    rejected: tuple[str, ...]
+
+
+def count_cell(
+    f: RationalCurve,
+    arrangement: Union[Arrangement, Callable[[int], Arrangement]],
+    data_seed: Callable[[int], int],
+    retries: int,
+    *,
+    require_certificate: bool = True,
+    first_data: Optional[DataPoint] = None,
+) -> CellOutcome:
+    """Count one cell, reseeding up to ``retries`` times.
+
+    ``arrangement`` is fixed, or a function of the attempt number k that
+    draws one; ``data_seed(k)`` seeds attempt k's data.  ``first_data`` pins
+    the first sample of every attempt (the second stays seed-driven, so a
+    degenerate pinned point surfaces as instability).  An attempt is
+    rejected on :class:`DataInstabilityError`, on a failed certificate when
+    ``require_certificate``, and on ``ValueError`` only when the cameras are
+    redrawn: with a fixed arrangement a degenerate scene propagates, since
+    reseeding the data cannot cure it.  Raises :class:`CellExhaustedError`
+    when no attempt is accepted.
+    """
+    redraw = not isinstance(arrangement, Arrangement)
+    rejected: list[str] = []
+    for k in range(retries):
+        seed = data_seed(k)
+        try:
+            arr = arrangement(k) if redraw else arrangement
+            samples = (None if first_data is None
+                       else (first_data, random_data_point(seed, arr.n, arr.h)))
+            rep = ed_degree_affine(f, arr, seed, data_points=samples)
+        except DataInstabilityError as exc:
+            rejected.append(str(exc))
+            continue
+        except ValueError as exc:
+            if not redraw:
+                raise
+            rejected.append(str(exc))
+            continue
+        if require_certificate and not rep.certificate.passes:
+            rejected.append("certificate failed: " + "; ".join(rep.certificate.reasons))
+            continue
+        return CellOutcome(report=rep, arrangement=arr, rejected=tuple(rejected))
+    raise CellExhaustedError(rejected)
 
 
 # ---------------------------------------------------------------------------

@@ -67,10 +67,11 @@ def rat_from_str(s: str) -> Rat:
     """Parse a rational literal "a/b" or "a" (optional sign, decimal digits)."""
     if not isinstance(s, str) or not _RAT_RE.match(s.strip()):
         raise ValueError(f"not a rational literal: {s!r}")
-    try:
-        return Fraction(s.strip())
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in rational literal: {s!r}") from None
+    num, _, den = s.strip().partition("/")
+    d = _str_to_int(den) if den else 1
+    if d == 0:
+        raise ValueError(f"zero denominator in rational literal: {s!r}")
+    return Fraction(_str_to_int(num), d)
 
 
 def rat_to_str(x: Rat) -> str:
@@ -78,6 +79,15 @@ def rat_to_str(x: Rat) -> str:
     if x.denominator == 1:
         return _int_to_str(x.numerator)
     return f"{_int_to_str(x.numerator)}/{_int_to_str(x.denominator)}"
+
+
+def _str_to_int(s: str) -> int:
+    """int(s), also past the interpreter's int-to-str digit limit, through an
+    exact Decimal as in :func:`_int_to_str`."""
+    try:
+        return int(s)
+    except ValueError:
+        return int(decimal.Decimal(s))
 
 
 def _int_to_str(n: int) -> str:
@@ -430,7 +440,6 @@ class UniPoly:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-UNI_ZERO = UniPoly()
 UNI_ONE = UniPoly((Fraction(1),))
 
 
@@ -615,13 +624,6 @@ class HomPoly2:
         d = self.dehom().degree
         assert d is not None
         return self.degree - d
-
-    @classmethod
-    def homogenize(cls, p: UniPoly, degree: int) -> "HomPoly2":
-        """s-pad p(t) to a form of the given formal degree (>= deg p)."""
-        if not p.is_zero and degree < len(p.coeffs) - 1:
-            raise ValueError("formal degree below actual degree")
-        return cls(degree, p.coeffs)
 
     def to_strs(self) -> list[str]:
         return [rat_to_str(c) for c in self.coeffs]

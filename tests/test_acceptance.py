@@ -20,8 +20,8 @@ import bulk_properties
 from edcurve.cli import derive_seed, main
 from edcurve.eddeg import (
     CuspError,
-    DataInstabilityError,
     DataPoint,
+    count_cell,
     ed_degree_affine,
     euler_cross_check,
     projective_ed_degree_smooth_curve,
@@ -60,18 +60,12 @@ def _run_cli_json(capsys, *argv):
     return rc, json.loads(out)
 
 
-def _counted_with_retries(f, arr_factory, base_seed, label, attempts=8,
-                          require_certificate=True):
-    """Reseed cameras/data until a (certified, stable) count lands."""
-    for attempt in range(attempts):
-        arr = arr_factory(attempt)
-        try:
-            rep = ed_degree_affine(f, arr, derive_seed(base_seed, f"{label}:a{attempt}:data"))
-        except DataInstabilityError:
-            continue
-        if rep.certificate.passes or not require_certificate:
-            return rep
-    raise AssertionError(f"no stable run found for {label} in {attempts} attempts")
+def _counted_with_retries(f, arr_factory, base_seed, label, require_certificate=True):
+    """The accepted count over eight attempts, cameras and data redrawn on each."""
+    return count_cell(
+        f, arr_factory, lambda k: derive_seed(base_seed, f"{label}:a{k}:data"), 8,
+        require_certificate=require_certificate,
+    ).report
 
 
 # -- 1. twisted cubic, one generic camera ------------------------------------

@@ -4,6 +4,7 @@ outputs, JSON schema conformance, and byte-level determinism."""
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -19,7 +20,8 @@ from edcurve.scene import arrangement_from_dict, curve_from_dict
 
 DATA = Path(__file__).parent / "data"
 SCHEMAS = Path(__file__).parent.parent / "src" / "edcurve" / "schemas"
-PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"
+ROOT = Path(__file__).parent.parent
+PYPROJECT = ROOT / "pyproject.toml"
 
 TW = str(DATA / "twisted_cubic.json")
 ONE = str(DATA / "one_generic.json")
@@ -110,7 +112,9 @@ class TestEddeg:
                                "--cameras", PARABOLA_CAM,
                                "--data", DEGENERATE_DATA, "--retries", "3")
         assert code == 2
-        assert "data not generic" in err
+        assert err.startswith("edcurve: error: no attempt accepted (")
+        for k in range(3):
+            assert f"attempt {k}: data not generic; reseed" in err
 
     def test_point_image_exits_one_without_traceback(self, capsys, tmp_path):
         # the line through the camera centre [0:0:0:1] images to the point [1:0:0]
@@ -127,6 +131,14 @@ class TestEddeg:
             assert out == ""
             assert err.startswith("edcurve: error:")
             assert "is a point" in err and "symmetry locus" not in err
+
+    def test_data_literal_past_the_int_digit_limit(self, capsys, tmp_path):
+        data = tmp_path / "far.json"
+        data.write_text(json.dumps({"u": [["1" + "0" * 4400, "3"]]}))
+        code, out, err = run_cli(capsys, "eddeg", "--curve", TW, "--cameras", ONE,
+                                 "--data", str(data))
+        assert (code, err) == (0, "")
+        assert "ed_degree            = 7" in out
 
     def test_explicit_pair_cross_check_agrees(self, capsys):
         env = run_json(capsys, "eddeg", "--curve", TW, "--cameras", PAIR,
@@ -182,6 +194,17 @@ class TestL3:
         row = env["results"]["rows"][0]
         assert row["curve_class_shorthand"] == "2*T1 + 2*T2"
         assert row["ambient"] == "(P^2)^2"
+
+    def test_certificate_rejection_keeps_its_reasons(self, capsys):
+        # seed 24 draws a wedge camera whose certificate fails on attempt 0
+        code, out, err = run_cli(capsys, "l3", "--h", "2", "--n", "1",
+                                 "--seed", "24", "--retries", "1")
+        assert (code, out) == (2, "")
+        assert err == ("edcurve: error: l3:h2:n1: no attempt accepted (attempt 0: "
+                       "certificate failed: chart polynomial of camera 0 shares a "
+                       "zero with its view's sum of squares)\n")
+        env = run_json(capsys, "l3", "--h", "2", "--n", "1", "--seed", "24")
+        assert env["results"]["rows"][0]["ed_degree"] == 4
 
     def test_unsupported_height_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "l3", "--h", "4")
@@ -370,6 +393,20 @@ class TestConsoleEntryPoints:
         env = json.loads(proc.stdout)
         assert env["results"]["product"].startswith("T1^3")
 
+    def test_closed_pipe_exits_one_without_traceback(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "edcurve.cli", "sweep", "--e", "1",
+                 "--n", "1..2", "--json"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == ("edcurve: error: output pipe closed before all "
+                               "output was written\n")
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "edcurve.cli", "eddeg", "--curve", TW,
@@ -377,3 +414,13 @@ class TestConsoleEntryPoints:
             capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["results"]["ed_degree"] == 7
+
+
+class TestReproduceExamples:
+    def test_gallery_runs_without_mismatch(self):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "reproduce_examples.py")],
+            capture_output=True, text=True, timeout=300, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert "; 0 unexpected mismatch(es)" in proc.stdout

@@ -12,10 +12,12 @@ from pathlib import Path
 import pytest
 
 from edcurve.eddeg import (
+    CellExhaustedError,
     CuspError,
     DataInstabilityError,
     DataPoint,
     EDReport,
+    count_cell,
     critical_polynomial,
     ed_degree_affine,
     euler_cross_check,
@@ -31,6 +33,7 @@ from edcurve.scene import (
     RationalCurve,
     apply_camera,
     arrangement_from_dict,
+    curve_from_dict,
     random_camera,
     random_camera_block_pairs,
     random_camera_degree_drop,
@@ -274,6 +277,94 @@ class TestEdDegreeAffine:
             c1, c2 = count(family, 1), count(family, 2)
             predicted = c1 + 2 * (c2 - c1)
             assert count(family, 3) == predicted
+
+
+def _load(name):
+    return json.loads((Path(__file__).parent / "data" / name).read_text())
+
+
+class TestCountCell:
+    def test_exhaustion_lists_every_attempt(self):
+        # the pinned point on the parabola's axis makes every attempt unstable
+        conic = curve_from_dict(_load("conic.json"))
+        arr = arrangement_from_dict(_load("parabola_cam.json"))
+        pinned = DataPoint.from_dict(_load("degenerate_data.json"))
+        with pytest.raises(CellExhaustedError) as exc:
+            count_cell(conic, arr, lambda k: 40 + k, 3, first_data=pinned)
+        assert exc.value.reasons == ("data not generic; reseed",) * 3
+        for k in range(3):
+            assert f"attempt {k}: data not generic; reseed" in str(exc.value)
+
+    def test_failed_certificate_is_rejected_with_its_reasons(self):
+        f5 = rational_normal_curve(5, 5)
+        draws = []
+
+        def draw(k):
+            draws.append(k)
+            return Arrangement((random_camera_block_pairs(k),))
+
+        with pytest.raises(CellExhaustedError) as exc:
+            count_cell(f5, draw, lambda k: 100 + k, 3)
+        assert draws == [0, 1, 2]
+        assert exc.value.reasons == (
+            "certificate failed: chart polynomial of camera 0 has a repeated zero",
+        ) * 3
+        out = count_cell(f5, draw, lambda k: 100 + k, 3, require_certificate=False)
+        assert out.rejected == ()
+        assert out.arrangement == draw(0)
+        assert out.report == ed_degree_affine(f5, draw(0), 100)
+        assert out.report.ed_degree == 9 and not out.report.certificate.passes
+
+    def test_value_error_propagates_for_a_fixed_scene(self):
+        # the line through the camera centre [0:0:0:1] images to a point
+        line = curve_from_dict({"N": 3, "degree": 1, "coords": [
+            ["0", "1"], ["0", "0"], ["0", "0"], ["1", "0"]]})
+        arr = Arrangement((Camera(2, 3, ((F(1), F(0), F(0), F(0)),
+                                         (F(0), F(1), F(0), F(0)),
+                                         (F(0), F(0), F(1), F(0)))),))
+        seeds = []
+
+        def data_seed(k):
+            seeds.append(k)
+            return k
+
+        with pytest.raises(ValueError, match="is a point"):
+            count_cell(line, arr, data_seed, 5)
+        assert seeds == [0]
+
+    def test_value_error_rejects_a_redrawn_attempt(self):
+        # attempt 0's chart row kills both coordinates of the line [t:s:0:0]
+        at_infinity = Camera(2, 3, ((F(0), F(0), F(1), F(0)),
+                                    (F(1), F(0), F(0), F(0)),
+                                    (F(0), F(1), F(0), F(0))))
+
+        def draw(k):
+            return Arrangement((at_infinity,) if k == 0
+                               else (random_camera(20 + k, 2, 3),))
+
+        out = count_cell(line_in_p3(), draw, lambda k: 7 + k, 4)
+        assert out.rejected == ("curve at infinity of camera 0",)
+        assert out.arrangement == draw(1)
+        assert out.report == ed_degree_affine(line_in_p3(), draw(1), 8)
+        assert out.report.ed_degree == 1
+
+    def test_first_data_pins_the_first_sample(self):
+        tw = twisted_cubic()
+        arr = arrangement_from_dict(_load("one_generic.json"))
+        pinned = DataPoint.from_dict(_load("data1.json"))
+        out = count_cell(tw, arr, lambda k: 31 + k, 2, first_data=pinned)
+        assert out.rejected == () and out.arrangement is arr
+        assert out.report == ed_degree_affine(
+            tw, arr, 31, data_points=(pinned, random_data_point(31, 1, 2)))
+        # the pinned point reaches the count: at a degenerate one every
+        # attempt is unstable, while the unpinned cell is accepted at once
+        conic = curve_from_dict(_load("conic.json"))
+        cam = arrangement_from_dict(_load("parabola_cam.json"))
+        assert count_cell(conic, cam, lambda k: 40 + k, 1,
+                          require_certificate=False).report.ed_degree == 3
+        with pytest.raises(CellExhaustedError):
+            count_cell(conic, cam, lambda k: 40 + k, 1,
+                       first_data=DataPoint.from_dict(_load("degenerate_data.json")))
 
 
 class TestEulerCrossCheck:

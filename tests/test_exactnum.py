@@ -53,6 +53,16 @@ class TestRationalStrings:
         for v in (F(0), F(7), F(-7), F(22, 7), F(-3, 1000)):
             assert rat_from_str(rat_to_str(v)) == v
 
+    def test_round_trip_past_the_int_digit_limit(self):
+        # the interpreter refuses int <-> str past 4300 digits by default
+        v = F(-(7 * 10**5200 + 1), 3**11000)
+        text = rat_to_str(v)
+        assert len(text) > 10000
+        assert rat_from_str(text) == v
+        assert rat_from_str(f"{'9' * 5000}/{'6' * 5000}") == F(3, 2)
+        with pytest.raises(ValueError, match="zero denominator"):
+            rat_from_str("1/" + "0" * 5000)
+
 
 class TestUniPolyBasics:
     def test_degree_sentinel_for_zero(self):
