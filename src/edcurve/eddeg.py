@@ -77,7 +77,7 @@ class NonGenericBetaError(RuntimeError):
 # data points
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DataPoint:
     """Per camera i, the h affine image observations u_{i,1..h}; beta0 is the
     optional quadric offset used only by the cross-check's perturbed variant."""

@@ -29,9 +29,11 @@ arbitrary-precision rationals:
   coefficient, deg gcd mod p >= deg gcd over Q.  So a constant gcd mod p
   proves Res != 0 over Q; it is the only answer taken from the modular run,
   and every other outcome falls through to the exact resultant;
-* Sturm-sequence real-root isolation with certified bisection refinement;
-  every sign is taken in integer arithmetic, as the sign of a positive
-  multiple of the polynomial (cleared to integers) at the rational point.
+* real-root isolation: the intervals of Sturm's bisection tree, with every
+  root count read off one Descartes (Vincent-Collins-Akritas) isolation
+  instead of a Sturm chain, and certified bisection refinement; every sign
+  is taken in integer arithmetic, as the sign of a positive multiple of the
+  polynomial (cleared to integers) at the rational point.
 
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to share between threads.
@@ -143,9 +145,8 @@ def _int_primitive(a: list[int]) -> list[int]:
 def _int_prem_clean(a: list[int], b: list[int]) -> list[int]:
     """Pseudo-remainder lc(b)^k * a mod b by exact long division, k even.
 
-    Multiplying by an even power of lc(b) at least delta+1 keeps every
-    elimination step integral and the scaling factor positive, so sign
-    patterns survive — required for Sturm chains.
+    Multiplying by a power of lc(b) at least delta+1 keeps every elimination
+    step integral; an even power also keeps the scaling factor positive.
     """
     da, db = len(a) - 1, len(b) - 1
     delta = da - db
@@ -232,18 +233,27 @@ def _kron_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Full product of two nonempty integer coefficient lists (Kronecker substitution).
 
     Every product coefficient has absolute value at most
-    min(len) * max|a| * max|b| < 2**(8*nb - 1), so adding half a slot to every
-    slot makes each one a nonnegative digit below 256**nb: no borrows, and the
-    digits read back directly from the bytes of the biased product.
+    min(len) * max|a| * max|b| < 2**(8*nb - 1), so it is a signed digit of
+    the packed product (``_kron_unpack``).
     """
     bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
     size = len(a) + len(b) - 1
     if not bound:
         return [0] * size
     nb = (bound.bit_length() + 8) // 8
+    return _kron_unpack(_kron_pack(a, nb) * _kron_pack(b, nb), nb, size)
+
+
+def _kron_unpack(v: int, nb: int, size: int) -> list[int]:
+    """The size signed digits of v = sum c[k] * 256**(nb*k), |c[k]| < 2**(8*nb - 1).
+
+    Adding half a slot to every slot makes each one a nonnegative digit below
+    256**nb: no borrows, and the digits read back directly from the bytes of
+    the biased value.
+    """
     half = 1 << (8 * nb - 1)
     bias = int.from_bytes(half.to_bytes(nb, "little") * size, "little")
-    data = (_kron_pack(a, nb) * _kron_pack(b, nb) + bias).to_bytes(nb * size, "little")
+    data = (v + bias).to_bytes(nb * size, "little")
     return [int.from_bytes(data[k:k + nb], "little") - half
             for k in range(0, nb * size, nb)]
 
@@ -549,7 +559,7 @@ def discriminant(p: UniPoly) -> Rat:
 # HomPoly2
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HomPoly2:
     """Homogeneous binary form of *formal* degree e; coeffs[k] multiplies s^(e-k) t^k.
 
@@ -752,7 +762,7 @@ def hom_gcd_many(forms: Sequence[HomPoly2]) -> HomPoly2:
 
 
 # ---------------------------------------------------------------------------
-# Sturm isolation
+# real-root isolation
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -782,26 +792,6 @@ class IsolatingInterval:
         return (self.lo + self.hi) / 2
 
 
-def _sturm_chain(p: UniPoly) -> list[list[int]]:
-    """Sturm chain as primitive integer polynomials (positive-scalar equivalent)."""
-    a, _ = p.int_coeffs()
-    a = _int_primitive(a)
-    b, _ = p.derivative().int_coeffs()
-    b = _int_primitive(b)
-    chain = [a]
-    if b:
-        chain.append(b)
-    while len(chain) >= 2 and len(chain[-1]) >= 1:
-        r = _int_prem_clean(chain[-2], chain[-1])
-        r = _int_primitive([-x for x in r])
-        if not r:
-            break
-        chain.append(r)
-        if len(r) == 1:
-            break
-    return chain
-
-
 def _eval_int(c: Sequence[int], x: Rat) -> int:
     """Sign-faithful evaluation: den^(len(c)-1) * c(x), an integer.
 
@@ -829,63 +819,193 @@ def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
-def _variations(chain: Sequence[Sequence[int]], x) -> int:
-    if x == "+inf":
-        signs = [_sign(c[-1]) for c in chain]
-    elif x == "-inf":
-        signs = [_sign(c[-1]) * (-1 if (len(c) - 1) % 2 else 1) for c in chain]
-    else:
-        signs = [_sign(_eval_int(c, x)) for c in chain]
-    signs = [s for s in signs if s]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _taylor_shift(a: Sequence[int], c: int) -> list[int]:
+    """Coefficients of a(x + c) for a nonempty integer list (Kronecker substitution).
+
+    Every coefficient of a(x + c) has absolute value at most
+    max|a| * (d + 1) * (1 + |c|)^d for d = len(a) - 1, so one Horner pass at
+    the big integer X + c, X = 256**nb with that bound below X / 2, leaves
+    the shifted coefficients as the signed base-X digits of the result.
+    """
+    d = len(a) - 1
+    bound = max(map(abs, a)) * (d + 1) * (1 + abs(c)) ** d
+    nb = (bound.bit_length() + 8) // 8
+    k = 8 * nb
+    acc = 0
+    for x in reversed(a):
+        acc = (acc << k) + acc * c + x
+    return _kron_unpack(acc, nb, d + 1)
+
+
+def _sign_changes(a: Sequence[int]) -> int:
+    """Sign variations of a coefficient sequence, zeros skipped."""
+    signs = [x > 0 for x in a if x]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _drop_twos(q: list[int]) -> list[int]:
+    """q divided by the largest power of two dividing every coefficient."""
+    t = 0
+    for x in q:
+        t |= x
+    z = (t & -t).bit_length() - 1
+    return [x >> z for x in q] if z > 0 else q
+
+
+def _root_bound_exponent(a: Sequence[int]) -> int:
+    """e >= 1 with |z| < 2^e for every complex root z of the integer polynomial a.
+
+    Fujiwara's bound |z| <= 2 max_i |a[d-i] / a[d]|^(1/i), i = 1..d, with
+    |a[d-i] / a[d]| < 2^t_i for t_i = bitlen a[d-i] - bitlen a[d] + 1.
+    """
+    d = len(a) - 1
+    top = abs(a[d]).bit_length()
+    e = 0
+    for i in range(1, d + 1):
+        if a[d - i]:
+            t = abs(a[d - i]).bit_length() - top + 1
+            e = max(e, -(-t // i))
+    return e + 1
+
+
+def _descartes_roots(a: list[int]) -> list[list[int]]:
+    """Every real root of the squarefree integer polynomial a, as disjoint entries.
+
+    Vincent-Collins-Akritas bisection (Collins & Akritas, SYMSAC 1976;
+    Rouillier & Zimmermann, JCAM 2004) of the box (-2^e, 2^e) of
+    :func:`_root_bound_exponent`; on a power-of-two box the integer
+    coefficients shrink as the intervals do.  A node is the interval
+    (-2^e + 2^(e+1) k / 2^j, -2^e + 2^(e+1) (k+1) / 2^j) with a positive
+    multiple q of p pulled back to (0, 1).  The sign variations of
+    (x + 1)^d q(1 / (x + 1)) bound the roots in (0, 1) and share their parity,
+    so 0 discards the node and 1 certifies one root.  A bisection point that
+    is a root is recorded as a point and divided out of the right half, so
+    q(0) is never 0 and has p's sign just inside the left end.
+
+    Each entry is [lo_num, lo_den, hi_num, hi_den, s] for lowest-terms ends:
+    s = 0 for an exact root lo = hi, else the open interval (lo, hi) holds one
+    root and a has sign s between lo and that root.  Every end of an interval
+    is a non-root or an exact root listed as a point.
+    """
+    e = _root_bound_exponent(a)
+
+    def at(k: int, j: int) -> tuple[int, int]:
+        x = Fraction((2 * k - (1 << j)) << e, 1 << j)
+        return x.numerator, x.denominator
+
+    # the root node: a(2^e (y - 1)) at y = 2x is a(2^e (2x - 1)) on (0, 1)
+    shifted = _taylor_shift([x << (e * i) for i, x in enumerate(a)], -1)
+    roots: list[list[int]] = []
+    stack = [(_drop_twos([x << i for i, x in enumerate(shifted)]), 0, 0)]
+    while stack:
+        q, k, j = stack.pop()
+        v = _sign_changes(_taylor_shift(q[::-1], 1))
+        if v == 0:
+            continue
+        if v == 1:
+            roots.append([*at(k, j), *at(k + 1, j), _sign(q[0])])
+            continue
+        d = len(q) - 1
+        left = [x << (d - i) for i, x in enumerate(q)]  # 2^d q(x / 2)
+        right = _taylor_shift(left, 1)                   # 2^d q((x + 1) / 2)
+        if not right[0]:
+            m = at(2 * k + 1, j + 1)
+            roots.append([*m, *m, 0])
+            del right[0]
+        stack.append((_drop_twos(left), 2 * k, j + 1))
+        stack.append((_drop_twos(right), 2 * k + 1, j + 1))
+    return roots
+
+
+def _place(roots: list[list[int]], a: Sequence[int], x: Rat) -> bool:
+    """Whether x is a root of a; first splits the one root interval around x.
+
+    ``roots`` is the list of :func:`_descartes_roots`.  Only an interval that
+    holds x strictly inside needs a sign: the sign of a at x, against the sign
+    s just right of lo, puts its root on one side of x.  Afterwards no
+    interval of ``roots`` has x strictly inside.
+    """
+    xn, xd = x.numerator, x.denominator
+    for r in roots:
+        ln, ld, hn, hd, s = r
+        if not s:
+            if ln == xn and ld == xd:
+                return True
+        elif ln * xd < xn * ld and xn * hd < hn * xd:
+            sx = _sign(_eval_int(a, x))
+            if not sx:
+                r[:] = [xn, xd, xn, xd, 0]
+                return True
+            if sx == s:
+                r[0], r[1] = xn, xd
+            else:
+                r[2], r[3] = xn, xd
+            return False
+    return False
+
+
+def _count_between(roots: list[list[int]], lo: Rat, hi: Rat) -> int:
+    """Roots in (lo, hi), for non-root ends already given to :func:`_place`."""
+    an, ad, cn, cd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    return sum(1 for ln, ld, hn, hd, _ in roots if an * ld <= ln * ad and hn * cd <= cn * hd)
 
 
 def sturm_isolate(p: UniPoly) -> list[IsolatingInterval]:
-    """Disjoint open rational intervals, one per real root of a squarefree p."""
+    """Disjoint open rational intervals, one per real root of a squarefree p.
+
+    The intervals are the leaves of a bisection of the Cauchy box (-b, b): an
+    interval with one root is returned, one without is dropped, and any other
+    is split at its midpoint, or around a window fenced symmetrically about
+    the midpoint when the midpoint is itself a root.  This is the tree of
+    Sturm's method, and its leaves depend only on where p's real roots lie;
+    the counts come from one Descartes isolation of every root
+    (:func:`_descartes_roots`), narrowed at the tree's points by ``_place``.
+    """
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
     if p.degree >= 1 and poly_gcd(p, p.derivative()).degree != 0:
         raise ValueError("apply squarefree_part first")
     if p.degree == 0:
         return []
-    chain = _sturm_chain(p)
-    total = _variations(chain, "-inf") - _variations(chain, "+inf")
-    if total == 0:
+    a, _ = p.int_coeffs()
+    roots = _descartes_roots(a)
+    if not roots:
         return []
     bound = 1 + max(abs(c / p.lc) for c in p.coeffs)
     b = Fraction(int(bound) + 1)
-    lo, hi = -b, b
-    # endpoints of the Cauchy box are non-roots by construction (|root| < b)
+    # endpoints of the Cauchy box are non-roots by construction (|root| < b);
+    # every point pushed on the stack has been placed, so the counts are exact
+    _place(roots, a, -b)
+    _place(roots, a, b)
     out: list[IsolatingInterval] = []
-    stack = [(lo, _variations(chain, lo), hi, _variations(chain, hi))]
+    stack = [(-b, b)]
     while stack:
-        a, va, c, vc = stack.pop()
-        n = va - vc
+        lo, hi = stack.pop()
+        n = _count_between(roots, lo, hi)
         if n == 0:
             continue
         if n == 1:
-            out.append(IsolatingInterval(a, c))
+            out.append(IsolatingInterval(lo, hi))
             continue
-        m = (a + c) / 2
-        # chain[0] is a positive multiple of p, so it has p's roots
-        if _eval_int(chain[0], m) == 0:
-            # the midpoint is itself a root: fence it off symmetrically
-            delta = (c - a) / 4
+        m = (lo + hi) / 2
+        if _place(roots, a, m):
+            # the midpoint is itself a root: fence it off symmetrically.
+            # Termination: m is one of finitely many roots, so once delta is
+            # below its distance to every other root, m - delta and m + delta
+            # are non-roots and (m - delta, m + delta) holds m alone.
+            delta = (hi - lo) / 4
             while (
-                _eval_int(chain[0], m - delta) == 0
-                or _eval_int(chain[0], m + delta) == 0
-                or _variations(chain, m - delta) - _variations(chain, m + delta) != 1
+                _place(roots, a, m - delta)
+                or _place(roots, a, m + delta)
+                or _count_between(roots, m - delta, m + delta) != 1
             ):
                 delta /= 2
             out.append(IsolatingInterval(m - delta, m + delta))
-            vl = _variations(chain, m - delta)
-            vr = _variations(chain, m + delta)
-            stack.append((a, va, m - delta, vl))
-            stack.append((m + delta, vr, c, vc))
+            stack.append((lo, m - delta))
+            stack.append((m + delta, hi))
         else:
-            vm = _variations(chain, m)
-            stack.append((a, va, m, vm))
-            stack.append((m, vm, c, vc))
+            stack.append((lo, m))
+            stack.append((m, hi))
     out.sort(key=lambda iv: iv.lo)
     return out
 

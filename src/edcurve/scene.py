@@ -47,7 +47,7 @@ _MAX_REJECTION_TRIES = 1000
 # core types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RationalCurve:
     """Parameterized curve f: P^1 -> P^N, N+1 binary forms of common degree e.
 
@@ -102,7 +102,7 @@ class RationalCurve:
         return self.jacobian_minor_gcd().degree == 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Camera:
     """Full-rank (h+1) x (N+1) exact rational matrix; row 0 is the chart row."""
 
@@ -144,7 +144,7 @@ def _exact_rank(rows: Sequence[Sequence[Rat]]) -> int:
     return rank
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Arrangement:
     """Nonempty ordered list of cameras sharing (h, N)."""
 

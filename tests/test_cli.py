@@ -418,9 +418,14 @@ class TestConsoleEntryPoints:
 
 class TestReproduceExamples:
     def test_gallery_runs_without_mismatch(self):
+        # at seeds 1-3 the vanishing-corner pair's first draw has a second
+        # degeneracy (a repeated chart zero, or a second shared zero) that
+        # the family's factory must redraw for the count 13
         env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-        proc = subprocess.run(
-            [sys.executable, str(ROOT / "scripts" / "reproduce_examples.py")],
-            capture_output=True, text=True, timeout=300, env=env)
-        assert proc.returncode == 0, proc.stderr
-        assert "; 0 unexpected mismatch(es)" in proc.stdout
+        for seed in range(4):
+            proc = subprocess.run(
+                [sys.executable, str(ROOT / "scripts" / "reproduce_examples.py"),
+                 "--seed", str(seed)],
+                capture_output=True, text=True, timeout=300, env=env)
+            assert proc.returncode == 0, (seed, proc.stdout + proc.stderr)
+            assert "; 0 unexpected mismatch(es)" in proc.stdout

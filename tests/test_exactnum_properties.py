@@ -14,7 +14,12 @@ from hypothesis import strategies as st
 
 import bulk_properties
 from edcurve import exactnum
-from edcurve.eddeg import _poly_abs_upper
+from edcurve.eddeg import (
+    _image_charts,
+    _poly_abs_upper,
+    random_data_point,
+    reduce_critical_polynomial,
+)
 from edcurve.exactnum import (
     _PRIMES,
     HomPoly2,
@@ -32,6 +37,7 @@ from edcurve.exactnum import (
     squarefree_part,
     sturm_isolate,
 )
+from edcurve.scene import Arrangement, random_camera, random_curve
 
 
 class TestBulkSuites:
@@ -417,3 +423,149 @@ class TestIntegerSignsAgainstFractionReference:
         bound = _poly_abs_upper(p, *ends)
         assert isinstance(bound, F)
         assert bound == _ref_abs_upper(p, *ends)
+
+
+# -- Descartes isolation against the Sturm-chain isolator ------------------------
+#
+# sturm_isolate replays the bisection tree of the Sturm-chain isolator it
+# replaced, with every root count taken from one Descartes isolation.  The
+# reference below is that isolator as it was: a Sturm chain of primitive
+# integer polynomials, and the same stack, midpoint fence and stopping rules.
+# Both must return identical intervals.  Unlike the Fraction reference above,
+# it is fast enough for the degree-46 polynomials of a four-view quartic scene.
+
+def _int_sturm_chain(p):
+    a = exactnum._int_primitive(p.int_coeffs()[0])
+    b = exactnum._int_primitive(p.derivative().int_coeffs()[0])
+    chain = [a]
+    if b:
+        chain.append(b)
+    while len(chain) >= 2 and len(chain[-1]) >= 1:
+        r = exactnum._int_prem_clean(chain[-2], chain[-1])
+        r = exactnum._int_primitive([-x for x in r])
+        if not r:
+            break
+        chain.append(r)
+        if len(r) == 1:
+            break
+    return chain
+
+
+def _int_variations(chain, x):
+    if x == "+inf":
+        signs = [_sgn(c[-1]) for c in chain]
+    elif x == "-inf":
+        signs = [_sgn(c[-1]) * (-1) ** (len(c) - 1) for c in chain]
+    else:
+        signs = [_sgn(exactnum._eval_int(c, x)) for c in chain]
+    signs = [s for s in signs if s]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _int_sturm_isolate(p):
+    if p.degree == 0:
+        return []
+    chain = _int_sturm_chain(p)
+    if _int_variations(chain, "-inf") == _int_variations(chain, "+inf"):
+        return []
+    b = F(int(1 + max(abs(c / p.lc) for c in p.coeffs)) + 1)
+    out = []
+    stack = [(-b, _int_variations(chain, -b), b, _int_variations(chain, b))]
+    while stack:
+        a, va, c, vc = stack.pop()
+        if va - vc == 0:
+            continue
+        if va - vc == 1:
+            out.append(IsolatingInterval(a, c))
+            continue
+        m = (a + c) / 2
+        if exactnum._eval_int(chain[0], m) == 0:
+            delta = (c - a) / 4
+            while (exactnum._eval_int(chain[0], m - delta) == 0
+                   or exactnum._eval_int(chain[0], m + delta) == 0
+                   or _int_variations(chain, m - delta)
+                   - _int_variations(chain, m + delta) != 1):
+                delta /= 2
+            out.append(IsolatingInterval(m - delta, m + delta))
+            stack.append((a, va, m - delta, _int_variations(chain, m - delta)))
+            stack.append((m + delta, _int_variations(chain, m + delta), c, vc))
+        else:
+            vm = _int_variations(chain, m)
+            stack.append((a, va, m, vm))
+            stack.append((m, vm, c, vc))
+    out.sort(key=lambda iv: iv.lo)
+    return out
+
+
+# dyadic roots on the subdivision points of every Descartes box (-2^e, 2^e),
+# e >= 1, each optionally paired with a neighbour 2^-k away: the bisection
+# must then split at the dyadic root itself, which becomes an exact point
+# and an endpoint of the next root's interval
+DESCARTES_POINTS = tuple(F(n, 8) for n in range(-12, 13))
+
+
+@st.composite
+def planted_on_subdivision_points(draw):
+    roots = set()
+    for x in draw(st.lists(st.sampled_from(DESCARTES_POINTS), min_size=1, max_size=4,
+                           unique=True)):
+        roots.add(x)
+        k = draw(st.one_of(st.none(), st.integers(min_value=4, max_value=40)))
+        if k is not None:
+            roots.add(x + draw(st.sampled_from((1, -1))) * F(1, 2**k))
+    cofactor = draw(st.lists(small_int.map(F), min_size=0, max_size=3))
+    lead = draw(st.sampled_from((1, -1))) * draw(st.integers(min_value=1, max_value=5))
+    return squarefree_part(poly_from_roots(sorted(roots)) * UniPoly(tuple(cofactor) + (F(lead),)))
+
+
+def _quartic_scene_polynomials():
+    f = random_curve(100, 4, 3)
+    arr = Arrangement(tuple(random_camera(200 + i, 2, 3) for i in range(4)))
+    u = random_data_point(300, 4, 2)
+    charts = _image_charts(f, arr)
+    qprod = UniPoly((F(1),))
+    for q, _ in charts:
+        qprod = qprod * q
+    return reduce_critical_polynomial(f, arr, u, charts=charts).reduced, squarefree_part(qprod)
+
+
+class TestDescartesAgainstSturmChain:
+    def test_golden_quartic_scene(self):
+        # the quartic-four-views scene of test_eddeg's golden triangulations:
+        # its reduced critical polynomial and its squarefree pole product
+        reduced, poles = _quartic_scene_polynomials()
+        assert reduced.degree == 46 and poles.degree == 16
+        for p in (reduced, poles):
+            ivs = sturm_isolate(p)
+            assert ivs and ivs == _int_sturm_isolate(p)
+
+    @settings(deadline=None)
+    @given(p=planted_on_subdivision_points())
+    @example(p=FENCED)
+    def test_planted_subdivision_roots_match(self, p):
+        assert sturm_isolate(p) == _int_sturm_isolate(p)
+
+    def test_a_root_interval_ends_at_an_exact_root(self):
+        # 0 is the first midpoint of both bisections, and the root 2^-40
+        # forces the Descartes bisection down to an interval (0, 2^-k)
+        p = poly_from_roots([F(0), F(1, 2**40), F(-3, 4), F(3, 2)])
+        roots = exactnum._descartes_roots(p.int_coeffs()[0])
+        assert [r[:2] for r in roots if not r[4]] == [[0, 1]]
+        assert any(r[4] and r[:2] == [0, 1] for r in roots)
+        assert sturm_isolate(p) == _int_sturm_isolate(p)
+
+    @pytest.mark.parametrize("p", [
+        poly_from_roots([F(1, 3), F(1, 3) + F(1, 2**40)]),
+        poly_from_roots([F(-5), F(0), F(1, 2**40), F(7, 2)]),
+        UniPoly((F(-2), F(0), F(1))),                                  # t^2 - 2
+        UniPoly((F(-2), F(0), F(1))) * UniPoly((F(-2) - F(1, 10**9), F(0), F(1))),
+        UniPoly((F(1), F(0), F(1))),                                   # no real root
+        UniPoly((F(1), F(0), F(1))) * UniPoly((F(4), F(0), F(1))),
+        UniPoly((F(1, 3), F(-1))),                                     # degree 1
+        UniPoly((F(5), F(3))),
+        UniPoly((F(7),)),                                              # degree 0
+        -poly_from_roots([F(1), F(-2), F(1, 2)]),                      # negative lead
+        poly_from_roots([F(-3, 4), F(0), F(3, 2)]).scale(F(-5, 7)),
+    ], ids=lambda p: str(p)[:40])
+    def test_edge_cases_match(self, p):
+        assert sturm_isolate(p) == _int_sturm_isolate(p)
