@@ -876,11 +876,12 @@ def _descartes_roots(a: list[int]) -> list[list[int]]:
     :func:`_root_bound_exponent`; on a power-of-two box the integer
     coefficients shrink as the intervals do.  A node is the interval
     (-2^e + 2^(e+1) k / 2^j, -2^e + 2^(e+1) (k+1) / 2^j) with a positive
-    multiple q of p pulled back to (0, 1).  The sign variations of
+    multiple q of a pulled back to (0, 1).  The sign variations of
     (x + 1)^d q(1 / (x + 1)) bound the roots in (0, 1) and share their parity,
     so 0 discards the node and 1 certifies one root.  A bisection point that
     is a root is recorded as a point and divided out of the right half, so
-    q(0) is never 0 and has p's sign just inside the left end.
+    q(0) is never 0 and has a's sign just inside the left end (the sign of
+    a' there when that end is a root).
 
     Each entry is [lo_num, lo_den, hi_num, hi_den, s] for lowest-terms ends:
     s = 0 for an exact root lo = hi, else the open interval (lo, hi) holds one

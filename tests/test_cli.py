@@ -21,6 +21,8 @@ from edcurve.scene import arrangement_from_dict, curve_from_dict
 DATA = Path(__file__).parent / "data"
 SCHEMAS = Path(__file__).parent.parent / "src" / "edcurve" / "schemas"
 ROOT = Path(__file__).parent.parent
+# child interpreters import the checkout's sources, as pytest itself does
+CHILD_ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 PYPROJECT = ROOT / "pyproject.toml"
 
 TW = str(DATA / "twisted_cubic.json")
@@ -387,7 +389,7 @@ class TestConsoleEntryPoints:
         argv = ["edcurve", "multidegree", "1,1", "1,2", "1,3", "--json"]
         code = (f"import sys; from {module} import {func}; "
                 f"sys.argv = {argv!r}; sys.exit({func}())")
-        proc = subprocess.run([sys.executable, "-c", code],
+        proc = subprocess.run([sys.executable, "-c", code], env=CHILD_ENV,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         env = json.loads(proc.stdout)
@@ -400,7 +402,8 @@ class TestConsoleEntryPoints:
             proc = subprocess.run(
                 [sys.executable, "-m", "edcurve.cli", "sweep", "--e", "1",
                  "--n", "1..2", "--json"],
-                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120)
+                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+                env=CHILD_ENV)
         finally:
             os.close(write_end)
         assert proc.returncode == 1
@@ -411,7 +414,7 @@ class TestConsoleEntryPoints:
         proc = subprocess.run(
             [sys.executable, "-m", "edcurve.cli", "eddeg", "--curve", TW,
              "--cameras", ONE, "--seed", "1", "--json"],
-            capture_output=True, text=True, timeout=120)
+            capture_output=True, text=True, timeout=120, env=CHILD_ENV)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["results"]["ed_degree"] == 7
 
@@ -421,11 +424,10 @@ class TestReproduceExamples:
         # at seeds 1-3 the vanishing-corner pair's first draw has a second
         # degeneracy (a repeated chart zero, or a second shared zero) that
         # the family's factory must redraw for the count 13
-        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
         for seed in range(4):
             proc = subprocess.run(
                 [sys.executable, str(ROOT / "scripts" / "reproduce_examples.py"),
                  "--seed", str(seed)],
-                capture_output=True, text=True, timeout=300, env=env)
+                capture_output=True, text=True, timeout=300, env=CHILD_ENV)
             assert proc.returncode == 0, (seed, proc.stdout + proc.stderr)
             assert "; 0 unexpected mismatch(es)" in proc.stdout
