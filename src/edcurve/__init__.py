@@ -2,8 +2,9 @@
 
 Layers, bottom up:
 
-* :mod:`edcurve.exactnum` — rational polynomial arithmetic: gcd, squarefree
-  parts, resultants, discriminants, binary forms, Sturm real-root isolation.
+* :mod:`edcurve.exactnum` — rational polynomial arithmetic, stored as integer
+  numerators over one denominator: gcd, squarefree parts, resultants,
+  discriminants, binary forms, Sturm real-root isolation.
 * :mod:`edcurve.multidegree` — the truncated multigraded ring recording
   multidegrees of subvarieties of products of projective spaces.
 * :mod:`edcurve.scene` — parameterized rational curves, cameras,

@@ -42,9 +42,12 @@ from .exactnum import (
     Rat,
     UNI_ONE,
     UniPoly,
+    _bisect,
     _eval_int,
+    _sign,
     distinct_root_count,
     hom_distinct_root_count,
+    hom_gcd_many,
     hom_resultant_is_nonzero,
     poly_gcd,
     rat_to_str,
@@ -131,12 +134,14 @@ def random_data_point(seed: int, n: int, h: int) -> DataPoint:
 # the critical polynomial and its reduction
 # ---------------------------------------------------------------------------
 
-def _image_charts(f: RationalCurve, arr: Arrangement):
+def _image_charts(f: RationalCurve, arr: Arrangement, images=None):
     """[(q_i, [p_i1..p_ih])] as univariate chart polynomials; errors on a
-    view whose chart polynomial vanishes identically."""
+    view whose chart polynomial vanishes identically.  ``images`` may pass in
+    ``[apply_camera(c, f) for c in arr.cameras]``."""
+    if images is None:
+        images = [apply_camera(cam, f) for cam in arr.cameras]
     charts = []
-    for i, cam in enumerate(arr.cameras):
-        img = apply_camera(cam, f)
+    for i, img in enumerate(images):
         if img[0].is_zero:
             raise ValueError(f"curve at infinity of camera {i}")
         q = img[0].dehom()
@@ -307,7 +312,8 @@ def ed_degree_affine(
 
     for s in samples:
         s.check_shape(arr)
-    charts = _image_charts(f, arr)
+    images = [apply_camera(cam, f) for cam in arr.cameras]
+    charts = _image_charts(f, arr, images)
     counts = []
     reductions = []
     for s in samples:
@@ -319,7 +325,12 @@ def ed_degree_affine(
     if counts[0] != counts[1]:
         raise DataInstabilityError("data not generic; reseed")
 
-    cert = genericity_certificate(arr, f)
+    cert = genericity_certificate(arr, f, images=images)
+    if arr.h >= 2 and cert.passes:
+        for i, img in enumerate(images):
+            if not _one_to_one(img):
+                raise ValueError(f"camera {i} does not map the curve one-to-one "
+                                 "onto its image")
     rc = reductions[0]
     raw_deg = rc.raw.degree
     assert raw_deg is not None
@@ -339,6 +350,47 @@ def ed_degree_affine(
         n=arr.n,
         h=arr.h,
     )
+
+
+def _one_to_one(img: Sequence[HomPoly2]) -> bool:
+    """Whether the view [Q : P_1 : ... : P_h] of a degree-e curve, free of base
+    points, maps P^1 one-to-one onto its image.
+
+    At a parameter t0 with Q(1, t0) != 0 the fiber forms
+    F_j = P_j Q(1, t0) - Q P_j(1, t0) vanish exactly on the fiber through t0,
+    to order two at t0 where the map is ramified there.  A k:1 map has fibers
+    of k points counted with multiplicity, so a linear gcd at one t0 proves
+    the map one-to-one.  Conversely, for a one-to-one map only parameters
+    over singular image points fail, at most 2 * delta = (e - 1)(e - 2) of
+    them for a rational curve of degree e, so that many failures plus one
+    prove it is not.  The gcd is linear exactly when the quotients
+    G_j = F_j / (t - t0 s) have no common zero, which the coprime shortcut
+    of ``poly_gcd`` usually proves at once.
+    """
+    e = img[0].degree
+    q = img[0].num
+    ps = [p.num for p in img[1:]]
+    budget = (e - 1) * (e - 2) + 1
+    t0 = 0
+    while budget:
+        qv = _eval_int(q, t0)
+        if qv:
+            budget -= 1
+            gs = []
+            for p in ps:
+                pv = _eval_int(p, t0)
+                # synthetic division of F_j(1, t) by t - t0; F_j(1, t0) = 0
+                g = [0] * e
+                acc = 0
+                for k in range(e, 0, -1):
+                    acc = acc * t0 + p[k] * qv - q[k] * pv
+                    g[k - 1] = acc
+                gs.append(g)
+            alive = [HomPoly2(e - 1, g) for g in gs if any(g)]
+            if alive and hom_gcd_many(alive).degree == 0:
+                return True
+        t0 = -t0 if t0 > 0 else 1 - t0  # 0, 1, -1, 2, -2, ...
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -599,8 +651,12 @@ def triangulate(
     pole_free = []
     qprod_sf = squarefree_part(qprod) if qprod.degree else UNI_ONE
     pole_ivs = sturm_isolate(qprod_sf) if qprod_sf.degree else []
+    red_c, pole_c = rc.reduced.num, qprod_sf.num
+    # the sign just right of lo, which every bisection keeps (``_bisect``)
+    pole_signs = [_sign(_eval_int(pole_c, pv.lo)) for pv in pole_ivs]
     for iv in intervals:
         iv = refine_root(rc.reduced, iv, width_bound)
+        slo = _sign(_eval_int(red_c, iv.lo))
         # shrink past every real pole interval so each q_i is nonzero on iv;
         # shrinking iv preserves disjointness from poles handled earlier, so
         # one pass suffices (shrunk pole intervals are written back).
@@ -611,10 +667,10 @@ def triangulate(
         # to less than |r - z|.
         for idx, pv in enumerate(pole_ivs):
             while not (iv.hi <= pv.lo or pv.hi <= iv.lo):
-                iv = refine_root(rc.reduced, iv, iv.width / 2)
-                pv = refine_root(qprod_sf, pv, pv.width / 2)
+                iv = _halve(red_c, iv, slo)
+                pv = _halve(pole_c, pv, pole_signs[idx])
             pole_ivs[idx] = pv
-        pole_free.append(iv)
+        pole_free.append((iv, slo))
 
     qcubes_all = UNI_ONE
     for q, _ in charts:
@@ -626,7 +682,7 @@ def triangulate(
     distances = []
     bounds = []
     final_ivs = []
-    for iv in pole_free:
+    for iv, slo in pole_free:
         # derivative bound needs a positive floor |Q(m)| - S * width/2 for
         # |Q| = |prod q^3| on the interval, S the slope bound of Q' on it.
         # Termination: the root r is pole-free, so Q(r) != 0; by the mean
@@ -641,7 +697,7 @@ def triangulate(
             half = iv.width / 2
             if qn * sd * half.denominator > sn * half.numerator * qd:
                 break
-            iv = refine_root(rc.reduced, iv, iv.width / 2)
+            iv = _halve(red_c, iv, slo)
         m = iv.midpoint
         floor = Fraction(qn, qd) - Fraction(sn, sd) * half
         dist = _exact_distance(charts, u, m)
@@ -669,6 +725,13 @@ def triangulate(
         no_finite_minimizer=False,
         min_lower_bound=lower,
     )
+
+
+def _halve(c, iv: IsolatingInterval, slo: int) -> IsolatingInterval:
+    """One bisection step on iv, as ``refine_root(p, iv, iv.width / 2)`` takes
+    it, for p with integer coefficients c and sign slo just right of iv.lo."""
+    lo, hi = _bisect(c, iv.lo, iv.hi, slo, iv.width / 2)
+    return IsolatingInterval(lo, hi, iv.refinements + 1)
 
 
 def _exact_distance(charts, u: DataPoint, t: Rat) -> Rat:

@@ -7,18 +7,24 @@ arbitrary-precision rationals:
 * ``UniPoly`` — univariate polynomials over Q, dense ascending coefficients;
 * ``HomPoly2`` — homogeneous binary forms of a *formal* degree, so leading-zero
   coefficient data (roots at [0:1] or [1:0]) is never silently lost;
-* one product kernel for both (Kronecker substitution): each operand is
-  cleared to integers over one common denominator and packed into a single
-  Python int, one slot per coefficient.  A slot holds a signed value of
-  absolute value up to min(len) * max|a| * max|b|, the bound on any product
-  coefficient, so the slots of the one big-int product never interfere and
-  unpack to the exact integer coefficients; dividing by the product of the
-  two denominators gives the rational product.  CPython's Karatsuba does
-  the multiplication (Harvey, JSC 2009; von zur Gathen & Gerhard, Modern
-  Computer Algebra, section 8.4);
+* one representation for both: a tuple of Python ints ``num`` over one
+  positive int ``den``, in canonical form (gcd(content, den) = 1, den = 1
+  for zero), so equal values are equal objects and the integer form every
+  gcd, resultant and sign needs is stored, not recomputed.  Sums go over
+  a common denominator, and derivatives, scaling, monic normalization,
+  charts and evaluation stay in integers; ``coeffs`` builds the Fractions
+  only for output and tests;
+* one product kernel for both (Kronecker substitution): each operand's
+  integers are packed into a single Python int, one slot per coefficient.
+  A slot holds a signed value of absolute value up to
+  min(len) * max|a| * max|b|, the bound on any product coefficient, so the
+  slots of the one big-int product never interfere and unpack to the exact
+  integer coefficients over the product of the two denominators.  CPython's
+  Karatsuba does the multiplication (Harvey, JSC 2009; von zur Gathen &
+  Gerhard, Modern Computer Algebra, section 8.4);
 * gcd / squarefree part / distinct-root counts via an integer primitive
-  polynomial-remainder sequence (clears denominators once, divides out content
-  at every step — no rational-coefficient blow-up);
+  polynomial-remainder sequence (divides out content at every step — no
+  rational-coefficient blow-up);
 * Sylvester resultants and discriminants via fraction-free (Bareiss)
   determinant elimination on integer matrices;
 * a nonvanishing test for binary-form resultants that first runs Euclid mod
@@ -33,12 +39,12 @@ arbitrary-precision rationals:
   root count read off one Descartes (Vincent-Collins-Akritas) isolation
   instead of a Sturm chain, and certified bisection refinement; every sign
   is taken in integer arithmetic, as the sign of a positive multiple of the
-  polynomial (cleared to integers) at the rational point.
+  polynomial (its numerators) at the rational point.
 
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to share between threads.
 
-Rationals are ``fractions.Fraction`` (always lowest terms, positive
+Scalars are ``fractions.Fraction`` (always lowest terms, positive
 denominator); ``rat_from_str``/``rat_to_str`` fix the "a/b" wire format used
 by every JSON schema in the package.
 """
@@ -202,7 +208,7 @@ def _mod_gcd_degree(a: Sequence[int], b: Sequence[int], p: int) -> int | None:
             fb.pop()
         if not fb:
             break
-        inv = pow(fb[-1], p - 2, p)
+        inv = pow(fb[-1], -1, p)
         fb = [x * inv % p for x in fb]
         da, db = len(fa) - 1, len(fb) - 1
         if da < db:
@@ -266,16 +272,6 @@ def _clear_denominators(cs: Sequence[Rat]) -> tuple[list[int], int]:
     return [c.numerator * (d // c.denominator) for c in cs], d
 
 
-def _rat_mul(a: Sequence[Rat], b: Sequence[Rat]) -> list[Rat]:
-    """Full product of two nonempty rational coefficient lists via ``_kron_mul``."""
-    ia, da = _clear_denominators(a)
-    ib, db = _clear_denominators(b)
-    d = da * db
-    if d == 1:
-        return [Fraction(c) for c in _kron_mul(ia, ib)]
-    return [Fraction(c, d) for c in _kron_mul(ia, ib)]
-
-
 def _bareiss_det(m: list[list[int]]) -> int:
     """Fraction-free determinant of an integer matrix (exact divisions only)."""
     n = len(m)
@@ -305,104 +301,174 @@ def _bareiss_det(m: list[list[int]]) -> int:
 
 
 # ---------------------------------------------------------------------------
+# the integer representation shared by UniPoly and HomPoly2
+# ---------------------------------------------------------------------------
+
+_set = object.__setattr__
+
+
+# One shared int per small value, as ``_SMALL_RATS``: CPython caches only
+# -5..256, and constructors keep their coefficients for as long as the curve
+# or camera they build lives.
+_SMALL_INTS = tuple(range(-64, 65))
+
+
+def _integers(cs: Iterable) -> tuple[list[int], int]:
+    """``_clear_denominators`` of the rationals cs; ints need no conversion."""
+    cs = list(cs)
+    den = 1
+    if any(type(c) is not int for c in cs):
+        cs, den = _clear_denominators([_as_rat(c) for c in cs])
+    return [_SMALL_INTS[c + 64] if -64 <= c <= 64 else c for c in cs], den
+
+
+def _reduced(num: Sequence[int], den: int) -> tuple[Sequence[int], int]:
+    """num / den (den > 0) in canonical form: both divided by gcd(den, content)."""
+    if den != 1:
+        g = _int_gcd(den, *num)
+        if g != 1:
+            return [x // g for x in num], den // g
+    return num, den
+
+
+def _sum(a: Sequence[int], da: int, b: Sequence[int], db: int,
+         sign: int = 1) -> tuple[list[int], int]:
+    """Numerators over one common denominator of a / da + sign * b / db, any lengths."""
+    if da == db:
+        den = da
+    else:
+        g = _int_gcd(da, db)
+        ma, mb = db // g, da // g
+        den = da * ma
+        a = [x * ma for x in a]
+        b = [x * mb for x in b]
+    out = list(a)
+    if len(out) < len(b):
+        out.extend([0] * (len(b) - len(out)))
+    for k, x in enumerate(b):
+        out[k] += sign * x
+    return out, den
+
+
+def _rats(num: Sequence[int], den: int) -> tuple[Rat, ...]:
+    if den == 1:
+        return tuple(_SMALL_RATS[x + 64] if -64 <= x <= 64 else Fraction(x) for x in num)
+    return tuple(Fraction(x, den) for x in num)
+
+
+# ---------------------------------------------------------------------------
 # UniPoly
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class UniPoly:
-    """Dense univariate polynomial over Q; coeffs[k] is the coefficient of t^k.
+    """Dense univariate polynomial over Q: coefficient k of t^k is num[k] / den.
 
-    Trailing zeros are stripped at construction; the zero polynomial has an
-    empty coefficient tuple and its ``degree`` is the sentinel ``None`` rather
-    than any integer, so degree formulas can never silently absorb it.
+    Canonical form: num has no trailing zeros, den > 0, gcd(content, den) = 1,
+    and den = 1 for the zero polynomial, so equal polynomials are equal
+    objects and ``int_coeffs`` is (num, den) itself.  The zero polynomial has
+    an empty ``num`` and its ``degree`` is the sentinel ``None`` rather than
+    any integer, so degree formulas can never silently absorb it.  The
+    constructor takes any rational coefficients (ints, Fractions, "a/b").
     """
 
-    coeffs: tuple[Rat, ...] = ()
+    num: tuple[int, ...]
+    den: int
 
-    def __post_init__(self):
-        cs = tuple(_as_rat(c) for c in self.coeffs)
-        while cs and cs[-1] == 0:
-            cs = cs[:-1]
-        object.__setattr__(self, "coeffs", cs)
+    def __init__(self, coeffs: Iterable = ()):
+        num, den = _integers(coeffs)
+        while num and num[-1] == 0:
+            num.pop()
+        _set(self, "num", tuple(num))
+        _set(self, "den", den)
 
     # -- basic structure ----------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Rat, ...]:
+        """The coefficients as Fractions, lowest coefficient first."""
+        return _rats(self.num, self.den)
+
+    @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     @property
     def degree(self) -> int | None:
         """Degree, or None (sentinel) for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else None
+        return len(self.num) - 1 if self.num else None
 
     @property
     def lc(self) -> Rat:
-        if not self.coeffs:
+        if not self.num:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.num[-1], self.den)
 
     def __getitem__(self, k: int) -> Rat:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        return Fraction(self.num[k], self.den) if 0 <= k < len(self.num) else Fraction(0)
 
     def __bool__(self) -> bool:
-        return not self.is_zero
+        return bool(self.num)
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] += c
-        return UniPoly(tuple(out))
+        return _uni(*_sum(self.num, self.den, other.num, other.den))
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly(tuple(-c for c in self.coeffs))
+        return _uni([-x for x in self.num], self.den)
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
+        return _uni(*_sum(self.num, self.den, other.num, other.den, -1))
 
     def __mul__(self, other):
         if isinstance(other, UniPoly):
-            if self.is_zero or other.is_zero:
-                return UniPoly()
-            return UniPoly(tuple(_rat_mul(self.coeffs, other.coeffs)))
-        return self.scale(_as_rat(other))
+            if not self.num or not other.num:
+                return _UNI_ZERO
+            return _uni(_kron_mul(self.num, other.num), self.den * other.den)
+        return self.scale(other)
 
     __rmul__ = __mul__
 
     def scale(self, c: Rat) -> "UniPoly":
         c = _as_rat(c)
-        return UniPoly(tuple(c * x for x in self.coeffs))
+        n = c.numerator
+        return _uni([n * x for x in self.num], self.den * c.denominator)
 
     def derivative(self) -> "UniPoly":
-        return UniPoly(tuple(k * c for k, c in enumerate(self.coeffs) if k >= 1))
+        num = self.num
+        return _uni([k * num[k] for k in range(1, len(num))], self.den)
 
     def evaluate(self, x: Rat) -> Rat:
         x = _as_rat(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        if not self.num:
+            return Fraction(0)
+        return Fraction(_eval_int(self.num, x),
+                        self.den * x.denominator ** (len(self.num) - 1))
 
     def __divmod__(self, other: "UniPoly"):
-        if other.is_zero:
+        """(quotient, remainder) over Q by integer pseudo-division:
+        lc^(delta+1) * num = Q * other.num + R, exactly, for lc = other.num[-1]."""
+        b = other.num
+        if not b:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        db = other.degree
-        quo = [Fraction(0)] * max(len(rem) - db, 0)
-        lc = other.lc
-        for i in range(len(rem) - db - 1, -1, -1):
-            c = rem[db + i]
+        n, lc = len(b) - 1, b[-1]
+        delta = len(self.num) - 1 - n
+        if delta < 0:
+            return _UNI_ZERO, self
+        scale = lc ** (delta + 1)
+        rem = [x * scale for x in self.num]
+        quo = [0] * (delta + 1)
+        for i in range(delta, -1, -1):
+            c = rem[n + i] // lc
             if c:
-                q = c / lc
-                quo[i] = q
-                for j, b in enumerate(other.coeffs):
-                    rem[i + j] -= q * b
-        return UniPoly(tuple(quo)), UniPoly(tuple(rem[:db]))
+                quo[i] = c
+                for j in range(n + 1):
+                    rem[i + j] -= c * b[j]
+        if scale < 0:
+            scale, quo, rem = -scale, [-x for x in quo], [-x for x in rem]
+        return (_uni([x * other.den for x in quo], scale * self.den),
+                _uni(rem[:n], scale * self.den))
 
     def exact_div(self, other: "UniPoly") -> "UniPoly":
         q, r = divmod(self, other)
@@ -411,17 +477,23 @@ class UniPoly:
         return q
 
     def monic(self) -> "UniPoly":
-        if self.is_zero:
+        if not self.num:
             raise ValueError("cannot normalize the zero polynomial")
-        if self.lc == 1:
+        lc = self.num[-1]
+        if lc == self.den:
             return self
-        return self.scale(1 / self.lc)
+        if lc < 0:
+            return _uni([-x for x in self.num], -lc)
+        return _uni(self.num, lc)
 
     # -- conversions ---------------------------------------------------------
 
     def int_coeffs(self) -> tuple[list[int], int]:
-        """(integer coefficient list, positive denominator D) with D*self integral."""
-        return _clear_denominators(self.coeffs)
+        """(integer coefficient list, positive denominator D) with D*self integral.
+
+        D is the least such denominator, as ``_clear_denominators`` gives it.
+        """
+        return list(self.num), self.den
 
     def to_strs(self) -> list[str]:
         return [rat_to_str(c) for c in self.coeffs]
@@ -433,9 +505,10 @@ class UniPoly:
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
+        cs = self.coeffs
         parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
+        for k in range(len(cs) - 1, -1, -1):
+            c = cs[k]
             if not c:
                 continue
             mono = "1" if k == 0 else ("t" if k == 1 else f"t^{k}")
@@ -450,13 +523,26 @@ class UniPoly:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-UNI_ONE = UniPoly((Fraction(1),))
+def _uni(num: Sequence[int], den: int) -> UniPoly:
+    """The UniPoly num / den for any integers num and den > 0."""
+    n = len(num)
+    while n and not num[n - 1]:
+        n -= 1
+    num, den = _reduced(num[:n], den) if n else ((), 1)
+    p = object.__new__(UniPoly)
+    _set(p, "num", tuple(num))
+    _set(p, "den", den)
+    return p
+
+
+_UNI_ZERO = _uni((), 1)
+UNI_ONE = _uni((1,), 1)
 
 
 def poly_from_roots(roots: Iterable[Rat]) -> UniPoly:
     p = UNI_ONE
     for r in roots:
-        p = p * UniPoly((-_as_rat(r), Fraction(1)))
+        p = p * UniPoly((-_as_rat(r), 1))
     return p
 
 
@@ -479,16 +565,14 @@ def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
         return p.monic()
     if p.degree == 0 or q.degree == 0:
         return UNI_ONE
-    a, _ = p.int_coeffs()
-    b, _ = q.int_coeffs()
+    a, b = p.num, q.num
     for prime in _PRIMES:
         d = _mod_gcd_degree(a, b, prime)
         if d is not None:
             if d == 0:
                 return UNI_ONE
             break
-    g = _int_prs_gcd(a, b)
-    return UniPoly(tuple(Fraction(x) for x in g)).monic()
+    return _uni(_int_prs_gcd(a, b), 1).monic()
 
 
 def squarefree_part(p: UniPoly) -> UniPoly:
@@ -535,9 +619,9 @@ def resultant(p: UniPoly, q: UniPoly) -> Rat:
         raise ValueError("resultant of a zero polynomial")
     m, n = p.degree, q.degree
     if m == 0:
-        return p.coeffs[0] ** n
+        return p.lc ** n
     if n == 0:
-        return q.coeffs[0] ** m
+        return q.lc ** m
     a, da = p.int_coeffs()
     b, db = q.int_coeffs()
     det = _bareiss_det(_sylvester_matrix(a, b, m, n))
@@ -559,72 +643,98 @@ def discriminant(p: UniPoly) -> Rat:
 # HomPoly2
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class HomPoly2:
-    """Homogeneous binary form of *formal* degree e; coeffs[k] multiplies s^(e-k) t^k.
+    """Homogeneous binary form of *formal* degree e: num[k] / den multiplies s^(e-k) t^k.
 
-    The coefficient tuple always has length e+1 — zero entries anywhere are
-    meaningful (they encode roots at [1:0]/[0:1]), and the zero form of formal
-    degree e is allowed and flagged by ``is_zero``.
+    ``num`` always has length e+1 — zero entries anywhere are meaningful (they
+    encode roots at [1:0]/[0:1]), and the zero form of formal degree e is
+    allowed and flagged by ``is_zero``.  The pair (num, den) is canonical as
+    for :class:`UniPoly`: den > 0, gcd(content, den) = 1, den = 1 for a zero
+    form.
     """
 
     degree: int
-    coeffs: tuple[Rat, ...] = ()
+    num: tuple[int, ...]
+    den: int
 
-    def __post_init__(self):
-        if self.degree < 0:
+    def __init__(self, degree: int, coeffs: Iterable = ()):
+        if degree < 0:
             raise ValueError("formal degree must be nonnegative")
-        cs = tuple(_as_rat(c) for c in self.coeffs)
-        if len(cs) < self.degree + 1:
-            cs = cs + (Fraction(0),) * (self.degree + 1 - len(cs))
-        if len(cs) != self.degree + 1:
+        num, den = _integers(coeffs)
+        if len(num) < degree + 1:
+            num.extend([0] * (degree + 1 - len(num)))
+        if len(num) != degree + 1:
             raise ValueError("coefficient count must be formal degree + 1")
-        object.__setattr__(self, "coeffs", cs)
+        _set(self, "degree", degree)
+        _set(self, "num", tuple(num))
+        _set(self, "den", den)
+
+    @property
+    def coeffs(self) -> tuple[Rat, ...]:
+        """The coefficients as Fractions, that of s^e first."""
+        return _rats(self.num, self.den)
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def __add__(self, other: "HomPoly2") -> "HomPoly2":
         if self.degree != other.degree:
             raise ValueError("formal degrees differ")
-        return HomPoly2(self.degree, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return _hom(self.degree, *_sum(self.num, self.den, other.num, other.den))
 
     def __neg__(self) -> "HomPoly2":
-        return HomPoly2(self.degree, tuple(-c for c in self.coeffs))
+        return _hom(self.degree, [-x for x in self.num], self.den)
 
     def __sub__(self, other: "HomPoly2") -> "HomPoly2":
-        return self + (-other)
+        if self.degree != other.degree:
+            raise ValueError("formal degrees differ")
+        return _hom(self.degree, *_sum(self.num, self.den, other.num, other.den, -1))
 
     def __mul__(self, other):
         if isinstance(other, HomPoly2):
-            e = self.degree + other.degree
-            return HomPoly2(e, tuple(_rat_mul(self.coeffs, other.coeffs)))
+            return _hom(self.degree + other.degree, _kron_mul(self.num, other.num),
+                        self.den * other.den)
         c = _as_rat(other)
-        return HomPoly2(self.degree, tuple(c * x for x in self.coeffs))
+        n = c.numerator
+        return _hom(self.degree, [n * x for x in self.num], self.den * c.denominator)
 
     __rmul__ = __mul__
 
     def partial_s(self) -> "HomPoly2":
-        if self.degree == 0:
-            return HomPoly2(0, (Fraction(0),))
         e = self.degree
-        return HomPoly2(e - 1, tuple((e - k) * self.coeffs[k] for k in range(e)))
+        if e == 0:
+            return _hom(0, (0,), 1)
+        num = self.num
+        return _hom(e - 1, [(e - k) * num[k] for k in range(e)], self.den)
 
     def partial_t(self) -> "HomPoly2":
-        if self.degree == 0:
-            return HomPoly2(0, (Fraction(0),))
         e = self.degree
-        return HomPoly2(e - 1, tuple(k * self.coeffs[k] for k in range(1, e + 1)))
+        if e == 0:
+            return _hom(0, (0,), 1)
+        num = self.num
+        return _hom(e - 1, [k * num[k] for k in range(1, e + 1)], self.den)
 
     def evaluate(self, s: Rat, t: Rat) -> Rat:
+        """The value at (s, t): Horner in T = tn sd with powers of S = sn td."""
         s, t = _as_rat(s), _as_rat(t)
         e = self.degree
-        return sum((c * s ** (e - k) * t**k for k, c in enumerate(self.coeffs)), Fraction(0))
+        big_s = s.numerator * t.denominator
+        big_t = t.numerator * s.denominator
+        acc, power = 0, 1
+        for k in range(e, -1, -1):
+            acc = acc * big_t + self.num[k] * power
+            power *= big_s
+        return Fraction(acc, self.den * (s.denominator * t.denominator) ** e)
 
     def dehom(self) -> UniPoly:
         """Restriction to the chart s = 1 (same coefficient list, as t-poly)."""
-        return UniPoly(self.coeffs)
+        return _uni(self.num, self.den)
+
+    def int_coeffs(self) -> tuple[list[int], int]:
+        """(all e+1 integer coefficients, positive denominator D), as for UniPoly."""
+        return list(self.num), self.den
 
     @property
     def s_valuation(self) -> int:
@@ -664,6 +774,16 @@ class HomPoly2:
         return " + ".join(parts).replace("+ -", "- ")
 
 
+def _hom(degree: int, num: Sequence[int], den: int) -> HomPoly2:
+    """The HomPoly2 num / den for e+1 integers num and den > 0."""
+    num, den = _reduced(num, den)
+    h = object.__new__(HomPoly2)
+    _set(h, "degree", degree)
+    _set(h, "num", tuple(num))
+    _set(h, "den", den)
+    return h
+
+
 def hom_distinct_root_count(h: HomPoly2) -> int:
     """Distinct zeros of a nonzero binary form on P^1 (chart count + [0:1] if s | h)."""
     if h.is_zero:
@@ -685,13 +805,11 @@ def hom_resultant(f: HomPoly2, g: HomPoly2) -> Rat:
         raise ValueError("resultant of a zero form")
     m, n = f.degree, g.degree
     if m == 0:
-        return f.coeffs[0] ** n
+        return Fraction(f.num[0], f.den) ** n
     if n == 0:
-        return g.coeffs[0] ** m
-    a, da = f.dehom().int_coeffs()
-    b, db = g.dehom().int_coeffs()
-    a = a + [0] * (m + 1 - len(a))
-    b = b + [0] * (n + 1 - len(b))
+        return Fraction(g.num[0], g.den) ** m
+    a, da = f.int_coeffs()
+    b, db = g.int_coeffs()
     det = _bareiss_det(_sylvester_matrix(a, b, m, n))
     return Fraction(det, da**n * db**m)
 
@@ -703,8 +821,7 @@ def hom_resultant_is_nonzero(f: HomPoly2, g: HomPoly2) -> bool:
     m, n = f.degree, g.degree
     if m == 0 or n == 0:
         return hom_resultant(f, g) != 0
-    a, _ = f.dehom().int_coeffs()
-    b, _ = g.dehom().int_coeffs()
+    a, b = f.dehom().num, g.dehom().num
     # with no common zero at [0:1] (one form has full chart degree), a constant
     # chart gcd mod p proves Res != 0 (module docstring); None or a positive
     # degree is inconclusive
@@ -738,14 +855,12 @@ def hom_gcd(f: HomPoly2, g: HomPoly2) -> HomPoly2:
         return _hom_monicish(f)
     u = poly_gcd(f.dehom(), g.dehom())
     sval = min(f.s_valuation, g.s_valuation)
-    du = u.degree
-    assert du is not None
-    return HomPoly2(du + sval, u.coeffs)
+    return _hom(len(u.num) - 1 + sval, u.num + (0,) * sval, u.den)
 
 
 def _hom_monicish(f: HomPoly2) -> HomPoly2:
-    d = f.dehom()
-    return HomPoly2(f.degree, d.monic().coeffs)
+    d = f.dehom().monic()
+    return _hom(f.degree, d.num + (0,) * (f.degree + 1 - len(d.num)), d.den)
 
 
 def hom_gcd_many(forms: Sequence[HomPoly2]) -> HomPoly2:
@@ -968,12 +1083,12 @@ def sturm_isolate(p: UniPoly) -> list[IsolatingInterval]:
         raise ValueError("apply squarefree_part first")
     if p.degree == 0:
         return []
-    a, _ = p.int_coeffs()
+    a = p.num
     roots = _descartes_roots(a)
     if not roots:
         return []
-    bound = 1 + max(abs(c / p.lc) for c in p.coeffs)
-    b = Fraction(int(bound) + 1)
+    # one more than the integer part of the Cauchy bound 1 + max |a_k / lc|
+    b = Fraction(2 + max(map(abs, a)) // abs(a[-1]))
     # endpoints of the Cauchy box are non-roots by construction (|root| < b);
     # every point pushed on the stack has been placed, so the counts are exact
     _place(roots, a, -b)
@@ -1011,34 +1126,42 @@ def sturm_isolate(p: UniPoly) -> list[IsolatingInterval]:
     return out
 
 
+def _bisect(c: Sequence[int], lo: Rat, hi: Rat, slo: int, width_bound: Rat) -> tuple[Rat, Rat]:
+    """One bisection step on (lo, hi), which brackets one simple root of the
+    integer polynomial c, with c of sign slo just right of lo.
+
+    Returns the half that holds the root or, when the midpoint is the root, a
+    symmetric window of width at most ``width_bound`` around it whose ends
+    are not roots.  Either way c keeps the sign slo just right of the new lo.
+    """
+    m = (lo + hi) / 2
+    sm = _sign(_eval_int(c, m))
+    if sm == 0:
+        eps = min(width_bound, hi - m, m - lo) / 2
+        while _eval_int(c, m - eps) == 0 or _eval_int(c, m + eps) == 0:
+            eps /= 2
+        return m - eps, m + eps
+    return (m, hi) if sm == slo else (lo, m)
+
+
 def refine_root(p: UniPoly, iv: IsolatingInterval, width_bound: Rat) -> IsolatingInterval:
     """Bisect iv (which must bracket one simple root of p) down to the width bound.
 
     Every sign is taken on D * p with D > 0 the common denominator of p's
     coefficients, in integer arithmetic (``_eval_int``); D * p and p have the
-    same sign everywhere.
+    same sign everywhere.  A step that lands on the root ends with a window
+    no wider than the bound (``_bisect``).
     """
     width_bound = _as_rat(width_bound)
     if width_bound <= 0:
         raise ValueError("width bound must be positive")
-    c, _ = p.int_coeffs()
+    c = p.num
     lo, hi = iv.lo, iv.hi
     slo, shi = _sign(_eval_int(c, lo)), _sign(_eval_int(c, hi))
     if slo == 0 or shi == 0 or slo == shi:
         raise ValueError("invalid interval (sign conditions fail)")
     steps = iv.refinements
     while hi - lo > width_bound:
-        m = (lo + hi) / 2
-        sm = _sign(_eval_int(c, m))
+        lo, hi = _bisect(c, lo, hi, slo, width_bound)
         steps += 1
-        if sm == 0:
-            # landed exactly on the root: shrink to a symmetric window
-            eps = min(width_bound, hi - m, m - lo) / 2
-            while _eval_int(c, m - eps) == 0 or _eval_int(c, m + eps) == 0:
-                eps /= 2
-            return IsolatingInterval(m - eps, m + eps, steps)
-        if sm == slo:
-            lo = m
-        else:
-            hi = m
     return IsolatingInterval(lo, hi, steps)

@@ -24,14 +24,17 @@ versions, so identical seeds reproduce identical scenes everywhere.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .exactnum import (
     HomPoly2,
     Rat,
     _as_rat,
+    _clear_denominators,
+    _hom,
     hom_discriminant,
     hom_gcd,
     hom_gcd_many,
@@ -63,6 +66,8 @@ class RationalCurve:
     N: int
     e: int
     coords: tuple[HomPoly2, ...]
+    # the Jacobian-minor gcd, computed on first use
+    _minor_gcd: HomPoly2 | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.N < 1 or self.e < 1:
@@ -85,47 +90,70 @@ class RationalCurve:
         """gcd of the 2x2 minors of [df/ds; df/dt]: the immersion-failure locus.
 
         Constant (degree 0) exactly when f is an immersion; zeros are the
-        parameters of cusps of the parameterization.
+        parameters of cusps of the parameterization.  Computed once per curve.
         """
-        ds = [c.partial_s() for c in self.coords]
-        dt = [c.partial_t() for c in self.coords]
-        minors = []
-        for i in range(self.N + 1):
-            for j in range(i + 1, self.N + 1):
-                minors.append(ds[i] * dt[j] - ds[j] * dt[i])
-        if all(m.is_zero for m in minors):
-            raise ValueError("degenerate parameterization: all Jacobian minors vanish")
-        return hom_gcd_many(minors)
+        if self._minor_gcd is None:
+            g = _jacobian_minor_gcd(self.coords)
+            # every immersion shares one constant form
+            object.__setattr__(self, "_minor_gcd", g if g.degree else _HOM_ONE)
+        return self._minor_gcd
 
     @property
     def is_immersion(self) -> bool:
         return self.jacobian_minor_gcd().degree == 0
 
 
-@dataclass(frozen=True, slots=True)
+_HOM_ONE = HomPoly2(0, (1,))
+
+
+def _jacobian_minor_gcd(coords: Sequence[HomPoly2]) -> HomPoly2:
+    ds = [c.partial_s() for c in coords]
+    dt = [c.partial_t() for c in coords]
+    minors = []
+    for i in range(len(coords)):
+        for j in range(i + 1, len(coords)):
+            minors.append(ds[i] * dt[j] - ds[j] * dt[i])
+    if all(m.is_zero for m in minors):
+        raise ValueError("degenerate parameterization: all Jacobian minors vanish")
+    return hom_gcd_many(minors)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Camera:
-    """Full-rank (h+1) x (N+1) exact rational matrix; row 0 is the chart row."""
+    """Full-rank (h+1) x (N+1) exact rational matrix; row 0 is the chart row.
+
+    The entries are held row after row in one flat tuple, one object where a
+    tuple per row would be h + 2; ``entries`` gives the rows.
+    """
 
     h: int
     N: int
-    entries: tuple[tuple[Rat, ...], ...]
+    _flat: tuple[Rat, ...]
 
-    def __post_init__(self):
-        if self.h < 1 or self.N < 1:
+    def __init__(self, h: int, N: int, entries: Sequence[Sequence[Rat]]):
+        if h < 1 or N < 1:
             raise ValueError("need h >= 1 and N >= 1")
-        rows = tuple(tuple(_as_rat(x) for x in row) for row in self.entries)
-        if len(rows) != self.h + 1 or any(len(r) != self.N + 1 for r in rows):
+        rows = tuple(tuple(_as_rat(x) for x in row) for row in entries)
+        if len(rows) != h + 1 or any(len(r) != N + 1 for r in rows):
             raise ValueError("camera must be (h+1) x (N+1)")
-        object.__setattr__(self, "entries", rows)
-        if _exact_rank(rows) != self.h + 1:
+        if _exact_rank(rows) != h + 1:
             raise ValueError("camera matrix not full rank")
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "_flat", tuple(x for row in rows for x in row))
+
+    @property
+    def entries(self) -> tuple[tuple[Rat, ...], ...]:
+        n, flat = self.N + 1, self._flat
+        return tuple(flat[k:k + n] for k in range(0, len(flat), n))
 
     def row(self, j: int) -> tuple[Rat, ...]:
         return self.entries[j]
 
 
 def _exact_rank(rows: Sequence[Sequence[Rat]]) -> int:
-    m = [list(r) for r in rows]
+    """Rank by division-free elimination on the rows cleared to integers."""
+    m = [_clear_denominators(r)[0] for r in rows]
     rank = 0
     ncols = len(m[0]) if m else 0
     for col in range(ncols):
@@ -134,10 +162,11 @@ def _exact_rank(rows: Sequence[Sequence[Rat]]) -> int:
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
         pr = m[rank]
-        for i in range(len(m)):
-            if i != rank and m[i][col]:
-                f = m[i][col] / pr[col]
-                m[i] = [a - f * b for a, b in zip(m[i], pr)]
+        a = pr[col]
+        for i in range(rank + 1, len(m)):
+            b = m[i][col]
+            if b:
+                m[i] = [a * x - b * y for x, y in zip(m[i], pr)]
         rank += 1
         if rank == len(m):
             break
@@ -171,17 +200,24 @@ class Arrangement:
 
 
 def apply_camera(camera: Camera, f: RationalCurve) -> tuple[HomPoly2, ...]:
-    """Row-by-row image of the curve: entry j is C^(j) . (f_0..f_N), degree e."""
+    """Row-by-row image of the curve: entry j is C^(j) . (f_0..f_N), degree e.
+
+    One integer combination per row: with c_k = a_k / b_k and coordinate k
+    equal to num_k / den_k, the image is sum_k a_k (L / (b_k den_k)) num_k
+    over the common denominator L.
+    """
     if camera.N != f.N:
         raise ValueError(f"camera expects world dimension {camera.N}, curve has {f.N}")
-    zero = HomPoly2(f.e)
     out = []
     for row in camera.entries:
-        acc = zero
-        for c, coord in zip(row, f.coords):
-            if c:
-                acc = acc + c * coord
-        out.append(acc)
+        terms = [(c.numerator, c.denominator * g.den, g.num)
+                 for c, g in zip(row, f.coords) if c]
+        den = lcm(*(b for _, b, _ in terms))
+        acc = [0] * (f.e + 1)
+        for a, b, num in terms:
+            m = a * (den // b)
+            acc = [x + m * y for x, y in zip(acc, num)]
+        out.append(_hom(f.e, acc, den))
     return tuple(out)
 
 
@@ -231,12 +267,19 @@ class GenericityCertificate:
         }
 
 
-def genericity_certificate(arr: Arrangement, f: RationalCurve) -> GenericityCertificate:
-    """Compute every certificate quantity exactly; deterministic."""
+def genericity_certificate(
+    arr: Arrangement, f: RationalCurve, *, images=None
+) -> GenericityCertificate:
+    """Compute every certificate quantity exactly; deterministic.
+
+    ``images`` may pass in ``[apply_camera(c, f) for c in arr.cameras]`` when
+    the caller already has them.
+    """
     if arr.N != f.N:
         raise ValueError("arrangement and curve dimensions differ")
     reasons: list[str] = []
-    images = [apply_camera(c, f) for c in arr.cameras]
+    if images is None:
+        images = [apply_camera(c, f) for c in arr.cameras]
     qs = [img[0] for img in images]
     for i, q in enumerate(qs):
         if q.is_zero:

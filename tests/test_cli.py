@@ -3,6 +3,7 @@ outputs, JSON schema conformance, and byte-level determinism."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
@@ -340,6 +341,59 @@ class TestScroll:
                                "--bezier2", BEZ1)
         assert code == 1
         assert "non-generic control points" in err
+
+    def test_two_to_one_view_is_redrawn(self, capsys):
+        # this seed first draws a camera that maps the scroll's plane conic
+        # 2:1 onto a line, under a passing certificate; counted, it gave 3
+        env = run_json(capsys, "scroll", "--bezier1", BEZ1, "--bezier2", BEZ2,
+                       "--n", "1", "--seed", "14653090059713265492")
+        row = env["results"]["rows"][0]
+        assert (row["ed_degree"], row["formula_value"], row["match"]) == (4, 4, True)
+        assert env["results"]["all_match"] is True
+
+
+# stdout SHA-256 of each invocation, recorded while polynomials still stored
+# Fraction coefficients; run from the repository root, since the JSON
+# envelopes echo the file arguments
+GOLDEN_DATA = "tests/data/"
+GOLDEN = [
+    (("eddeg", "--curve", GOLDEN_DATA + "twisted_cubic.json", "--cameras",
+      GOLDEN_DATA + "two_generic.json", "--seed", "3"),
+     "f5a3e79771d3ec13f0795260e2c1d0d5fde4368f9fe71c1f81287158ce518eb8"),
+    (("eddeg", "--curve", GOLDEN_DATA + "twisted_cubic.json", "--cameras",
+      GOLDEN_DATA + "explicit_pair.json", "--json"),
+     "3ff6c276fcc1fba8048c95d1eec5f624c00bac5a42b64f7acff0fc424aec02da"),
+    (("eddeg", "--curve", GOLDEN_DATA + "conic.json", "--cameras",
+      GOLDEN_DATA + "parabola_cam.json", "--seed", "11"),
+     "330b9ebd8d6873c883d5ad7aeb62097e6c65ae06ed9467f826bea13f5dd084eb"),
+    (("eddeg", "--curve", GOLDEN_DATA + "twisted_cubic.json", "--cameras",
+      GOLDEN_DATA + "one_generic.json", "--seed", "8", "--json"),
+     "29482232127c8dc6e3d11a9eb5b42122a7594446cd5f2072bcd804b5f7ff98c0"),
+    (("sweep", "--e", "1..3", "--n", "1..3", "--seed", "5"),
+     "c7b8bb874e4536ea2a3ae824bea18283280043f0d5b13c3ed40ecdc9692a3808"),
+    (("sweep", "--e", "1..3", "--n", "1..3", "--seed", "5", "--json"),
+     "7e11dccc898373024bfa987aacf2cc9ab4fb9e2d421d2073510631bbdd251350"),
+    (("l3", "--n", "1..2", "--seed", "2"),
+     "e7e49d68e8b53354da900d27ccbdc0d65fe2e0309da58af9320753f9889e4c63"),
+    (("l3", "--n", "1..2", "--seed", "2", "--json"),
+     "d72de2131063685fc9e15e9f0014135dc68f96e0785ebae490b78b734f0b7685"),
+    (("scroll", "--bezier1", GOLDEN_DATA + "bez1.json", "--bezier2",
+      GOLDEN_DATA + "bez2.json", "--n", "1..2", "--seed", "4"),
+     "7474c1f1e525201853f5c12ea06d2b2492e28612a6ada0f90280b202ecc60143"),
+    (("scroll", "--bezier1", GOLDEN_DATA + "bez1.json", "--bezier2",
+      GOLDEN_DATA + "bez2.json", "--n", "1..3", "--seed", "4", "--json"),
+     "bcad72c30d51ce17632ccd826fb5bebf818ed7e0614da964d525733a4469e582"),
+]
+
+
+class TestGoldenOutputs:
+    @pytest.mark.parametrize("argv,digest", GOLDEN, ids=[
+        f"{argv[0]}-{k}" for k, (argv, _) in enumerate(GOLDEN)])
+    def test_stdout_bytes(self, capsys, monkeypatch, argv, digest):
+        monkeypatch.chdir(ROOT)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestParserBehavior:

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from edcurve import eddeg, scene
 from edcurve.eddeg import (
     CellExhaustedError,
     CuspError,
@@ -34,6 +35,7 @@ from edcurve.scene import (
     apply_camera,
     arrangement_from_dict,
     curve_from_dict,
+    genericity_certificate,
     random_camera,
     random_camera_block_pairs,
     random_camera_degree_drop,
@@ -365,6 +367,65 @@ class TestCountCell:
         with pytest.raises(CellExhaustedError):
             count_cell(conic, cam, lambda k: 40 + k, 1,
                        first_data=DataPoint.from_dict(_load("degenerate_data.json")))
+
+
+def two_to_one_scene() -> tuple[RationalCurve, Arrangement]:
+    """A conic in P^3 and a camera whose rows see only s^2 and t^2: the view
+    [s^2 + 2t^2 : s^2 - t^2 : 3s^2 + t^2] is 2:1, and the certificate passes."""
+    f = RationalCurve(N=3, e=2, coords=(H(2, 1, 0, 0), H(2, 0, 0, 1),
+                                        H(2, 0, 1, 0), H(2, 0, 1, 0)))
+    cam = Camera(2, 3, ((F(1), F(2), F(0), F(0)),
+                        (F(1), F(-1), F(0), F(0)),
+                        (F(3), F(1), F(1), F(-1))))
+    return f, Arrangement((cam,))
+
+
+class TestOneToOneViews:
+    def test_fiber_gcd_decides(self):
+        f, arr = two_to_one_scene()
+        assert not eddeg._one_to_one(apply_camera(arr.cameras[0], f))
+        tw = twisted_cubic()
+        for seed in range(5):
+            assert eddeg._one_to_one(apply_camera(random_camera(seed, 2, 3), tw))
+        # a node of the image: t0 = 0 and t0 = 1 share an image point, so
+        # only the third candidate proves the view one-to-one
+        node = (H(3, 1, 0, 0, 0), H(3, 0, 1, -1, 0), H(3, 0, 0, 1, -1))
+        assert eddeg._one_to_one(node)
+
+    def test_two_to_one_view_is_refused_and_redrawn(self):
+        f, arr = two_to_one_scene()
+        assert genericity_certificate(arr, f).passes
+        with pytest.raises(ValueError, match="camera 0 does not map the curve "
+                                             "one-to-one onto its image"):
+            ed_degree_affine(f, arr, 3)
+        draws = [arr, generic_arrangement(40, 1, 2, 3)]
+        out = count_cell(f, lambda k: draws[k], lambda k: 3 + k, 2)
+        assert out.rejected == ("camera 0 does not map the curve one-to-one "
+                                "onto its image",)
+        assert out.arrangement is draws[1] and out.report.ed_degree == 4
+
+    def test_one_image_per_view_and_one_minor_gcd_per_curve(self, monkeypatch):
+        calls = {"apply_camera": 0, "minors": 0}
+        apply, minors = scene.apply_camera, scene._jacobian_minor_gcd
+
+        def spy_apply(*args):
+            calls["apply_camera"] += 1
+            return apply(*args)
+
+        def spy_minors(*args):
+            calls["minors"] += 1
+            return minors(*args)
+
+        monkeypatch.setattr(eddeg, "apply_camera", spy_apply)
+        monkeypatch.setattr(scene, "apply_camera", spy_apply)
+        monkeypatch.setattr(scene, "_jacobian_minor_gcd", spy_minors)
+        f = random_curve(77, 3, 3)
+        arr = generic_arrangement(300, 3, 2, 3)
+        rep = ed_degree_affine(f, arr, 5)
+        assert rep.certificate.passes and rep.ed_degree == 3 * 3 * 3 - 2
+        assert calls == {"apply_camera": 3, "minors": 1}
+        ed_degree_affine(f, arr, 7)
+        assert calls == {"apply_camera": 6, "minors": 1}
 
 
 class TestEulerCrossCheck:

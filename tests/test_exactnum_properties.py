@@ -108,7 +108,6 @@ class TestHypothesisLaws:
         p = poly_from_roots([F(r) for r in roots])
         assert distinct_root_count(p) == len(roots)
 
-    @settings(deadline=None)
     @given(roots=st.lists(st.integers(min_value=-8, max_value=8),
                           min_size=1, max_size=4, unique=True),
            shrinks=st.integers(min_value=1, max_value=6))
@@ -163,7 +162,7 @@ def forms(draw, max_deg=10):
 
 
 class TestPackedProduct:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(a=coeff_lists, b=coeff_lists)
     def test_unipoly_matches_schoolbook(self, a, b):
         prod = UniPoly(tuple(a)) * UniPoly(tuple(b))
@@ -171,7 +170,7 @@ class TestPackedProduct:
                                         UniPoly(tuple(b)).coeffs)))
         assert prod.coeffs == want.coeffs
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(f=forms(), g=forms())
     def test_hompoly_matches_schoolbook(self, f, g):
         prod = f * g
@@ -202,7 +201,7 @@ def _hom(*cs):
 
 
 class TestResultantShortcut:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(f=small_forms, g=small_forms)
     def test_matches_exact_resultant(self, f, g):
         if f.is_zero or g.is_zero:
@@ -377,7 +376,6 @@ class TestIntegerSignsAgainstFractionReference:
             value = sum(F(ck) * x**k for k, ck in enumerate(c))
             assert exactnum._eval_int(c, x) == value * x.denominator ** (len(c) - 1)
 
-    @settings(deadline=None)
     @given(p=planted_squarefree())
     @example(p=FENCED)
     def test_isolation_and_refinement_match(self, p):
@@ -387,7 +385,6 @@ class TestIntegerSignsAgainstFractionReference:
             for w in (iv.width / 2, F(1, 3), F(1, 2**20), F(1, 10**9)):
                 assert refine_root(p, iv, w) == _ref_refine(p, iv, w)
 
-    @settings(deadline=None)
     @given(p=planted_squarefree(),
            ends=st.lists(st.one_of(small_rat, st.sampled_from(DYADIC_ROOTS)),
                          min_size=2, max_size=2, unique=True),
@@ -539,7 +536,6 @@ class TestDescartesAgainstSturmChain:
             ivs = sturm_isolate(p)
             assert ivs and ivs == _int_sturm_isolate(p)
 
-    @settings(deadline=None)
     @given(p=planted_on_subdivision_points())
     @example(p=FENCED)
     def test_planted_subdivision_roots_match(self, p):
