@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import decimal
+import functools
 import hashlib
 import json
 import os
@@ -680,9 +681,18 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser of every ``main`` call in this process, built on the first.
+
+    ``parse_args`` leaves a parser unchanged and returns a fresh namespace, so
+    one parser serves any number of in-process calls, usage errors included.
+    """
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = _parser().parse_args(argv)
     try:
         if getattr(ns, "retries", 1) < 1:
             raise _CliError(f"--retries must be at least 1, got {ns.retries}")

@@ -34,6 +34,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Callable, Optional, Sequence, Union
 
 from .exactnum import (
@@ -219,14 +220,16 @@ def reduce_critical_polynomial(
                          "the variety's symmetry locus")
     red = squarefree_part(g)
     poles_removed = 0
-    for q, _ in charts:
-        if q.degree == 0:
-            continue
-        common = poly_gcd(red, q)
-        d = common.degree
-        if d:
-            red = red.exact_div(common)
-            poles_removed += d
+    poles = [q for q, _ in charts if q.degree != 0]
+    # red coprime with the product of the charts is coprime with each chart,
+    # so one gcd settles the common case; otherwise saturate chart by chart
+    if poles and poly_gcd(red, prod(poles, start=UNI_ONE)).degree != 0:
+        for q in poles:
+            common = poly_gcd(red, q)
+            d = common.degree
+            if d:
+                red = red.exact_div(common)
+                poles_removed += d
     cusp_removed = 0
     w = f.jacobian_minor_gcd().dehom()
     if w.degree and w.degree > 0:

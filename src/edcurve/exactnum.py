@@ -27,6 +27,19 @@ arbitrary-precision rationals:
   rational-coefficient blow-up);
 * Sylvester resultants and discriminants via fraction-free (Bareiss)
   determinant elimination on integer matrices;
+* Euclid mod a prime p on packed residues, for the coprimality shortcuts
+  below: each operand's residues are packed into one Python int, one
+  coefficient per w-bit slot (w = 8 * nb >= 2k + 6 for p = 2**k - 1, the
+  byte packing of the product kernel), and an elimination row is a few
+  whole-integer operations: read the top slot, add a multiple in [1, p - 1]
+  of the shifted divisor, never subtract, so no slot borrows.  Slots are
+  reduced lazily, at each remainder and every 2**(w - 2k - 1) rows of a
+  long quotient, which keeps every slot below 2**w (the overflow bound is
+  in ``_mod_gcd_degree``).  The primes are Mersenne primes so that one slot
+  reduction serves them all, on every slot at once with two masks and a
+  shift: x = (x & 2**k - 1) + (x >> k) (mod 2**k - 1).  This is Kronecker
+  substitution applied to remaindering (von zur Gathen & Gerhard, Modern
+  Computer Algebra, ch. 8);
 * a nonvanishing test for binary-form resultants that first runs Euclid mod
   one prime p on the chart polynomials f(1, t), g(1, t).  Two forms share a
   zero on P^1 either at [0:1], where both top coefficients vanish, or at a
@@ -67,8 +80,9 @@ _RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 # so a constant modular gcd *proves* coprimality, and for binary forms without
 # a common zero at [0:1] it likewise proves a nonzero resultant.
 # Inconclusive answers fall through to the exact algorithm, so these are never
-# a source of approximation.
-_PRIMES = (2305843009213693951, 2147483647, 999999999999999989)
+# a source of approximation.  All are Mersenne primes 2**k - 1, the one kind
+# ``_mod_gcd_degree`` reduces (by ``_mersenne_fold``).
+_PRIMES = ((1 << 61) - 1, (1 << 31) - 1, (1 << 89) - 1)
 
 
 def rat_from_str(s: str) -> Rat:
@@ -198,34 +212,88 @@ def _int_prs_gcd(a: list[int], b: list[int]) -> list[int]:
 
 
 def _mod_gcd_degree(a: Sequence[int], b: Sequence[int], p: int) -> int | None:
-    """Degree of gcd(a mod p, b mod p), or None if p kills a leading coefficient."""
+    """Degree of gcd(a mod p, b mod p), or None if p kills a leading coefficient.
+
+    Euclid on packed residues (module docstring); p must be a Mersenne prime
+    2**k - 1 with k >= 14, as every entry of ``_PRIMES`` is.  a and b are
+    reduced mod p once and packed into one int each, one coefficient per slot
+    of w = 8 * nb >= 2k + 6 bits (``_pack_residues``).  The elimination row at
+    slot j of A reads c = (slot j of A) mod p and adds
+    m * (B << w*(j - deg B)), m = p - c / lc(B) mod p in [1, p - 1]: slot j
+    becomes = 0 (mod p), and every such slot is masked off when the quotient
+    ends.  Only m uses the inverse of lc(B); B is never made monic.  Nothing
+    is subtracted, so no slot ever borrows from its neighbour.
+
+    Slots are reduced lazily by ``_mersenne_fold``, which leaves each slot
+    below 2**(k+1): once per remainder, and after every R = 2**(w - 2k - 1)
+    rows within one quotient.  Between folds a slot holds at most
+    (2**(k+1) - 1) * (1 + R * (p - 1)) < 2**(k+1) * R * 2**k = 2**w, so no
+    slot overflows into its neighbour either.
+    """
     if a[-1] % p == 0 or b[-1] % p == 0:
         return None
-    fa = [x % p for x in a]
-    fb = [x % p for x in b]
-    while fb and any(fb):
-        while fb and fb[-1] == 0:
-            fb.pop()
-        if not fb:
-            break
-        inv = pow(fb[-1], -1, p)
-        fb = [x * inv % p for x in fb]
-        da, db = len(fa) - 1, len(fb) - 1
-        if da < db:
-            fa, fb = fb, fa
-            continue
-        for i in range(da - db, -1, -1):
-            coef = fa[db + i]
-            if coef:
-                fa[db + i] = 0
-                for j in range(db):
-                    fa[i + j] = (fa[i + j] - coef * fb[j]) % p
-        while fa and fa[-1] == 0:
-            fa.pop()
-        fa, fb = fb, fa
-    while fa and fa[-1] == 0:
-        fa.pop()
-    return len(fa) - 1 if fa else None
+    k = p.bit_length()
+    nb, rows_per_fold = _slot_layout(p)
+    w = 8 * nb
+    size = max(len(a), len(b))
+    low = int.from_bytes(p.to_bytes(nb, "little") * size, "little")
+    high = int.from_bytes(((1 << (w - k)) - 1).to_bytes(nb, "little") * size, "little")
+    slot = (1 << w) - 1
+    if len(a) < len(b):
+        a, b = b, a
+    da, db = len(a) - 1, len(b) - 1
+    A = _pack_residues(a, p, nb)
+    B = _pack_residues(b, p, nb)
+    while db:
+        # A and B: slots below 2**(k+1); top slots da >= db nonzero mod p
+        inv = pow((B >> w * db) % p, -1, p)
+        rows = 0
+        for top in range(w * da, w * db - 1, -w):
+            c = (A >> top & slot) % p
+            if c:
+                A += ((p - c * inv % p) * B) << (top - w * db)
+                rows += 1
+                if rows == rows_per_fold:
+                    A = _mersenne_fold(A, k, low, high)
+                    rows = 0
+        A = _mersenne_fold(A & ((1 << w * db) - 1), k, low, high)
+        # the remainder's degree: drop top slots that are 0 mod p
+        dr = (A.bit_length() - 1) // w
+        while dr >= 0 and (A >> w * dr) % p == 0:
+            A &= (1 << w * dr) - 1
+            dr = (A.bit_length() - 1) // w
+        if dr < 0:
+            return db
+        A, B, da, db = B, A, db, dr
+    return 0
+
+
+def _pack_residues(a: Sequence[int], p: int, nb: int) -> int:
+    """sum (a[k] mod p) * 256**(nb*k): ``_kron_pack`` of residues, which are
+    never negative."""
+    return int.from_bytes(b"".join((x % p).to_bytes(nb, "little") for x in a), "little")
+
+
+def _slot_layout(p: int) -> tuple[int, int]:
+    """(nb, R) of ``_mod_gcd_degree`` for p = 2**k - 1: slots of
+    w = 8 * nb bits, 2k + 6 <= w <= 2k + 13, and a fold every
+    R = 2**(w - 2k - 1) rows of a quotient."""
+    k = p.bit_length()
+    nb = (2 * k + 13) // 8
+    return nb, 1 << (8 * nb - 2 * k - 1)
+
+
+def _mersenne_fold(x: int, k: int, low: int, high: int) -> int:
+    """Two folds s -> (s & 2**k - 1) + (s >> k) on every slot of x at once.
+
+    ``low`` masks the low k bits and ``high`` the low w - k bits of every w-bit
+    slot.  A fold keeps each slot's residue mod 2**k - 1, as 2**k = 1 there.
+    From a slot below 2**w = 2**(2k + e), the first fold leaves less than
+    2**k + 2**(k+e) and the second less than 2**k + 2**(e+1) <= 2**(k+1),
+    as e + 1 <= k.
+    """
+    x = (x & low) + (x >> k & high)
+    return (x & low) + (x >> k & high)
 
 
 def _kron_pack(a: Sequence[int], nb: int) -> int:
@@ -553,9 +621,10 @@ def poly_from_roots(roots: Iterable[Rat]) -> UniPoly:
 def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
     """Monic greatest common divisor.
 
-    Integer primitive-PRS after clearing denominators; a constant gcd modulo a
-    fixed 61-bit prime short-circuits the (overwhelmingly common) coprime case
-    exactly — see module docstring for why that direction is proof-grade.
+    Integer primitive-PRS after clearing denominators; a constant gcd modulo
+    the first prime of ``_PRIMES`` that divides neither leading coefficient
+    short-circuits the (overwhelmingly common) coprime case exactly — see
+    module docstring for why that direction is proof-grade.
     """
     if p.is_zero and q.is_zero:
         raise ValueError("gcd of two zero polynomials")

@@ -15,6 +15,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from edcurve import cli
 from edcurve.cli import build_parser, derive_seed, main
 from edcurve.eddeg import DataPoint, triangulate
 from edcurve.scene import arrangement_from_dict, curve_from_dict
@@ -419,6 +420,44 @@ class TestParserBehavior:
         assert code == 1
         assert out == ""
         assert err.startswith("edcurve: error: --retries")
+
+
+class TestParserReuse:
+    """main builds its parser on the first call in a process and reuses it."""
+
+    def test_in_process_calls_build_the_parser_once(self, capsys, monkeypatch):
+        built = []
+        real = cli.build_parser
+
+        def spy():
+            built.append(True)
+            return real()
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        cli._parser.cache_clear()
+        try:
+            for n in range(4):
+                env = run_json(capsys, "l3", "--h", "2", "--n", str(n + 1),
+                               "--seed", str(n))
+                assert env["results"]["all_match"]
+            assert built == [True]
+        finally:
+            cli._parser.cache_clear()  # the next test builds its own
+
+    def test_usage_errors_leave_the_golden_outputs_unchanged(self, capsys, monkeypatch):
+        monkeypatch.chdir(ROOT)
+        for argv, code in [(["eddeg", "--curve", TW], 1),            # missing flag
+                           (["wedge", "--cameras", ONE, "--k", "x"], 1),  # bad int
+                           (["frobnicate"], 1),
+                           (["sweep", "--help"], 0)]:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == code
+        capsys.readouterr()
+        for argv, digest in GOLDEN:
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestConsoleEntryPoints:

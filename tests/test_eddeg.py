@@ -27,7 +27,7 @@ from edcurve.eddeg import (
     reduce_critical_polynomial,
     triangulate,
 )
-from edcurve.exactnum import HomPoly2, UniPoly
+from edcurve.exactnum import HomPoly2, UniPoly, poly_gcd, squarefree_part
 from edcurve.scene import (
     Arrangement,
     Camera,
@@ -367,6 +367,83 @@ class TestCountCell:
         with pytest.raises(CellExhaustedError):
             count_cell(conic, cam, lambda k: 40 + k, 1,
                        first_data=DataPoint.from_dict(_load("degenerate_data.json")))
+
+
+def _per_camera_reduction(f, arr, u) -> eddeg.ReducedCritical:
+    """The pole and cusp saturation without the one-gcd pole test: every
+    non-constant chart in turn, then the cusps."""
+    charts = eddeg._image_charts(f, arr)
+    g = critical_polynomial(f, arr, u, charts=charts)
+    red = squarefree_part(g)
+    removed = [0, 0]
+    w = f.jacobian_minor_gcd().dehom()
+    for slot, factors in ((0, [q for q, _ in charts]), (1, [w])):
+        for q in factors:
+            if q.degree:
+                common = poly_gcd(red, q)
+                red = red.exact_div(common)
+                removed[slot] += common.degree
+    return eddeg.ReducedCritical(raw=g, reduced=red, removed_pole_factors=removed[0],
+                                 removed_immersion_factors=removed[1])
+
+
+def _tw_camera(row0) -> Camera:
+    """A twisted-cubic camera whose chart row is row0: (0, 0, 0, 1) gives the
+    constant chart 1, (1, 0, 0, 0) the chart t^3."""
+    return Camera(2, 3, (tuple(F(x) for x in row0), (F(2), F(-1), F(3), F(1)),
+                         (F(1), F(4), F(-2), F(5))))
+
+
+class TestPoleShortcut:
+    """reduce_critical_polynomial tests the poles with one gcd against the
+    product of the charts, and saturates chart by chart only when it is not 1."""
+
+    SCENES = {
+        # (curve, arrangement, data seed, removed pole degree, pole gcds)
+        "block-pair": (rational_normal_curve(5, 5),
+                       Arrangement((random_camera_block_pairs(0),)), 100, 1, 2),
+        "two block-pairs": (rational_normal_curve(5, 5),
+                            Arrangement((random_camera_block_pairs(0),
+                                         random_camera_block_pairs(1))), 5, 1, 3),
+        "constant chart": (twisted_cubic(),
+                           Arrangement((_tw_camera((0, 0, 0, 1)), random_camera(5, 2, 3))),
+                           3, 0, 1),
+        "constant chart and t^3": (twisted_cubic(),
+                                   Arrangement((_tw_camera((0, 0, 0, 1)),
+                                                _tw_camera((1, 0, 0, 0)))), 3, 1, 2),
+        "generic": (twisted_cubic(), generic_arrangement(40, 3, 2, 3), 3, 0, 1),
+        "cusp": (cuspidal_cubic(), Arrangement((random_camera(8, 2, 2),)), 4, 0, 1),
+    }
+
+    @pytest.mark.parametrize("name", SCENES)
+    def test_matches_the_per_camera_loop(self, monkeypatch, name):
+        f, arr, seed, removed, pole_gcds = self.SCENES[name]
+        u = random_data_point(seed, arr.n, arr.h)
+        expected = _per_camera_reduction(f, arr, u)
+        gcds = []
+
+        def spy(a, b):
+            gcds.append(b)
+            return poly_gcd(a, b)
+
+        monkeypatch.setattr(eddeg, "poly_gcd", spy)
+        rc = reduce_critical_polynomial(f, arr, u)
+        assert rc == expected
+        assert rc.removed_pole_factors == removed
+        cusp_gcds = int(bool(f.jacobian_minor_gcd().dehom().degree))
+        assert len(gcds) == pole_gcds + cusp_gcds
+
+    def test_block_pair_count_removes_the_pole(self):
+        # the block-pair camera's chart has a repeated zero: the certificate
+        # fails, and the count without it saturates one pole factor per sample
+        f5 = rational_normal_curve(5, 5)
+        arr = Arrangement((random_camera_block_pairs(0),))
+        out = count_cell(f5, arr, lambda k: 100 + k, 1, require_certificate=False)
+        assert not out.report.certificate.passes
+        assert out.report.removed_pole_factors == 1
+        for seed in (100, 101):
+            u = random_data_point(seed, arr.n, arr.h)
+            assert reduce_critical_polynomial(f5, arr, u) == _per_camera_reduction(f5, arr, u)
 
 
 def two_to_one_scene() -> tuple[RationalCurve, Arrangement]:

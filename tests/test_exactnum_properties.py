@@ -6,6 +6,7 @@ hypothesis suites below add shrinking counterexample search on the same laws.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -565,3 +566,209 @@ class TestDescartesAgainstSturmChain:
     ], ids=lambda p: str(p)[:40])
     def test_edge_cases_match(self, p):
         assert sturm_isolate(p) == _int_sturm_isolate(p)
+
+
+# -- packed mod-p Euclid against the list loop -------------------------------------
+#
+# exactnum._mod_gcd_degree runs Euclid on residues packed one per slot of a
+# big int, with lazy Mersenne reduction.  The reference is the loop it
+# replaced: one list entry per residue, every entry reduced at every step, and
+# the divisor rescaled to monic before each quotient.
+
+def _list_mod_gcd_degree(a, b, p):
+    if a[-1] % p == 0 or b[-1] % p == 0:
+        return None
+    fa = [x % p for x in a]
+    fb = [x % p for x in b]
+    while fb and any(fb):
+        while fb and fb[-1] == 0:
+            fb.pop()
+        if not fb:
+            break
+        inv = pow(fb[-1], -1, p)
+        fb = [x * inv % p for x in fb]
+        da, db = len(fa) - 1, len(fb) - 1
+        if da < db:
+            fa, fb = fb, fa
+            continue
+        for i in range(da - db, -1, -1):
+            coef = fa[db + i]
+            if coef:
+                fa[db + i] = 0
+                for j in range(db):
+                    fa[i + j] = (fa[i + j] - coef * fb[j]) % p
+        while fa and fa[-1] == 0:
+            fa.pop()
+        fa, fb = fb, fa
+    while fa and fa[-1] == 0:
+        fa.pop()
+    return len(fa) - 1 if fa else None
+
+
+# integer products by the packed product kernel (tested above)
+_int_mul = exactnum._kron_mul
+
+
+# small, negative and ~300-bit coefficients
+int_coeffs = st.one_of(small_int, st.integers(min_value=-2**300, max_value=2**300))
+
+
+def _nonzero_lead(cs):
+    return cs if cs[-1] else cs[:-1] + [1]
+
+
+@st.composite
+def mod_gcd_operands(draw, p):
+    """(a, b) with any degrees, optionally sharing a factor over Z, a linear
+    factor only mod p, or a leading coefficient divisible by p."""
+    a = _nonzero_lead(draw(st.lists(int_coeffs, min_size=1, max_size=25)))
+    b = _nonzero_lead(draw(st.lists(int_coeffs, min_size=1, max_size=25)))
+    if draw(st.booleans()):
+        common = _nonzero_lead(draw(st.lists(int_coeffs, min_size=2, max_size=6)))
+        a, b = _int_mul(a, common), _int_mul(b, common)
+    if draw(st.booleans()):
+        r = draw(st.integers(min_value=0, max_value=p - 1))
+        shift = draw(st.integers(min_value=-3, max_value=3)) * p
+        a, b = _int_mul(a, [-r, 1]), _int_mul(b, [-r + shift, 1])
+    if draw(st.integers(min_value=0, max_value=7)) == 0:
+        victim = draw(st.sampled_from(("a", "b")))
+        lead = p * draw(st.integers(min_value=-2**70, max_value=2**70).filter(bool))
+        if victim == "a":
+            a = a[:-1] + [lead]
+        else:
+            b = b[:-1] + [lead]
+    return a, b
+
+
+MERSENNE_EXPONENTS = (61, 31, 89)
+
+
+class TestPackedModGcd:
+    def test_primes_are_the_mersenne_primes_the_kernel_reduces(self):
+        assert _PRIMES[0] == 2**61 - 1
+        assert _PRIMES == tuple(2**k - 1 for k in MERSENNE_EXPONENTS)
+        for p in _PRIMES:
+            nb, rows = exactnum._slot_layout(p)
+            k = p.bit_length()
+            assert 2 * k + 6 <= 8 * nb <= 2 * k + 13 and rows >= 32
+
+    @pytest.mark.parametrize("p", _PRIMES, ids=MERSENNE_EXPONENTS)
+    def test_fold_leaves_every_slot_below_twice_the_prime(self, p):
+        # the bound the kernel's slot width rests on: from any slot below 2**w,
+        # the lazy reduction leaves a slot below 2**(k+1) with the same residue
+        nb, _ = exactnum._slot_layout(p)
+        k, w = p.bit_length(), 8 * nb
+        slots = [2**w - 1, 0, p, 2**(k + 1) - 1, 2**(w - 1), 2**(2 * k) - 1,
+                 (2**w - 1) // p * p, random.Random(k).randrange(2**w)]
+        low = int.from_bytes(p.to_bytes(nb, "little") * len(slots), "little")
+        high = int.from_bytes((2**(w - k) - 1).to_bytes(nb, "little") * len(slots), "little")
+        folded = exactnum._mersenne_fold(exactnum._kron_pack(slots, nb), k, low, high)
+        out = [folded >> (w * j) & (2**w - 1) for j in range(len(slots))]
+        assert folded < 2**(w * len(slots))
+        assert all(y < 2**(k + 1) for y in out)
+        assert [y % p for y in out] == [x % p for x in slots]
+
+    @pytest.mark.parametrize("p", _PRIMES, ids=MERSENNE_EXPONENTS)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_list_loop(self, p, data):
+        a, b = data.draw(mod_gcd_operands(p))
+        assert exactnum._mod_gcd_degree(a, b, p) == _list_mod_gcd_degree(a, b, p)
+
+    @pytest.mark.parametrize("p", _PRIMES, ids=MERSENNE_EXPONENTS)
+    def test_edge_cases_match(self, p):
+        g = [3, -1, 2]
+        cases = [
+            ([5, p], [1, 1]),                          # p divides lc(a)
+            ([1, 1], [-2, 3 * p]),                     # p divides lc(b)
+            ([7], [1, 2, 3]),                          # degree-0 operands
+            ([1, 2, 3], [-4]),
+            ([9], [2]),
+            ([1, 2, 3], [4, 5, 6]),                    # equal degrees
+            ([1, 2, 3], [2, 4, 6]),                    # equal up to a unit
+            (_int_mul(g, [1, 1, 1]), _int_mul(g, [2, 1])),   # zero remainder late
+            (_int_mul(g, [5, 0, 1]), g),               # zero first remainder
+            ([p - 1] * 9, [p - 1] * 4),                # residues p - 1 everywhere
+            ([-1] * 9, [1 - p] * 4),
+            (_int_mul([-7, 1], [2, 1]), [-7 - 2 * p, 1]),   # common root mod p only
+        ]
+        for a, b in cases:
+            assert exactnum._mod_gcd_degree(a, b, p) == _list_mod_gcd_degree(a, b, p), (a, b)
+        assert exactnum._mod_gcd_degree([5, p], [1, 1], p) is None
+        assert exactnum._mod_gcd_degree([7], [1, 2, 3], p) == 0
+        assert exactnum._mod_gcd_degree(_int_mul(g, [5, 0, 1]), g, p) == 2
+
+    @pytest.mark.parametrize("p", _PRIMES, ids=MERSENNE_EXPONENTS)
+    def test_long_quotients_cross_lazy_reductions(self, p):
+        # the shape of a critical polynomial against one chart, then a worst
+        # case: every residue of b is p - 1 and every quotient coefficient 1,
+        # so each row adds the largest multiple (p - 1) * b, and a slot is hit
+        # by up to 4R rows before the quotient ends; only the lazy reduction
+        # every R rows keeps it from overflowing into its neighbour
+        rows = exactnum._slot_layout(p)[1]
+        rng = random.Random(p)
+        a = [rng.randint(-2**300, 2**300) for _ in range(142)] + [1]
+        for b in ([3, 1, -4, 1, 5, -9, 2], [rng.randint(-2**300, 2**300) for _ in range(49)]):
+            assert exactnum._mod_gcd_degree(a, b, p) == _list_mod_gcd_degree(a, b, p) == 0
+        db = s = 4 * rows
+        quotient_times_b = [-min(i + 1, s + 1, db + 1, s + db + 1 - i)
+                            for i in range(s + db + 1)]
+        assert exactnum._mod_gcd_degree(quotient_times_b, [-1] * (db + 1), p) == db
+        if rows <= 32:
+            # a nonzero remainder, then Euclid on slots the first quotient left
+            # just under the bound
+            r = [rng.randint(-2**300, 2**300) for _ in range(db)]
+            a = [x + y for x, y in zip(quotient_times_b, r + [0] * (s + 1))]
+            b = [-1] * (db + 1)
+            assert exactnum._mod_gcd_degree(a, b, p) == _list_mod_gcd_degree(a, b, p)
+
+
+def _sympy_monic_gcd(p, q):
+    sp = pytest.importorskip("sympy")
+    t = sp.symbols("t")
+    g = sp.gcd(sp.Poly(p.coeffs[::-1], t, domain="QQ"),
+               sp.Poly(q.coeffs[::-1], t, domain="QQ")).monic()
+    return UniPoly(tuple(F(str(c)) for c in reversed(g.all_coeffs())))
+
+
+class TestPrimeFallbackOrder:
+    """poly_gcd tries each prime in turn, skips one that divides a leading
+    coefficient, and falls back to the exact PRS gcd when none decides."""
+
+    P0, P1, P2 = _PRIMES
+
+    # (leading coefficient, primes tried, coprime, exact gcd runs): the exact
+    # gcd runs when a prime sees a common factor or no prime decides
+    @pytest.mark.parametrize("lead,primes,coprime,exact_runs", [
+        (P0, 2, True, False),
+        (P0, 2, False, True),
+        (P0 * P1, 3, True, False),
+        (P0 * P1, 3, False, True),
+        (P0 * P1 * P2, 3, True, True),
+        (P0 * P1 * P2, 3, False, True),
+    ])
+    def test_primes_in_turn_then_the_exact_gcd(self, monkeypatch, lead, primes, coprime,
+                                               exact_runs):
+        tried, exact = [], []
+        mod_gcd, prs_gcd = exactnum._mod_gcd_degree, exactnum._int_prs_gcd
+
+        def spy_mod(a, b, p):
+            tried.append(p)
+            return mod_gcd(a, b, p)
+
+        def spy_prs(a, b):
+            exact.append(True)
+            return prs_gcd(a, b)
+
+        monkeypatch.setattr(exactnum, "_mod_gcd_degree", spy_mod)
+        monkeypatch.setattr(exactnum, "_int_prs_gcd", spy_prs)
+        a = UniPoly((F(1), F(-3), F(lead)))          # lead * t^2 - 3t + 1
+        b = UniPoly((F(5, 7), F(2), F(1)))
+        if not coprime:
+            common = UniPoly((F(-2, 3), F(1), F(1)))  # t^2 + t - 2/3
+            a, b = a * common, b * common
+        g = poly_gcd(a, b)
+        assert g == _sympy_monic_gcd(a, b)
+        assert g.degree == (0 if coprime else 2)
+        assert tried == list(_PRIMES[:primes])
+        assert exact == ([True] if exact_runs else [])
