@@ -219,17 +219,13 @@ def reduce_critical_polynomial(
         raise ValueError("critical polynomial vanished identically; data sits on "
                          "the variety's symmetry locus")
     red = squarefree_part(g)
-    poles_removed = 0
-    poles = [q for q, _ in charts if q.degree != 0]
-    # red coprime with the product of the charts is coprime with each chart,
-    # so one gcd settles the common case; otherwise saturate chart by chart
-    if poles and poly_gcd(red, prod(poles, start=UNI_ONE)).degree != 0:
-        for q in poles:
-            common = poly_gcd(red, q)
-            d = common.degree
-            if d:
-                red = red.exact_div(common)
-                poles_removed += d
+    # red is squarefree, so each root it shares with some chart has
+    # multiplicity one in gcd(red, prod q_i): one gcd removes every pole
+    # factor, and a constant chart (or none) gives gcd 1
+    common = poly_gcd(red, prod((q for q, _ in charts), start=UNI_ONE))
+    poles_removed = common.degree
+    if poles_removed:
+        red = red.exact_div(common)
     cusp_removed = 0
     w = f.jacobian_minor_gcd().dehom()
     if w.degree and w.degree > 0:

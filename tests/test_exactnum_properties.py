@@ -669,7 +669,7 @@ class TestPackedModGcd:
         assert [y % p for y in out] == [x % p for x in slots]
 
     @pytest.mark.parametrize("p", _PRIMES, ids=MERSENNE_EXPONENTS)
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(data=st.data())
     def test_matches_the_list_loop(self, p, data):
         a, b = data.draw(mod_gcd_operands(p))
