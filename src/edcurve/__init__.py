@@ -23,7 +23,6 @@ from .exactnum import (
     IsolatingInterval,
     Rat,
     UniPoly,
-    discriminant,
     distinct_root_count,
     hom_discriminant,
     hom_distinct_root_count,
@@ -33,7 +32,6 @@ from .exactnum import (
     rat_from_str,
     rat_to_str,
     refine_root,
-    resultant,
     squarefree_part,
     sturm_isolate,
 )
@@ -126,7 +124,6 @@ __all__ = [
     "curve_from_dict",
     "curve_multidegree",
     "curve_to_dict",
-    "discriminant",
     "distinct_root_count",
     "ed_degree_affine",
     "euler_cross_check",
@@ -153,7 +150,6 @@ __all__ = [
     "rat_to_str",
     "rational_normal_curve",
     "refine_root",
-    "resultant",
     "segre_quadric_eval",
     "squarefree_part",
     "sturm_isolate",

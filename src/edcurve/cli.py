@@ -161,8 +161,7 @@ def _report_text(rep: EDReport) -> list[str]:
         f"removed at poles     = {rep.removed_pole_factors}",
         f"removed at cusps     = {rep.removed_immersion_factors}",
         f"closed form 3en-2    = {rep.formula_value}"
-        + ("" if rep.formula_match is None else
-           f"  ({'match' if rep.formula_match else 'MISMATCH'})"),
+        f"  ({'match' if rep.formula_match else 'MISMATCH'})",
         f"certificate passes   = {rep.certificate.passes}",
         f"immersion            = {rep.certificate.immersion_ok}",
     ]
@@ -211,7 +210,7 @@ def _count_redrawn(f: RationalCurve, draw, master: int, label: str,
 
 def _attach_cross_check(rep: EDReport, f, arr, master: int, label: str) -> EDReport:
     """Fill ``cross_check`` when the check applies; genericity failures escalate."""
-    if not (rep.certificate.passes and rep.certificate.immersion_ok):
+    if not rep.certificate.passes:
         return rep
     try:
         value = euler_cross_check(f, arr, derive_seed(master, f"{label}:beta"))
@@ -302,7 +301,7 @@ def cmd_sweep(ns) -> int:
             continue
         cell["ed_degree"] = rep.ed_degree
         cell["formula_value"] = rep.formula_value
-        cell["match"] = bool(rep.formula_match)
+        cell["match"] = rep.formula_match
         cell["cross_check"] = rep.cross_check
         cell["certificate_passes"] = rep.certificate.passes
         if rep.certificate.passes:

@@ -13,15 +13,19 @@ distinct complex roots after removing two kinds of spurious parameters:
 
 * roots at poles of some q_i (the curve point is at infinity of that view, so
   not on the affine variety) — removed by exact gcd saturation against q_i;
-* parameters where the parameterization itself is singular (cusps), whose
-  image points are singular and excluded from critical-point counting —
-  removed by saturation against the gcd of the Jacobian 2x2 minors.
+* cusps: parameters where no view is immersive, so the multiview map is
+  singular there and the image point is excluded from critical-point
+  counting — removed by saturation against the chart part of the cusp form
+  (``scene.cusp_form``, the gcd over every view of the Jacobian 2x2 minors).
+  With h = 1 a view onto a line ramifies at smooth image points, which this
+  saturation would remove, so h = 1 arrangements are refused.
 
 An independent cross-check counts Euler-characteristic contributions on the
 parameter line instead: the count equals #{zeros of prod q_i on P^1} +
 #{zeros of a generic perturbed squared-distance numerator} - 2.  Ordinary
 double points of the image cancel from this balance identically, so the check
-is valid for any immersed curve; cusps break it and are refused.
+is valid whenever the multiview map is an immersion; cusps break it and are
+refused.
 
 Every computation is exact; data points are sampled from a seeded
 Mersenne-Twister generator and each count is recomputed with a second,
@@ -48,7 +52,6 @@ from .exactnum import (
     _sign,
     distinct_root_count,
     hom_distinct_root_count,
-    hom_gcd_many,
     hom_resultant_is_nonzero,
     poly_gcd,
     rat_to_str,
@@ -61,6 +64,7 @@ from .scene import (
     GenericityCertificate,
     RationalCurve,
     apply_camera,
+    cusp_form,
     genericity_certificate,
 )
 
@@ -206,16 +210,20 @@ def reduce_critical_polynomial(
     f: RationalCurve, arr: Arrangement, u: DataPoint, *, charts=None
 ) -> ReducedCritical:
     """Squarefree part of the critical polynomial, saturated against the
-    poles and the cusps; ``charts`` as in :func:`critical_polynomial`."""
+    poles and the cusps; ``charts`` as in :func:`critical_polynomial`.
+
+    Refuses h = 1 (module docstring) and a scene whose every view maps the
+    curve to a point."""
+    if arr.h < 2:
+        raise ValueError("h = 1 arrangements are refused: a view onto a line "
+                         "ramifies at smooth points, which the cusp saturation "
+                         "would remove")
     u.check_shape(arr)
     if charts is None:
         charts = _image_charts(f, arr)
+    cusps = cusp_form([(q, *ps) for q, ps in charts], f.e).dehom()
     g = critical_polynomial(f, arr, u, charts=charts)
     if g.is_zero:
-        if all((p.derivative() * q - p * q.derivative()).is_zero
-               for q, ps in charts for p in ps):
-            raise ValueError("critical polynomial vanished identically: the image "
-                             "of the curve in every view is a point")
         raise ValueError("critical polynomial vanished identically; data sits on "
                          "the variety's symmetry locus")
     red = squarefree_part(g)
@@ -227,13 +235,11 @@ def reduce_critical_polynomial(
     if poles_removed:
         red = red.exact_div(common)
     cusp_removed = 0
-    w = f.jacobian_minor_gcd().dehom()
-    if w.degree and w.degree > 0:
-        common = poly_gcd(red, w)
-        d = common.degree
-        if d:
+    if cusps.degree:
+        common = poly_gcd(red, cusps)
+        cusp_removed = common.degree
+        if cusp_removed:
             red = red.exact_div(common)
-            cusp_removed += d
     return ReducedCritical(
         raw=g,
         reduced=red,
@@ -256,7 +262,7 @@ class EDReport:
     removed_immersion_factors: int
     certificate: GenericityCertificate
     formula_value: int                     # 3en-2
-    formula_match: Optional[bool]          # None when outside the h >= 2 regime
+    formula_match: bool
     cross_check: Optional[int]             # filled by callers that also run it
     stable: bool                           # both data seeds agreed
     seeds: tuple[int, ...]
@@ -287,7 +293,6 @@ def ed_degree_affine(
     arr: Arrangement,
     seed: int,
     *,
-    allow_h1: bool = False,
     data_points: Optional[Sequence[DataPoint]] = None,
 ) -> EDReport:
     """Distinct critical points of the squared distance to the affine multiview curve.
@@ -295,12 +300,8 @@ def ed_degree_affine(
     Samples a data point from ``seed``, counts, then recounts with ``seed + 1``
     and requires agreement (raising :class:`DataInstabilityError` otherwise).
     ``data_points`` overrides the sampler with explicit data (reproduction and
-    testing); exactly two points are used.  h = 1 arrangements are refused
-    unless ``allow_h1`` — the closed-form comparison is h >= 2 territory, so
-    ``formula_match`` is None for such runs.
+    testing); exactly two points are used.
     """
-    if arr.h < 2 and not allow_h1:
-        raise ValueError("h = 1 arrangements need allow_h1=True (exploratory only)")
     if data_points is None:
         samples = [random_data_point(seed, arr.n, arr.h),
                    random_data_point(seed + 1, arr.n, arr.h)]
@@ -325,11 +326,6 @@ def ed_degree_affine(
         raise DataInstabilityError("data not generic; reseed")
 
     cert = genericity_certificate(arr, f, images=images)
-    if arr.h >= 2 and cert.passes:
-        for i, img in enumerate(images):
-            if not _one_to_one(img):
-                raise ValueError(f"camera {i} does not map the curve one-to-one "
-                                 "onto its image")
     rc = reductions[0]
     raw_deg = rc.raw.degree
     assert raw_deg is not None
@@ -341,7 +337,7 @@ def ed_degree_affine(
         removed_immersion_factors=rc.removed_immersion_factors,
         certificate=cert,
         formula_value=formula,
-        formula_match=(counts[0] == formula) if arr.h >= 2 else None,
+        formula_match=counts[0] == formula,
         cross_check=None,
         stable=True,
         seeds=(seed, seed + 1),
@@ -349,47 +345,6 @@ def ed_degree_affine(
         n=arr.n,
         h=arr.h,
     )
-
-
-def _one_to_one(img: Sequence[HomPoly2]) -> bool:
-    """Whether the view [Q : P_1 : ... : P_h] of a degree-e curve, free of base
-    points, maps P^1 one-to-one onto its image.
-
-    At a parameter t0 with Q(1, t0) != 0 the fiber forms
-    F_j = P_j Q(1, t0) - Q P_j(1, t0) vanish exactly on the fiber through t0,
-    to order two at t0 where the map is ramified there.  A k:1 map has fibers
-    of k points counted with multiplicity, so a linear gcd at one t0 proves
-    the map one-to-one.  Conversely, for a one-to-one map only parameters
-    over singular image points fail, at most 2 * delta = (e - 1)(e - 2) of
-    them for a rational curve of degree e, so that many failures plus one
-    prove it is not.  The gcd is linear exactly when the quotients
-    G_j = F_j / (t - t0 s) have no common zero, which the coprime shortcut
-    of ``poly_gcd`` usually proves at once.
-    """
-    e = img[0].degree
-    q = img[0].num
-    ps = [p.num for p in img[1:]]
-    budget = (e - 1) * (e - 2) + 1
-    t0 = 0
-    while budget:
-        qv = _eval_int(q, t0)
-        if qv:
-            budget -= 1
-            gs = []
-            for p in ps:
-                pv = _eval_int(p, t0)
-                # synthetic division of F_j(1, t) by t - t0; F_j(1, t0) = 0
-                g = [0] * e
-                acc = 0
-                for k in range(e, 0, -1):
-                    acc = acc * t0 + p[k] * qv - q[k] * pv
-                    g[k - 1] = acc
-                gs.append(g)
-            alive = [HomPoly2(e - 1, g) for g in gs if any(g)]
-            if alive and hom_gcd_many(alive).degree == 0:
-                return True
-        t0 = -t0 if t0 > 0 else 1 - t0  # 0, 1, -1, 2, -2, ...
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -477,12 +432,13 @@ def euler_cross_check(f: RationalCurve, arr: Arrangement, seed: int) -> int:
     for generic rational beta.  The two sets must be disjoint (verified by a
     binary-form resultant); a collision is a beta-independent certificate
     failure, but beta is re-drawn a few times before giving up, since the check
-    itself must not depend on one unlucky draw.  Cuspidal curves are refused:
-    node contributions cancel from this balance, cusp contributions do not.
+    itself must not depend on one unlucky draw.  A multiview map that is not
+    an immersion is refused: node contributions cancel from this balance,
+    cusp contributions do not.
     """
-    if not f.is_immersion:
-        raise CuspError("cross-check requires immersion")
     images = [apply_camera(c, f) for c in arr.cameras]
+    if cusp_form(([p.dehom() for p in img] for img in images), f.e).degree:
+        raise CuspError("cross-check requires immersion")
     qs = [img[0] for img in images]
     for i, q in enumerate(qs):
         if q.is_zero:

@@ -297,10 +297,21 @@ def _mersenne_fold(x: int, k: int, low: int, high: int) -> int:
 
 
 def _kron_pack(a: Sequence[int], nb: int) -> int:
-    """sum a[k] * 256**(nb*k) for |a[k]| < 2**(8*nb - 1), built bytewise in O(len)."""
-    pos = b"".join((x if x > 0 else 0).to_bytes(nb, "little") for x in a)
-    neg = b"".join((-x if x < 0 else 0).to_bytes(nb, "little") for x in a)
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+    """sum a[k] * 256**(nb*k) for |a[k]| < 2**(8*nb - 1), built bytewise in O(len).
+
+    Each slot holds a[k] + half, a digit in [1, 256**nb - 1], in one join;
+    the bias of ``_slot_bias`` then takes every half back out.
+    """
+    half, bias = _slot_bias(nb, len(a))
+    return int.from_bytes(b"".join((x + half).to_bytes(nb, "little") for x in a),
+                          "little") - bias
+
+
+def _slot_bias(nb: int, size: int) -> tuple[int, int]:
+    """(half, bias): half = 2**(8*nb - 1), half a slot, and bias its sum over
+    size slots, sum half * 256**(nb*k) for k < size."""
+    half = 1 << (8 * nb - 1)
+    return half, int.from_bytes(half.to_bytes(nb, "little") * size, "little")
 
 
 def _kron_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -325,8 +336,7 @@ def _kron_unpack(v: int, nb: int, size: int) -> list[int]:
     256**nb: no borrows, and the digits read back directly from the bytes of
     the biased value.
     """
-    half = 1 << (8 * nb - 1)
-    bias = int.from_bytes(half.to_bytes(nb, "little") * size, "little")
+    half, bias = _slot_bias(nb, size)
     data = (v + bias).to_bytes(nb * size, "little")
     return [int.from_bytes(data[k:k + nb], "little") - half
             for k in range(0, nb * size, nb)]
@@ -607,13 +617,6 @@ _UNI_ZERO = _uni((), 1)
 UNI_ONE = _uni((1,), 1)
 
 
-def poly_from_roots(roots: Iterable[Rat]) -> UniPoly:
-    p = UNI_ONE
-    for r in roots:
-        p = p * UniPoly((-_as_rat(r), 1))
-    return p
-
-
 # ---------------------------------------------------------------------------
 # gcd / squarefree / resultants
 # ---------------------------------------------------------------------------
@@ -680,32 +683,6 @@ def _sylvester_matrix(a: Sequence[int], b: Sequence[int], m: int, n: int) -> lis
     for i in range(m):
         rows.append([0] * i + bd + [0] * (size - n - 1 - i))
     return rows
-
-
-def resultant(p: UniPoly, q: UniPoly) -> Rat:
-    """Sylvester resultant w.r.t. the actual degrees; 0 iff a common root exists."""
-    if p.is_zero or q.is_zero:
-        raise ValueError("resultant of a zero polynomial")
-    m, n = p.degree, q.degree
-    if m == 0:
-        return p.lc ** n
-    if n == 0:
-        return q.lc ** m
-    a, da = p.int_coeffs()
-    b, db = q.int_coeffs()
-    det = _bareiss_det(_sylvester_matrix(a, b, m, n))
-    return Fraction(det, da**n * db**m)
-
-
-def discriminant(p: UniPoly) -> Rat:
-    """(-1)^(d(d-1)/2) * res(p, p') / lc(p); 0 iff p has a repeated root."""
-    if p.is_zero or p.degree == 0:
-        raise ValueError("discriminant requires degree >= 1")
-    d = p.degree
-    if d == 1:
-        return Fraction(1)
-    sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    return sign * resultant(p, p.derivative()) / p.lc
 
 
 # ---------------------------------------------------------------------------

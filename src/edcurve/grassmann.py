@@ -169,15 +169,6 @@ def wedge_camera(camera: Camera, k: int) -> WedgeCamera:
     return WedgeCamera(base=camera, k=k, entries=entries)
 
 
-def apply_wedge_to_line(w: WedgeCamera, line: PlueckerLine) -> tuple[Rat, ...]:
-    """Matrix-vector product in the shared internal basis (k = 2, N = 3 only)."""
-    if w.k != 2 or w.base.N != 3:
-        raise ValueError("line transport needs a 2-wedge of a P^3 camera")
-    return tuple(
-        sum((a * x for a, x in zip(row, line.p)), Fraction(0)) for row in w.entries
-    )
-
-
 # ---------------------------------------------------------------------------
 # the ruled-quadric conic and three skew lines
 # ---------------------------------------------------------------------------

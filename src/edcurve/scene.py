@@ -10,11 +10,17 @@ nonvanishing conditions under which the 3en-2 count is guaranteed:
 * no two chart polynomials share a zero (not even at [0:1]),
 * q_a shares no zero with the coordinate sum of squares of its own view,
 * the curve has no base points,
+* the multiview map P^1 -> (P^h)^n, t -> (C_1 f(t), ..., C_n f(t)), is an
+  immersion: its cusp form (:func:`cusp_form`, the gcd over every view of
+  the 2x2 Jacobian minors) is constant.
 
-plus a separately-reported immersion flag (gcd of the 2x2 minors of the
-parameterization Jacobian): cuspidal curves fail it without invalidating the
-direct count, so it is informational for the count and a hard precondition
-only for the Euler-characteristic cross-check.
+The immersion condition is joint: a parameter is a cusp only where no view
+is immersive, so one cuspidal view beside a generic one costs nothing.  It
+covers cusps of the curve itself (every view inherits them), cusps a view
+creates (a camera centre on a tangent line), and maps that are not one-to-one
+onto their image: a k:1 map from P^1 onto a rational curve factors through
+the normalization as a degree-k self-map of P^1, which by Riemann-Hurwitz
+ramifies at 2k - 2 points, and the differential of the map vanishes there.
 
 Randomness: ``random.Random`` (Mersenne Twister) seeded explicitly; integer
 draws use ``randint``, whose values are stable across supported Python
@@ -24,14 +30,15 @@ versions, so identical seeds reproduce identical scenes everywhere.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .exactnum import (
     HomPoly2,
     Rat,
+    UniPoly,
     _as_rat,
     _clear_denominators,
     _hom,
@@ -39,6 +46,7 @@ from .exactnum import (
     hom_gcd,
     hom_gcd_many,
     hom_resultant,
+    poly_gcd,
     rat_from_str,
     rat_to_str,
 )
@@ -57,17 +65,14 @@ class RationalCurve:
     Construction enforces: at least one nonzero coordinate, every coordinate of
     the same formal degree, and no base points (the gcd of all coordinates is
     constant — equivalently the map is defined everywhere and attains its
-    degree).  Curves are assumed generically one-to-one; monomial and
-    library-constructed curves are, and user-supplied parameterizations are
-    expected to be (a fibered parameterization would make image-point counts
-    undercount systematically, which the data-stability check would surface).
+    degree).  A parameterization that is not generically one-to-one is
+    accepted here, but its multiview map is not an immersion, so the
+    genericity certificate refuses it (module docstring).
     """
 
     N: int
     e: int
     coords: tuple[HomPoly2, ...]
-    # the Jacobian-minor gcd, computed on first use
-    _minor_gcd: HomPoly2 | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.N < 1 or self.e < 1:
@@ -86,36 +91,48 @@ class RationalCurve:
     def evaluate(self, s: Rat, t: Rat) -> tuple[Rat, ...]:
         return tuple(c.evaluate(s, t) for c in self.coords)
 
-    def jacobian_minor_gcd(self) -> HomPoly2:
-        """gcd of the 2x2 minors of [df/ds; df/dt]: the immersion-failure locus.
-
-        Constant (degree 0) exactly when f is an immersion; zeros are the
-        parameters of cusps of the parameterization.  Computed once per curve.
-        """
-        if self._minor_gcd is None:
-            g = _jacobian_minor_gcd(self.coords)
-            # every immersion shares one constant form
-            object.__setattr__(self, "_minor_gcd", g if g.degree else _HOM_ONE)
-        return self._minor_gcd
-
     @property
     def is_immersion(self) -> bool:
-        return self.jacobian_minor_gcd().degree == 0
+        """Whether f itself, taken as the one view, has no cusp."""
+        return cusp_form([[c.dehom() for c in self.coords]], self.e).degree == 0
 
 
-_HOM_ONE = HomPoly2(0, (1,))
+def cusp_form(views: Iterable[Sequence[UniPoly]], e: int) -> HomPoly2:
+    """The cusp form of the multiview map: the gcd, over every view and every
+    pair of its coordinates, of the 2x2 Jacobian minors, as a binary form.
+
+    Each view is the list of its coordinates' charts a(t) = F(1, t), for
+    forms F of formal degree e.  Euler's identity gives
+    s * (F_s G_t - G_s F_t) = e * (F G_t - G F_t), so a minor's chart part is
+    the Wronskian a' b - a b' (up to the factor -e) and its power of s, the
+    zero at t = infinity, is 2e - 2 minus that Wronskian's degree.  The map
+    is an immersion exactly when the form is constant; the gcd stops at the
+    first constant partial gcd.  The chart part is monic.  Raises
+    ``ValueError`` when every minor vanishes: every view maps the curve to a
+    point.
+    """
+    g, s_power = None, 2 * e - 2
+    for w in _wronskians(views):
+        s_power = min(s_power, 2 * e - 2 - w.degree)
+        g = w if g is None else poly_gcd(g, w)
+        if g.degree == 0 and s_power == 0:
+            break
+    if g is None:
+        raise ValueError("the image of the curve in every view is a point")
+    g = g.monic()
+    return _hom(g.degree + s_power, g.num + (0,) * s_power, g.den)
 
 
-def _jacobian_minor_gcd(coords: Sequence[HomPoly2]) -> HomPoly2:
-    ds = [c.partial_s() for c in coords]
-    dt = [c.partial_t() for c in coords]
-    minors = []
-    for i in range(len(coords)):
-        for j in range(i + 1, len(coords)):
-            minors.append(ds[i] * dt[j] - ds[j] * dt[i])
-    if all(m.is_zero for m in minors):
-        raise ValueError("degenerate parameterization: all Jacobian minors vanish")
-    return hom_gcd_many(minors)
+def _wronskians(views: Iterable[Sequence[UniPoly]]) -> Iterator[UniPoly]:
+    """The nonzero a' b - a b' over every view and pair (a, b) of its charts,
+    view after view, the pairs with the first chart first."""
+    for coords in views:
+        ds = [c.derivative() for c in coords]
+        for i in range(len(coords)):
+            for j in range(i + 1, len(coords)):
+                w = ds[i] * coords[j] - coords[i] * ds[j]
+                if not w.is_zero:
+                    yield w
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -229,9 +246,10 @@ def apply_camera(camera: Camera, f: RationalCurve) -> tuple[HomPoly2, ...]:
 class GenericityCertificate:
     """Exact nonvanishing conditions for the closed-form critical count.
 
-    ``passes`` covers the camera-side conditions plus base-point-freeness;
-    ``immersion_ok`` is reported separately because a cuspidal curve only
-    invalidates the Euler cross-check, not the direct count.
+    ``passes`` requires every listed condition of the module docstring: the
+    chart conditions, base-point-freeness, and ``immersion_ok``, that the
+    multiview map is an immersion (``immersion_defect_degree`` is the degree
+    of its cusp form, 0 when it is).
     """
 
     discriminants: tuple[Rat, ...]                 # per camera, of q_i
@@ -239,7 +257,7 @@ class GenericityCertificate:
     sum_square_gcd_trivial: tuple[bool, ...]       # per camera a: gcd(q_a, sum_j p_aj^2) == 1
     base_point_free: bool
     immersion_ok: bool
-    immersion_defect_degree: int                   # deg of the Jacobian-minor gcd
+    immersion_defect_degree: int                   # deg of the multiview cusp form
     reasons: tuple[str, ...]                       # human-readable failure notes
 
     @property
@@ -249,6 +267,7 @@ class GenericityCertificate:
             and all(r != 0 for _, _, r in self.pairwise_resultants)
             and all(self.sum_square_gcd_trivial)
             and self.base_point_free
+            and self.immersion_ok
         )
 
     def to_json_dict(self) -> dict:
@@ -273,13 +292,16 @@ def genericity_certificate(
     """Compute every certificate quantity exactly; deterministic.
 
     ``images`` may pass in ``[apply_camera(c, f) for c in arr.cameras]`` when
-    the caller already has them.
+    the caller already has them.  Raises ``ValueError`` when every view maps
+    the curve to a point (:func:`cusp_form`).
     """
     if arr.N != f.N:
         raise ValueError("arrangement and curve dimensions differ")
     reasons: list[str] = []
     if images is None:
         images = [apply_camera(c, f) for c in arr.cameras]
+    defect = cusp_form(([p.dehom() for p in img] for img in images), f.e).degree
+    immersion_ok = defect == 0
     qs = [img[0] for img in images]
     for i, q in enumerate(qs):
         if q.is_zero:
@@ -290,8 +312,8 @@ def genericity_certificate(
                 pairwise_resultants=(),
                 sum_square_gcd_trivial=(False,) * arr.n,
                 base_point_free=True,
-                immersion_ok=f.is_immersion,
-                immersion_defect_degree=_defect_degree(f),
+                immersion_ok=immersion_ok,
+                immersion_defect_degree=defect,
                 reasons=tuple(reasons),
             )
 
@@ -325,8 +347,6 @@ def genericity_certificate(
                 "sum of squares"
             )
 
-    defect = _defect_degree(f)
-    immersion_ok = defect == 0
     if not immersion_ok:
         reasons.append("parameterization is not an immersion (cusp present)")
 
@@ -341,12 +361,6 @@ def genericity_certificate(
         immersion_defect_degree=defect,
         reasons=tuple(reasons),
     )
-
-
-def _defect_degree(f: RationalCurve) -> int:
-    d = f.jacobian_minor_gcd().degree
-    assert d is not None
-    return d
 
 
 # ---------------------------------------------------------------------------

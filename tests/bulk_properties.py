@@ -13,17 +13,31 @@ from fractions import Fraction as F
 from itertools import product
 
 from edcurve.exactnum import (
+    UNI_ONE,
     HomPoly2,
     UniPoly,
-    discriminant,
     distinct_root_count,
+    hom_discriminant,
     hom_distinct_root_count,
-    poly_from_roots,
+    hom_resultant,
     poly_gcd,
-    resultant,
     squarefree_part,
     sturm_isolate,
 )
+
+
+def poly_from_roots(roots) -> UniPoly:
+    """The monic polynomial prod (t - r) over the given roots."""
+    p = UNI_ONE
+    for r in roots:
+        p = p * UniPoly((-F(r), 1))
+    return p
+
+
+def _form(p: UniPoly) -> HomPoly2:
+    """p as a binary form of its own degree: no zero at t = infinity, so the
+    form's resultants and discriminant vanish exactly where p's would."""
+    return HomPoly2(p.degree, p.coeffs)
 
 
 def _rand_poly(rng: random.Random, max_deg: int, bound: int = 9,
@@ -60,14 +74,15 @@ def gcd_laws(seed: int, cases: int) -> int:
 
 
 def resultant_multiplicativity(seed: int, cases: int) -> int:
-    """res(p*q, r) = res(p, r) * res(q, r)."""
+    """res(p*q, r) = res(p, r) * res(q, r), on forms of full degree."""
     rng = random.Random(seed)
     done = 0
     for _ in range(cases):
         p = _rand_poly(rng, 4, min_deg=1)
         q = _rand_poly(rng, 4, min_deg=1)
         r = _rand_poly(rng, 4, min_deg=1)
-        assert resultant(p * q, r) == resultant(p, r) * resultant(q, r), (p, q, r)
+        pq, pr, qr = (hom_resultant(_form(a), _form(b)) for a, b in ((p * q, r), (p, r), (q, r)))
+        assert pq == pr * qr, (p, q, r)
         done += 1
     return done
 
@@ -83,7 +98,7 @@ def resultant_gcd_random(seed: int, cases: int) -> int:
         if k % 2 == 0:
             shared = UniPoly((F(rng.randint(-5, 5)), F(1)))
             p, q = p * shared, q * shared
-        vanishes = resultant(p, q) == 0
+        vanishes = hom_resultant(_form(p), _form(q)) == 0
         has_common = poly_gcd(p, q).degree >= 1
         assert vanishes == has_common, (p, q)
         done += 1
@@ -97,7 +112,7 @@ def resultant_gcd_exhaustive() -> int:
     done = 0
     for p in quads:
         for q in quads:
-            vanishes = resultant(p, q) == 0
+            vanishes = hom_resultant(_form(p), _form(q)) == 0
             has_common = poly_gcd(p, q).degree >= 1
             assert vanishes == has_common, (p, q)
             done += 1
@@ -136,10 +151,10 @@ def discriminant_laws(seed: int, cases: int) -> int:
     for _ in range(cases):
         p = _rand_poly(rng, 4, min_deg=1)
         lin = UniPoly((F(rng.randint(-4, 4)), F(1)))
-        assert discriminant(p * lin * lin) == 0, (p, lin)
+        assert hom_discriminant(_form(p * lin * lin)) == 0, (p, lin)
         if p.degree >= 1:
             repeated = poly_gcd(p, p.derivative()).degree >= 1
-            assert (discriminant(p) == 0) == repeated, p
+            assert (hom_discriminant(_form(p)) == 0) == repeated, p
         done += 2
     return done
 

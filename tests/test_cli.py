@@ -177,6 +177,17 @@ class TestSweep:
         assert code == 1
         assert "empty" in err
 
+    def test_tangent_centre_cell_is_not_certified(self, capsys):
+        # the monomial cell's camera centre lies on a tangent line of the
+        # twisted cubic: its view has a cusp at t = infinity and counts 6
+        env = run_json(capsys, "sweep", "--e", "3", "--n", "1", "--h", "2",
+                       "--seed", "1349692743621760768")
+        cells = {c["variant"]: c for c in env["results"]["cells"]}
+        assert cells["monomial"]["status"] == "certificate-failed"
+        assert cells["monomial"]["ed_degree"] == 6
+        assert cells["generic"]["status"] == "ok"
+        assert env["results"]["all_certified_match"] is True
+
     def test_h_below_two_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--h", "1")
         assert code == 1
@@ -206,7 +217,8 @@ class TestL3:
         assert (code, out) == (2, "")
         assert err == ("edcurve: error: l3:h2:n1: no attempt accepted (attempt 0: "
                        "certificate failed: chart polynomial of camera 0 shares a "
-                       "zero with its view's sum of squares)\n")
+                       "zero with its view's sum of squares; parameterization is "
+                       "not an immersion (cusp present))\n")
         env = run_json(capsys, "l3", "--h", "2", "--n", "1", "--seed", "24")
         assert env["results"]["rows"][0]["ed_degree"] == 4
 
@@ -345,7 +357,8 @@ class TestScroll:
 
     def test_two_to_one_view_is_redrawn(self, capsys):
         # this seed first draws a camera that maps the scroll's plane conic
-        # 2:1 onto a line, under a passing certificate; counted, it gave 3
+        # 2:1 onto a line; the view ramifies, so the certificate refuses it
+        # (counted, it gave 3)
         env = run_json(capsys, "scroll", "--bezier1", BEZ1, "--bezier2", BEZ2,
                        "--n", "1", "--seed", "14653090059713265492")
         row = env["results"]["rows"][0]

@@ -10,6 +10,8 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from edcurve import eddeg, scene
 from edcurve.eddeg import (
@@ -18,6 +20,7 @@ from edcurve.eddeg import (
     DataInstabilityError,
     DataPoint,
     EDReport,
+    NonGenericBetaError,
     count_cell,
     critical_polynomial,
     ed_degree_affine,
@@ -27,7 +30,7 @@ from edcurve.eddeg import (
     reduce_critical_polynomial,
     triangulate,
 )
-from edcurve.exactnum import HomPoly2, UniPoly, poly_gcd, squarefree_part
+from edcurve.exactnum import HomPoly2, UniPoly, hom_gcd_many, poly_gcd, squarefree_part
 from edcurve.scene import (
     Arrangement,
     Camera,
@@ -35,6 +38,7 @@ from edcurve.scene import (
     apply_camera,
     arrangement_from_dict,
     curve_from_dict,
+    cusp_form,
     genericity_certificate,
     random_camera,
     random_camera_block_pairs,
@@ -217,17 +221,15 @@ class TestEdDegreeAffine:
         assert rep.certificate.passes
         assert rep.ed_degree == euler_cross_check(tw, arr, 7)
 
-    def test_h1_needs_explicit_override(self):
+    def test_h1_is_refused(self):
+        # a view onto a line ramifies at 2e - 2 smooth points, which the cusp
+        # saturation would remove: the count and triangulation both refuse
         tw = twisted_cubic()
         arr = Arrangement((random_camera(42, 1, 3),))
-        with pytest.raises(ValueError, match="allow_h1"):
+        with pytest.raises(ValueError, match="h = 1 arrangements are refused"):
             ed_degree_affine(tw, arr, 5)
-        rep = ed_degree_affine(tw, arr, 5, allow_h1=True)
-        # parameter-side count: 3 preimages of the data value plus 2e-2
-        # ramification parameters; the closed-form comparison is switched off
-        # because the projection to the line is e:1, not injective
-        assert rep.ed_degree == 7
-        assert rep.formula_match is None
+        with pytest.raises(ValueError, match="h = 1 arrangements are refused"):
+            triangulate(tw, arr, random_data_point(5, 1, 1), F(1, 64))
 
     def test_unstable_data_raises(self):
         # parabola image (t, t^2): the axis point (0, 1/2) is equidistant-
@@ -308,8 +310,10 @@ class TestCountCell:
         with pytest.raises(CellExhaustedError) as exc:
             count_cell(f5, draw, lambda k: 100 + k, 3)
         assert draws == [0, 1, 2]
+        # the 4-fold chart zero at [1:0] is also a cusp of the view
         assert exc.value.reasons == (
-            "certificate failed: chart polynomial of camera 0 has a repeated zero",
+            "certificate failed: chart polynomial of camera 0 has a repeated zero; "
+            "parameterization is not an immersion (cusp present)",
         ) * 3
         out = count_cell(f5, draw, lambda k: 100 + k, 3, require_certificate=False)
         assert out.rejected == ()
@@ -369,14 +373,39 @@ class TestCountCell:
                        first_data=DataPoint.from_dict(_load("degenerate_data.json")))
 
 
+def _view_minor_gcd(view) -> HomPoly2 | None:
+    """gcd of the homogeneous 2x2 minors of [dF/ds; dF/dt] for one view's
+    forms F, or None when they all vanish (the view is a point)."""
+    ds = [c.partial_s() for c in view]
+    dt = [c.partial_t() for c in view]
+    minors = [ds[i] * dt[j] - ds[j] * dt[i]
+              for i in range(len(view)) for j in range(i + 1, len(view))]
+    if all(m.is_zero for m in minors):
+        return None
+    return hom_gcd_many(minors)
+
+
+def minor_gcd_oracle(views) -> HomPoly2:
+    """The multiview cusp form from the homogeneous minors, view by view:
+    the oracle for ``scene.cusp_form``, which works on the charts."""
+    per_view = [g for g in map(_view_minor_gcd, views) if g is not None]
+    if not per_view:
+        raise ValueError("every view is a point")
+    return hom_gcd_many(per_view)
+
+
+def _images(f, arr):
+    return [apply_camera(c, f) for c in arr.cameras]
+
+
 def _per_camera_reduction(f, arr, u) -> eddeg.ReducedCritical:
     """The pole and cusp saturation without the one-gcd pole test: every
-    non-constant chart in turn, then the cusps."""
+    non-constant chart in turn, then the cusps of the multiview map."""
     charts = eddeg._image_charts(f, arr)
     g = critical_polynomial(f, arr, u, charts=charts)
     red = squarefree_part(g)
     removed = [0, 0]
-    w = f.jacobian_minor_gcd().dehom()
+    w = minor_gcd_oracle(_images(f, arr)).dehom()
     for slot, factors in ((0, [q for q, _ in charts]), (1, [w])):
         for q in factors:
             if q.degree:
@@ -430,7 +459,7 @@ class TestPoleShortcut:
         rc = reduce_critical_polynomial(f, arr, u)
         assert rc == expected
         assert rc.removed_pole_factors == removed
-        cusp_gcds = int(bool(f.jacobian_minor_gcd().dehom().degree))
+        cusp_gcds = int(bool(minor_gcd_oracle(_images(f, arr)).dehom().degree))
         assert len(gcds) == 1 + cusp_gcds
 
     def test_block_pair_count_removes_the_pole(self):
@@ -448,7 +477,9 @@ class TestPoleShortcut:
 
 def two_to_one_scene() -> tuple[RationalCurve, Arrangement]:
     """A conic in P^3 and a camera whose rows see only s^2 and t^2: the view
-    [s^2 + 2t^2 : s^2 - t^2 : 3s^2 + t^2] is 2:1, and the certificate passes."""
+    [s^2 + 2t^2 : s^2 - t^2 : 3s^2 + t^2] is 2:1, so it ramifies at [1:0] and
+    [0:1] (Riemann-Hurwitz: 2k - 2 = 2 points), while every chart condition
+    of the certificate holds."""
     f = RationalCurve(N=3, e=2, coords=(H(2, 1, 0, 0), H(2, 0, 0, 1),
                                         H(2, 0, 1, 0), H(2, 0, 1, 0)))
     cam = Camera(2, 3, ((F(1), F(2), F(0), F(0)),
@@ -458,51 +489,224 @@ def two_to_one_scene() -> tuple[RationalCurve, Arrangement]:
 
 
 class TestOneToOneViews:
-    def test_fiber_gcd_decides(self):
-        f, arr = two_to_one_scene()
-        assert not eddeg._one_to_one(apply_camera(arr.cameras[0], f))
-        tw = twisted_cubic()
-        for seed in range(5):
-            assert eddeg._one_to_one(apply_camera(random_camera(seed, 2, 3), tw))
-        # a node of the image: t0 = 0 and t0 = 1 share an image point, so
-        # only the third candidate proves the view one-to-one
-        node = (H(3, 1, 0, 0, 0), H(3, 0, 1, -1, 0), H(3, 0, 0, 1, -1))
-        assert eddeg._one_to_one(node)
-
     def test_two_to_one_view_is_refused_and_redrawn(self):
         f, arr = two_to_one_scene()
-        assert genericity_certificate(arr, f).passes
-        with pytest.raises(ValueError, match="camera 0 does not map the curve "
-                                             "one-to-one onto its image"):
-            ed_degree_affine(f, arr, 3)
+        cert = genericity_certificate(arr, f)
+        assert not cert.passes and cert.immersion_defect_degree == 2
+        assert cert.reasons == ("parameterization is not an immersion (cusp present)",)
+        assert not ed_degree_affine(f, arr, 3).certificate.passes
         draws = [arr, generic_arrangement(40, 1, 2, 3)]
         out = count_cell(f, lambda k: draws[k], lambda k: 3 + k, 2)
-        assert out.rejected == ("camera 0 does not map the curve one-to-one "
-                                "onto its image",)
+        assert out.rejected == ("certificate failed: parameterization is not an "
+                                "immersion (cusp present)",)
         assert out.arrangement is draws[1] and out.report.ed_degree == 4
 
-    def test_one_image_per_view_and_one_minor_gcd_per_curve(self, monkeypatch):
-        calls = {"apply_camera": 0, "minors": 0}
-        apply, minors = scene.apply_camera, scene._jacobian_minor_gcd
+    def test_two_to_one_view_beside_a_generic_view_passes(self):
+        # the second view separates the fibers and is immersive at both
+        # ramification points, so the multiview map is an immersion
+        f, arr = two_to_one_scene()
+        for cams in ((arr.cameras[0], random_camera(40, 2, 3)),
+                     (random_camera(40, 2, 3), arr.cameras[0])):
+            pair = Arrangement(cams)
+            rep = ed_degree_affine(f, pair, 3)
+            assert rep.certificate.passes
+            assert rep.ed_degree == rep.formula_value == 10
+            assert euler_cross_check(f, pair, 3) == 10
+
+    def test_one_image_per_view_and_one_cusp_form_per_reader(self, monkeypatch):
+        calls = {"apply_camera": 0, "cusp_form": 0}
+        apply, cusps = scene.apply_camera, scene.cusp_form
 
         def spy_apply(*args):
             calls["apply_camera"] += 1
             return apply(*args)
 
-        def spy_minors(*args):
-            calls["minors"] += 1
-            return minors(*args)
+        def spy_cusps(*args):
+            calls["cusp_form"] += 1
+            return cusps(*args)
 
         monkeypatch.setattr(eddeg, "apply_camera", spy_apply)
         monkeypatch.setattr(scene, "apply_camera", spy_apply)
-        monkeypatch.setattr(scene, "_jacobian_minor_gcd", spy_minors)
+        monkeypatch.setattr(eddeg, "cusp_form", spy_cusps)
+        monkeypatch.setattr(scene, "cusp_form", spy_cusps)
         f = random_curve(77, 3, 3)
         arr = generic_arrangement(300, 3, 2, 3)
         rep = ed_degree_affine(f, arr, 5)
         assert rep.certificate.passes and rep.ed_degree == 3 * 3 * 3 - 2
-        assert calls == {"apply_camera": 3, "minors": 1}
+        # the saturation of each of the two samples, then the certificate
+        assert calls == {"apply_camera": 3, "cusp_form": 3}
         ed_degree_affine(f, arr, 7)
-        assert calls == {"apply_camera": 6, "minors": 1}
+        assert calls == {"apply_camera": 6, "cusp_form": 6}
+
+
+# The camera of the monomial cell of `edcurve sweep --e 3 --n 1 --h 2 --seed
+# 1349692743621760768`: its centre (2 : -1 : 0 : 0) lies on the twisted
+# cubic's tangent at (1 : 0 : 0 : 0), so the view has a cusp at t = infinity
+# and counts 6 where 3en - 2 = 7.
+TANGENT_CENTRE_ROWS = ((5, 10, -1, -10), (3, 6, -4, -8), (-2, -4, -3, 3))
+# ac04's first camera, generic for the twisted cubic
+GENERIC_ROWS = ((2, 0, 0, 1), (3, 0, 1, 0), (5, 1, 0, 0))
+RECOUNT_DATA = (((1, 2), (3, -1)), ((F(-5, 3), F(7, 2)), (F(1, 4), -2)))
+
+
+def _sympy_recount(camera_rows, u) -> int:
+    """Distinct critical points on P^1 of the squared distance from u to the
+    twisted cubic's multiview image, in sympy alone.
+
+    In each chart X of the cubic, view i has q_i = row_0 . X and
+    p_ij = row_j . X.  The numerator of d/dx sum_ij (p_ij/q_i - u_ij)^2 is
+    saturated by every q_i and by the gcd over every view of the Wronskians
+    of its coordinates (the cusps).  The chart (x^3, x^2, x, 1) is the one
+    edcurve counts in; the chart (1, x, x^2, x^3) adds only its point
+    x = 0, the parameter t = infinity.
+    """
+    sp = pytest.importorskip("sympy")
+    x = sp.symbols("x")
+    count = 0
+    for chart in ((x**3, x**2, x, sp.Integer(1)), (sp.Integer(1), x, x**2, x**3)):
+        views = [[sp.Poly(sum(c * xk for c, xk in zip(row, chart)), x) for row in rows]
+                 for rows in camera_rows]
+        dist = sum((p.as_expr() / v[0].as_expr() - sp.Rational(uij)) ** 2
+                   for v, ui in zip(views, u) for p, uij in zip(v[1:], ui))
+        num, _ = sp.fraction(sp.together(sp.diff(dist, x)))
+        g = sp.Poly(sp.expand(num), x)
+        cusps = sp.Poly(0, x)
+        for v in views:
+            for i in range(len(v)):
+                for j in range(i + 1, len(v)):
+                    cusps = sp.gcd(cusps, v[i].diff(x) * v[j] - v[i] * v[j].diff(x))
+        for factor in [v[0] for v in views] + [cusps]:
+            while (common := sp.gcd(g, factor)).degree() > 0:
+                g = sp.div(g, common)[0]
+        if chart[0] == x**3:
+            count += sp.sqf_part(g).degree()
+        else:
+            count += g.eval(0) == 0
+    return count
+
+
+_SMALL = st.integers(-2, 2)
+
+
+@st.composite
+def _small_views(draw):
+    """(e, views): one to three views of two to four degree-e forms with
+    entries in [-2, 2], so that cusps, zeros at t = infinity, base points
+    and point images are common."""
+    e = draw(st.integers(1, 4))
+    form = st.lists(_SMALL, min_size=e + 1, max_size=e + 1).map(lambda c: HomPoly2(e, c))
+    return e, draw(st.lists(st.lists(form, min_size=2, max_size=4), min_size=1, max_size=3))
+
+
+@st.composite
+def _small_cells(draw):
+    """A monomial or random curve with e <= 4 and n <= 3 cameras of height
+    h in {2, 3}, every entry in [-2, 2]."""
+    e = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 3))
+    h = draw(st.sampled_from((2, 3)))
+    if e >= h and draw(st.booleans()):
+        f, N = rational_normal_curve(e, e), e
+    else:
+        N = draw(st.integers(h, 4))
+        coords = draw(st.lists(st.lists(_SMALL, min_size=e + 1, max_size=e + 1),
+                               min_size=N + 1, max_size=N + 1))
+        try:
+            f = RationalCurve(N=N, e=e, coords=tuple(HomPoly2(e, c) for c in coords))
+        except ValueError:
+            assume(False)
+    rows = st.lists(_SMALL, min_size=N + 1, max_size=N + 1)
+    cams = []
+    for _ in range(n):
+        try:
+            cams.append(Camera(h, N, draw(st.lists(rows, min_size=h + 1, max_size=h + 1))))
+        except ValueError:
+            assume(False)
+    return f, Arrangement(tuple(cams))
+
+
+class TestMultiviewImmersion:
+    """The certificate requires the multiview map to be an immersion; its
+    cusp form also drives the cusp saturation and the cross-check guard."""
+
+    @settings(max_examples=300)
+    @given(_small_views())
+    @example((3, [[H(3, *r) for r in ((-10, -1, 10, 5), (-8, -4, 6, 3), (3, -3, -4, -2))]]))
+    @example((3, [[H(3, 0, 0, 0, 1), H(3, 0, 1, 0, 0), H(3, 1, 0, 0, 0)]]))
+    @example((3, [[H(3, 0, 0, 0, 1), H(3, 0, 1, 0, 0), H(3, 1, 0, 0, 0)],
+                  [H(3, 1, 2, 0, 1), H(3, 0, 1, 3, 0), H(3, 2, 0, 1, 1)]]))
+    @example((2, [[H(2, 1, 0, 2), H(2, 1, 0, -1), H(2, 3, 0, 1)]]))
+    @example((2, [[H(2, 1, 1, 0), H(2, 2, 2, 0)], [H(2, 0, 1, 0), H(2, 0, 0, 1)]]))
+    def test_cusp_form_matches_the_minor_oracle(self, case):
+        # examples: the tangent-centre view (cusp at t = infinity), the
+        # cuspidal cubic with its cusp at t = infinity, alone and beside an
+        # immersive view, the 2:1 conic view, and a point view with another
+        e, views = case
+        charts = [[c.dehom() for c in view] for view in views]
+        try:
+            want = minor_gcd_oracle(views)
+        except ValueError:
+            with pytest.raises(ValueError, match="every view is a point"):
+                cusp_form(charts, e)
+            return
+        assert cusp_form(charts, e) == want
+
+    def test_a_node_is_not_a_cusp(self):
+        # t = 0 and t = 1 share an image point: the view is one-to-one off
+        # that node and immersive everywhere, so the certificate keeps it
+        node = (H(3, 1, 0, 0, 0), H(3, 0, 1, -1, 0), H(3, 0, 0, 1, -1))
+        assert cusp_form([[c.dehom() for c in node]], 3).degree == 0
+        assert node[1].evaluate(1, 0) == node[2].evaluate(1, 0) == 0
+        assert node[1].evaluate(1, 1) == node[2].evaluate(1, 1) == 0
+
+    def test_tangent_centre_view_is_refused(self):
+        tw = twisted_cubic()
+        arr = Arrangement((Camera(2, 3, TANGENT_CENTRE_ROWS),))
+        assert minor_gcd_oracle(_images(tw, arr)) == H(1, 1, 0)  # s: t = infinity
+        rep = ed_degree_affine(tw, arr, 4)
+        assert rep.ed_degree == 6 and not rep.formula_match
+        assert not rep.certificate.passes
+        assert rep.certificate.immersion_defect_degree == 1
+        with pytest.raises(CuspError):
+            euler_cross_check(tw, arr, 4)
+
+    def test_one_cusp_view_beside_a_generic_view_passes(self):
+        # the cusp is joint: the generic view is immersive at t = infinity
+        tw = twisted_cubic()
+        cusp, generic = Camera(2, 3, TANGENT_CENTRE_ROWS), Camera(2, 3, GENERIC_ROWS)
+        for cams in ((cusp, generic), (generic, cusp)):
+            arr = Arrangement(cams)
+            rep = ed_degree_affine(tw, arr, 4)
+            assert rep.certificate.passes and rep.certificate.immersion_defect_degree == 0
+            assert rep.ed_degree == rep.formula_value == 16
+            assert euler_cross_check(tw, arr, 4) == 16
+
+    def test_sympy_recount_of_the_view_cusp(self):
+        tw = twisted_cubic()
+        for rows, want in (((TANGENT_CENTRE_ROWS,), 6),
+                           ((TANGENT_CENTRE_ROWS, GENERIC_ROWS), 16)):
+            arr = Arrangement(tuple(Camera(2, 3, r) for r in rows))
+            points = [DataPoint(u=u[:len(rows)]) for u in RECOUNT_DATA]
+            for point in points:
+                assert _sympy_recount(rows, point.u) == want
+            assert ed_degree_affine(tw, arr, 0, data_points=points).ed_degree == want
+
+    @settings(max_examples=150)
+    @given(_small_cells(), st.integers(0, 2**32))
+    def test_every_certified_count_is_the_closed_form(self, cell, seed):
+        f, arr = cell
+        try:
+            rep = ed_degree_affine(f, arr, seed)
+        except (ValueError, DataInstabilityError):
+            return  # a refused scene or a degenerate data sample
+        if not rep.certificate.passes:
+            return
+        assert rep.ed_degree == 3 * f.e * arr.n - 2
+        try:
+            cross = euler_cross_check(f, arr, seed)
+        except NonGenericBetaError:
+            return
+        assert cross == rep.ed_degree
 
 
 class TestEulerCrossCheck:

@@ -4,24 +4,22 @@ from fractions import Fraction as F
 
 import pytest
 
+from bulk_properties import poly_from_roots
 from edcurve.exactnum import (
     HomPoly2,
     IsolatingInterval,
     UNI_ONE,
     UniPoly,
-    discriminant,
     distinct_root_count,
     hom_discriminant,
     hom_distinct_root_count,
     hom_gcd,
     hom_resultant,
     hom_resultant_is_nonzero,
-    poly_from_roots,
     poly_gcd,
     rat_from_str,
     rat_to_str,
     refine_root,
-    resultant,
     squarefree_part,
     sturm_isolate,
 )
@@ -29,6 +27,11 @@ from edcurve.exactnum import (
 
 def P(*coeffs):
     return UniPoly(tuple(F(c) for c in coeffs))
+
+
+def Hf(*coeffs):
+    """The binary form whose chart t-coefficients are coeffs, lowest first."""
+    return HomPoly2(len(coeffs) - 1, tuple(F(c) for c in coeffs))
 
 
 class TestRationalStrings:
@@ -149,34 +152,35 @@ class TestDistinctRootCount:
 
 class TestResultant:
     def test_linear_pair(self):
-        assert resultant(P(-1, 1), P(1, 1)) == 2
+        assert hom_resultant(Hf(-1, 1), Hf(1, 1)) == 2
 
     def test_shared_root_vanishes(self):
         for a in (F(0), F(3), F(-7, 2)):
-            assert resultant(P(-a, 1), P(-a, 1)) == 0
+            assert hom_resultant(Hf(-a, 1), Hf(-a, 1)) == 0
 
     def test_quadratic_pair(self):
-        assert resultant(P(-2, 0, 1), P(-3, 0, 1)) == 1
+        assert hom_resultant(Hf(-2, 0, 1), Hf(-3, 0, 1)) == 1
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            resultant(UniPoly(), P(1, 1))
+            hom_resultant(HomPoly2(1), Hf(1, 1))
 
 
 class TestDiscriminant:
     def test_quadratic_identity(self):
         for b, c in ((F(3), F(1)), (F(0), F(-2)), (F(1, 2), F(1, 3))):
-            assert discriminant(P(c, b, 1)) == b * b - 4 * c
+            assert hom_discriminant(Hf(c, b, 1)) == b * b - 4 * c
 
     def test_repeated_root(self):
-        assert discriminant(poly_from_roots([F(1), F(1)])) == 0
+        assert hom_discriminant(Hf(1, -2, 1)) == 0  # (t - 1)^2
 
     def test_cubic(self):
-        assert discriminant(P(0, -1, 0, 1)) == 4  # t^3 - t, roots 0, +-1
+        # t^3 - t, roots 0, +-1: Res(F_s, F_t) is -3 times its discriminant 4
+        assert hom_discriminant(Hf(0, -1, 0, 1)) == -12
 
     def test_constant_rejected(self):
         with pytest.raises(ValueError):
-            discriminant(P(5))
+            hom_discriminant(Hf(5))
 
 
 class TestHomPoly:

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bulk_properties
+from bulk_properties import poly_from_roots
 from edcurve import exactnum
 from edcurve.eddeg import (
     _image_charts,
@@ -29,12 +30,10 @@ from edcurve.exactnum import (
     distinct_root_count,
     hom_resultant,
     hom_resultant_is_nonzero,
-    poly_from_roots,
     poly_gcd,
     rat_from_str,
     rat_to_str,
     refine_root,
-    resultant,
     squarefree_part,
     sturm_isolate,
 )
@@ -96,12 +95,13 @@ class TestHypothesisLaws:
     @given(p=polys(min_deg=1), q=polys(min_deg=1))
     def test_resultant_swap_sign(self, p, q):
         sign = (-1) ** (p.degree * q.degree)
-        assert resultant(p, q) == sign * resultant(q, p)
+        f, g = HomPoly2(p.degree, p.coeffs), HomPoly2(q.degree, q.coeffs)
+        assert hom_resultant(f, g) == sign * hom_resultant(g, f)
 
     @given(p=polys(min_deg=1), c=st.integers(min_value=-6, max_value=6))
     def test_resultant_against_linear_is_evaluation(self, p, c):
-        lin = UniPoly((F(-c), F(1)))  # t - c
-        assert resultant(lin, p) == p.evaluate(F(c))
+        lin = HomPoly2(1, (F(-c), F(1)))  # t - c s
+        assert hom_resultant(lin, HomPoly2(p.degree, p.coeffs)) == p.evaluate(F(c))
 
     @given(roots=st.lists(st.integers(min_value=-8, max_value=8),
                           min_size=1, max_size=5, unique=True))
@@ -177,6 +177,20 @@ class TestPackedProduct:
         prod = f * g
         assert prod.degree == f.degree + g.degree
         assert list(prod.coeffs) == schoolbook(f.coeffs, g.coeffs)
+
+    @pytest.mark.parametrize("nb", [1, 2, 3, 8, 17])
+    def test_slot_boundary_coefficients(self, nb):
+        # m = 2**(8 nb - 1) - 1 is the largest |coefficient| an nb-byte slot
+        # holds; against [1] or [-1] the product bound is m, so _kron_mul
+        # packs both operands and the product into nb-byte slots
+        m = (1 << (8 * nb - 1)) - 1
+        a = [m, -m, 0, -m, m, 1, -1]
+        assert exactnum._kron_unpack(exactnum._kron_pack(a, nb), nb, len(a)) == a
+        assert exactnum._kron_pack(a, nb) == sum(x << (8 * nb * k) for k, x in enumerate(a))
+        for b in ([1], [-1]):
+            assert exactnum._kron_mul(a, b) == schoolbook(a, b)
+        prod = UniPoly(tuple(F(x) for x in a)) * UniPoly((F(-1),))
+        assert prod.coeffs == tuple(F(-x) for x in a)
 
     def test_degree_zero_and_zero_operands(self):
         big = F(3**190, 7)
@@ -662,7 +676,9 @@ class TestPackedModGcd:
                  (2**w - 1) // p * p, random.Random(k).randrange(2**w)]
         low = int.from_bytes(p.to_bytes(nb, "little") * len(slots), "little")
         high = int.from_bytes((2**(w - k) - 1).to_bytes(nb, "little") * len(slots), "little")
-        folded = exactnum._mersenne_fold(exactnum._kron_pack(slots, nb), k, low, high)
+        # slots up to 2**w - 1 exceed _kron_pack's signed range, so pack directly
+        packed = sum(x << (w * j) for j, x in enumerate(slots))
+        folded = exactnum._mersenne_fold(packed, k, low, high)
         out = [folded >> (w * j) & (2**w - 1) for j in range(len(slots))]
         assert folded < 2**(w * len(slots))
         assert all(y < 2**(k + 1) for y in out)

@@ -12,7 +12,6 @@ from edcurve.exactnum import HomPoly2
 from edcurve.grassmann import (
     BezierCurve,
     PlueckerLine,
-    apply_wedge_to_line,
     bezier_scroll,
     l3_curve,
     l3_meet_form,
@@ -154,7 +153,8 @@ class TestWedgeCamera:
                 target = pluecker_from_span(cx1, cx2)
             except ValueError:
                 continue
-            moved = apply_wedge_to_line(wedge_camera(c, 2), line)
+            moved = [sum((a * x for a, x in zip(row, line.p)), F(0))
+                     for row in wedge_camera(c, 2).entries]
             for i in range(6):
                 for j in range(6):
                     assert moved[i] * target.p[j] == moved[j] * target.p[i]

@@ -21,6 +21,7 @@ from edcurve.scene import (
     camera_to_dict,
     curve_from_dict,
     curve_to_dict,
+    cusp_form,
     genericity_certificate,
     random_camera,
     random_camera_block_pairs,
@@ -87,7 +88,7 @@ class TestRationalCurve:
         assert twisted_cubic().is_immersion
         cusp = cuspidal_cubic()
         assert not cusp.is_immersion
-        assert cusp.jacobian_minor_gcd().degree >= 1
+        assert cusp_form([[c.dehom() for c in cusp.coords]], cusp.e).degree >= 1
 
     def test_base_point_free_monomial_family(self):
         for e in range(1, 9):
@@ -213,9 +214,13 @@ class TestGenericityCertificate:
         assert any("share a zero" in reason for reason in cert.reasons)
 
     def test_cusp_passes_camera_conditions_but_not_immersion(self):
+        # every chart condition holds, but the cusp of the curve is a cusp of
+        # the multiview map, so the certificate fails
         arr = Arrangement((random_camera(1234, 2, 2),))
         cert = genericity_certificate(arr, cuspidal_cubic())
-        assert cert.passes
+        assert all(d != 0 for d in cert.discriminants)
+        assert all(cert.sum_square_gcd_trivial) and cert.base_point_free
+        assert not cert.passes
         assert not cert.immersion_ok
         assert cert.immersion_defect_degree >= 1
         assert any("not an immersion" in reason for reason in cert.reasons)
