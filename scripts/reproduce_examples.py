@@ -34,7 +34,7 @@ from edcurve.scene import (
     Arrangement,
     Camera,
     RationalCurve,
-    apply_camera,
+    Scene,
     random_camera,
     random_camera_block_pairs,
     random_camera_degree_drop,
@@ -117,7 +117,7 @@ def main(argv=None) -> int:
         arr = Arrangement(tuple(
             random_camera_degree_drop(derive_seed(s + 5, f"drop:n{n}:a{a}:cam{i}"), 3)
             for i in range(n)))
-        qs = [apply_camera(c, tw)[0] for c in arr.cameras]
+        qs = [img[0] for img in Scene(tw, arr).images]
         if any(hom_discriminant(q) == 0 for q in qs) or any(
                 hom_gcd(qs[i], qs[j]).degree != 1
                 for i in range(n) for j in range(i + 1, n)):

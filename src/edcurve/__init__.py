@@ -48,6 +48,7 @@ from .scene import (
     Camera,
     GenericityCertificate,
     RationalCurve,
+    Scene,
     apply_camera,
     arrangement_from_dict,
     arrangement_to_dict,
@@ -110,6 +111,7 @@ __all__ = [
     "PlueckerLine",
     "Rat",
     "RationalCurve",
+    "Scene",
     "TriangulationResult",
     "UniPoly",
     "WedgeCamera",

@@ -74,10 +74,16 @@ class _CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with 2 on usage errors; the documented input-error code is 1."""
+    """argparse exits with 2 on usage errors; the documented input-error code is 1.
+
+    Every usage error starts ``edcurve: error:``, as every other error does;
+    a subcommand's names the subcommand next (``edcurve: error: sweep: ...``).
+    """
 
     def error(self, message):
-        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+        command = self.prog.partition(" ")[2]
+        where = f"{command}: " if command else ""
+        self.exit(EXIT_INPUT, f"edcurve: error: {where}{message}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +91,8 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 def _parse_range(text: str, what: str) -> list[int]:
+    """A..B or A as the list of its integers, every one of them at least 1
+    (a degree or a camera count)."""
     try:
         if ".." in text:
             a_str, b_str = text.split("..", 1)
@@ -95,6 +103,8 @@ def _parse_range(text: str, what: str) -> list[int]:
         raise _CliError(f"invalid {what} range {text!r} (expected A..B or A)")
     if b < a:
         raise _CliError(f"empty {what} range {text!r}")
+    if a < 1:
+        raise _CliError(f"{what} values must be at least 1, got {text!r}")
     return list(range(a, b + 1))
 
 

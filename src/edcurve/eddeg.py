@@ -7,9 +7,16 @@ parameter; its derivative has a polynomial numerator
     g(t) = sum_{i,j} (p_ij - u_ij q_i) (p'_ij q_i - p_ij q'_i) prod_{k != i} q_k^3
 
 with p_ij, q_i the dehomogenized image coordinates of view i.  The degree is
-at most 3en-2: each Wronskian p' q - p q' loses two degrees to leading-term
-cancellation.  The count of the variety's critical points is the number of
-distinct complex roots after removing two kinds of spurious parameters:
+at most 3en-2: each Wronskian W_ij = p'_ij q_i - p_ij q'_i loses two degrees
+to leading-term cancellation.  Everything but u is data-free and comes from
+one ``scene.Scene`` per count.  View i's numerator
+n_i = sum_j (p_ij - u_ij q_i) W_ij = A_i - sum_j u_ij (q_i W_ij) is affine in
+u over the scene's A_i = sum_j p_ij W_ij and q_i W_ij, so a data sample
+costs no product there, and g, the numerator of sum_i n_i / q_i^3, is merged
+pairwise up the scene's product tree of the q_i^3 (``exactnum.tree_sum``).
+
+The count of the variety's critical points is the number of distinct complex
+roots after removing two kinds of spurious parameters:
 
 * roots at poles of some q_i (the curve point is at infinity of that view, so
   not on the affine variety) — removed by exact gcd saturation against q_i;
@@ -38,7 +45,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
 from typing import Callable, Optional, Sequence, Union
 
 from .exactnum import (
@@ -54,18 +60,20 @@ from .exactnum import (
     hom_distinct_root_count,
     hom_resultant_is_nonzero,
     poly_gcd,
+    product_tree,
     rat_to_str,
     refine_root,
     squarefree_part,
     sturm_isolate,
+    tree_sum,
 )
 from .scene import (
     Arrangement,
     GenericityCertificate,
     RationalCurve,
-    apply_camera,
-    cusp_form,
+    Scene,
     genericity_certificate,
+    scene_for,
 )
 
 
@@ -139,61 +147,28 @@ def random_data_point(seed: int, n: int, h: int) -> DataPoint:
 # the critical polynomial and its reduction
 # ---------------------------------------------------------------------------
 
-def _image_charts(f: RationalCurve, arr: Arrangement, images=None):
-    """[(q_i, [p_i1..p_ih])] as univariate chart polynomials; errors on a
-    view whose chart polynomial vanishes identically.  ``images`` may pass in
-    ``[apply_camera(c, f) for c in arr.cameras]``."""
-    if images is None:
-        images = [apply_camera(cam, f) for cam in arr.cameras]
-    charts = []
-    for i, img in enumerate(images):
-        if img[0].is_zero:
-            raise ValueError(f"curve at infinity of camera {i}")
-        q = img[0].dehom()
-        ps = [p.dehom() for p in img[1:]]
-        charts.append((q, ps))
-    return charts
-
-
 def critical_polynomial(
-    f: RationalCurve, arr: Arrangement, u: DataPoint, *, charts=None
+    f: RationalCurve, arr: Arrangement, u: DataPoint, *, scene: Optional[Scene] = None
 ) -> UniPoly:
     """Numerator of d/dt of the squared distance, assembled term-exactly.
 
-    g = sum_{i,j} (p_ij - u_ij q_i)(p'_ij q_i - p_ij q'_i) prod_{k != i} q_k^3;
-    degree <= 3en-2 by Wronskian leading-term cancellation.  ``charts`` may
-    pass in ``_image_charts(f, arr)`` when the caller already has it.
+    g = sum_i n_i prod_{k != i} q_k^3 with n_i = sum_j (p_ij - u_ij q_i) W_ij
+    and W_ij = p'_ij q_i - p_ij q'_i; degree <= 3en-2 by Wronskian
+    leading-term cancellation.  Each n_i = A_i - sum_j u_ij (q_i W_ij) is
+    affine in u over the scene's data-free terms, so a sample costs no
+    product there; the sum of the fractions n_i / q_i^3 is then merged up
+    the scene's product tree of the q_i^3 (:func:`tree_sum`).  ``scene`` may
+    pass in the :class:`Scene` of (f, arr).
     """
     u.check_shape(arr)
-    if charts is None:
-        charts = _image_charts(f, arr)
-    outers = _products_excluding_each([q * q * q for q, _ in charts], UNI_ONE)
-    g = UniPoly()
-    for i, ((q, ps), outer) in enumerate(zip(charts, outers)):
-        dq = q.derivative()
-        per_view = UniPoly()
-        for j, p in enumerate(ps):
-            lin = p - u.u[i][j] * q
-            wron = p.derivative() * q - p * dq
-            per_view = per_view + lin * wron
-        g = g + per_view * outer
-    return g
-
-
-def _products_excluding_each(factors: Sequence, one) -> list:
-    """[prod_{k != i} factors[k] for each i] from prefix and suffix products.
-
-    Takes 3(n - 1) products instead of the n(n - 1) of rebuilding each one.
-    """
-    n = len(factors)
-    out = [one] * n
-    for i in range(1, n):
-        out[i] = out[i - 1] * factors[i - 1]
-    suffix = one
-    for i in range(n - 2, -1, -1):
-        suffix = suffix * factors[i + 1]
-        out[i] = out[i] * suffix
-    return out
+    scene = scene_for(f, arr, scene)
+    scene.check_charts()
+    nums = []
+    for (a, qws), row in zip(scene.data_free_terms, u.u):
+        for uij, qw in zip(row, qws):
+            a = a - qw.scale(uij)
+        nums.append(a)
+    return tree_sum(nums, scene.cube_tree)
 
 
 @dataclass(frozen=True)
@@ -207,10 +182,10 @@ class ReducedCritical:
 
 
 def reduce_critical_polynomial(
-    f: RationalCurve, arr: Arrangement, u: DataPoint, *, charts=None
+    f: RationalCurve, arr: Arrangement, u: DataPoint, *, scene: Optional[Scene] = None
 ) -> ReducedCritical:
     """Squarefree part of the critical polynomial, saturated against the
-    poles and the cusps; ``charts`` as in :func:`critical_polynomial`.
+    poles and the cusps; ``scene`` as in :func:`critical_polynomial`.
 
     Refuses h = 1 (module docstring) and a scene whose every view maps the
     curve to a point."""
@@ -219,10 +194,10 @@ def reduce_critical_polynomial(
                          "ramifies at smooth points, which the cusp saturation "
                          "would remove")
     u.check_shape(arr)
-    if charts is None:
-        charts = _image_charts(f, arr)
-    cusps = cusp_form([(q, *ps) for q, ps in charts], f.e).dehom()
-    g = critical_polynomial(f, arr, u, charts=charts)
+    scene = scene_for(f, arr, scene)
+    scene.check_charts()
+    cusps = scene.cusp_chart
+    g = critical_polynomial(f, arr, u, scene=scene)
     if g.is_zero:
         raise ValueError("critical polynomial vanished identically; data sits on "
                          "the variety's symmetry locus")
@@ -230,7 +205,7 @@ def reduce_critical_polynomial(
     # red is squarefree, so each root it shares with some chart has
     # multiplicity one in gcd(red, prod q_i): one gcd removes every pole
     # factor, and a constant chart (or none) gives gcd 1
-    common = poly_gcd(red, prod((q for q, _ in charts), start=UNI_ONE))
+    common = poly_gcd(red, scene.prod_q)
     poles_removed = common.degree
     if poles_removed:
         red = red.exact_div(common)
@@ -294,13 +269,15 @@ def ed_degree_affine(
     seed: int,
     *,
     data_points: Optional[Sequence[DataPoint]] = None,
+    scene: Optional[Scene] = None,
 ) -> EDReport:
     """Distinct critical points of the squared distance to the affine multiview curve.
 
     Samples a data point from ``seed``, counts, then recounts with ``seed + 1``
     and requires agreement (raising :class:`DataInstabilityError` otherwise).
     ``data_points`` overrides the sampler with explicit data (reproduction and
-    testing); exactly two points are used.
+    testing); exactly two points are used.  Both samples and the certificate
+    read one :class:`Scene`, built here unless ``scene`` passes it in.
     """
     if data_points is None:
         samples = [random_data_point(seed, arr.n, arr.h),
@@ -312,12 +289,12 @@ def ed_degree_affine(
 
     for s in samples:
         s.check_shape(arr)
-    images = [apply_camera(cam, f) for cam in arr.cameras]
-    charts = _image_charts(f, arr, images)
+    scene = scene_for(f, arr, scene)
+    scene.check_charts()
     counts = []
     reductions = []
     for s in samples:
-        rc = reduce_critical_polynomial(f, arr, s, charts=charts)
+        rc = reduce_critical_polynomial(f, arr, s, scene=scene)
         d = rc.reduced.degree
         assert d is not None
         counts.append(d)
@@ -325,7 +302,7 @@ def ed_degree_affine(
     if counts[0] != counts[1]:
         raise DataInstabilityError("data not generic; reseed")
 
-    cert = genericity_certificate(arr, f, images=images)
+    cert = genericity_certificate(arr, f, scene=scene)
     rc = reductions[0]
     raw_deg = rc.raw.degree
     assert raw_deg is not None
@@ -420,7 +397,9 @@ def count_cell(
 # Euler-characteristic cross-check
 # ---------------------------------------------------------------------------
 
-def euler_cross_check(f: RationalCurve, arr: Arrangement, seed: int) -> int:
+def euler_cross_check(
+    f: RationalCurve, arr: Arrangement, seed: int, *, scene: Optional[Scene] = None
+) -> int:
     """#S_inf + #S_Q - 2, the parameter-line Euler-characteristic count.
 
     #S_inf: distinct zeros on P^1 of prod_i q_i (parameters mapped to infinity
@@ -429,28 +408,23 @@ def euler_cross_check(f: RationalCurve, arr: Arrangement, seed: int) -> int:
 
         G = beta0 * prod Q_k^2 + sum_i [prod_{k != i} Q_k^2] sum_j (P_ij - beta_ij Q_i)^2
 
-    for generic rational beta.  The two sets must be disjoint (verified by a
-    binary-form resultant); a collision is a beta-independent certificate
-    failure, but beta is re-drawn a few times before giving up, since the check
-    itself must not depend on one unlucky draw.  A multiview map that is not
-    an immersion is refused: node contributions cancel from this balance,
-    cusp contributions do not.
+    for generic rational beta, with the sum merged up a product tree of the
+    Q_i^2 (:func:`tree_sum`), whose root is prod Q_k^2.  The two sets must be
+    disjoint (verified by a binary-form resultant); a collision is a
+    beta-independent certificate failure, but beta is re-drawn a few times
+    before giving up, since the check itself must not depend on one unlucky
+    draw.  A multiview map that is not an immersion is refused: node
+    contributions cancel from this balance, cusp contributions do not.
+    ``scene`` may pass in the :class:`Scene` of (f, arr).
     """
-    images = [apply_camera(c, f) for c in arr.cameras]
-    if cusp_form(([p.dehom() for p in img] for img in images), f.e).degree:
+    scene = scene_for(f, arr, scene)
+    if scene.cusps.degree:
         raise CuspError("cross-check requires immersion")
-    qs = [img[0] for img in images]
-    for i, q in enumerate(qs):
-        if q.is_zero:
-            raise ValueError(f"curve at infinity of camera {i}")
-    prod_q = qs[0]
-    for q in qs[1:]:
-        prod_q = prod_q * q
+    scene.check_charts()
+    prod_q = scene.prod_q_form
     s_inf = hom_distinct_root_count(prod_q)
 
-    qsq = [q * q for q in qs]
-    outers = _products_excluding_each(qsq, HomPoly2(0, (Fraction(1),)))
-    prod_qsq = prod_q * prod_q
+    tree = product_tree([img[0] * img[0] for img in scene.images])
     for attempt in range(4):
         rng = random.Random(f"{seed}:euler-beta:{attempt}")
         beta = [
@@ -458,13 +432,7 @@ def euler_cross_check(f: RationalCurve, arr: Arrangement, seed: int) -> int:
             for _ in range(arr.n)
         ]
         beta0 = Fraction(rng.randint(1, 64), rng.randint(1, 8))
-        g_beta = beta0 * prod_qsq
-        for i, (img, outer) in enumerate(zip(images, outers)):
-            inner = HomPoly2(2 * f.e)
-            for j, p in enumerate(img[1:]):
-                lin = p - beta[i][j] * qs[i]
-                inner = inner + lin * lin
-            g_beta = g_beta + inner * outer
+        g_beta = _perturbed_numerator(scene.images, tree, beta, beta0)
         if g_beta.is_zero:
             continue
         if hom_resultant_is_nonzero(prod_q, g_beta):
@@ -472,6 +440,20 @@ def euler_cross_check(f: RationalCurve, arr: Arrangement, seed: int) -> int:
             return s_inf + s_q - 2
     raise NonGenericBetaError("non-generic beta")
 
+
+def _perturbed_numerator(images, tree, beta, beta0: Rat) -> HomPoly2:
+    """G = beta0 * prod Q_k^2 + sum_i [prod_{k != i} Q_k^2] sum_j (P_ij - beta_ij Q_i)^2
+    for the view images (Q_i, P_i1, ...), with ``tree`` the product tree of
+    the Q_i^2: its root is prod Q_k^2 and the sum is its :func:`tree_sum`."""
+    inners = []
+    for img, row in zip(images, beta):
+        q = img[0]
+        inner = HomPoly2(2 * q.degree)
+        for p, b in zip(img[1:], row):
+            lin = p - b * q
+            inner = inner + lin * lin
+        inners.append(inner)
+    return beta0 * tree[-1][0] + tree_sum(inners, tree)
 
 
 # ---------------------------------------------------------------------------
@@ -570,6 +552,8 @@ def triangulate(
     arr: Arrangement,
     u: DataPoint,
     width_bound: Rat,
+    *,
+    scene: Optional[Scene] = None,
 ) -> TriangulationResult:
     """Certified global nearest-point recovery over the real points of the chart.
 
@@ -578,17 +562,19 @@ def triangulate(
     argmin together with a certified interval for the true attained minimum:
     each midpoint value is within ``distance_error_bounds[k]`` of its exact
     critical value (derivative bound times half-width), so the true minimum
-    lies in [min_k (d_k - err_k), d_argmin].
+    lies in [min_k (d_k - err_k), d_argmin].  ``scene`` may pass in the
+    :class:`Scene` of (f, arr); its charts, pole product and product tree of
+    the q_i^3 serve the reduction and the bounds alike.
     """
     width_bound = Fraction(width_bound)
     if width_bound <= 0:
         raise ValueError("width bound must be positive")
     u.check_shape(arr)
-    charts = _image_charts(f, arr)
-    rc = reduce_critical_polynomial(f, arr, u, charts=charts)
-    qprod = UNI_ONE
-    for q, _ in charts:
-        qprod = qprod * q
+    scene = scene_for(f, arr, scene)
+    scene.check_charts()
+    charts = scene.charts
+    rc = reduce_critical_polynomial(f, arr, u, scene=scene)
+    qprod = scene.prod_q
     if rc.reduced.degree == 0:
         return TriangulationResult(
             critical_parameters=(), distances=(), distance_error_bounds=(),
@@ -627,9 +613,7 @@ def triangulate(
             pole_ivs[idx] = pv
         pole_free.append((iv, slo))
 
-    qcubes_all = UNI_ONE
-    for q, _ in charts:
-        qcubes_all = qcubes_all * q * q * q
+    qcubes_all = scene.cube_tree[-1][0]
     q3_c, q3_d = qcubes_all.int_coeffs()
     slope_c, slope_d = qcubes_all.derivative().int_coeffs()
     slope_abs = [abs(x) for x in slope_c]

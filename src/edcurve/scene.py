@@ -32,7 +32,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
+from math import lcm, prod
 from typing import Iterable, Iterator, Sequence
 
 from .exactnum import (
@@ -47,6 +48,7 @@ from .exactnum import (
     hom_gcd_many,
     hom_resultant,
     poly_gcd,
+    product_tree,
     rat_from_str,
     rat_to_str,
 )
@@ -94,25 +96,29 @@ class RationalCurve:
     @property
     def is_immersion(self) -> bool:
         """Whether f itself, taken as the one view, has no cusp."""
-        return cusp_form([[c.dehom() for c in self.coords]], self.e).degree == 0
+        views = [[c.dehom() for c in self.coords]]
+        return cusp_form(chart_wronskians(views), self.e).degree == 0
 
 
-def cusp_form(views: Iterable[Sequence[UniPoly]], e: int) -> HomPoly2:
+def cusp_form(wronskians: Iterable[UniPoly], e: int) -> HomPoly2:
     """The cusp form of the multiview map: the gcd, over every view and every
     pair of its coordinates, of the 2x2 Jacobian minors, as a binary form.
 
-    Each view is the list of its coordinates' charts a(t) = F(1, t), for
-    forms F of formal degree e.  Euler's identity gives
+    It is read from the chart Wronskians a b' - a' b of those pairs
+    (:func:`chart_wronskians`), for the charts a(t) = F(1, t) of forms F of
+    formal degree e; zero ones are skipped.  Euler's identity gives
     s * (F_s G_t - G_s F_t) = e * (F G_t - G F_t), so a minor's chart part is
-    the Wronskian a' b - a b' (up to the factor -e) and its power of s, the
-    zero at t = infinity, is 2e - 2 minus that Wronskian's degree.  The map
-    is an immersion exactly when the form is constant; the gcd stops at the
-    first constant partial gcd.  The chart part is monic.  Raises
-    ``ValueError`` when every minor vanishes: every view maps the curve to a
-    point.
+    the Wronskian up to the factor e, and its power of s, the zero at
+    t = infinity, is 2e - 2 minus that Wronskian's degree.  The map is an
+    immersion exactly when the form is constant; the gcd stops at the first
+    constant partial gcd, so a lazy iterable is read only that far.  The
+    chart part is monic.  Raises ``ValueError`` when every Wronskian
+    vanishes: every view maps the curve to a point.
     """
     g, s_power = None, 2 * e - 2
-    for w in _wronskians(views):
+    for w in wronskians:
+        if w.is_zero:
+            continue
         s_power = min(s_power, 2 * e - 2 - w.degree)
         g = w if g is None else poly_gcd(g, w)
         if g.degree == 0 and s_power == 0:
@@ -123,16 +129,18 @@ def cusp_form(views: Iterable[Sequence[UniPoly]], e: int) -> HomPoly2:
     return _hom(g.degree + s_power, g.num + (0,) * s_power, g.den)
 
 
-def _wronskians(views: Iterable[Sequence[UniPoly]]) -> Iterator[UniPoly]:
-    """The nonzero a' b - a b' over every view and pair (a, b) of its charts,
+def chart_wronskians(views: Iterable[Sequence[UniPoly]]) -> Iterator[UniPoly]:
+    """The a b' - a' b over every view and pair (a, b) of its charts, lazily,
     view after view, the pairs with the first chart first."""
     for coords in views:
-        ds = [c.derivative() for c in coords]
-        for i in range(len(coords)):
-            for j in range(i + 1, len(coords)):
-                w = ds[i] * coords[j] - coords[i] * ds[j]
-                if not w.is_zero:
-                    yield w
+        yield from _pair_wronskians(coords)
+
+
+def _pair_wronskians(coords: Sequence[UniPoly]) -> Iterator[UniPoly]:
+    ds = [c.derivative() for c in coords]
+    for i in range(len(coords)):
+        for j in range(i + 1, len(coords)):
+            yield coords[i] * ds[j] - ds[i] * coords[j]
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -239,6 +247,111 @@ def apply_camera(camera: Camera, f: RationalCurve) -> tuple[HomPoly2, ...]:
 
 
 # ---------------------------------------------------------------------------
+# the scene: everything data-free about one (curve, arrangement)
+# ---------------------------------------------------------------------------
+
+class Scene:
+    """The data-free part of every computation on one curve and arrangement.
+
+    A count builds one and both of its data samples and its certificate read
+    it; a triangulation and a cross-check each build their own unless one is
+    passed in.  Construction applies each camera once (``images``) and takes
+    the charts, per view i the pair (q_i, (p_i1, ..., p_ih)) of the image
+    coordinates at s = 1 (``charts``).  The rest is computed on first use and
+    kept for the scene's lifetime:
+
+    * ``wronskians(i)``: view i's W_ij = p_ij' q_i - p_ij q_i';
+    * ``cusps``, :func:`cusp_form` read from the W_ij first, and
+      ``cusp_chart``, its chart part;
+    * ``prod_q_form``, the product of the chart forms Q_i, and ``prod_q``,
+      its chart prod_i q_i;
+    * for the critical polynomial only, ``data_free_terms`` (per view
+      A_i = sum_j p_ij W_ij and the q_i W_ij) and ``cube_tree``, the product
+      tree of the q_i^3.
+
+    Nothing is checked on construction beyond what ``apply_camera`` checks:
+    a consumer calls ``check_charts`` where it refuses a vanishing chart, and
+    reads ``cusps`` where it refuses a point image, so each keeps its own
+    order of errors.  A scene is not changed after construction, apart from
+    filling these on first use.
+    """
+
+    def __init__(self, f: RationalCurve, arr: Arrangement):
+        self.curve = f
+        self.arrangement = arr
+        self.images = tuple(apply_camera(cam, f) for cam in arr.cameras)
+        self.charts = tuple((img[0].dehom(), tuple(p.dehom() for p in img[1:]))
+                            for img in self.images)
+        self._wronskians: list[tuple[UniPoly, ...] | None] = [None] * arr.n
+
+    def check_charts(self) -> None:
+        """Raise ``ValueError`` at the first view whose chart polynomial
+        vanishes identically: the curve lies in that view's plane at infinity."""
+        for i, (q, _) in enumerate(self.charts):
+            if q.is_zero:
+                raise ValueError(f"curve at infinity of camera {i}")
+
+    def wronskians(self, i: int) -> tuple[UniPoly, ...]:
+        """View i's W_ij = p_ij' q_i - p_ij q_i', j = 1..h, built on first use."""
+        ws = self._wronskians[i]
+        if ws is None:
+            q, ps = self.charts[i]
+            dq = q.derivative()
+            ws = self._wronskians[i] = tuple(p.derivative() * q - p * dq for p in ps)
+        return ws
+
+    @cached_property
+    def cusps(self) -> HomPoly2:
+        """The multiview cusp form; raises ``ValueError`` when every view maps
+        the curve to a point.  Each view's W_ij are its first Wronskians, and
+        the form is read view by view only until it is constant, so on a
+        generic scene it builds only the first view's W_ij."""
+        def views():
+            for i, (_, ps) in enumerate(self.charts):
+                yield from self.wronskians(i)
+                yield from _pair_wronskians(ps)
+        return cusp_form(views(), self.curve.e)
+
+    @cached_property
+    def cusp_chart(self) -> UniPoly:
+        return self.cusps.dehom()
+
+    @cached_property
+    def prod_q_form(self) -> HomPoly2:
+        return prod((img[0] for img in self.images), start=_hom(0, (1,), 1))
+
+    @cached_property
+    def prod_q(self) -> UniPoly:
+        return self.prod_q_form.dehom()
+
+    @cached_property
+    def data_free_terms(self) -> tuple[tuple[UniPoly, tuple[UniPoly, ...]], ...]:
+        """Per view i, (A_i, (q_i W_i1, ..., q_i W_ih)) with A_i = sum_j p_ij W_ij:
+        view i's term of the critical polynomial at data u has the numerator
+        sum_j (p_ij - u_ij q_i) W_ij = A_i - sum_j u_ij q_i W_ij."""
+        out = []
+        for i, (q, ps) in enumerate(self.charts):
+            ws = self.wronskians(i)
+            a = sum((p * w for p, w in zip(ps, ws)), start=UniPoly())
+            out.append((a, tuple(q * w for w in ws)))
+        return tuple(out)
+
+    @cached_property
+    def cube_tree(self) -> list[list[UniPoly]]:
+        """``product_tree`` of the q_i^3; its root is prod_i q_i^3."""
+        return product_tree([q * q * q for q, _ in self.charts])
+
+
+def scene_for(f: RationalCurve, arr: Arrangement, scene: Scene | None) -> Scene:
+    """``scene`` when it was built from (f, arr), a new scene when it is None."""
+    if scene is None:
+        return Scene(f, arr)
+    if scene.curve != f or scene.arrangement != arr:
+        raise ValueError("the scene was built from another curve or arrangement")
+    return scene
+
+
+# ---------------------------------------------------------------------------
 # genericity certificate
 # ---------------------------------------------------------------------------
 
@@ -287,20 +400,20 @@ class GenericityCertificate:
 
 
 def genericity_certificate(
-    arr: Arrangement, f: RationalCurve, *, images=None
+    arr: Arrangement, f: RationalCurve, *, scene: Scene | None = None
 ) -> GenericityCertificate:
     """Compute every certificate quantity exactly; deterministic.
 
-    ``images`` may pass in ``[apply_camera(c, f) for c in arr.cameras]`` when
-    the caller already has them.  Raises ``ValueError`` when every view maps
-    the curve to a point (:func:`cusp_form`).
+    ``scene`` may pass in the :class:`Scene` of (f, arr) when the caller
+    already has it.  Raises ``ValueError`` when every view maps the curve to
+    a point (:func:`cusp_form`).
     """
     if arr.N != f.N:
         raise ValueError("arrangement and curve dimensions differ")
     reasons: list[str] = []
-    if images is None:
-        images = [apply_camera(c, f) for c in arr.cameras]
-    defect = cusp_form(([p.dehom() for p in img] for img in images), f.e).degree
+    scene = scene_for(f, arr, scene)
+    images = scene.images
+    defect = scene.cusps.degree
     immersion_ok = defect == 0
     qs = [img[0] for img in images]
     for i, q in enumerate(qs):
@@ -481,7 +594,7 @@ def curve_from_dict(d: dict) -> RationalCurve:
         coords = tuple(
             HomPoly2(e, tuple(rat_from_str(x) for x in row)) for row in d["coords"]
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed curve object: {exc}") from exc
     return RationalCurve(N=N, e=e, coords=coords)
 
@@ -499,7 +612,7 @@ def camera_from_dict(d: dict) -> Camera:
         h = int(d["h"])
         N = int(d["N"])
         rows = tuple(tuple(rat_from_str(x) for x in row) for row in d["rows"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed camera object: {exc}") from exc
     return Camera(h=h, N=N, entries=rows)
 

@@ -3,17 +3,22 @@ outputs, JSON schema conformance, and byte-level determinism."""
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from edcurve import cli
 from edcurve.cli import build_parser, derive_seed, main
@@ -537,3 +542,158 @@ class TestReproduceExamples:
                 capture_output=True, text=True, timeout=300, env=CHILD_ENV)
             assert proc.returncode == 0, (seed, proc.stdout + proc.stderr)
             assert "; 0 unexpected mismatch(es)" in proc.stdout
+
+
+_INT = st.integers(-1, 5)
+_ENTRY = st.sampled_from(["0", "0", "1", "-1", "2", "1/2", "-3/4"])
+# floats stay small or non-finite: a finite huge degree is not refused yet
+_JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 6) | st.floats(-9, 9)
+    | st.sampled_from([float("inf"), float("-inf"), float("nan"),
+                       "", "x", "1/0", "1e400", "--1", "7"]),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(
+        st.sampled_from(["N", "degree", "coords", "cameras", "h", "rows", "u"]),
+        kids, max_size=4),
+    max_leaves=10,
+)
+
+
+# what to break in a drawn scene; most scenes are well-formed, so that the
+# count itself meets zero charts, base points, cusps and point images
+_FAULTS = ("none",) * 5 + ("dims", "shape", "field", "object")
+
+
+@st.composite
+def _scene_json(draw):
+    """(curve, cameras) objects: a degree-e curve in P^N and n cameras of
+    height h with small entries.  Well-formed, e, n in 1..5 and
+    2 <= h <= N <= 5; or with one fault: e, n, h and N anywhere in
+    [-1, 5], a row or a row's length off by one, one field any JSON value,
+    or a whole object any JSON value."""
+    fault = draw(st.sampled_from(_FAULTS))
+    if fault == "dims":
+        N, e, h, n = (draw(st.integers(-1, 5)) for _ in range(4))
+    else:
+        e, h, n = draw(st.integers(1, 5)), draw(st.integers(2, 3)), draw(st.integers(1, 3))
+        N = draw(st.integers(h, 5))
+    off = st.sampled_from((0, 0, 1, -1)) if fault == "shape" else st.just(0)
+
+    def rows(count, length):
+        count, length = count + draw(off), length + draw(off)
+        return [[draw(_ENTRY) for _ in range(max(length, 0))] for _ in range(max(count, 0))]
+
+    curve = {"N": N, "degree": e, "coords": rows(N + 1, e + 1)}
+    cams = [{"h": h, "N": N, "rows": rows(h + 1, N + 1)} for _ in range(max(n, 0))]
+    if fault == "field":
+        obj = draw(st.sampled_from([curve, *cams]))
+        obj[draw(st.sampled_from(sorted(obj)))] = draw(_JUNK)
+    cameras = {"cameras": cams}
+    if fault == "object":
+        if draw(st.booleans()):
+            curve = draw(_JUNK)
+        else:
+            cameras = draw(_JUNK)
+    return curve, cameras
+
+
+@st.composite
+def _range_text(draw, values, empty=False):
+    """A or A..B for A drawn from ``values`` and B from A to A + 1, or from
+    A - 1 with ``empty``."""
+    a = draw(values)
+    if draw(st.booleans()):
+        return str(a)
+    return f"{a}..{draw(st.integers(a - empty, a + 1))}"
+
+
+def _option(draw, name, value):
+    """``--name value`` or ``--name=value``: a value that starts with a dash
+    is a usage error in the first form."""
+    return [f"--{name}={value}"] if draw(st.booleans()) else [f"--{name}", value]
+
+
+@st.composite
+def _grid_argv(draw):
+    """sweep or l3 argv.  Most are well-formed: e in 1..4, n in 1..3, h in
+    {2, 3}, retries 1 or 2; the others draw e, n, h and retries anywhere in
+    [-1, 5] (h from a list of one or two) or take a malformed range or list."""
+    if draw(st.integers(0, 2)):
+        e, n = _range_text(st.integers(1, 4)), _range_text(st.integers(1, 3))
+        h = st.sampled_from(("2", "3", "2,3"))
+        retries = st.integers(1, 2)
+    else:
+        bad = st.sampled_from(("", "x", "1..", "..2", "1...3", ",", "2,,3"))
+        e = n = st.one_of(_range_text(_INT, empty=True), bad)
+        h = st.one_of(st.lists(_INT, min_size=1, max_size=2).map(
+            lambda xs: ",".join(map(str, xs))), bad)
+        retries = _INT
+    if draw(st.booleans()):
+        argv = ["sweep", *_option(draw, "e", draw(e))]
+    else:
+        argv = ["l3"]
+    argv += [*_option(draw, "n", draw(n)), *_option(draw, "h", draw(h)),
+             *_option(draw, "retries", str(draw(retries))),
+             "--seed", str(draw(st.integers(0, 3)))]
+    return argv + (["--json"] if draw(st.booleans()) else [])
+
+
+def _assert_clean_exit(argv) -> None:
+    """main(argv) returns 0, 1 or 2 without raising, and every non-zero exit
+    writes an ``edcurve: error:`` line to stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # usage errors leave through argparse
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    if code:
+        assert any(line.startswith("edcurve: error:")
+                   for line in err.getvalue().splitlines()), (argv, err.getvalue())
+
+
+class TestCliFuzz:
+    """Every input ends in exit 0, 1 or 2 with an ``edcurve: error:`` line on
+    failure; an exception escaping ``main`` (a traceback) fails the test."""
+
+    @settings(max_examples=100)
+    @given(_grid_argv())
+    @example(["sweep", "--e", "0", "--n", "1", "--h", "2"])  # was a ValueError traceback
+    @example(["l3", "--n=-1..0", "--h", "2"])
+    def test_sweep_and_l3_grids(self, argv):
+        _assert_clean_exit(argv)
+
+    @settings(max_examples=200)
+    @given(_scene_json(), st.sampled_from(("eddeg", "triangulate")),
+           st.sampled_from((1, 2, 2, 0, -1)))
+    # a non-finite dimension was an OverflowError traceback
+    @example(({"N": float("inf"), "degree": 1, "coords": []}, {"cameras": []}), "eddeg", 1)
+    @example(({"N": 1, "degree": 1, "coords": [["1", "0"], ["0", "1"]]},
+              {"cameras": [{"h": 1, "N": float("-inf"), "rows": []}]}), "triangulate", 1)
+    def test_eddeg_and_triangulate_on_degenerate_scenes(self, scene, command, retries):
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = []
+            for name, obj in zip(("curve.json", "cameras.json"), scene):
+                path = Path(tmp) / name
+                path.write_text(json.dumps(obj))
+                paths.append(str(path))
+            argv = [command, "--curve", paths[0], "--cameras", paths[1]]
+            if command == "eddeg":
+                argv += ["--retries", str(retries)]
+            _assert_clean_exit(argv)
+
+    def test_usage_errors_of_a_subcommand_carry_the_prefix(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--e"])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err == (
+            "edcurve: error: sweep: argument --e: expected one argument\n")
+        # argparse reads a value that starts with a dash and is no number as an option
+        _assert_clean_exit(["sweep", "--e", "-1..2"])
+
+    def test_ranges_must_start_at_one(self, capsys):
+        for argv in (["sweep", "--e", "0..2"], ["sweep", "--n", "0"], ["l3", "--n", "0"],
+                     ["scroll", "--bezier1", BEZ1, "--bezier2", BEZ2, "--n", "0"]):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 1 and out == ""
+            assert err.startswith("edcurve: error: --") and "must be at least 1" in err

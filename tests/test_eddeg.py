@@ -30,13 +30,22 @@ from edcurve.eddeg import (
     reduce_critical_polynomial,
     triangulate,
 )
-from edcurve.exactnum import HomPoly2, UniPoly, hom_gcd_many, poly_gcd, squarefree_part
+from edcurve.exactnum import (
+    HomPoly2,
+    UniPoly,
+    hom_gcd_many,
+    poly_gcd,
+    product_tree,
+    squarefree_part,
+)
 from edcurve.scene import (
     Arrangement,
     Camera,
     RationalCurve,
+    Scene,
     apply_camera,
     arrangement_from_dict,
+    chart_wronskians,
     curve_from_dict,
     cusp_form,
     genericity_certificate,
@@ -95,6 +104,60 @@ def exact_distance(f, arr, u: DataPoint, t: F) -> F:
         for j, p in enumerate(img[1:]):
             total += (p.dehom().evaluate(t) / q - u.u[i][j]) ** 2
     return total
+
+
+def critical_polynomial_oracle(f, arr, u: DataPoint) -> UniPoly:
+    """g = sum_{i,j} (p_ij - u_ij q_i)(p'_ij q_i - p_ij q'_i) prod_{k != i} q_k^3,
+    term by term, with each prod_{k != i} q_k^3 built directly: the oracle
+    for the product-tree assembly of ``critical_polynomial``."""
+    charts = []
+    for i, cam in enumerate(arr.cameras):
+        img = apply_camera(cam, f)
+        if img[0].is_zero:
+            raise ValueError(f"curve at infinity of camera {i}")
+        charts.append((img[0].dehom(), [p.dehom() for p in img[1:]]))
+    g = UniPoly()
+    for i, (q, ps) in enumerate(charts):
+        outer = UniPoly((1,))
+        for k, (qk, _) in enumerate(charts):
+            if k != i:
+                outer = outer * qk * qk * qk
+        dq = q.derivative()
+        for j, p in enumerate(ps):
+            g = g + (p - u.u[i][j] * q) * (p.derivative() * q - p * dq) * outer
+    return g
+
+
+def _products_excluding_each(factors, one) -> list:
+    """[prod_{k != i} factors[k] for each i] from prefix and suffix products:
+    the cofactors of ``perturbed_numerator_oracle``."""
+    n = len(factors)
+    out = [one] * n
+    for i in range(1, n):
+        out[i] = out[i - 1] * factors[i - 1]
+    suffix = one
+    for i in range(n - 2, -1, -1):
+        suffix = suffix * factors[i + 1]
+        out[i] = out[i] * suffix
+    return out
+
+
+def perturbed_numerator_oracle(images, beta, beta0) -> HomPoly2:
+    """The cross-check's G = beta0 * prod Q_k^2 + sum_i [prod_{k != i} Q_k^2]
+    sum_j (P_ij - beta_ij Q_i)^2, with the prefix and suffix cofactors."""
+    qs = [img[0] for img in images]
+    outers = _products_excluding_each([q * q for q in qs], HomPoly2(0, (1,)))
+    prod_q = qs[0]
+    for q in qs[1:]:
+        prod_q = prod_q * q
+    g = beta0 * (prod_q * prod_q)
+    for i, (img, outer) in enumerate(zip(images, outers)):
+        inner = HomPoly2(2 * qs[i].degree)
+        for j, p in enumerate(img[1:]):
+            lin = p - beta[i][j] * qs[i]
+            inner = inner + lin * lin
+        g = g + inner * outer
+    return g
 
 
 class TestDataPoint:
@@ -399,14 +462,15 @@ def _images(f, arr):
 
 
 def _per_camera_reduction(f, arr, u) -> eddeg.ReducedCritical:
-    """The pole and cusp saturation without the one-gcd pole test: every
-    non-constant chart in turn, then the cusps of the multiview map."""
-    charts = eddeg._image_charts(f, arr)
-    g = critical_polynomial(f, arr, u, charts=charts)
+    """The pole and cusp saturation without the one-gcd pole test, on the
+    term-by-term critical polynomial: every non-constant chart in turn, then
+    the cusps of the multiview map."""
+    g = critical_polynomial_oracle(f, arr, u)
     red = squarefree_part(g)
     removed = [0, 0]
     w = minor_gcd_oracle(_images(f, arr)).dehom()
-    for slot, factors in ((0, [q for q, _ in charts]), (1, [w])):
+    charts = [img[0].dehom() for img in _images(f, arr)]
+    for slot, factors in ((0, charts), (1, [w])):
         for q in factors:
             if q.degree:
                 common = poly_gcd(red, q)
@@ -525,18 +589,37 @@ class TestOneToOneViews:
             calls["cusp_form"] += 1
             return cusps(*args)
 
-        monkeypatch.setattr(eddeg, "apply_camera", spy_apply)
         monkeypatch.setattr(scene, "apply_camera", spy_apply)
-        monkeypatch.setattr(eddeg, "cusp_form", spy_cusps)
         monkeypatch.setattr(scene, "cusp_form", spy_cusps)
         f = random_curve(77, 3, 3)
         arr = generic_arrangement(300, 3, 2, 3)
         rep = ed_degree_affine(f, arr, 5)
         assert rep.certificate.passes and rep.ed_degree == 3 * 3 * 3 - 2
-        # the saturation of each of the two samples, then the certificate
-        assert calls == {"apply_camera": 3, "cusp_form": 3}
+        # one scene serves the saturation of both samples and the certificate
+        assert calls == {"apply_camera": 3, "cusp_form": 1}
         ed_degree_affine(f, arr, 7)
-        assert calls == {"apply_camera": 6, "cusp_form": 6}
+        assert calls == {"apply_camera": 6, "cusp_form": 2}
+        triangulate(f, arr, random_data_point(5, 3, 2), F(1, 64))
+        assert calls == {"apply_camera": 9, "cusp_form": 3}
+        shared = Scene(f, arr)
+        assert euler_cross_check(f, arr, 5, scene=shared) == rep.ed_degree
+        assert calls == {"apply_camera": 12, "cusp_form": 4}
+        # the cross-check never pays for the count's data-free terms
+        assert "data_free_terms" not in vars(shared) and "cube_tree" not in vars(shared)
+        assert ed_degree_affine(f, arr, 5, scene=shared) == rep
+        assert calls == {"apply_camera": 12, "cusp_form": 4}
+
+    def test_a_scene_serves_only_its_own_curve_and_arrangement(self):
+        f = random_curve(77, 3, 3)
+        arr = generic_arrangement(300, 3, 2, 3)
+        other = generic_arrangement(400, 3, 2, 3)
+        shared = Scene(f, arr)
+        u = random_data_point(5, 3, 2)
+        with pytest.raises(ValueError, match="another curve or arrangement"):
+            critical_polynomial(f, other, u, scene=shared)
+        with pytest.raises(ValueError, match="another curve or arrangement"):
+            genericity_certificate(arr, twisted_cubic(), scene=shared)
+        assert critical_polynomial(f, arr, u, scene=shared) == critical_polynomial(f, arr, u)
 
 
 # The camera of the monomial cell of `edcurve sweep --e 3 --n 1 --h 2 --seed
@@ -647,15 +730,15 @@ class TestMultiviewImmersion:
             want = minor_gcd_oracle(views)
         except ValueError:
             with pytest.raises(ValueError, match="every view is a point"):
-                cusp_form(charts, e)
+                cusp_form(chart_wronskians(charts), e)
             return
-        assert cusp_form(charts, e) == want
+        assert cusp_form(chart_wronskians(charts), e) == want
 
     def test_a_node_is_not_a_cusp(self):
         # t = 0 and t = 1 share an image point: the view is one-to-one off
         # that node and immersive everywhere, so the certificate keeps it
         node = (H(3, 1, 0, 0, 0), H(3, 0, 1, -1, 0), H(3, 0, 0, 1, -1))
-        assert cusp_form([[c.dehom() for c in node]], 3).degree == 0
+        assert cusp_form(chart_wronskians([[c.dehom() for c in node]]), 3).degree == 0
         assert node[1].evaluate(1, 0) == node[2].evaluate(1, 0) == 0
         assert node[1].evaluate(1, 1) == node[2].evaluate(1, 1) == 0
 
@@ -707,6 +790,75 @@ class TestMultiviewImmersion:
         except NonGenericBetaError:
             return
         assert cross == rep.ed_degree
+
+
+_DATA = st.builds(F, st.integers(-64, 64), st.integers(1, 8))
+
+
+@st.composite
+def _assembly_cells(draw):
+    """(curve, arrangement, data): e <= 3, n in 1..9 cameras (an odd n leaves
+    a leaf to carry up the product tree), h in {2, 3}, curve entries in
+    [-2, 2], seeded cameras with entries in [-2, 2] (a zero chart is
+    possible) and rational data.  With ``constant`` the curve's last
+    coordinate is s^e and the first camera's chart row picks it, so that
+    view's chart is the constant 1."""
+    e = draw(st.integers(1, 3))
+    h = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(1, 9))
+    N = draw(st.integers(h, 4))
+    constant = draw(st.booleans())
+    rows = draw(st.lists(st.lists(_SMALL, min_size=e + 1, max_size=e + 1),
+                         min_size=N + 1, max_size=N + 1))
+    if constant:
+        rows[N] = [1] + [0] * e
+    try:
+        f = RationalCurve(N=N, e=e, coords=tuple(HomPoly2(e, r) for r in rows))
+    except ValueError:
+        assume(False)
+    cams = [random_camera(draw(st.integers(0, 2**32)), h, N, bound=2) for _ in range(n)]
+    if constant:
+        try:
+            cams[0] = Camera(h, N, ((0,) * N + (1,),) + cams[0].entries[1:])
+        except ValueError:
+            assume(False)
+    u = DataPoint(u=tuple(tuple(draw(_DATA) for _ in range(h)) for _ in range(n)))
+    return f, Arrangement(tuple(cams)), u
+
+
+class TestTreeAssembly:
+    """The product-tree assemblies of g and of the cross-check's G_beta are
+    the same polynomials as the term-by-term sums they replaced."""
+
+    @settings(max_examples=150)
+    @given(_assembly_cells())
+    def test_critical_polynomial_matches_the_term_by_term_sum(self, cell):
+        f, arr, u = cell
+        try:
+            want = critical_polynomial_oracle(f, arr, u)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                critical_polynomial(f, arr, u)
+            return
+        assert critical_polynomial(f, arr, u) == want
+
+    def test_constant_chart_and_odd_camera_counts(self):
+        tw = twisted_cubic()
+        for n in (1, 2, 3, 5, 7, 9):
+            cams = (_tw_camera((0, 0, 0, 1)),) + tuple(
+                random_camera(60 + i, 2, 3) for i in range(n - 1))
+            arr = Arrangement(cams)
+            u = random_data_point(n, n, 2)
+            assert critical_polynomial(tw, arr, u) == critical_polynomial_oracle(tw, arr, u)
+
+    @settings(max_examples=100)
+    @given(_assembly_cells(), st.integers(1, 64))
+    def test_perturbed_numerator_matches_the_cofactor_sum(self, cell, beta0):
+        f, arr, beta = cell
+        images = [apply_camera(c, f) for c in arr.cameras]
+        tree = product_tree([img[0] * img[0] for img in images])
+        got = eddeg._perturbed_numerator(images, tree, beta.u, F(beta0))
+        assert got == perturbed_numerator_oracle(images, beta.u, F(beta0))
 
 
 class TestEulerCrossCheck:

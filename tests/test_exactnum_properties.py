@@ -17,7 +17,6 @@ import bulk_properties
 from bulk_properties import poly_from_roots
 from edcurve import exactnum
 from edcurve.eddeg import (
-    _image_charts,
     _poly_abs_upper,
     random_data_point,
     reduce_critical_polynomial,
@@ -37,7 +36,7 @@ from edcurve.exactnum import (
     squarefree_part,
     sturm_isolate,
 )
-from edcurve.scene import Arrangement, random_camera, random_curve
+from edcurve.scene import Arrangement, Scene, random_camera, random_curve
 
 
 class TestBulkSuites:
@@ -534,11 +533,11 @@ def _quartic_scene_polynomials():
     f = random_curve(100, 4, 3)
     arr = Arrangement(tuple(random_camera(200 + i, 2, 3) for i in range(4)))
     u = random_data_point(300, 4, 2)
-    charts = _image_charts(f, arr)
+    scene = Scene(f, arr)
     qprod = UniPoly((F(1),))
-    for q, _ in charts:
+    for q, _ in scene.charts:
         qprod = qprod * q
-    return reduce_critical_polynomial(f, arr, u, charts=charts).reduced, squarefree_part(qprod)
+    return reduce_critical_polynomial(f, arr, u, scene=scene).reduced, squarefree_part(qprod)
 
 
 class TestDescartesAgainstSturmChain:

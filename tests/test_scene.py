@@ -19,6 +19,7 @@ from edcurve.scene import (
     arrangement_to_dict,
     camera_from_dict,
     camera_to_dict,
+    chart_wronskians,
     curve_from_dict,
     curve_to_dict,
     cusp_form,
@@ -88,7 +89,8 @@ class TestRationalCurve:
         assert twisted_cubic().is_immersion
         cusp = cuspidal_cubic()
         assert not cusp.is_immersion
-        assert cusp_form([[c.dehom() for c in cusp.coords]], cusp.e).degree >= 1
+        charts = [[c.dehom() for c in cusp.coords]]
+        assert cusp_form(chart_wronskians(charts), cusp.e).degree >= 1
 
     def test_base_point_free_monomial_family(self):
         for e in range(1, 9):
