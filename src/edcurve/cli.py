@@ -191,7 +191,7 @@ def _count(
     retries: int,
     *,
     first_data: Optional[DataPoint] = None,
-) -> EDReport:
+) -> CellOutcome:
     """The cell's count on a fixed arrangement, reseeding only the data.
 
     A degenerate scene (``ValueError``, such as an image that is a point) is an
@@ -201,7 +201,7 @@ def _count(
         return count_cell(
             f, arr, lambda k: derive_seed(master, f"{label}:data:attempt{k}"),
             retries, require_certificate=False, first_data=first_data,
-        ).report
+        )
     except ValueError as exc:
         raise _CliError(str(exc))
 
@@ -218,12 +218,15 @@ def _count_redrawn(f: RationalCurve, draw, master: int, label: str,
         raise _CliError(f"{label}: {exc}", EXIT_GENERICITY)
 
 
-def _attach_cross_check(rep: EDReport, f, arr, master: int, label: str) -> EDReport:
-    """Fill ``cross_check`` when the check applies; genericity failures escalate."""
+def _attach_cross_check(outcome: CellOutcome, master: int, label: str) -> EDReport:
+    """The outcome's report with ``cross_check`` filled when the check
+    applies, read from the count's scene; genericity failures escalate."""
+    rep, scene = outcome.report, outcome.scene
     if not rep.certificate.passes:
         return rep
     try:
-        value = euler_cross_check(f, arr, derive_seed(master, f"{label}:beta"))
+        value = euler_cross_check(scene.curve, scene.arrangement,
+                                  derive_seed(master, f"{label}:beta"), scene=scene)
     except NonGenericBetaError as exc:
         raise _CliError(str(exc), EXIT_GENERICITY)
     return EDReport(**{**rep.__dict__, "cross_check": value})
@@ -247,8 +250,8 @@ def cmd_eddeg(ns) -> int:
             first.check_shape(arr)
         except ValueError as exc:
             raise _CliError(f"{ns.data}: {exc}")
-    rep = _count(f, arr, ns.seed, "eddeg", ns.retries, first_data=first)
-    rep = _attach_cross_check(rep, f, arr, ns.seed, "eddeg")
+    outcome = _count(f, arr, ns.seed, "eddeg", ns.retries, first_data=first)
+    rep = _attach_cross_check(outcome, ns.seed, "eddeg")
     envelope = {
         "command": "eddeg",
         "seed": ns.seed,
@@ -300,8 +303,8 @@ def cmd_sweep(ns) -> int:
         cell = {"e": e, "n": n, "h": h, "variant": variant, "cell_seed":
                 derive_seed(ns.seed, label)}
         try:
-            rep = _count(f, arr, ns.seed, label, ns.retries)
-            rep = _attach_cross_check(rep, f, arr, ns.seed, label)
+            rep = _attach_cross_check(_count(f, arr, ns.seed, label, ns.retries),
+                                      ns.seed, label)
         except (_CliError, CellExhaustedError) as exc:
             cell["status"] = "error"
             # one table line per cell: an exhausted cell shows its last reason

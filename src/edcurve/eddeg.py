@@ -340,11 +340,12 @@ class CellExhaustedError(RuntimeError):
 
 @dataclass(frozen=True)
 class CellOutcome:
-    """The accepted count, the arrangement it used, and why each earlier
-    attempt was rejected, in order."""
+    """The accepted count, the arrangement and :class:`Scene` it used, and
+    why each earlier attempt was rejected, in order."""
 
     report: EDReport
     arrangement: Arrangement
+    scene: Scene
     rejected: tuple[str, ...]
 
 
@@ -366,8 +367,9 @@ def count_cell(
     rejected on :class:`DataInstabilityError`, on a failed certificate when
     ``require_certificate``, and on ``ValueError`` only when the cameras are
     redrawn: with a fixed arrangement a degenerate scene propagates, since
-    reseeding the data cannot cure it.  Raises :class:`CellExhaustedError`
-    when no attempt is accepted.
+    reseeding the data cannot cure it.  Each attempt counts on one
+    :class:`Scene`, which the outcome hands back so that a cross-check can
+    read it.  Raises :class:`CellExhaustedError` when no attempt is accepted.
     """
     redraw = not isinstance(arrangement, Arrangement)
     rejected: list[str] = []
@@ -375,9 +377,14 @@ def count_cell(
         seed = data_seed(k)
         try:
             arr = arrangement(k) if redraw else arrangement
-            samples = (None if first_data is None
-                       else (first_data, random_data_point(seed, arr.n, arr.h)))
-            rep = ed_degree_affine(f, arr, seed, data_points=samples)
+            samples = None
+            if first_data is not None:
+                # a misshapen point is refused before the scene is built,
+                # as in ed_degree_affine
+                first_data.check_shape(arr)
+                samples = (first_data, random_data_point(seed, arr.n, arr.h))
+            scene = Scene(f, arr)
+            rep = ed_degree_affine(f, arr, seed, data_points=samples, scene=scene)
         except DataInstabilityError as exc:
             rejected.append(str(exc))
             continue
@@ -389,7 +396,8 @@ def count_cell(
         if require_certificate and not rep.certificate.passes:
             rejected.append("certificate failed: " + "; ".join(rep.certificate.reasons))
             continue
-        return CellOutcome(report=rep, arrangement=arr, rejected=tuple(rejected))
+        return CellOutcome(report=rep, arrangement=arr, scene=scene,
+                           rejected=tuple(rejected))
     raise CellExhaustedError(rejected)
 
 
@@ -548,12 +556,7 @@ def _abs_upper_parts(abs_c: Sequence[int], d: int, lo: Rat, hi: Rat) -> tuple[in
 
 
 def triangulate(
-    f: RationalCurve,
-    arr: Arrangement,
-    u: DataPoint,
-    width_bound: Rat,
-    *,
-    scene: Optional[Scene] = None,
+    f: RationalCurve, arr: Arrangement, u: DataPoint, width_bound: Rat
 ) -> TriangulationResult:
     """Certified global nearest-point recovery over the real points of the chart.
 
@@ -562,15 +565,15 @@ def triangulate(
     argmin together with a certified interval for the true attained minimum:
     each midpoint value is within ``distance_error_bounds[k]`` of its exact
     critical value (derivative bound times half-width), so the true minimum
-    lies in [min_k (d_k - err_k), d_argmin].  ``scene`` may pass in the
-    :class:`Scene` of (f, arr); its charts, pole product and product tree of
-    the q_i^3 serve the reduction and the bounds alike.
+    lies in [min_k (d_k - err_k), d_argmin].  One :class:`Scene` of (f, arr)
+    serves the reduction and the bounds: its charts, pole product and product
+    tree of the q_i^3.
     """
     width_bound = Fraction(width_bound)
     if width_bound <= 0:
         raise ValueError("width bound must be positive")
     u.check_shape(arr)
-    scene = scene_for(f, arr, scene)
+    scene = Scene(f, arr)
     scene.check_charts()
     charts = scene.charts
     rc = reduce_critical_polynomial(f, arr, u, scene=scene)

@@ -133,14 +133,10 @@ def chart_wronskians(views: Iterable[Sequence[UniPoly]]) -> Iterator[UniPoly]:
     """The a b' - a' b over every view and pair (a, b) of its charts, lazily,
     view after view, the pairs with the first chart first."""
     for coords in views:
-        yield from _pair_wronskians(coords)
-
-
-def _pair_wronskians(coords: Sequence[UniPoly]) -> Iterator[UniPoly]:
-    ds = [c.derivative() for c in coords]
-    for i in range(len(coords)):
-        for j in range(i + 1, len(coords)):
-            yield coords[i] * ds[j] - ds[i] * coords[j]
+        ds = [c.derivative() for c in coords]
+        for i in range(len(coords)):
+            for j in range(i + 1, len(coords)):
+                yield coords[i] * ds[j] - ds[i] * coords[j]
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -253,21 +249,23 @@ def apply_camera(camera: Camera, f: RationalCurve) -> tuple[HomPoly2, ...]:
 class Scene:
     """The data-free part of every computation on one curve and arrangement.
 
-    A count builds one and both of its data samples and its certificate read
-    it; a triangulation and a cross-check each build their own unless one is
-    passed in.  Construction applies each camera once (``images``) and takes
-    the charts, per view i the pair (q_i, (p_i1, ..., p_ih)) of the image
-    coordinates at s = 1 (``charts``).  The rest is computed on first use and
-    kept for the scene's lifetime:
+    A count builds one and both of its data samples, its certificate and
+    its cross-check read it; a triangulation builds its own.  Construction
+    applies each camera once (``images``) and takes the charts, per view i
+    the pair (q_i, (p_i1, ..., p_ih)) of the image coordinates at s = 1
+    (``charts``).  The rest is computed on first use and kept for the
+    scene's lifetime:
 
-    * ``wronskians(i)``: view i's W_ij = p_ij' q_i - p_ij q_i';
-    * ``cusps``, :func:`cusp_form` read from the W_ij first, and
+    * ``cusps``, :func:`cusp_form` read lazily from the :func:`chart_wronskians`
+      of the views (q_i, p_i1, ..., p_ih), whose pairs with q_i come first,
+      so on a generic scene it builds only the first view's; and
       ``cusp_chart``, its chart part;
     * ``prod_q_form``, the product of the chart forms Q_i, and ``prod_q``,
       its chart prod_i q_i;
     * for the critical polynomial only, ``data_free_terms`` (per view
-      A_i = sum_j p_ij W_ij and the q_i W_ij) and ``cube_tree``, the product
-      tree of the q_i^3.
+      A_i = sum_j p_ij W_ij and the q_i W_ij, with the Wronskians
+      W_ij = p_ij' q_i - p_ij q_i') and ``cube_tree``, the product tree of
+      the q_i^3.
 
     Nothing is checked on construction beyond what ``apply_camera`` checks:
     a consumer calls ``check_charts`` where it refuses a vanishing chart, and
@@ -282,7 +280,6 @@ class Scene:
         self.images = tuple(apply_camera(cam, f) for cam in arr.cameras)
         self.charts = tuple((img[0].dehom(), tuple(p.dehom() for p in img[1:]))
                             for img in self.images)
-        self._wronskians: list[tuple[UniPoly, ...] | None] = [None] * arr.n
 
     def check_charts(self) -> None:
         """Raise ``ValueError`` at the first view whose chart polynomial
@@ -291,26 +288,12 @@ class Scene:
             if q.is_zero:
                 raise ValueError(f"curve at infinity of camera {i}")
 
-    def wronskians(self, i: int) -> tuple[UniPoly, ...]:
-        """View i's W_ij = p_ij' q_i - p_ij q_i', j = 1..h, built on first use."""
-        ws = self._wronskians[i]
-        if ws is None:
-            q, ps = self.charts[i]
-            dq = q.derivative()
-            ws = self._wronskians[i] = tuple(p.derivative() * q - p * dq for p in ps)
-        return ws
-
     @cached_property
     def cusps(self) -> HomPoly2:
         """The multiview cusp form; raises ``ValueError`` when every view maps
-        the curve to a point.  Each view's W_ij are its first Wronskians, and
-        the form is read view by view only until it is constant, so on a
-        generic scene it builds only the first view's W_ij."""
-        def views():
-            for i, (_, ps) in enumerate(self.charts):
-                yield from self.wronskians(i)
-                yield from _pair_wronskians(ps)
-        return cusp_form(views(), self.curve.e)
+        the curve to a point."""
+        return cusp_form(chart_wronskians((q, *ps) for q, ps in self.charts),
+                         self.curve.e)
 
     @cached_property
     def cusp_chart(self) -> UniPoly:
@@ -326,12 +309,14 @@ class Scene:
 
     @cached_property
     def data_free_terms(self) -> tuple[tuple[UniPoly, tuple[UniPoly, ...]], ...]:
-        """Per view i, (A_i, (q_i W_i1, ..., q_i W_ih)) with A_i = sum_j p_ij W_ij:
-        view i's term of the critical polynomial at data u has the numerator
+        """Per view i, (A_i, (q_i W_i1, ..., q_i W_ih)) with A_i = sum_j p_ij W_ij
+        and W_ij = p_ij' q_i - p_ij q_i': view i's term of the critical
+        polynomial at data u has the numerator
         sum_j (p_ij - u_ij q_i) W_ij = A_i - sum_j u_ij q_i W_ij."""
         out = []
-        for i, (q, ps) in enumerate(self.charts):
-            ws = self.wronskians(i)
+        for q, ps in self.charts:
+            dq = q.derivative()
+            ws = [p.derivative() * q - p * dq for p in ps]
             a = sum((p * w for p, w in zip(ps, ws)), start=UniPoly())
             out.append((a, tuple(q * w for w in ws)))
         return tuple(out)

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from edcurve import cli
 from edcurve.cli import build_parser, derive_seed, main
 from edcurve.eddeg import DataPoint, triangulate
-from edcurve.scene import arrangement_from_dict, curve_from_dict
+from edcurve.scene import apply_camera, arrangement_from_dict, curve_from_dict
 
 DATA = Path(__file__).parent / "data"
 SCHEMAS = Path(__file__).parent.parent / "src" / "edcurve" / "schemas"
@@ -153,6 +153,20 @@ class TestEddeg:
         env = run_json(capsys, "eddeg", "--curve", TW, "--cameras", PAIR,
                        "--seed", "2")
         assert env["results"]["cross_check"] == env["results"]["ed_degree"]
+
+    def test_count_and_cross_check_share_one_scene(self, capsys, monkeypatch):
+        calls = []
+
+        def spy_apply(*args):
+            calls.append(args[0])
+            return apply_camera(*args)
+
+        monkeypatch.setattr("edcurve.scene.apply_camera", spy_apply)
+        env = run_json(capsys, "eddeg", "--curve", TW, "--cameras", PAIR,
+                       "--seed", "2")
+        assert env["results"]["cross_check"] == env["results"]["ed_degree"]
+        # each of the two cameras is applied once, for count and cross-check alike
+        assert len(calls) == 2
 
 
 class TestSweep:

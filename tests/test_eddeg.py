@@ -608,6 +608,11 @@ class TestOneToOneViews:
         assert "data_free_terms" not in vars(shared) and "cube_tree" not in vars(shared)
         assert ed_degree_affine(f, arr, 5, scene=shared) == rep
         assert calls == {"apply_camera": 12, "cusp_form": 4}
+        # a cell's count hands its scene back, and its cross-check reads it
+        out = count_cell(f, arr, lambda k: 5, 1)
+        assert out.report == rep and out.scene.arrangement is arr
+        assert euler_cross_check(f, arr, 5, scene=out.scene) == rep.ed_degree
+        assert calls == {"apply_camera": 15, "cusp_form": 5}
 
     def test_a_scene_serves_only_its_own_curve_and_arrangement(self):
         f = random_curve(77, 3, 3)
