@@ -578,12 +578,6 @@ def triangulate(
     charts = scene.charts
     rc = reduce_critical_polynomial(f, arr, u, scene=scene)
     qprod = scene.prod_q
-    if rc.reduced.degree == 0:
-        return TriangulationResult(
-            critical_parameters=(), distances=(), distance_error_bounds=(),
-            argmin_index=None, world_point=None, image_blocks=None,
-            width_bound=width_bound, no_finite_minimizer=True, min_lower_bound=None,
-        )
     intervals = sturm_isolate(rc.reduced)
     if not intervals:
         return TriangulationResult(

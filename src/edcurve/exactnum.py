@@ -22,22 +22,28 @@ arbitrary-precision rationals:
   integer coefficients over the product of the two denominators.  CPython's
   Karatsuba does the multiplication (Harvey, JSC 2009; von zur Gathen &
   Gerhard, Modern Computer Algebra, section 8.4);
-* gcd / squarefree part / distinct-root counts via an integer primitive
-  polynomial-remainder sequence (divides out content at every step — no
-  rational-coefficient blow-up);
+* gcd / squarefree part / distinct-root counts via one modular gcd (Brown,
+  JACM 1971; von zur Gathen & Gerhard, Modern Computer Algebra, ch. 6):
+  Euclid mod a prime p (below) gives the monic gcd mod p.  For p dividing
+  neither leading coefficient, deg gcd mod p >= deg gcd over Q, so a
+  constant gcd mod p proves coprimality.  Otherwise, at a p above the
+  Landau-Mignotte bound, the gcd mod p scaled by gcd(lc a, lc b) and read
+  in the symmetric range lifts to a candidate h of the same degree; h is
+  accepted only once it divides both operands exactly, which makes it the
+  gcd (proof in ``poly_gcd``);
 * Sylvester resultants and discriminants via fraction-free (Bareiss)
   determinant elimination on integer matrices;
-* Euclid mod a prime p on packed residues, for the coprimality shortcuts
-  below: each operand's residues are packed into one Python int, one
-  coefficient per w-bit slot (w = 8 * nb >= 2k + 6 for p = 2**k - 1, the
-  byte packing of the product kernel), and an elimination row is a few
-  whole-integer operations: read the top slot, add a multiple in [1, p - 1]
-  of the shifted divisor, never subtract, so no slot borrows.  Slots are
-  reduced lazily, at each remainder and every 2**(w - 2k - 1) rows of a
-  long quotient, which keeps every slot below 2**w (the overflow bound is
-  in ``_mod_gcd_degree``).  The primes are Mersenne primes so that one slot
-  reduction serves them all, on every slot at once with two masks and a
-  shift: x = (x & 2**k - 1) + (x >> k) (mod 2**k - 1).  This is Kronecker
+* Euclid mod a prime p on packed residues, for the gcd above and the
+  resultant shortcut below: each operand's residues are packed into one
+  Python int, one coefficient per w-bit slot (w = 8 * nb >= 2k + 6 for
+  p = 2**k - 1, the byte packing of the product kernel), and an elimination
+  row is a few whole-integer operations: read the top slot, add a multiple
+  in [1, p - 1] of the shifted divisor, never subtract, so no slot borrows.
+  Slots are reduced lazily, at each remainder and every 2**(w - 2k - 1)
+  rows of a long quotient, which keeps every slot below 2**w (the overflow
+  bound is in ``_mod_gcd``).  The primes are Mersenne primes so that one
+  slot reduction serves them all, on every slot at once with two masks and
+  a shift: x = (x & 2**k - 1) + (x >> k) (mod 2**k - 1).  This is Kronecker
   substitution applied to remaindering (von zur Gathen & Gerhard, Modern
   Computer Algebra, ch. 8);
 * a nonvanishing test for binary-form resultants that first runs Euclid mod
@@ -68,21 +74,23 @@ import decimal
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, isqrt
 from typing import Iterable, Sequence
 
 Rat = Fraction
 
 _RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
-# Fixed large primes for the one-directional modular fast paths.  For p not
-# dividing the integer leading coefficients, deg gcd mod p >= deg gcd over Q,
-# so a constant modular gcd *proves* coprimality, and for binary forms without
-# a common zero at [0:1] it likewise proves a nonzero resultant.
-# Inconclusive answers fall through to the exact algorithm, so these are never
-# a source of approximation.  All are Mersenne primes 2**k - 1, the one kind
-# ``_mod_gcd_degree`` reduces (by ``_mersenne_fold``).
-_PRIMES = ((1 << 61) - 1, (1 << 31) - 1, (1 << 89) - 1)
+# The primes of the modular gcd: 2**k - 1 for every Mersenne exponent k from
+# 61 to 216091, the one kind ``_mod_gcd`` reduces (by ``_mersenne_fold``).
+# For p not dividing the integer leading coefficients, deg gcd mod p >=
+# deg gcd over Q, which needs every modulus to be prime.  The first prime
+# proves coprimality (and, for binary forms without a common zero at [0:1],
+# a nonzero resultant); the larger ones lift gcds whose coefficients have up
+# to about 65,000 digits (``poly_gcd``).  About 88 KB in all.
+_PRIMES = tuple((1 << k) - 1 for k in (
+    61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689, 9941,
+    11213, 19937, 21701, 23209, 44497, 86243, 110503, 132049, 216091))
 
 
 def rat_from_str(s: str) -> Rat:
@@ -141,78 +149,15 @@ def _as_rat(x) -> Rat:
 # integer-coefficient helpers (dense ascending lists, no trailing zeros)
 # ---------------------------------------------------------------------------
 
-def _int_content(a: Sequence[int]) -> int:
-    c = 0
-    for x in a:
-        c = _int_gcd(c, abs(x))
-        if c == 1:
-            return 1
-    return c
+def _int_primitive(a: Sequence[int]) -> list[int]:
+    """A nonzero a divided by its positive content; keeps every sign."""
+    c = _int_gcd(*a)
+    return [x // c for x in a]
 
 
-def _int_primitive(a: list[int]) -> list[int]:
-    """Divide by the (positive) content; keeps every sign."""
-    while a and a[-1] == 0:
-        a.pop()
-    if not a:
-        return a
-    c = _int_content(a)
-    if c > 1:
-        a = [x // c for x in a]
-    return a
-
-
-def _int_prem_clean(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder lc(b)^k * a mod b by exact long division, k even.
-
-    Multiplying by a power of lc(b) at least delta+1 keeps every elimination
-    step integral; an even power also keeps the scaling factor positive.
-    """
-    da, db = len(a) - 1, len(b) - 1
-    delta = da - db
-    lc = b[-1]
-    k = delta + 1
-    if k % 2:
-        k += 1
-    lck = lc**k
-    r = [x * lck for x in a]
-    # classical long division, quotient discarded; all arithmetic exact because
-    # each elimination step uses quotient coef // lc which is exact after the
-    # lc^k premultiplication
-    for i in range(delta, -1, -1):
-        coef = r[db + i]
-        if coef:
-            q, rem = divmod(coef, lc)
-            if rem:
-                raise AssertionError("pseudo-remainder premultiplication too small")
-            for j in range(db + 1):
-                r[i + j] -= q * b[j]
-    del r[db:]
-    while r and r[-1] == 0:
-        r.pop()
-    return r
-
-
-def _int_prs_gcd(a: list[int], b: list[int]) -> list[int]:
-    """Primitive polynomial-remainder-sequence gcd of integer polynomials.
-
-    Content is stripped after every pseudo-remainder, which keeps coefficient
-    growth subresultant-bounded at the degrees the pipeline reaches (~60).
-    """
-    a = _int_primitive(list(a))
-    b = _int_primitive(list(b))
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        r = _int_prem_clean(a, b)
-        a, b = b, _int_primitive(r)
-    if a and a[-1] < 0:
-        a = [-x for x in a]
-    return a
-
-
-def _mod_gcd_degree(a: Sequence[int], b: Sequence[int], p: int) -> int | None:
-    """Degree of gcd(a mod p, b mod p), or None if p kills a leading coefficient.
+def _mod_gcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int] | None:
+    """Residues of the monic gcd(a mod p, b mod p), lowest first, or None if
+    p kills a leading coefficient.
 
     Euclid on packed residues (module docstring); p must be a Mersenne prime
     2**k - 1 with k >= 14, as every entry of ``_PRIMES`` is.  a and b are
@@ -221,8 +166,9 @@ def _mod_gcd_degree(a: Sequence[int], b: Sequence[int], p: int) -> int | None:
     slot j of A reads c = (slot j of A) mod p and adds
     m * (B << w*(j - deg B)), m = p - c / lc(B) mod p in [1, p - 1]: slot j
     becomes = 0 (mod p), and every such slot is masked off when the quotient
-    ends.  Only m uses the inverse of lc(B); B is never made monic.  Nothing
-    is subtracted, so no slot ever borrows from its neighbour.
+    ends.  Only m uses the inverse of lc(B); B is made monic only when it is
+    returned.  Nothing is subtracted, so no slot ever borrows from its
+    neighbour.
 
     Slots are reduced lazily by ``_mersenne_fold``, which leaves each slot
     below 2**(k+1): once per remainder, and after every R = 2**(w - 2k - 1)
@@ -263,9 +209,12 @@ def _mod_gcd_degree(a: Sequence[int], b: Sequence[int], p: int) -> int | None:
             A &= (1 << w * dr) - 1
             dr = (A.bit_length() - 1) // w
         if dr < 0:
-            return db
+            # B divides A mod p: B is the gcd, and inv makes it monic
+            data = B.to_bytes(nb * (db + 1), "little")
+            return [int.from_bytes(data[j:j + nb], "little") * inv % p
+                    for j in range(0, len(data), nb)]
         A, B, da, db = B, A, db, dr
-    return 0
+    return [1]
 
 
 def _pack_residues(a: Sequence[int], p: int, nb: int) -> int:
@@ -275,7 +224,7 @@ def _pack_residues(a: Sequence[int], p: int, nb: int) -> int:
 
 
 def _slot_layout(p: int) -> tuple[int, int]:
-    """(nb, R) of ``_mod_gcd_degree`` for p = 2**k - 1: slots of
+    """(nb, R) of ``_mod_gcd`` for p = 2**k - 1: slots of
     w = 8 * nb bits, 2k + 6 <= w <= 2k + 13, and a fold every
     R = 2**(w - 2k - 1) rows of a quotient."""
     k = p.bit_length()
@@ -622,12 +571,30 @@ UNI_ONE = _uni((1,), 1)
 # ---------------------------------------------------------------------------
 
 def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
-    """Monic greatest common divisor.
+    """Monic greatest common divisor: the modular gcd of the integer numerators.
 
-    Integer primitive-PRS after clearing denominators; a constant gcd modulo
-    the first prime of ``_PRIMES`` that divides neither leading coefficient
-    short-circuits the (overwhelmingly common) coprime case exactly — see
-    module docstring for why that direction is proof-grade.
+    For each prime p of ``_PRIMES`` that divides neither leading coefficient
+    of the numerators a and b, ``_mod_gcd`` gives the monic gcd v mod p, and
+    deg v >= d = deg gcd over Q: the primitive integer gcd g divides a and b
+    in Z[t] (Gauss's lemma), and its leading coefficient divides theirs, so
+    g mod p keeps its degree and divides both mod p.  A constant v therefore
+    proves a and b coprime; that is the common case, and it costs one Euclid
+    mod the first prime.
+
+    Once v is not constant, a and b are made primitive and
+    gamma = gcd(lc a, lc b).  As lc g divides gamma, gamma * g / lc g is an
+    integer polynomial, and by the Landau-Mignotte bound (von zur Gathen &
+    Gerhard, Modern Computer Algebra, section 6.6) its coefficients are at
+    most gamma * 2**d * min(||a||_2, ||b||_2) in absolute value.  Primes up to
+    twice that bound are skipped.  At a prime above it, the candidate h is
+    the primitive part of gamma * v read in the symmetric range mod p (a
+    smaller leading coefficient makes the pseudo-divisions below cheaper).
+    gamma is nonzero mod p, so deg h = deg v >= d; and once h divides a and b
+    exactly, h divides g, so deg h <= d and h is g up to a unit.  The bound
+    only makes the first lucky prime (deg v = d) succeed: correctness rests
+    on the division check alone, and a candidate that fails it moves on to
+    the next prime.  Past the last prime, which takes gcd coefficients of
+    about 65,000 digits, the gcd is refused with a ``ValueError``.
     """
     if p.is_zero and q.is_zero:
         raise ValueError("gcd of two zero polynomials")
@@ -638,13 +605,28 @@ def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
     if p.degree == 0 or q.degree == 0:
         return UNI_ONE
     a, b = p.num, q.num
+    d = min(len(a), len(b)) - 1
+    bound = 0  # until a common factor shows mod some prime
     for prime in _PRIMES:
-        d = _mod_gcd_degree(a, b, prime)
-        if d is not None:
-            if d == 0:
-                return UNI_ONE
-            break
-    return _uni(_int_prs_gcd(a, b), 1).monic()
+        if prime <= bound:
+            continue
+        v = _mod_gcd(a, b, prime)
+        if v is None:
+            continue
+        if len(v) == 1:
+            return UNI_ONE
+        if not bound:
+            a, b = _int_primitive(a), _int_primitive(b)
+            gamma = _int_gcd(a[-1], b[-1])
+            norm = isqrt(min(sum(x * x for x in a), sum(x * x for x in b))) + 1
+        d = min(d, len(v) - 1)
+        bound = 2 * gamma * norm << d
+        if prime > bound:
+            lifted = (gamma * x % prime for x in v)
+            h = _uni(_int_primitive([c - prime if 2 * c > prime else c for c in lifted]), 1)
+            if not divmod(p, h)[1] and not divmod(q, h)[1]:
+                return h.monic()
+    raise ValueError("coefficients too large for the modular gcd")
 
 
 def squarefree_part(p: UniPoly) -> UniPoly:
@@ -871,7 +853,7 @@ def hom_resultant_is_nonzero(f: HomPoly2, g: HomPoly2) -> bool:
     # with no common zero at [0:1] (one form has full chart degree), a constant
     # chart gcd mod p proves Res != 0 (module docstring); None or a positive
     # degree is inconclusive
-    if (len(a) == m + 1 or len(b) == n + 1) and _mod_gcd_degree(a, b, _PRIMES[0]) == 0:
+    if (len(a) == m + 1 or len(b) == n + 1) and _mod_gcd(a, b, _PRIMES[0]) == [1]:
         return True
     return hom_resultant(f, g) != 0
 

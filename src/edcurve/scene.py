@@ -573,15 +573,21 @@ def curve_to_dict(f: RationalCurve) -> dict:
 
 
 def curve_from_dict(d: dict) -> RationalCurve:
+    """The curve of a curve object; a coordinate row must hold exactly
+    degree + 1 coefficients, so a huge degree is refused before any padding."""
     try:
         N = int(d["N"])
         e = int(d["degree"])
-        coords = tuple(
-            HomPoly2(e, tuple(rat_from_str(x) for x in row)) for row in d["coords"]
-        )
+        coords = []
+        for row in d["coords"]:
+            row = tuple(rat_from_str(x) for x in row)
+            if len(row) != e + 1:
+                raise ValueError(f"a coordinate row holds {len(row)} coefficients, "
+                                 f"not degree + 1 = {e + 1}")
+            coords.append(HomPoly2(e, row))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed curve object: {exc}") from exc
-    return RationalCurve(N=N, e=e, coords=coords)
+    return RationalCurve(N=N, e=e, coords=tuple(coords))
 
 
 def camera_to_dict(c: Camera) -> dict:

@@ -560,10 +560,9 @@ class TestReproduceExamples:
 
 _INT = st.integers(-1, 5)
 _ENTRY = st.sampled_from(["0", "0", "1", "-1", "2", "1/2", "-3/4"])
-# floats stay small or non-finite: a finite huge degree is not refused yet
 _JUNK = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 6) | st.floats(-9, 9)
-    | st.sampled_from([float("inf"), float("-inf"), float("nan"),
+    | st.sampled_from([float("inf"), float("-inf"), float("nan"), 10**9, 1e9,
                        "", "x", "1/0", "1e400", "--1", "7"]),
     lambda kids: st.lists(kids, max_size=3) | st.dictionaries(
         st.sampled_from(["N", "degree", "coords", "cameras", "h", "rows", "u"]),
@@ -684,6 +683,8 @@ class TestCliFuzz:
     @example(({"N": float("inf"), "degree": 1, "coords": []}, {"cameras": []}), "eddeg", 1)
     @example(({"N": 1, "degree": 1, "coords": [["1", "0"], ["0", "1"]]},
               {"cameras": [{"h": 1, "N": float("-inf"), "rows": []}]}), "triangulate", 1)
+    # a huge degree padded each short row with 10**9 zeros (about 8 GB)
+    @example(({"N": 1, "degree": 10**9, "coords": [["1"], ["1"]]}, {"cameras": []}), "eddeg", 1)
     def test_eddeg_and_triangulate_on_degenerate_scenes(self, scene, command, retries):
         with tempfile.TemporaryDirectory() as tmp:
             paths = []

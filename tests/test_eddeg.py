@@ -435,6 +435,27 @@ class TestCountCell:
             count_cell(conic, cam, lambda k: 40 + k, 1,
                        first_data=DataPoint.from_dict(_load("degenerate_data.json")))
 
+    def test_a_squared_chart_counts_through_the_modular_gcd(self):
+        # cameras 0 and 1 share their chart row, so q_0^3 divides the
+        # critical polynomial: its squarefree part and the pole saturation
+        # take non-coprime gcds at degree 46.  The expected figures were
+        # recorded with an integer primitive-PRS gcd, an independent algorithm.
+        sp = pytest.importorskip("sympy")
+        f = random_curve(7, 4, 4)
+        cams = [random_camera(300 + i, 3, 4) for i in range(4)]
+        cams[1] = Camera(3, 4, (cams[0].entries[0], *cams[1].entries[1:]))
+        arr = Arrangement(tuple(cams))
+        out = count_cell(f, arr, lambda k: 11 + k, 3, require_certificate=False)
+        rep = out.report
+        assert out.rejected == () and not rep.certificate.passes
+        assert (rep.ed_degree, rep.critical_poly_degree) == (34, 46)
+        assert rep.removed_pole_factors == 4
+        raw = reduce_critical_polynomial(f, arr, random_data_point(11, 4, 3),
+                                         scene=out.scene).raw
+        t = sp.symbols("t")
+        sqf = sp.sqf_part(sp.Poly([sp.Rational(str(c)) for c in reversed(raw.coeffs)], t))
+        assert squarefree_part(raw).degree == sqf.degree() == 38
+
 
 def _view_minor_gcd(view) -> HomPoly2 | None:
     """gcd of the homogeneous 2x2 minors of [dF/ds; dF/dt] for one view's

@@ -446,19 +446,17 @@ class TestIntegerSignsAgainstFractionReference:
 # it is fast enough for the degree-46 polynomials of a four-view quartic scene.
 
 def _int_sturm_chain(p):
-    a = exactnum._int_primitive(p.int_coeffs()[0])
-    b = exactnum._int_primitive(p.derivative().int_coeffs()[0])
-    chain = [a]
-    if b:
-        chain.append(b)
-    while len(chain) >= 2 and len(chain[-1]) >= 1:
-        r = exactnum._int_prem_clean(chain[-2], chain[-1])
-        r = exactnum._int_primitive([-x for x in r])
-        if not r:
+    # each remainder of UniPoly's division is the Euclidean remainder over Q,
+    # and its numerators a positive multiple of it: the chain's signs are
+    # those of the negated remainders
+    chain = [exactnum._int_primitive(p.num)]
+    if p.degree:
+        chain.append(exactnum._int_primitive(p.derivative().num))
+    while len(chain[-1]) > 1:
+        r = divmod(UniPoly(chain[-2]), UniPoly(chain[-1]))[1]
+        if r.is_zero:
             break
-        chain.append(r)
-        if len(r) == 1:
-            break
+        chain.append(exactnum._int_primitive([-x for x in r.num]))
     return chain
 
 
@@ -583,12 +581,12 @@ class TestDescartesAgainstSturmChain:
 
 # -- packed mod-p Euclid against the list loop -------------------------------------
 #
-# exactnum._mod_gcd_degree runs Euclid on residues packed one per slot of a
-# big int, with lazy Mersenne reduction.  The reference is the loop it
-# replaced: one list entry per residue, every entry reduced at every step, and
-# the divisor rescaled to monic before each quotient.
+# exactnum._mod_gcd runs Euclid on residues packed one per slot of a big int,
+# with lazy Mersenne reduction.  The reference is the loop it replaced: one
+# list entry per residue, every entry reduced at every step, and the divisor
+# rescaled to monic before each quotient, so the last divisor is the monic gcd.
 
-def _list_mod_gcd_degree(a, b, p):
+def _list_mod_gcd(a, b, p):
     if a[-1] % p == 0 or b[-1] % p == 0:
         return None
     fa = [x % p for x in a]
@@ -615,7 +613,7 @@ def _list_mod_gcd_degree(a, b, p):
         fa, fb = fb, fa
     while fa and fa[-1] == 0:
         fa.pop()
-    return len(fa) - 1 if fa else None
+    return fa or None
 
 
 # integer products by the packed product kernel (tested above)
@@ -653,19 +651,27 @@ def mod_gcd_operands(draw, p):
     return a, b
 
 
-MERSENNE_EXPONENTS = (61, 31, 89)
+# the kernel against the list loop on the first two primes of the table, on
+# 2**107 - 1, the first that folds every 512 rows rather than every 32, and
+# on 2**521 - 1, whose slots span 131 bytes
+ORACLE_EXPONENTS = (61, 89, 107, 521)
+ORACLE_PRIMES = tuple(2**k - 1 for k in ORACLE_EXPONENTS)
 
 
 class TestPackedModGcd:
     def test_primes_are_the_mersenne_primes_the_kernel_reduces(self):
-        assert _PRIMES[0] == 2**61 - 1
-        assert _PRIMES == tuple(2**k - 1 for k in MERSENNE_EXPONENTS)
+        # deg gcd mod p >= deg gcd over Q needs every modulus to be prime:
+        # check the table against sympy's list of Mersenne exponents
+        sympy = pytest.importorskip("sympy")
+        exponents = [sympy.ntheory.mersenne_prime_exponent(i) for i in range(9, 32)]
+        assert exponents[0] == 61 and exponents[-1] == 216091
+        assert _PRIMES == tuple(2**k - 1 for k in exponents)
         for p in _PRIMES:
             nb, rows = exactnum._slot_layout(p)
             k = p.bit_length()
             assert 2 * k + 6 <= 8 * nb <= 2 * k + 13 and rows >= 32
 
-    @pytest.mark.parametrize("p", _PRIMES, ids=MERSENNE_EXPONENTS)
+    @pytest.mark.parametrize("p", ORACLE_PRIMES, ids=ORACLE_EXPONENTS)
     def test_fold_leaves_every_slot_below_twice_the_prime(self, p):
         # the bound the kernel's slot width rests on: from any slot below 2**w,
         # the lazy reduction leaves a slot below 2**(k+1) with the same residue
@@ -683,14 +689,14 @@ class TestPackedModGcd:
         assert all(y < 2**(k + 1) for y in out)
         assert [y % p for y in out] == [x % p for x in slots]
 
-    @pytest.mark.parametrize("p", _PRIMES, ids=MERSENNE_EXPONENTS)
+    @pytest.mark.parametrize("p", ORACLE_PRIMES, ids=ORACLE_EXPONENTS)
     @settings(max_examples=150)
     @given(data=st.data())
     def test_matches_the_list_loop(self, p, data):
         a, b = data.draw(mod_gcd_operands(p))
-        assert exactnum._mod_gcd_degree(a, b, p) == _list_mod_gcd_degree(a, b, p)
+        assert exactnum._mod_gcd(a, b, p) == _list_mod_gcd(a, b, p)
 
-    @pytest.mark.parametrize("p", _PRIMES, ids=MERSENNE_EXPONENTS)
+    @pytest.mark.parametrize("p", ORACLE_PRIMES, ids=ORACLE_EXPONENTS)
     def test_edge_cases_match(self, p):
         g = [3, -1, 2]
         cases = [
@@ -708,12 +714,14 @@ class TestPackedModGcd:
             (_int_mul([-7, 1], [2, 1]), [-7 - 2 * p, 1]),   # common root mod p only
         ]
         for a, b in cases:
-            assert exactnum._mod_gcd_degree(a, b, p) == _list_mod_gcd_degree(a, b, p), (a, b)
-        assert exactnum._mod_gcd_degree([5, p], [1, 1], p) is None
-        assert exactnum._mod_gcd_degree([7], [1, 2, 3], p) == 0
-        assert exactnum._mod_gcd_degree(_int_mul(g, [5, 0, 1]), g, p) == 2
+            assert exactnum._mod_gcd(a, b, p) == _list_mod_gcd(a, b, p), (a, b)
+        assert exactnum._mod_gcd([5, p], [1, 1], p) is None
+        assert exactnum._mod_gcd([7], [1, 2, 3], p) == [1]
+        half = pow(2, -1, p)
+        assert exactnum._mod_gcd(_int_mul(g, [5, 0, 1]), g, p) == [x * half % p for x in g]
+        assert exactnum._mod_gcd(_int_mul([-7, 1], [2, 1]), [-7 - 2 * p, 1], p) == [p - 7, 1]
 
-    @pytest.mark.parametrize("p", _PRIMES, ids=MERSENNE_EXPONENTS)
+    @pytest.mark.parametrize("p", ORACLE_PRIMES, ids=ORACLE_EXPONENTS)
     def test_long_quotients_cross_lazy_reductions(self, p):
         # the shape of a critical polynomial against one chart, then a worst
         # case: every residue of b is p - 1 and every quotient coefficient 1,
@@ -724,18 +732,18 @@ class TestPackedModGcd:
         rng = random.Random(p)
         a = [rng.randint(-2**300, 2**300) for _ in range(142)] + [1]
         for b in ([3, 1, -4, 1, 5, -9, 2], [rng.randint(-2**300, 2**300) for _ in range(49)]):
-            assert exactnum._mod_gcd_degree(a, b, p) == _list_mod_gcd_degree(a, b, p) == 0
+            assert exactnum._mod_gcd(a, b, p) == _list_mod_gcd(a, b, p) == [1]
         db = s = 4 * rows
         quotient_times_b = [-min(i + 1, s + 1, db + 1, s + db + 1 - i)
                             for i in range(s + db + 1)]
-        assert exactnum._mod_gcd_degree(quotient_times_b, [-1] * (db + 1), p) == db
+        assert exactnum._mod_gcd(quotient_times_b, [-1] * (db + 1), p) == [1] * (db + 1)
         if rows <= 32:
             # a nonzero remainder, then Euclid on slots the first quotient left
             # just under the bound
             r = [rng.randint(-2**300, 2**300) for _ in range(db)]
             a = [x + y for x, y in zip(quotient_times_b, r + [0] * (s + 1))]
             b = [-1] * (db + 1)
-            assert exactnum._mod_gcd_degree(a, b, p) == _list_mod_gcd_degree(a, b, p)
+            assert exactnum._mod_gcd(a, b, p) == _list_mod_gcd(a, b, p)
 
 
 def _sympy_monic_gcd(p, q):
@@ -747,36 +755,34 @@ def _sympy_monic_gcd(p, q):
 
 
 class TestPrimeFallbackOrder:
-    """poly_gcd tries each prime in turn, skips one that divides a leading
-    coefficient, and falls back to the exact PRS gcd when none decides."""
+    """poly_gcd tries each prime in turn and skips one that divides a leading
+    coefficient.  Once a common factor shows mod some prime, it skips every
+    prime up to the coefficient bound and lifts the gcd mod the next one,
+    which it keeps only if it divides both operands exactly."""
 
-    P0, P1, P2 = _PRIMES
+    P0, P1 = _PRIMES[:2]
 
-    # (leading coefficient, primes tried, coprime, exact gcd runs): the exact
-    # gcd runs when a prime sees a common factor or no prime decides
-    @pytest.mark.parametrize("lead,primes,coprime,exact_runs", [
-        (P0, 2, True, False),
-        (P0, 2, False, True),
-        (P0 * P1, 3, True, False),
-        (P0 * P1, 3, False, True),
-        (P0 * P1 * P2, 3, True, True),
-        (P0 * P1 * P2, 3, False, True),
-    ])
-    def test_primes_in_turn_then_the_exact_gcd(self, monkeypatch, lead, primes, coprime,
-                                               exact_runs):
-        tried, exact = [], []
-        mod_gcd, prs_gcd = exactnum._mod_gcd_degree, exactnum._int_prs_gcd
+    @staticmethod
+    def _spy(monkeypatch):
+        tried, mod_gcd = [], exactnum._mod_gcd
 
-        def spy_mod(a, b, p):
+        def spy(a, b, p):
             tried.append(p)
             return mod_gcd(a, b, p)
 
-        def spy_prs(a, b):
-            exact.append(True)
-            return prs_gcd(a, b)
+        monkeypatch.setattr(exactnum, "_mod_gcd", spy)
+        return tried
 
-        monkeypatch.setattr(exactnum, "_mod_gcd_degree", spy_mod)
-        monkeypatch.setattr(exactnum, "_int_prs_gcd", spy_prs)
+    # (leading coefficient, primes tried, coprime): the common factor's
+    # coefficients are small, so the first prime that sees it lifts it
+    @pytest.mark.parametrize("lead,primes,coprime", [
+        (P0, 2, True),
+        (P0, 2, False),
+        (P0 * P1, 3, True),
+        (P0 * P1, 3, False),
+    ])
+    def test_primes_in_turn_then_the_exact_gcd(self, monkeypatch, lead, primes, coprime):
+        tried = self._spy(monkeypatch)
         a = UniPoly((F(1), F(-3), F(lead)))          # lead * t^2 - 3t + 1
         b = UniPoly((F(5, 7), F(2), F(1)))
         if not coprime:
@@ -786,4 +792,68 @@ class TestPrimeFallbackOrder:
         assert g == _sympy_monic_gcd(a, b)
         assert g.degree == (0 if coprime else 2)
         assert tried == list(_PRIMES[:primes])
-        assert exact == ([True] if exact_runs else [])
+
+    # t - 5 divides a, and divides b only mod P0.  With the small other root,
+    # P0 is above the gcd bound, so its lift is tried and fails the division
+    # check; with the large ones, -2**120 and -2**121, the bound is about
+    # 2**124.3, and 2**130.2 with the common factor planted as well, whose
+    # degree 3 mod P0 is one too high.
+    SMALL = (poly_from_roots([F(5), F(-2)]), poly_from_roots([F(5 + P0)]))
+    LARGE = (poly_from_roots([F(5), F(-2**120)]), poly_from_roots([F(5 + P0), F(-2**121)]))
+    COMMON = UniPoly((F(-2, 3), F(1), F(1)))
+
+    @pytest.mark.parametrize("size,common,after", [
+        ("small", False, 89),
+        ("large", False, 127),
+        ("large", True, 521),
+    ])
+    def test_a_root_shared_only_mod_the_first_prime(self, monkeypatch, size, common, after):
+        tried = self._spy(monkeypatch)
+        a, b = self.SMALL if size == "small" else self.LARGE
+        if common:
+            a, b = a * self.COMMON, b * self.COMMON
+        g = poly_gcd(a, b)
+        assert g == _sympy_monic_gcd(a, b) == (self.COMMON if common else UniPoly((1,)))
+        assert tried == [self.P0, 2**after - 1]
+
+    def test_an_exhausted_table_refuses_the_gcd(self, monkeypatch):
+        tried = self._spy(monkeypatch)
+        monkeypatch.setattr(exactnum, "_PRIMES", _PRIMES[:3])
+        with pytest.raises(ValueError, match="too large for the modular gcd"):
+            poly_gcd(*self.LARGE)
+        assert tried == [self.P0]
+
+
+# small rationals and ~300-bit numerators over up to 40-bit denominators
+gcd_coeffs = st.one_of(
+    small_int.map(F),
+    st.builds(F, st.integers(min_value=-2**300, max_value=2**300),
+              st.integers(min_value=1, max_value=2**40)),
+)
+
+
+@st.composite
+def gcd_polys(draw, min_deg, max_deg):
+    cs = draw(st.lists(gcd_coeffs, min_size=min_deg + 1, max_size=max_deg + 1))
+    return UniPoly(cs[:-1] + [cs[-1] or F(1)])
+
+
+class TestModularGcdAgainstSympy:
+    @settings(max_examples=150)
+    @given(a=gcd_polys(0, 6), b=gcd_polys(0, 6),
+           common=st.none() | gcd_polys(1, 4), square=st.none() | gcd_polys(1, 3))
+    @example(a=UniPoly((3,)), b=UniPoly((F(1, 2), 1)), common=None, square=None)
+    @example(a=UniPoly((1,)), b=UniPoly((1, 2)), common=UniPoly((F(-2, 3), 1, 1)),
+             square=UniPoly((2**300 + 1, F(-1, 3))))
+    def test_planted_common_and_squared_factors(self, a, b, common, square):
+        # a common factor, and a squared factor of a that divides b once
+        if common is not None:
+            a, b = a * common, b * common
+        if square is not None:
+            a, b = a * square * square, b * square
+        g = poly_gcd(a, b)
+        assert g == _sympy_monic_gcd(a, b)
+        sp = pytest.importorskip("sympy")
+        t = sp.symbols("t")
+        sqf = sp.sqf_part(sp.Poly(a.coeffs[::-1], t, domain="QQ")).monic()
+        assert squarefree_part(a) == UniPoly(tuple(F(str(c)) for c in reversed(sqf.all_coeffs())))

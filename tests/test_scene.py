@@ -280,5 +280,9 @@ class TestSerialization:
     def test_malformed_dicts_rejected(self):
         with pytest.raises(ValueError):
             curve_from_dict({"N": 1, "coords": [["1", "0"]]})
+        # a row must hold degree + 1 coefficients: a short one is not padded
+        for degree in (2, 10**9):
+            with pytest.raises(ValueError, match="not degree \\+ 1"):
+                curve_from_dict({"N": 1, "degree": degree, "coords": [["1", "0"], ["0", "1"]]})
         with pytest.raises(ValueError):
             camera_from_dict({"h": 1, "rows": [["1", "0"], ["0", "1"]]})
