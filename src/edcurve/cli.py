@@ -90,9 +90,19 @@ class _Parser(argparse.ArgumentParser):
 # small parsing helpers
 # ---------------------------------------------------------------------------
 
-def _parse_range(text: str, what: str) -> list[int]:
+# Size caps of the grid commands.  A cell's critical polynomial has degree
+# 3en - 2, so the caps bound the work of one command; every fixture, golden
+# and benchmark cell lies well inside them.
+MAX_E = 12      # --e of sweep: curve degree
+MAX_N = 12      # --n of sweep, l3 and scroll: number of cameras
+MAX_H = 12      # each --h value of sweep: image dimension
+MAX_H_LIST = 8  # entries of an --h list (sweep, l3)
+
+
+def _parse_range(text: str, what: str, cap: int) -> list[int]:
     """A..B or A as the list of its integers, every one of them at least 1
-    (a degree or a camera count)."""
+    (a degree or a camera count) and at most cap, checked before the list
+    is built."""
     try:
         if ".." in text:
             a_str, b_str = text.split("..", 1)
@@ -105,6 +115,8 @@ def _parse_range(text: str, what: str) -> list[int]:
         raise _CliError(f"empty {what} range {text!r}")
     if a < 1:
         raise _CliError(f"{what} values must be at least 1, got {text!r}")
+    if b > cap:
+        raise _CliError(f"{what} values must be at most {cap}, got {text!r}")
     return list(range(a, b + 1))
 
 
@@ -115,6 +127,8 @@ def _parse_int_list(text: str, what: str) -> list[int]:
         raise _CliError(f"invalid {what} list {text!r} (expected comma-separated integers)")
     if not vals:
         raise _CliError(f"empty {what} list {text!r}")
+    if len(vals) > MAX_H_LIST:
+        raise _CliError(f"a {what} list holds at most {MAX_H_LIST} values, got {len(vals)}")
     return vals
 
 
@@ -283,11 +297,13 @@ def _sweep_cells(es: list[int], nss: list[int], hs: list[int]):
 
 
 def cmd_sweep(ns) -> int:
-    es = _parse_range(ns.e, "--e")
-    nss = _parse_range(ns.n, "--n")
+    es = _parse_range(ns.e, "--e", MAX_E)
+    nss = _parse_range(ns.n, "--n", MAX_N)
     hs = _parse_int_list(ns.h, "--h")
     if any(h < 2 for h in hs):
         raise _CliError("sweep restricts --h to values >= 2 (closed form regime)")
+    if any(h > MAX_H for h in hs):
+        raise _CliError(f"--h values must be at most {MAX_H}, got {ns.h!r}")
     cells = []
     all_ok = True
     for h, e, n, variant, N in _sweep_cells(es, nss, hs):
@@ -355,7 +371,7 @@ def cmd_l3(ns) -> int:
     hs = _parse_int_list(ns.h, "--h")
     if any(h not in (2, 3) for h in hs):
         raise _CliError("l3 supports --h values 2 and 3 only")
-    nss = _parse_range(ns.n, "--n")
+    nss = _parse_range(ns.n, "--n", MAX_N)
     f = l3_curve()
     rows = []
     all_match = True
@@ -564,7 +580,7 @@ def cmd_multidegree(ns) -> int:
 def cmd_scroll(ns) -> int:
     b1 = _load_bezier(ns.bezier1)
     b2 = _load_bezier(ns.bezier2)
-    nss = _parse_range(ns.n, "--n")
+    nss = _parse_range(ns.n, "--n", MAX_N)
     try:
         f = bezier_scroll(b1, b2)
     except ValueError as exc:
@@ -647,15 +663,20 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_eddeg)
 
     p = sub.add_parser("sweep", help="(e, n, h) grid compared against 3en-2")
-    p.add_argument("--e", default="1..4", help="degree range A..B (default 1..4)")
-    p.add_argument("--n", default="1..4", help="camera-count range A..B (default 1..4)")
-    p.add_argument("--h", default="2,3", help="image dimensions, comma list (default 2,3)")
+    p.add_argument("--e", default="1..4",
+                   help=f"degree range A..B, at most {MAX_E} (default 1..4)")
+    p.add_argument("--n", default="1..4",
+                   help=f"camera-count range A..B, at most {MAX_N} (default 1..4)")
+    p.add_argument("--h", default="2,3",
+                   help=f"image dimensions, comma list of at most {MAX_H_LIST}, each at most "
+                        f"{MAX_H} (default 2,3)")
     common(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("l3", help="lines meeting three skew lines: wedge pipeline, 6n-2")
     p.add_argument("--h", default="2,3", help="base image dimensions from {2,3} (default 2,3)")
-    p.add_argument("--n", default="1..2", help="camera-count range A..B (default 1..2)")
+    p.add_argument("--n", default="1..2",
+                   help=f"camera-count range A..B, at most {MAX_N} (default 1..2)")
     common(p)
     p.set_defaults(func=cmd_l3)
 
@@ -686,7 +707,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("scroll", help="Bezier-scroll line family, 3(E1+E2)n-2")
     p.add_argument("--bezier1", required=True, help="first Bezier control file")
     p.add_argument("--bezier2", required=True, help="second Bezier control file")
-    p.add_argument("--n", default="1..2", help="camera-count range A..B (default 1..2)")
+    p.add_argument("--n", default="1..2",
+                   help=f"camera-count range A..B, at most {MAX_N} (default 1..2)")
     common(p)
     p.set_defaults(func=cmd_scroll)
 

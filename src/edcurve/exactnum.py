@@ -56,7 +56,8 @@ arbitrary-precision rationals:
   and every other outcome falls through to the exact resultant;
 * real-root isolation: the intervals of Sturm's bisection tree, with every
   root count read off one Descartes (Vincent-Collins-Akritas) isolation
-  instead of a Sturm chain, and certified bisection refinement; every sign
+  instead of a Sturm chain, and refinement to plain bisection's intervals by
+  quadratic interval refinement snapped to the bisection grid; every sign
   is taken in integer arithmetic, as the sign of a positive multiple of the
   polynomial (its numerators) at the rational point.
 
@@ -72,9 +73,9 @@ from __future__ import annotations
 
 import decimal
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd as _int_gcd, isqrt
+from math import gcd as _int_gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
 Rat = Fraction
@@ -953,11 +954,18 @@ class IsolatingInterval:
 
     Endpoints are never roots of the tracked polynomial; ``refinements`` counts
     the bisection steps performed since construction.
+
+    ``_isolates`` is set only by ``sturm_isolate`` and ``refine_root``: it is
+    the integer numerators ``num`` of the polynomial for which they proved
+    that the interval holds exactly one root.  It takes no part in equality,
+    and an interval built by hand, or by ``dataclasses.replace``, has none.
     """
 
     lo: Rat
     hi: Rat
     refinements: int = 0
+    _isolates: tuple[int, ...] | None = field(default=None, init=False, compare=False,
+                                              repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "lo", _as_rat(self.lo))
@@ -974,6 +982,28 @@ class IsolatingInterval:
         return (self.lo + self.hi) / 2
 
 
+def _isolating(lo: Rat, hi: Rat, refinements: int, num: tuple[int, ...] | None
+               ) -> IsolatingInterval:
+    """IsolatingInterval(lo, hi, refinements) proved to hold exactly one root
+    of the polynomial with numerators num (no proof when num is None)."""
+    iv = IsolatingInterval(lo, hi, refinements)
+    object.__setattr__(iv, "_isolates", num)
+    return iv
+
+
+def _eval_grid(c: Sequence[int], n: int, j: int) -> int:
+    """2^(j (len(c) - 1)) * c(n / 2^j), an integer with the sign of c(n / 2^j).
+
+    Horner on n with a running shift for the powers of 2^j.
+    """
+    acc = 0
+    shift = 0
+    for k in range(len(c) - 1, -1, -1):
+        acc = acc * n + (c[k] << shift)
+        shift += j
+    return acc
+
+
 def _eval_int(c: Sequence[int], x: Rat) -> int:
     """Sign-faithful evaluation: den^(len(c)-1) * c(x), an integer.
 
@@ -982,14 +1012,9 @@ def _eval_int(c: Sequence[int], x: Rat) -> int:
     (every point bisection produces), the power is a running shift instead.
     """
     num, den = x.numerator, x.denominator
-    acc = 0
     if den & (den - 1) == 0:
-        step = den.bit_length() - 1
-        shift = 0
-        for k in range(len(c) - 1, -1, -1):
-            acc = acc * num + (c[k] << shift)
-            shift += step
-        return acc
+        return _eval_grid(c, num, den.bit_length() - 1)
+    acc = 0
     power = 1
     for k in range(len(c) - 1, -1, -1):
         acc = acc * num + c[k] * power
@@ -1143,6 +1168,7 @@ def sturm_isolate(p: UniPoly) -> list[IsolatingInterval]:
     Sturm's method, and its leaves depend only on where p's real roots lie;
     the counts come from one Descartes isolation of every root
     (:func:`_descartes_roots`), narrowed at the tree's points by ``_place``.
+    Each interval carries that proof of one root for ``refine_root``.
     """
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
@@ -1168,7 +1194,7 @@ def sturm_isolate(p: UniPoly) -> list[IsolatingInterval]:
         if n == 0:
             continue
         if n == 1:
-            out.append(IsolatingInterval(lo, hi))
+            out.append(_isolating(lo, hi, 0, a))
             continue
         m = (lo + hi) / 2
         if _place(roots, a, m):
@@ -1183,7 +1209,7 @@ def sturm_isolate(p: UniPoly) -> list[IsolatingInterval]:
                 or _count_between(roots, m - delta, m + delta) != 1
             ):
                 delta /= 2
-            out.append(IsolatingInterval(m - delta, m + delta))
+            out.append(_isolating(m - delta, m + delta, 0, a))
             stack.append((lo, m - delta))
             stack.append((m + delta, hi))
         else:
@@ -1212,23 +1238,97 @@ def _bisect(c: Sequence[int], lo: Rat, hi: Rat, slo: int, width_bound: Rat) -> t
 
 
 def refine_root(p: UniPoly, iv: IsolatingInterval, width_bound: Rat) -> IsolatingInterval:
-    """Bisect iv (which must bracket one simple root of p) down to the width bound.
+    """Narrow iv, which must bracket one simple root of p, to the width bound.
 
-    Every sign is taken on D * p with D > 0 the common denominator of p's
-    coefficients, in integer arithmetic (``_eval_int``); D * p and p have the
-    same sign everywhere.  A step that lands on the root ends with a window
-    no wider than the bound (``_bisect``).
+    The result is the interval plain bisection reaches.  Let K be the least
+    k >= 0 with width(iv) / 2^k <= width_bound.  Bisection takes K steps and
+    ends in the depth-K cell of the dyadic grid on iv that holds the root,
+    with ``refinements`` raised by K.  When a midpoint of depth j is itself
+    the root, it ends with the window ``_bisect`` fences around it instead,
+    with ``refinements`` raised by j.
+
+    Write lo = L / D and hi = (L + W) / D over a common denominator D.  The
+    grid point (j, i) is x = (L 2^j + i W) / (D 2^j).  The sign of p there is
+    that of the integer (D 2^j)^d c(x), for c the integer numerators of p of
+    degree d, which ``_eval_grid`` computes from the coefficients of
+    D^d c(x / D).  One depth deeper the same point's value is 2^d times as
+    large, so the values at a cell's ends carry over with a shift.  No
+    Fraction is built before the result.
+
+    Inside an interval ``sturm_isolate`` proved to isolate a root of p, each
+    step first tries a jump of Abbott's quadratic interval refinement (QIR;
+    Abbott 2006; Kerber & Sagraloff, ISSAC 2011), snapped to the grid.  From
+    the current cell, with end values f_lo and f_hi and a step s that starts
+    at 2, take m = min(s, K - j) and the secant's cell
+    floor(2^m f_lo / (f_lo - f_hi)) among the 2^m cells of depth j + m inside
+    it.  Evaluate its ends; if both have the sign of f_lo, move one cell to
+    the right, and if both have the sign of f_hi, one to the left, at one
+    more evaluation.  A cell whose ends are nonzero with the signs of f_lo
+    and f_hi is accepted and s doubles.  Otherwise s halves (down to 2) and
+    one bisection step follows.
+
+    Why an accepted cell is bisection's: the cells of one depth partition iv,
+    a cell whose ends are nonzero and of opposite signs holds a root, and iv
+    holds only one, so it is the cell bisection passes through at that depth.
+    A root on the grid is first met by bisection as a midpoint of some depth
+    j.  No cell of depth j or deeper has it inside, so every jump that deep is
+    rejected, and the bisection step meets the root at the same midpoint.
+
+    Without that proof iv may hold three or more roots.  Bisection's choice
+    among them depends on the sign at every midpoint it visits, so only
+    bisection steps are taken.
     """
     width_bound = _as_rat(width_bound)
     if width_bound <= 0:
         raise ValueError("width bound must be positive")
     c = p.num
-    lo, hi = iv.lo, iv.hi
-    slo, shi = _sign(_eval_int(c, lo)), _sign(_eval_int(c, hi))
-    if slo == 0 or shi == 0 or slo == shi:
+    d = len(c) - 1
+    D = lcm(iv.lo.denominator, iv.hi.denominator)
+    n = iv.lo.numerator * (D // iv.lo.denominator)
+    w = iv.hi.numerator * (D // iv.hi.denominator) - n
+    cd = [ck * D ** (d - k) for k, ck in enumerate(c)]
+    flo, fhi = _eval_grid(cd, n, 0), _eval_grid(cd, n + w, 0)
+    slo = _sign(flo)
+    if slo == 0 or _sign(fhi) != -slo:
         raise ValueError("invalid interval (sign conditions fail)")
-    steps = iv.refinements
-    while hi - lo > width_bound:
-        lo, hi = _bisect(c, lo, hi, slo, width_bound)
-        steps += 1
-    return IsolatingInterval(lo, hi, steps)
+    # K, from bit lengths: the least k >= 0 with w / (D 2^k) <= width_bound
+    a, b = w * width_bound.denominator, width_bound.numerator * D
+    depth = max(0, a.bit_length() - b.bit_length())
+    while b << depth < a:
+        depth += 1
+    qir = iv._isolates == c
+
+    def value(k: int, m: int) -> int:
+        """The value at the k-th of the 2^m + 1 depth-(j + m) points of the cell."""
+        if k == 0:
+            return flo << d * m
+        if k == 1 << m:
+            return fhi << d * m
+        return _eval_grid(cd, (n << m) + k * w, j + m)
+
+    j, s = 0, 2
+    while j < depth:
+        if qir:
+            m = min(s, depth - j)
+            # flo and fhi are nonzero of opposite signs, so 0 <= k < 2^m
+            k = (flo << m) // (flo - fhi)
+            gl, gh = value(k, m), value(k + 1, m)
+            if _sign(gl) == _sign(gh) == slo:
+                k, gl, gh = k + 1, gh, value(k + 2, m)
+            elif _sign(gl) == _sign(gh) == -slo:
+                k, gl, gh = k - 1, value(k - 1, m), gl
+            if _sign(gl) == slo and _sign(gh) == -slo:
+                n, j, flo, fhi, s = (n << m) + k * w, j + m, gl, gh, 2 * s
+                continue
+            s = max(2, s // 2)
+        fm = _eval_grid(cd, 2 * n + w, j + 1)
+        if fm == 0:
+            lo, hi = _bisect(c, Fraction(n, D << j), Fraction(n + w, D << j), slo, width_bound)
+            return _isolating(lo, hi, iv.refinements + j + 1, c if qir else None)
+        j += 1
+        if _sign(fm) == slo:
+            n, flo, fhi = 2 * n + w, fm, fhi << d
+        else:
+            n, flo, fhi = 2 * n, flo << d, fm
+    return _isolating(Fraction(n, D << j), Fraction(n + w, D << j), iv.refinements + j,
+                      c if qir else None)

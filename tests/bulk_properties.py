@@ -15,12 +15,14 @@ from itertools import product
 from edcurve.exactnum import (
     UNI_ONE,
     HomPoly2,
+    IsolatingInterval,
     UniPoly,
     distinct_root_count,
     hom_discriminant,
     hom_distinct_root_count,
     hom_resultant,
     poly_gcd,
+    refine_root,
     squarefree_part,
     sturm_isolate,
 )
@@ -32,6 +34,33 @@ def poly_from_roots(roots) -> UniPoly:
     for r in roots:
         p = p * UniPoly((-F(r), 1))
     return p
+
+
+def ref_refine(p: UniPoly, iv: IsolatingInterval, width_bound) -> IsolatingInterval:
+    """Plain bisection of iv down to the width bound, every sign by Fraction
+    evaluation: the interval ``refine_root`` must return."""
+    def sign(x):
+        return (x > 0) - (x < 0)
+
+    lo, hi = iv.lo, iv.hi
+    slo, shi = sign(p.evaluate(lo)), sign(p.evaluate(hi))
+    if slo == 0 or shi == 0 or slo == shi:
+        raise ValueError("invalid interval (sign conditions fail)")
+    steps = iv.refinements
+    while hi - lo > width_bound:
+        m = (lo + hi) / 2
+        sm = sign(p.evaluate(m))
+        steps += 1
+        if sm == 0:
+            eps = min(width_bound, hi - m, m - lo) / 2
+            while p.evaluate(m - eps) == 0 or p.evaluate(m + eps) == 0:
+                eps /= 2
+            return IsolatingInterval(m - eps, m + eps, steps)
+        if sm == slo:
+            lo = m
+        else:
+            hi = m
+    return IsolatingInterval(lo, hi, steps)
 
 
 def _form(p: UniPoly) -> HomPoly2:
@@ -194,6 +223,30 @@ def hom_consistency(seed: int, cases: int) -> int:
     return done
 
 
+def refine_agreement(seed: int, cases: int) -> int:
+    """refine_root returns the interval of plain bisection (``ref_refine``) on
+    every root ``sturm_isolate`` finds, from the proved interval and from one
+    bisected once by hand (which carries no proof), at random width bounds.
+    Half the polynomials plant two roots 2^-k apart, some of them dyadic."""
+    rng = random.Random(seed)
+    done = 0
+    for k in range(cases):
+        roots = {F(rng.randint(-64, 64), rng.choice((1, 3, 4, 7, 32)))
+                 for _ in range(rng.randint(1, 4))}
+        if k % 2 == 0:
+            r = min(roots)
+            roots.add(r + F(1, 2 ** rng.randint(4, 40)))
+        p = poly_from_roots(sorted(roots)) * _rand_poly(rng, 2).scale(F(1, rng.randint(1, 9)))
+        p = squarefree_part(p)
+        w = F(1, rng.choice((2, 3, 10)) ** rng.randint(1, 60))
+        for iv in sturm_isolate(p):
+            assert refine_root(p, iv, w) == ref_refine(p, iv, w), (p, iv, w)
+            half = ref_refine(p, iv, iv.width / 2)
+            assert refine_root(p, half, w) == ref_refine(p, half, w), (p, half, w)
+            done += 1
+    return done
+
+
 def run_all(seed: int = 20260823) -> dict[str, int]:
     """Run every suite; the value is the per-suite executed-case count."""
     return {
@@ -206,4 +259,5 @@ def run_all(seed: int = 20260823) -> dict[str, int]:
         "discriminant_laws": discriminant_laws(seed + 6, 700),
         "sturm_grid_scan": sturm_grid_scan(seed + 7, 700),
         "hom_consistency": hom_consistency(seed + 8, 1000),
+        "refine_agreement": refine_agreement(seed + 9, 150),
     }

@@ -629,16 +629,18 @@ def _option(draw, name, value):
 def _grid_argv(draw):
     """sweep or l3 argv.  Most are well-formed: e in 1..4, n in 1..3, h in
     {2, 3}, retries 1 or 2; the others draw e, n, h and retries anywhere in
-    [-1, 5] (h from a list of one or two) or take a malformed range or list."""
+    [-1, 5] (h from a list of one or two), take a malformed range or list, or
+    go over a size cap."""
     if draw(st.integers(0, 2)):
         e, n = _range_text(st.integers(1, 4)), _range_text(st.integers(1, 3))
         h = st.sampled_from(("2", "3", "2,3"))
         retries = st.integers(1, 2)
     else:
         bad = st.sampled_from(("", "x", "1..", "..2", "1...3", ",", "2,,3"))
-        e = n = st.one_of(_range_text(_INT, empty=True), bad)
+        over = st.sampled_from((f"1..{10**12}", f"{10**12}", "1..13", "13"))
+        e = n = st.one_of(_range_text(_INT, empty=True), bad, over)
         h = st.one_of(st.lists(_INT, min_size=1, max_size=2).map(
-            lambda xs: ",".join(map(str, xs))), bad)
+            lambda xs: ",".join(map(str, xs))), bad, st.sampled_from(("13", "2," * 9)))
         retries = _INT
     if draw(st.booleans()):
         argv = ["sweep", *_option(draw, "e", draw(e))]
@@ -673,6 +675,8 @@ class TestCliFuzz:
     @given(_grid_argv())
     @example(["sweep", "--e", "0", "--n", "1", "--h", "2"])  # was a ValueError traceback
     @example(["l3", "--n=-1..0", "--h", "2"])
+    # a range was listed before any bound was checked: 10^12 entries
+    @example(["sweep", "--e", f"1..{10**12}", "--n", "1", "--h", "2"])
     def test_sweep_and_l3_grids(self, argv):
         _assert_clean_exit(argv)
 
@@ -705,6 +709,18 @@ class TestCliFuzz:
             "edcurve: error: sweep: argument --e: expected one argument\n")
         # argparse reads a value that starts with a dash and is no number as an option
         _assert_clean_exit(["sweep", "--e", "-1..2"])
+
+    def test_sizes_over_a_cap_are_refused(self, capsys):
+        for argv in (["sweep", "--e", f"1..{10**12}"], ["sweep", "--e", str(cli.MAX_E + 1)],
+                     ["sweep", "--n", f"2..{cli.MAX_N + 1}"],
+                     ["sweep", "--h", f"2,{cli.MAX_H + 1}"],
+                     ["sweep", "--h", ",".join(["2"] * (cli.MAX_H_LIST + 1))],
+                     ["l3", "--n", str(cli.MAX_N + 1)],
+                     ["l3", "--h", ",".join(["2"] * (cli.MAX_H_LIST + 1))],
+                     ["scroll", "--bezier1", BEZ1, "--bezier2", BEZ2, "--n", f"1..{10**12}"]):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 1 and out == "", argv
+            assert err.startswith("edcurve: error: ") and "at most" in err, (argv, err)
 
     def test_ranges_must_start_at_one(self, capsys):
         for argv in (["sweep", "--e", "0..2"], ["sweep", "--n", "0"], ["l3", "--n", "0"],

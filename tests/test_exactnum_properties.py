@@ -10,11 +10,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import bulk_properties
-from bulk_properties import poly_from_roots
+from bulk_properties import poly_from_roots, ref_refine as _ref_refine
 from edcurve import exactnum
 from edcurve.eddeg import (
     _poly_abs_upper,
@@ -60,6 +60,7 @@ class TestBulkSuites:
         "discriminant_laws",
         "sturm_grid_scan",
         "hom_consistency",
+        "refine_agreement",
     ])
     def test_suite_runs(self, suite):
         assert self._counts()[suite] > 0
@@ -264,7 +265,9 @@ class TestResultantShortcut:
 # (exactnum._eval_int on cleared coefficients).  The references below are the
 # same algorithms with every sign taken by Fraction evaluation, and a classical
 # Sturm chain over Q: each integer chain member is a positive multiple of the
-# matching member here, so the two must return identical intervals.
+# matching member here, so the two must return identical intervals.  The
+# refinement reference is plain bisection (``bulk_properties.ref_refine``),
+# which refine_root's grid-snapped jumps must reproduce.
 
 def _sgn(x):
     return (x > 0) - (x < 0)
@@ -329,26 +332,14 @@ def _ref_isolate(p):
     return out
 
 
-def _ref_refine(p, iv, width_bound):
-    lo, hi = iv.lo, iv.hi
-    slo, shi = _sgn(p.evaluate(lo)), _sgn(p.evaluate(hi))
-    if slo == 0 or shi == 0 or slo == shi:
-        raise ValueError("invalid interval (sign conditions fail)")
-    steps = iv.refinements
-    while hi - lo > width_bound:
-        m = (lo + hi) / 2
-        sm = _sgn(p.evaluate(m))
-        steps += 1
-        if sm == 0:
-            eps = min(width_bound, hi - m, m - lo) / 2
-            while p.evaluate(m - eps) == 0 or p.evaluate(m + eps) == 0:
-                eps /= 2
-            return IsolatingInterval(m - eps, m + eps, steps)
-        if sm == slo:
-            lo = m
-        else:
-            hi = m
-    return IsolatingInterval(lo, hi, steps)
+def _proved(p, lo, hi, refinements=0):
+    """(lo, hi) with the proof sturm_isolate attaches that it holds exactly one
+    root of p, or None when the reference Sturm chain counts another number."""
+    chain = _ref_chain(p)
+    if (p.evaluate(lo) == 0 or p.evaluate(hi) == 0
+            or _ref_variations(chain, lo) - _ref_variations(chain, hi) != 1):
+        return None
+    return exactnum._isolating(lo, hi, refinements, p.num)
 
 
 def _ref_abs_upper(p, lo, hi):
@@ -379,6 +370,21 @@ def planted_squarefree(draw):
     return squarefree_part(p).scale(scale)
 
 
+@st.composite
+def proved_intervals(draw):
+    """(p, lo, hi) for a planted_squarefree p and an interval around one of
+    its roots with mostly non-dyadic ends: a sturm_isolate interval of p,
+    narrowed on each side of the 1/16 of it that bisection leaves around the
+    root by a drawn fraction in [0, 1) with denominator 7 or 9."""
+    p = draw(planted_squarefree())
+    ivs = sturm_isolate(p)
+    assume(ivs)
+    iv = draw(st.sampled_from(ivs))
+    inner = _ref_refine(p, iv, iv.width / 16)
+    t = st.builds(F, st.integers(0, 6), st.sampled_from((7, 9)))
+    return (p, iv.lo + draw(t) * (inner.lo - iv.lo), inner.hi + draw(t) * (iv.hi - inner.hi))
+
+
 # three planted roots on the first bisection points of the box [-3, 3]
 FENCED = poly_from_roots([F(0), F(3, 2), F(-3, 4)]) * UniPoly((F(1, 3), F(0), F(5, 7)))
 
@@ -392,11 +398,14 @@ class TestIntegerSignsAgainstFractionReference:
 
     @given(p=planted_squarefree())
     @example(p=FENCED)
+    # two roots 10^-9 apart, each refined in an interval that ends near the other
+    @example(p=poly_from_roots([F(1, 3), F(1, 3) + F(1, 10**9), F(-5, 2)]))
     def test_isolation_and_refinement_match(self, p):
         ivs = sturm_isolate(p)
         assert ivs == _ref_isolate(p)
         for iv in ivs:
-            for w in (iv.width / 2, F(1, 3), F(1, 2**20), F(1, 10**9)):
+            for w in (iv.width / 2, F(1, 3), F(1, 2**20), F(1, 10**9), F(1, 2**200),
+                      F(1, 10**60)):
                 assert refine_root(p, iv, w) == _ref_refine(p, iv, w)
 
     @given(p=planted_squarefree(),
@@ -426,6 +435,64 @@ class TestIntegerSignsAgainstFractionReference:
         refined = refine_root(FENCED, fenced[0], F(1, 100))
         assert refined == _ref_refine(FENCED, fenced[0], F(1, 100))
         assert refined.midpoint == 0 and refined.refinements == 1
+
+    @given(case=proved_intervals(),
+           w=st.sampled_from((F(1, 2**200), F(1, 10**60), F(1, 3), F(1, 64), F(100))))
+    # the root 3/64 is a grid point of depth 6 on (0, 1), deeper than the first jump
+    @example(case=(poly_from_roots([F(3, 64), F(7, 2)]), F(0), F(1)), w=F(1, 2**200))
+    # non-dyadic ends, with the root inside a cell and on a grid point of depth 4
+    @example(case=(poly_from_roots([F(1, 2), F(-1), F(2)]), F(1, 3), F(5, 7)),
+             w=F(1, 10**60))
+    @example(case=(poly_from_roots([F(19, 42), F(-1)]), F(1, 3), F(5, 7)), w=F(1, 2**200))
+    # a bound at least the width: no step at all
+    @example(case=(poly_from_roots([F(1, 2), F(-1), F(2)]), F(1, 3), F(5, 7)), w=F(100))
+    def test_refinement_of_a_proved_interval_matches(self, case, w):
+        p, lo, hi = case
+        iv = _proved(p, lo, hi, 3)
+        assert iv is not None
+        refined = refine_root(p, iv, w)
+        assert refined == _ref_refine(p, iv, w)
+        assert refined._isolates == p.num
+
+    @staticmethod
+    def _grid_values(monkeypatch):
+        """Every value the grid evaluator returns from now on, in order."""
+        values = []
+        real = exactnum._eval_grid
+
+        def spy(c, n, j):
+            values.append(real(c, n, j))
+            return values[-1]
+
+        monkeypatch.setattr(exactnum, "_eval_grid", spy)
+        return values
+
+    def test_jumps_replace_most_bisection_steps(self, monkeypatch):
+        p = UniPoly((F(-2), F(0), F(1)))
+        w = F(1, 2**200)
+        iv, expected = _proved(p, F(1), F(2)), _ref_refine(p, IsolatingInterval(1, 2), w)
+        values = self._grid_values(monkeypatch)
+        refined = refine_root(p, iv, w)
+        assert len(values) <= 40
+        assert refined == expected and refined.refinements == 200
+        # without the proof the same interval is bisected: two ends, 200 midpoints
+        values.clear()
+        assert refine_root(p, IsolatingInterval(1, 2), w) == expected
+        assert len(values) == 202
+
+    def test_a_jump_end_on_the_root_is_rejected(self, monkeypatch):
+        # on (0, 1) the secant's cells (0, 1/4) and (1/8, 1/4) both end at the
+        # root 1/4; bisection meets it as its second midpoint
+        p = poly_from_roots([F(1, 4), F(-5)])
+        w = F(1, 1000)
+        iv, expected = _proved(p, F(0), F(1)), _ref_refine(p, IsolatingInterval(0, 1), w)
+        values = self._grid_values(monkeypatch)
+        refined = refine_root(p, iv, w)
+        # the bisection step and _bisect evaluate the root once each; the other
+        # two zeros are the ends of the rejected jumps
+        assert values.count(0) == 4
+        assert refined == expected
+        assert refined.refinements == 2 and refined.midpoint == F(1, 4)
 
     @given(p=polys(max_deg=8), ends=st.lists(small_rat, min_size=2, max_size=2))
     @example(p=UniPoly(), ends=[F(-1, 3), F(5, 7)])
