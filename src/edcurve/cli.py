@@ -44,10 +44,8 @@ from .grassmann import BezierCurve, bezier_scroll, l3_curve, wedge_camera
 from .multidegree import MultiDeg, curve_multidegree
 from .scene import (
     Arrangement,
-    Camera,
     RationalCurve,
     arrangement_from_dict,
-    camera_to_dict,
     curve_from_dict,
     random_camera,
     random_curve,
@@ -132,50 +130,61 @@ def _parse_int_list(text: str, what: str) -> list[int]:
     return vals
 
 
-def _load_json(path: str) -> dict:
+def _load(path: str, parse):
+    """``parse`` of the JSON value in the file ``path``; an unreadable file,
+    invalid JSON and every ``ValueError`` of ``parse`` are input errors that
+    name the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return parse(json.load(fh))
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc.strerror or exc}")
     except json.JSONDecodeError as exc:
         raise _CliError(f"{path}: not valid JSON (line {exc.lineno}, column {exc.colno})")
-
-
-def _load_curve(path: str) -> RationalCurve:
-    try:
-        return curve_from_dict(_load_json(path))
     except ValueError as exc:
         raise _CliError(f"{path}: {exc}")
 
 
-def _load_arrangement(path: str) -> Arrangement:
-    try:
-        return arrangement_from_dict(_load_json(path))
-    except ValueError as exc:
-        raise _CliError(f"{path}: {exc}")
+def _scene_files(ns) -> tuple[RationalCurve, Arrangement, Optional[DataPoint]]:
+    """The curve and cameras of ``--curve`` and ``--cameras`` in one ambient
+    space, and the data point of ``--data`` (None without it) in their shape."""
+    f = _load(ns.curve, curve_from_dict)
+    arr = _load(ns.cameras, arrangement_from_dict)
+    if arr.N != f.N:
+        raise _CliError(
+            f"{ns.cameras}: cameras expect ambient dimension N={arr.N} "
+            f"but the curve lives in N={f.N}"
+        )
+
+    def data_point(obj) -> DataPoint:
+        u = DataPoint.from_dict(obj)
+        u.check_shape(arr)
+        return u
+
+    return f, arr, _load(ns.data, data_point) if ns.data else None
 
 
-def _load_data(path: str) -> DataPoint:
-    try:
-        return DataPoint.from_dict(_load_json(path))
-    except ValueError as exc:
-        raise _CliError(f"{path}: {exc}")
+_NOT_OPTIONS = ("command", "seed", "json", "func")
 
 
-def _load_bezier(path: str) -> BezierCurve:
-    try:
-        return BezierCurve.from_dict(_load_json(path))
-    except ValueError as exc:
-        raise _CliError(f"{path}: {exc}")
-
-
-def _emit(ns, text_lines: list[str], envelope: dict) -> None:
-    if ns.json:
-        print(json.dumps(envelope, indent=2, sort_keys=True))
-    else:
-        for line in text_lines:
+def _emit(ns, lines: list[str], results: dict) -> None:
+    """Print ``lines``, or with ``--json`` the envelope of the command: its
+    ``options`` echo every parsed option but ``--seed``, which has its own
+    key, and ``--json``."""
+    if not ns.json:
+        for line in lines:
             print(line)
+        return
+    options = {k: v for k, v in vars(ns).items() if k not in _NOT_OPTIONS}
+    envelope = {"command": ns.command, "seed": ns.seed, "options": options,
+                "results": results}
+    print(json.dumps(envelope, indent=2, sort_keys=True))
+
+
+def _cameras(master: int, prefix: str, n: int, make) -> Arrangement:
+    """The n cameras ``make(derive_seed(master, f"{prefix}:cam{i}"))``."""
+    return Arrangement(tuple(make(derive_seed(master, f"{prefix}:cam{i}"))
+                             for i in range(n)))
 
 
 def _report_text(rep: EDReport) -> list[str]:
@@ -251,33 +260,10 @@ def _attach_cross_check(outcome: CellOutcome, master: int, label: str) -> EDRepo
 # ---------------------------------------------------------------------------
 
 def cmd_eddeg(ns) -> int:
-    f = _load_curve(ns.curve)
-    arr = _load_arrangement(ns.cameras)
-    if arr.N != f.N:
-        raise _CliError(
-            f"{ns.cameras}: cameras expect ambient dimension N={arr.N} "
-            f"but the curve lives in N={f.N}"
-        )
-    first = _load_data(ns.data) if ns.data else None
-    if first is not None:
-        try:
-            first.check_shape(arr)
-        except ValueError as exc:
-            raise _CliError(f"{ns.data}: {exc}")
+    f, arr, first = _scene_files(ns)
     outcome = _count(f, arr, ns.seed, "eddeg", ns.retries, first_data=first)
     rep = _attach_cross_check(outcome, ns.seed, "eddeg")
-    envelope = {
-        "command": "eddeg",
-        "seed": ns.seed,
-        "options": {
-            "curve": ns.curve,
-            "cameras": ns.cameras,
-            "data": ns.data,
-            "retries": ns.retries,
-        },
-        "results": rep.to_json_dict(),
-    }
-    _emit(ns, _report_text(rep), envelope)
+    _emit(ns, _report_text(rep), rep.to_json_dict())
     return EXIT_OK
 
 
@@ -312,10 +298,7 @@ def cmd_sweep(ns) -> int:
             f = rational_normal_curve(e, N)
         else:
             f = random_curve(derive_seed(ns.seed, f"{label}:curve"), e, N)
-        arr = Arrangement(tuple(
-            random_camera(derive_seed(ns.seed, f"{label}:cam{i}"), h, N)
-            for i in range(n)
-        ))
+        arr = _cameras(ns.seed, label, n, lambda seed: random_camera(seed, h, N))
         cell = {"e": e, "n": n, "h": h, "variant": variant, "cell_seed":
                 derive_seed(ns.seed, label)}
         try:
@@ -357,13 +340,7 @@ def cmd_sweep(ns) -> int:
                 f"{str(c['match']).lower():<5} {cross:>5} {c['status']}"
             )
     lines.append(f"certified cells all match: {all_ok}")
-    envelope = {
-        "command": "sweep",
-        "seed": ns.seed,
-        "options": {"e": ns.e, "n": ns.n, "h": ns.h, "retries": ns.retries},
-        "results": {"cells": cells, "all_certified_match": all_ok},
-    }
-    _emit(ns, lines, envelope)
+    _emit(ns, lines, {"cells": cells, "all_certified_match": all_ok})
     return EXIT_OK if all_ok else EXIT_INPUT
 
 
@@ -380,12 +357,8 @@ def cmd_l3(ns) -> int:
             label = f"l3:h{h}:n{n}"
 
             def draw(k):
-                return Arrangement(tuple(
-                    wedge_camera(random_camera(
-                        derive_seed(ns.seed, f"{label}:attempt{k}:cam{i}"), h, 3
-                    ), 2).as_camera()
-                    for i in range(n)
-                ))
+                return _cameras(ns.seed, f"{label}:attempt{k}", n, lambda seed: wedge_camera(
+                    random_camera(seed, h, 3), 2).as_camera())
 
             outcome = _count_redrawn(f, draw, ns.seed, label, ns.retries)
             rep = outcome.report
@@ -414,55 +387,25 @@ def cmd_l3(ns) -> int:
             f"{r['formula_value']:>4} {str(r['match']).lower()}"
         )
     lines.append(f"all match: {all_match}")
-    envelope = {
-        "command": "l3",
-        "seed": ns.seed,
-        "options": {"h": ns.h, "n": ns.n, "retries": ns.retries},
-        "results": {"rows": rows, "all_match": all_match},
-    }
-    _emit(ns, lines, envelope)
+    _emit(ns, lines, {"rows": rows, "all_match": all_match})
     return EXIT_OK if all_match else EXIT_INPUT
 
 
 def cmd_triangulate(ns) -> int:
-    f = _load_curve(ns.curve)
-    arr = _load_arrangement(ns.cameras)
-    if arr.N != f.N:
-        raise _CliError(
-            f"{ns.cameras}: cameras expect ambient dimension N={arr.N} "
-            f"but the curve lives in N={f.N}"
-        )
     try:
         tol = rat_from_str(ns.tol)
     except ValueError:
         raise _CliError(f"invalid --tol {ns.tol!r} (expected a rational like 1/1000000000)")
     if tol <= 0:
         raise _CliError("--tol must be positive")
-    if ns.data:
-        u = _load_data(ns.data)
-        try:
-            u.check_shape(arr)
-        except ValueError as exc:
-            raise _CliError(f"{ns.data}: {exc}")
-    else:
+    f, arr, u = _scene_files(ns)
+    if u is None:
         u = random_data_point(derive_seed(ns.seed, "triangulate:data"), arr.n, arr.h)
     try:
         res = triangulate(f, arr, u, tol)
     except ValueError as exc:
         raise _CliError(str(exc))
-    lines = [] if ns.json else _triangulation_text(res)
-    envelope = {
-        "command": "triangulate",
-        "seed": ns.seed,
-        "options": {
-            "curve": ns.curve,
-            "cameras": ns.cameras,
-            "data": ns.data,
-            "tol": ns.tol,
-        },
-        "results": res.to_json_dict(),
-    }
-    _emit(ns, lines, envelope)
+    _emit(ns, [] if ns.json else _triangulation_text(res), res.to_json_dict())
     return EXIT_OK
 
 
@@ -508,7 +451,7 @@ def _triangulation_text(res) -> list[str]:
 
 
 def cmd_wedge(ns) -> int:
-    arr = _load_arrangement(ns.cameras)
+    arr = _load(ns.cameras, arrangement_from_dict)
     if arr.n != 1:
         raise _CliError("wedge expects a file with exactly one camera")
     cam = arr.cameras[0]
@@ -524,19 +467,13 @@ def cmd_wedge(ns) -> int:
     for row in display:
         lines.append("  [ " + "  ".join(str(x).rjust(w_) for x, w_ in zip(row, widths))
                      + " ]")
-    envelope = {
-        "command": "wedge",
-        "seed": ns.seed,
-        "options": {"cameras": ns.cameras, "k": ns.k},
-        "results": {
-            "k": ns.k,
-            "rows": len(w.entries),
-            "cols": len(w.entries[0]),
-            "entries": [[str(x) for x in row] for row in w.entries],
-            "display": [[str(x) for x in row] for row in display],
-        },
-    }
-    _emit(ns, lines, envelope)
+    _emit(ns, lines, {
+        "k": ns.k,
+        "rows": len(w.entries),
+        "cols": len(w.entries[0]),
+        "entries": [[str(x) for x in row] for row in w.entries],
+        "display": [[str(x) for x in row] for row in display],
+    })
     return EXIT_OK
 
 
@@ -555,31 +492,25 @@ def cmd_multidegree(ns) -> int:
     nvars = len(coeff_rows[0])
     if any(len(row) != nvars for row in coeff_rows):
         raise _CliError("all factors must name the same number of variables")
-    if ns.ring_h < 1:
+    if ns.h < 1:
         raise _CliError("--h must be >= 1")
-    product = MultiDeg.one(nvars, ns.ring_h)
+    product = MultiDeg.one(nvars, ns.h)
     for row in coeff_rows:
-        product = product * MultiDeg.linear_form(row, ns.ring_h)
+        product = product * MultiDeg.linear_form(row, ns.h)
     lines = [f"product  = {product.render()}",
              f"dual     = {product.render_dual()}"]
-    envelope = {
-        "command": "multidegree",
-        "seed": ns.seed,
-        "options": {"factors": list(ns.factors), "h": ns.ring_h},
-        "results": {
-            "factors": list(ns.factors),
-            "h": ns.ring_h,
-            "product": product.render(),
-            "product_shorthand": product.render_dual(),
-        },
-    }
-    _emit(ns, lines, envelope)
+    _emit(ns, lines, {
+        "factors": ns.factors,
+        "h": ns.h,
+        "product": product.render(),
+        "product_shorthand": product.render_dual(),
+    })
     return EXIT_OK
 
 
 def cmd_scroll(ns) -> int:
-    b1 = _load_bezier(ns.bezier1)
-    b2 = _load_bezier(ns.bezier2)
+    b1 = _load(ns.bezier1, BezierCurve.from_dict)
+    b2 = _load(ns.bezier2, BezierCurve.from_dict)
     nss = _parse_range(ns.n, "--n", MAX_N)
     try:
         f = bezier_scroll(b1, b2)
@@ -592,10 +523,8 @@ def cmd_scroll(ns) -> int:
         label = f"scroll:n{n}"
 
         def draw(k):
-            return Arrangement(tuple(
-                random_camera(derive_seed(ns.seed, f"{label}:attempt{k}:cam{i}"), 2, 5)
-                for i in range(n)
-            ))
+            return _cameras(ns.seed, f"{label}:attempt{k}", n,
+                            lambda seed: random_camera(seed, 2, 5))
 
         rep = _count_redrawn(f, draw, ns.seed, label, ns.retries).report
         formula = 3 * expected * n - 2
@@ -614,23 +543,12 @@ def cmd_scroll(ns) -> int:
         lines.append(f"{r['n']:>2} {r['ed_degree']:>4} {r['formula_value']:>12} "
                      f"{str(r['match']).lower()}")
     lines.append(f"all match: {all_match}")
-    envelope = {
-        "command": "scroll",
-        "seed": ns.seed,
-        "options": {
-            "bezier1": ns.bezier1,
-            "bezier2": ns.bezier2,
-            "n": ns.n,
-            "retries": ns.retries,
-        },
-        "results": {
-            "scroll_degree": f.e,
-            "expected_degree": expected,
-            "rows": rows,
-            "all_match": all_match,
-        },
-    }
-    _emit(ns, lines, envelope)
+    _emit(ns, lines, {
+        "scroll_degree": f.e,
+        "expected_degree": expected,
+        "rows": rows,
+        "all_match": all_match,
+    })
     return EXIT_OK if all_match else EXIT_INPUT
 
 
@@ -699,7 +617,7 @@ def build_parser() -> _Parser:
                        help="product of linear classes in the truncated ring")
     p.add_argument("factors", nargs="*",
                    help="linear factors as comma lists, e.g. 1,1 1,2 1,3")
-    p.add_argument("--h", dest="ring_h", type=int, default=3,
+    p.add_argument("--h", type=int, default=3,
                    help="per-factor truncation exponent (default 3)")
     common(p, retries=False)
     p.set_defaults(func=cmd_multidegree)
