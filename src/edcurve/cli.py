@@ -23,6 +23,7 @@ import decimal
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -39,7 +40,7 @@ from .eddeg import (
     random_data_point,
     triangulate,
 )
-from .exactnum import rat_from_str
+from .exactnum import rat_from_str, rat_to_str
 from .grassmann import BezierCurve, bezier_scroll, l3_curve, wedge_camera
 from .multidegree import MultiDeg, curve_multidegree
 from .scene import (
@@ -95,6 +96,10 @@ MAX_E = 12      # --e of sweep: curve degree
 MAX_N = 12      # --n of sweep, l3 and scroll: number of cameras
 MAX_H = 12      # each --h value of sweep: image dimension
 MAX_H_LIST = 8  # entries of an --h list (sweep, l3)
+# Work caps of wedge and multidegree, from sizes the input gives; the largest
+# accepted case takes about a second.
+MAX_WEDGE_WORK = 100_000  # Laplace steps C(h+1, k) * C(N+1, k) * k! of wedge
+MAX_RING = 4096           # monomials (h+1)^v of multidegree's truncated ring
 
 
 def _parse_range(text: str, what: str, cap: int) -> list[int]:
@@ -454,25 +459,27 @@ def cmd_wedge(ns) -> int:
     arr = _load(ns.cameras, arrangement_from_dict)
     if arr.n != 1:
         raise _CliError("wedge expects a file with exactly one camera")
-    cam = arr.cameras[0]
+    cam, k = arr.cameras[0], ns.k
+    if 1 <= k <= cam.h + 1 and (math.comb(cam.h + 1, k) * math.comb(cam.N + 1, k)
+                                * math.factorial(k) > MAX_WEDGE_WORK):
+        raise _CliError(f"C(h+1, k) * C(N+1, k) * k! must be at most {MAX_WEDGE_WORK}, "
+                        f"got h = {cam.h}, N = {cam.N}, k = {k}")
     try:
-        w = wedge_camera(cam, ns.k)
+        w = wedge_camera(cam, k)
     except ValueError as exc:
         raise _CliError(str(exc))
-    display = w.lex_display()
+    display = [[rat_to_str(x) for x in row] for row in w.lex_display()]
     lines = [f"{len(w.entries)} x {len(w.entries[0])} minor matrix "
-             f"(k={ns.k}, subsets in lexicographic order):"]
-    widths = [max(len(str(display[r][c])) for r in range(len(display)))
-              for c in range(len(display[0]))]
+             f"(k={k}, subsets in lexicographic order):"]
+    widths = [max(len(row[c]) for row in display) for c in range(len(display[0]))]
     for row in display:
-        lines.append("  [ " + "  ".join(str(x).rjust(w_) for x, w_ in zip(row, widths))
-                     + " ]")
+        lines.append("  [ " + "  ".join(x.rjust(w_) for x, w_ in zip(row, widths)) + " ]")
     _emit(ns, lines, {
-        "k": ns.k,
+        "k": k,
         "rows": len(w.entries),
         "cols": len(w.entries[0]),
-        "entries": [[str(x) for x in row] for row in w.entries],
-        "display": [[str(x) for x in row] for row in display],
+        "entries": [[rat_to_str(x) for x in row] for row in w.entries],
+        "display": display,
     })
     return EXIT_OK
 
@@ -494,6 +501,10 @@ def cmd_multidegree(ns) -> int:
         raise _CliError("all factors must name the same number of variables")
     if ns.h < 1:
         raise _CliError("--h must be >= 1")
+    # (h + 1)^v >= 2^v, so v >= 13 variables are over the cap at any h
+    if nvars >= MAX_RING.bit_length() or (ns.h + 1) ** nvars > MAX_RING:
+        raise _CliError(f"the truncated ring's (h + 1)^v monomials must be at most "
+                        f"{MAX_RING}, got h = {ns.h} and v = {nvars} variables")
     product = MultiDeg.one(nvars, ns.h)
     for row in coeff_rows:
         product = product * MultiDeg.linear_form(row, ns.h)

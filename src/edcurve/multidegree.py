@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
+from .exactnum import _int_to_str
+
 Expo = tuple[int, ...]
 
 
@@ -136,13 +138,13 @@ class MultiDeg:
             c = self.terms[expo]
             mono = self._monomial_str(expo)
             if not mono:
-                parts.append(str(c))
+                parts.append(_int_to_str(c))
             elif c == 1:
                 parts.append(mono)
             elif c == -1:
                 parts.append(f"-{mono}")
             else:
-                parts.append(f"{c}*{mono}")
+                parts.append(f"{_int_to_str(c)}*{mono}")
         return " + ".join(parts).replace("+ -", "- ")
 
     def render_dual(self) -> str:

@@ -173,9 +173,12 @@ class Camera:
 
 
 def _exact_rank(rows: Sequence[Sequence[Rat]]) -> int:
-    """Rank by division-free elimination on the rows cleared to integers."""
+    """Rank by fraction-free (Bareiss) elimination on the rows cleared to
+    integers.  Every row below the pivot is updated and divided exactly by
+    the previous pivot, so each entry stays a minor of the input and entry
+    sizes grow linearly, not doubling with each pivot row."""
     m = [_clear_denominators(r)[0] for r in rows]
-    rank = 0
+    rank, prev = 0, 1
     ncols = len(m[0]) if m else 0
     for col in range(ncols):
         pivot = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
@@ -186,8 +189,8 @@ def _exact_rank(rows: Sequence[Sequence[Rat]]) -> int:
         a = pr[col]
         for i in range(rank + 1, len(m)):
             b = m[i][col]
-            if b:
-                m[i] = [a * x - b * y for x, y in zip(m[i], pr)]
+            m[i] = [(a * x - b * y) // prev for x, y in zip(m[i], pr)]
+        prev = a
         rank += 1
         if rank == len(m):
             break
@@ -465,6 +468,18 @@ def genericity_certificate(
 # seeded generation
 # ---------------------------------------------------------------------------
 
+def _by_rejection(what: str, draw):
+    """The first ``draw()`` that raises no ``ValueError``, in at most
+    ``_MAX_REJECTION_TRIES`` draws."""
+    for _ in range(_MAX_REJECTION_TRIES):
+        try:
+            return draw()
+        except ValueError:
+            continue
+    raise RuntimeError(f"rejection sampling overflow: no {what} in "
+                       f"{_MAX_REJECTION_TRIES} tries")
+
+
 def random_camera(seed: int, h: int, N: int, bound: int = 10) -> Camera:
     """Uniform integer entries in [-bound, bound]; full rank by rejection.
 
@@ -474,17 +489,8 @@ def random_camera(seed: int, h: int, N: int, bound: int = 10) -> Camera:
     if bound < 2:
         raise ValueError("need bound >= 2")
     rng = random.Random(seed)
-    for _ in range(_MAX_REJECTION_TRIES):
-        entries = tuple(
-            tuple(rng.randint(-bound, bound) for _ in range(N + 1))
-            for _ in range(h + 1)
-        )
-        try:
-            return Camera(h, N, entries)
-        except ValueError:
-            continue
-    raise RuntimeError("rejection sampling overflow: no full-rank camera in "
-                       f"{_MAX_REJECTION_TRIES} tries")
+    return _by_rejection("full-rank camera", lambda: Camera(h, N, [
+        [rng.randint(-bound, bound) for _ in range(N + 1)] for _ in range(h + 1)]))
 
 
 def random_camera_degree_drop(seed: int, N: int = 3, bound: int = 10) -> Camera:
@@ -495,15 +501,13 @@ def random_camera_degree_drop(seed: int, N: int = 3, bound: int = 10) -> Camera:
     that zero and any pair fails the certificate, while single members pass.
     """
     rng = random.Random(seed)
-    for _ in range(_MAX_REJECTION_TRIES):
-        entries = [[Fraction(rng.randint(-bound, bound)) for _ in range(N + 1)]
-                   for _ in range(3)]
-        entries[0][0] = Fraction(0)
-        try:
-            return Camera(2, N, tuple(tuple(r) for r in entries))
-        except ValueError:
-            continue
-    raise RuntimeError("rejection sampling overflow")
+
+    def draw() -> Camera:
+        entries = [[rng.randint(-bound, bound) for _ in range(N + 1)] for _ in range(3)]
+        entries[0][0] = 0
+        return Camera(2, N, entries)
+
+    return _by_rejection("degree-drop camera", draw)
 
 
 def random_camera_block_pairs(seed: int, bound: int = 10) -> Camera:
@@ -514,18 +518,15 @@ def random_camera_block_pairs(seed: int, bound: int = 10) -> Camera:
     below the generic value while remaining constant along the family.
     """
     rng = random.Random(seed)
-    for _ in range(_MAX_REJECTION_TRIES):
-        entries = []
-        for j in range(3):
-            row = [Fraction(0)] * 6
-            row[2 * j] = Fraction(rng.randint(-bound, bound))
-            row[2 * j + 1] = Fraction(rng.randint(-bound, bound))
-            entries.append(tuple(row))
-        try:
-            return Camera(2, 5, tuple(entries))
-        except ValueError:
-            continue
-    raise RuntimeError("rejection sampling overflow")
+
+    def draw() -> Camera:
+        entries = [[0] * 6 for _ in range(3)]
+        for j, row in enumerate(entries):
+            row[2 * j] = rng.randint(-bound, bound)
+            row[2 * j + 1] = rng.randint(-bound, bound)
+        return Camera(2, 5, entries)
+
+    return _by_rejection("block-pair camera", draw)
 
 
 def rational_normal_curve(e: int, N: int) -> RationalCurve:
@@ -547,17 +548,13 @@ def random_curve(seed: int, e: int, N: int, bound: int = 10) -> RationalCurve:
     if e < 1 or N < 1:
         raise ValueError("need e >= 1 and N >= 1")
     rng = random.Random(seed)
-    for _ in range(_MAX_REJECTION_TRIES):
-        coords = tuple(
+
+    def draw() -> RationalCurve:
+        return RationalCurve(N=N, e=e, coords=tuple(
             HomPoly2(e, tuple(rng.randint(-bound, bound) for _ in range(e + 1)))
-            for _ in range(N + 1)
-        )
-        try:
-            return RationalCurve(N=N, e=e, coords=coords)
-        except ValueError:
-            continue
-    raise RuntimeError("rejection sampling overflow: no base-point-free curve in "
-                       f"{_MAX_REJECTION_TRIES} tries")
+            for _ in range(N + 1)))
+
+    return _by_rejection("base-point-free curve", draw)
 
 
 # ---------------------------------------------------------------------------

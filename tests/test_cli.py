@@ -4,9 +4,11 @@ outputs, JSON schema conformance, and byte-level determinism."""
 from __future__ import annotations
 
 import contextlib
+import decimal
 import hashlib
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -44,6 +46,22 @@ DATA1 = str(DATA / "data1.json")
 BEZ1 = str(DATA / "bez1.json")
 BEZ2 = str(DATA / "bez2.json")
 MALFORMED = str(DATA / "malformed.json")
+# 10^3000 - 1: its square is past the interpreter's 4300-digit int-to-str limit
+BIG = 10**3000 - 1
+
+
+def _digits(n: int) -> str:
+    """Every decimal digit of n, also past the int-to-str limit."""
+    return str(decimal.Decimal(n))
+
+
+def _camera_file(tmp_path, rows) -> str:
+    """A one-camera arrangement file of integer rows."""
+    path = tmp_path / "camera.json"
+    path.write_text(json.dumps({"cameras": [{
+        "h": len(rows) - 1, "N": len(rows[0]) - 1,
+        "rows": [[_digits(x) for x in row] for row in rows]}]}))
+    return str(path)
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -337,6 +355,14 @@ class TestWedge:
         assert code == 1
         assert "exactly one camera" in err
 
+    def test_minors_past_the_digit_limit(self, capsys, tmp_path):
+        path = _camera_file(tmp_path, [[BIG, 1, 0, 2], [0, BIG, 3, 0], [1, 0, 0, 5]])
+        code, out, err = run_cli(capsys, "wedge", "--cameras", path, "--k", "2")
+        assert code == 0, err
+        assert f"[ {_digits(BIG * BIG)} " in out
+        env = run_json(capsys, "wedge", "--cameras", path, "--k", "2")
+        assert env["results"]["entries"][0][0] == _digits(BIG * BIG)
+
 
 class TestMultidegree:
     def test_headline_product(self, capsys):
@@ -356,6 +382,22 @@ class TestMultidegree:
         for args in ((), ("1,x",), ("1,1", "1"), ("1,1", "--h", "0")):
             code, _, err = run_cli(capsys, "multidegree", *args)
             assert code == 1, args
+
+    def test_coefficients_past_the_digit_limit(self, capsys):
+        product = f"{_digits(BIG * BIG)}*T1^2"
+        code, out, err = run_cli(capsys, "multidegree", str(BIG), str(BIG), "--h", "3")
+        assert code == 0, err
+        assert out.splitlines()[0] == f"product  = {product}"
+        env = run_json(capsys, "multidegree", str(BIG), str(BIG), "--h", "3")
+        assert env["results"]["product"] == product
+
+    def test_ring_at_the_cap_is_accepted(self, capsys):
+        """(h + 1)^v = 2^12 monomials, the cap, with 12 factors."""
+        assert cli.MAX_RING == 2**12
+        code, out, err = run_cli(capsys, "multidegree", *[",".join(["1"] * 12)] * 12,
+                                 "--h", "1")
+        assert code == 0, err
+        assert out.splitlines()[0] == f"product  = {math.factorial(12)}*T1*T2*T3*T4*T5*T6*T7*T8*T9*T10*T11*T12"
 
 
 class TestScroll:
@@ -416,6 +458,16 @@ GOLDEN = [
     (("scroll", "--bezier1", GOLDEN_DATA + "bez1.json", "--bezier2",
       GOLDEN_DATA + "bez2.json", "--n", "1..3", "--seed", "4", "--json"),
      "bcad72c30d51ce17632ccd826fb5bebf818ed7e0614da964d525733a4469e582"),
+    (("triangulate", "--curve", GOLDEN_DATA + "twisted_cubic.json", "--cameras",
+      GOLDEN_DATA + "one_generic.json", "--seed", "3"),
+     "754e76ac9b5289c5d2d562ec59b76dfc09c8e5e1d7ccb014d9a5c362c47c8069"),
+    (("triangulate", "--curve", GOLDEN_DATA + "twisted_cubic.json", "--cameras",
+      GOLDEN_DATA + "one_generic.json", "--seed", "3", "--json"),
+     "cd698beaf6166323dab30d8a21b6b18883c43921d0fa438101a96b61768d09a9"),
+    (("wedge", "--cameras", GOLDEN_DATA + "pinned_wedge_base.json", "--k", "2", "--json"),
+     "edbdc796536c2f88c9c7029375c899b0bdf60d16f2efbe0231a9ea87ecae2f0e"),
+    (("multidegree", "1,1", "1,2", "1,3", "--h", "3", "--json"),
+     "e79f767fa061dd6519d79929100a5175568883616a2df8a0a29b39deb04da994"),
 ]
 
 
@@ -610,6 +662,44 @@ def _scene_json(draw):
 
 
 @st.composite
+def _input_file(draw):
+    """(option, object): the file of ``eddeg --data``, ``triangulate --data``,
+    ``scroll --bezier1`` or ``wedge --cameras``.  Its entries come from
+    _ENTRY or are a 3000-digit literal; with a fault, a row or a row's
+    length is off by one, one field is any JSON value, or the whole object
+    is any JSON value."""
+    option = draw(st.sampled_from(("eddeg --data", "triangulate --data",
+                                   "scroll --bezier1", "wedge --cameras")))
+    # triangulate refines every root until the distance bound holds, in a
+    # number of steps that grows with the data's digits: a 3000-digit data
+    # point takes minutes there, so its data entries stay small
+    entry = _ENTRY if option.startswith("triangulate") else st.one_of(_ENTRY, st.just(str(BIG)))
+    fault = draw(st.sampled_from(_FAULTS))
+    off = st.sampled_from((0, 0, 1, -1)) if fault in ("dims", "shape") else st.just(0)
+
+    def rows(count, length):
+        count, length = count + draw(off), length + draw(off)
+        return [[draw(entry) for _ in range(max(length, 0))] for _ in range(max(count, 0))]
+
+    if option.endswith("--data"):
+        obj = {"u": rows(1, 2)}  # one camera of height 2, as in ONE
+        if draw(st.booleans()):
+            obj["beta0"] = draw(entry)
+        fields = obj
+    elif option.startswith("scroll"):
+        obj = fields = {"control": rows(draw(st.integers(2, 4)), 3)}
+    else:
+        h, N = draw(st.integers(1, 3)), draw(st.integers(3, 4))
+        fields = {"h": h, "N": N, "rows": rows(h + 1, N + 1)}
+        obj = {"cameras": [fields]}
+    if fault == "field":
+        fields[draw(st.sampled_from(sorted(fields)))] = draw(_JUNK)
+    if fault == "object":
+        obj = draw(_JUNK)
+    return option, obj
+
+
+@st.composite
 def _range_text(draw, values, empty=False):
     """A or A..B for A drawn from ``values`` and B from A to A + 1, or from
     A - 1 with ``empty``."""
@@ -701,6 +791,24 @@ class TestCliFuzz:
                 argv += ["--retries", str(retries)]
             _assert_clean_exit(argv)
 
+    @settings(max_examples=150)
+    @given(_input_file(), st.integers(1, 3))
+    @example(("scroll --bezier1", {"control": [[str(BIG), "0", "1"], ["1", str(BIG), "0"]]}), 1)
+    @example(("eddeg --data", {"u": [[str(BIG), "1/2"]], "beta0": str(BIG)}), 1)
+    def test_data_bezier_and_wedge_files(self, drawn, k):
+        option, obj = drawn
+        command, flag = option.split()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(Path(tmp) / "input.json")
+            Path(path).write_text(json.dumps(obj))
+            argv = {
+                "eddeg": ["--curve", TW, "--cameras", ONE, "--retries", "2"],
+                "triangulate": ["--curve", TW, "--cameras", ONE],
+                "scroll": ["--bezier2", BEZ2, "--n", "1", "--retries", "2"],
+                "wedge": ["--k", str(k)],
+            }[command]
+            _assert_clean_exit([command, flag, path, *argv])
+
     def test_usage_errors_of_a_subcommand_carry_the_prefix(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--e"])
@@ -710,8 +818,12 @@ class TestCliFuzz:
         # argparse reads a value that starts with a dash and is no number as an option
         _assert_clean_exit(["sweep", "--e", "-1..2"])
 
-    def test_sizes_over_a_cap_are_refused(self, capsys):
-        for argv in (["sweep", "--e", f"1..{10**12}"], ["sweep", "--e", str(cli.MAX_E + 1)],
+    def test_sizes_over_a_cap_are_refused(self, capsys, tmp_path):
+        identity = _camera_file(tmp_path, [[int(i == j) for j in range(10)] for i in range(10)])
+        for argv in (["multidegree", *[",".join(["1"] * 80)] * 4],
+                     ["multidegree", *[",".join(["1"] * 6)] * 36, "--h", "12"],
+                     ["wedge", "--cameras", identity, "--k", "5"],
+                     ["sweep", "--e", f"1..{10**12}"], ["sweep", "--e", str(cli.MAX_E + 1)],
                      ["sweep", "--n", f"2..{cli.MAX_N + 1}"],
                      ["sweep", "--h", f"2,{cli.MAX_H + 1}"],
                      ["sweep", "--h", ",".join(["2"] * (cli.MAX_H_LIST + 1))],

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction as F
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from edcurve.exactnum import HomPoly2, hom_gcd_many
 from edcurve.scene import (
@@ -22,6 +25,7 @@ from edcurve.scene import (
     chart_wronskians,
     curve_from_dict,
     curve_to_dict,
+    _exact_rank,
     cusp_form,
     genericity_certificate,
     random_camera,
@@ -98,6 +102,25 @@ class TestRationalCurve:
             assert hom_gcd_many(f.coords).degree == 0
 
 
+@st.composite
+def _low_rank_rows(draw):
+    """Rows of rational entries, products of a k x c basis and integer
+    combinations (zero rows and rank below k among them), with some columns
+    set to zero."""
+    r, c = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    k = draw(st.integers(0, min(r, c)))
+    entry = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    basis = [[draw(entry) for _ in range(c)] for _ in range(k)]
+    zero_cols = draw(st.sets(st.integers(0, c - 1)))
+    rows = []
+    for _ in range(r):
+        coeffs = [draw(st.integers(-3, 3)) for _ in range(k)]
+        rows.append([F(0) if j in zero_cols else
+                     sum((a * b[j] for a, b in zip(coeffs, basis)), F(0))
+                     for j in range(c)])
+    return rows
+
+
 class TestCamera:
     def test_full_rank_enforced(self):
         with pytest.raises(ValueError, match="full rank"):
@@ -110,6 +133,23 @@ class TestCamera:
     def test_row_accessor(self):
         c = random_camera(7, 2, 3)
         assert c.row(0) == c.entries[0]
+
+    @settings(max_examples=300)
+    @given(_low_rank_rows())
+    @example([[F(0)] * 3] * 2)
+    @example([[F(0), F(1, 2), F(0)], [F(0), F(-1, 3), F(0)], [F(0), F(0), F(0)]])
+    def test_rank_matches_sympy(self, rows):
+        sp = pytest.importorskip("sympy")
+        matrix = sp.Matrix([[sp.Rational(x.numerator, x.denominator) for x in row]
+                            for row in rows])
+        assert _exact_rank(rows) == matrix.rank()
+
+    def test_forty_rows_construct(self):
+        """Fraction-free elimination without division doubled the entry sizes
+        with every pivot row: a 31 x 32 camera took minutes."""
+        rng = random.Random(40)
+        rows = [[rng.randint(-10, 10) for _ in range(41)] for _ in range(40)]
+        assert Camera(39, 40, rows).h == 39
 
 
 class TestArrangement:
