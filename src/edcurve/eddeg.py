@@ -432,7 +432,7 @@ def euler_cross_check(
     prod_q = scene.prod_q_form
     s_inf = hom_distinct_root_count(prod_q)
 
-    tree = product_tree([img[0] * img[0] for img in scene.images])
+    tree = _square_tree(scene.images)
     for attempt in range(4):
         rng = random.Random(f"{seed}:euler-beta:{attempt}")
         beta = [
@@ -447,6 +447,11 @@ def euler_cross_check(
             s_q = hom_distinct_root_count(g_beta)
             return s_inf + s_q - 2
     raise NonGenericBetaError("non-generic beta")
+
+
+def _square_tree(images) -> list[list[HomPoly2]]:
+    """``product_tree`` of the squared chart forms Q_i^2 of the view images."""
+    return product_tree([img[0] * img[0] for img in images])
 
 
 def _perturbed_numerator(images, tree, beta, beta0: Rat) -> HomPoly2:
@@ -564,10 +569,18 @@ def triangulate(
     evaluates the exact squared distance at rational midpoints, and reports the
     argmin together with a certified interval for the true attained minimum:
     each midpoint value is within ``distance_error_bounds[k]`` of its exact
-    critical value (derivative bound times half-width), so the true minimum
-    lies in [min_k (d_k - err_k), d_argmin].  One :class:`Scene` of (f, arr)
-    serves the reduction and the bounds: its charts, pole product and product
-    tree of the q_i^3.
+    critical value, so the true minimum lies in [min_k (d_k - err_k), d_argmin].
+    One :class:`Scene` of (f, arr) serves the reduction and the bounds: its
+    charts, pole product and product tree of the q_i^3.
+
+    The bound: the squared distance D = N / Q2 (``_perturbed_numerator`` at
+    beta = u, beta0 = 0, over prod Q_i^2) has D' = 2 g / Q for Q = prod q_i^3.
+    On an interval of width w around the critical point r, with midpoint m,
+    |g| <= g_upper and |Q| >= floor, so |D(m) - D(r)| <= g_upper w / floor.
+    As g(r) = 0, also |g(x)| <= G1 |x - r| for G1 a bound on |g'| there, and
+    integrating gives |D(m) - D(r)| <= G1 w^2 / (4 floor).  The printed bound
+    is g_upper w / (2 floor), valid by the second-order bound whenever
+    G1 w <= 2 g_upper, and g_upper w / floor when that test fails.
     """
     width_bound = Fraction(width_bound)
     if width_bound <= 0:
@@ -614,6 +627,10 @@ def triangulate(
     q3_c, q3_d = qcubes_all.int_coeffs()
     slope_c, slope_d = qcubes_all.derivative().int_coeffs()
     slope_abs = [abs(x) for x in slope_c]
+    dg_c, dg_d = rc.raw.derivative().int_coeffs()
+    dg_abs = [abs(x) for x in dg_c]
+    squares = _square_tree(scene.images)
+    dist_num, dist_den = _perturbed_numerator(scene.images, squares, u.u, 0), squares[-1][0]
 
     distances = []
     bounds = []
@@ -636,9 +653,16 @@ def triangulate(
             iv = _halve(red_c, iv, slo)
         m = iv.midpoint
         floor = Fraction(qn, qd) - Fraction(sn, sd) * half
-        dist = _exact_distance(charts, u, m)
+        dist = dist_num.evaluate(1, m) / dist_den.evaluate(1, m)
         g_upper = _poly_abs_upper(rc.raw, iv.lo, iv.hi)
-        err = g_upper / floor * iv.width / 2
+        # g_upper w / (2 floor) when G1 w <= 2 g_upper, tested in integers,
+        # else the first-order g_upper w / floor (docstring)
+        g1n, g1d = _abs_upper_parts(dg_abs, dg_d, iv.lo, iv.hi)
+        w = iv.width
+        err = g_upper / floor * w / 2
+        if g1n * w.numerator * g_upper.denominator > (
+                2 * g_upper.numerator * g1d * w.denominator):
+            err *= 2
         final_ivs.append(iv)
         distances.append(dist)
         bounds.append(err)
@@ -668,12 +692,3 @@ def _halve(c, iv: IsolatingInterval, slo: int) -> IsolatingInterval:
     it, for p with integer coefficients c and sign slo just right of iv.lo."""
     lo, hi = _bisect(c, iv.lo, iv.hi, slo, iv.width / 2)
     return IsolatingInterval(lo, hi, iv.refinements + 1)
-
-
-def _exact_distance(charts, u: DataPoint, t: Rat) -> Rat:
-    acc = Fraction(0)
-    for i, (q, ps) in enumerate(charts):
-        qv = q.evaluate(t)
-        for j, p in enumerate(ps):
-            acc += (p.evaluate(t) / qv - u.u[i][j]) ** 2
-    return acc

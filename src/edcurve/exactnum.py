@@ -31,8 +31,8 @@ arbitrary-precision rationals:
   in the symmetric range lifts to a candidate h of the same degree; h is
   accepted only once it divides both operands exactly, which makes it the
   gcd (proof in ``poly_gcd``);
-* Sylvester resultants and discriminants via fraction-free (Bareiss)
-  determinant elimination on integer matrices;
+* binary-form resultants and discriminants from the subresultant chain on
+  the one integer pseudo-division that also divides polynomials;
 * Euclid mod a prime p on packed residues, for the gcd above and the
   resultant shortcut below: each operand's residues are packed into one
   Python int, one coefficient per w-bit slot (w = 8 * nb >= 2k + 6 for
@@ -300,32 +300,47 @@ def _clear_denominators(cs: Sequence[Rat]) -> tuple[list[int], int]:
     return [c.numerator * (d // c.denominator) for c in cs], d
 
 
-def _bareiss_det(m: list[list[int]]) -> int:
-    """Fraction-free determinant of an integer matrix (exact divisions only)."""
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            row_k = m[k]
-            lead = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - lead * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return sign * m[n - 1][n - 1]
+def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[int, list[int], list[int]]:
+    """(scale, quo, rem) with scale * a = quo * b + rem, for integer lists with
+    len(a) >= len(b) and b[-1] != 0.  scale = b[-1]^(len(a) - len(b) + 1)
+    makes every quotient step an exact division; rem has len(b) - 1 entries."""
+    n, lc = len(b) - 1, b[-1]
+    scale = lc ** (len(a) - n)
+    rem = [x * scale for x in a]
+    quo = [0] * (len(a) - n)
+    for i in range(len(quo) - 1, -1, -1):
+        quo[i] = c = rem[n + i] // lc
+        for j in range(n + 1):
+            rem[i + j] -= c * b[j]
+    return scale, quo, rem[:n]
+
+
+def _resultant(a: Sequence[int], b: Sequence[int]) -> int:
+    """Res(a, b) for integer lists of their actual degrees: the subresultant
+    chain (Collins, JACM 1967; Brown & Traub, JACM 1971; Cohen, GTM 138,
+    Algorithm 3.3.7) on the primitive parts.  Every division by g h^delta is
+    exact, and s collects the sign (-1)^(deg a deg b) of every swap."""
+    da, db = len(a) - 1, len(b) - 1
+    if not da or not db:
+        return a[0] ** db * b[0] ** da
+    ca, cb = _int_gcd(*a), _int_gcd(*b)
+    t = ca ** db * cb ** da
+    a, b = [x // ca for x in a], [x // cb for x in b]
+    a, b, s = (b, a, (-1) ** (da * db)) if da < db else (a, b, 1)
+    g = h = 1
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        s *= (-1) ** ((len(a) - 1) * (len(b) - 1))
+        r = _pseudo_divmod(a, b)[2]
+        while r and not r[-1]:
+            r.pop()
+        if not r:
+            return 0
+        div = g * h ** delta
+        a, b, g = b, [x // div for x in r], b[-1]
+        h = g ** delta // h ** (delta - 1) if delta else h
+    da = len(a) - 1
+    return s * t * b[0] ** da // h ** (da - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -480,23 +495,13 @@ class UniPoly:
         b = other.num
         if not b:
             raise ZeroDivisionError("polynomial division by zero")
-        n, lc = len(b) - 1, b[-1]
-        delta = len(self.num) - 1 - n
-        if delta < 0:
+        if len(self.num) < len(b):
             return _UNI_ZERO, self
-        scale = lc ** (delta + 1)
-        rem = [x * scale for x in self.num]
-        quo = [0] * (delta + 1)
-        for i in range(delta, -1, -1):
-            c = rem[n + i] // lc
-            if c:
-                quo[i] = c
-                for j in range(n + 1):
-                    rem[i + j] -= c * b[j]
+        scale, quo, rem = _pseudo_divmod(self.num, b)
         if scale < 0:
             scale, quo, rem = -scale, [-x for x in quo], [-x for x in rem]
         return (_uni([x * other.den for x in quo], scale * self.den),
-                _uni(rem[:n], scale * self.den))
+                _uni(rem, scale * self.den))
 
     def exact_div(self, other: "UniPoly") -> "UniPoly":
         q, r = divmod(self, other)
@@ -649,23 +654,6 @@ def distinct_root_count(p: UniPoly) -> int:
     d = squarefree_part(p).degree
     assert d is not None
     return d
-
-
-def _sylvester_matrix(a: Sequence[int], b: Sequence[int], m: int, n: int) -> list[list[int]]:
-    """Classical Sylvester matrix for coefficient lists of formal degrees m, n.
-
-    ``a``/``b`` are ascending with length m+1 / n+1 (leading zeros allowed:
-    this is what makes the binary-form resultant see roots at infinity).
-    """
-    size = m + n
-    rows = []
-    ad = list(reversed(a))  # descending
-    bd = list(reversed(b))
-    for i in range(n):
-        rows.append([0] * i + ad + [0] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([0] * i + bd + [0] * (size - n - 1 - i))
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -828,19 +816,23 @@ def hom_resultant(f: HomPoly2, g: HomPoly2) -> Rat:
     """Resultant of two binary forms w.r.t. their formal degrees.
 
     Vanishes exactly when the (nonzero) forms share a zero on P^1, including
-    at [0:1] — which the actual-degree univariate resultant would miss.
+    at [0:1] — which the actual-degree univariate resultant would miss.  From
+    the chart resultant of actual degrees m' <= m, n' <= n: 0 if both drop,
+    else (-1)^(n (m - m')) lc(g)^(m - m') Res_{m',n} or lc(f)^(n - n') Res_{m,n'}.
     """
     if f.is_zero or g.is_zero:
         raise ValueError("resultant of a zero form")
     m, n = f.degree, g.degree
-    if m == 0:
-        return Fraction(f.num[0], f.den) ** n
-    if n == 0:
-        return Fraction(g.num[0], g.den) ** m
-    a, da = f.int_coeffs()
-    b, db = g.int_coeffs()
-    det = _bareiss_det(_sylvester_matrix(a, b, m, n))
-    return Fraction(det, da**n * db**m)
+    a, b = f.dehom().num, g.dehom().num
+    drop_f, drop_g = m + 1 - len(a), n + 1 - len(b)
+    if drop_f and drop_g:
+        return Fraction(0)
+    res = _resultant(a, b)
+    if drop_f:
+        res *= (-1) ** (n * drop_f) * b[-1] ** drop_f
+    elif drop_g:
+        res *= a[-1] ** drop_g
+    return Fraction(res, f.den ** n * g.den ** m)
 
 
 def hom_resultant_is_nonzero(f: HomPoly2, g: HomPoly2) -> bool:
@@ -848,8 +840,6 @@ def hom_resultant_is_nonzero(f: HomPoly2, g: HomPoly2) -> bool:
     if f.is_zero or g.is_zero:
         raise ValueError("resultant of a zero form")
     m, n = f.degree, g.degree
-    if m == 0 or n == 0:
-        return hom_resultant(f, g) != 0
     a, b = f.dehom().num, g.dehom().num
     # with no common zero at [0:1] (one form has full chart degree), a constant
     # chart gcd mod p proves Res != 0 (module docstring); None or a positive

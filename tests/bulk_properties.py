@@ -63,6 +63,57 @@ def ref_refine(p: UniPoly, iv: IsolatingInterval, width_bound) -> IsolatingInter
     return IsolatingInterval(lo, hi, steps)
 
 
+def _bareiss_det(m: list[list[int]]) -> int:
+    """Fraction-free determinant of an integer matrix (exact divisions only)."""
+    n = len(m)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            row_i = m[i]
+            row_k = m[k]
+            lead = row_i[k]
+            for j in range(k + 1, n):
+                row_i[j] = (row_i[j] * pivot - lead * row_k[j]) // prev
+            row_i[k] = 0
+        prev = pivot
+    return sign * m[n - 1][n - 1]
+
+
+def ref_resultant(f: HomPoly2, g: HomPoly2) -> F:
+    """Res of two nonzero binary forms w.r.t. their formal degrees m, n: the
+    determinant of the (m + n)-square Sylvester matrix of their coefficients,
+    leading zeros included, by Bareiss elimination.  The oracle for
+    ``hom_resultant``."""
+    m, n = f.degree, g.degree
+    a, b = list(reversed(f.num)), list(reversed(g.num))  # descending
+    rows = [[0] * i + a + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + b + [0] * (m - 1 - i) for i in range(m)]
+    return F(_bareiss_det(rows), f.den ** n * g.den ** m)
+
+
+def _rand_form(rng: random.Random, max_deg: int) -> HomPoly2:
+    """A nonzero binary form of formal degree 0..max_deg with planted zero
+    coefficients (the top one too, a chart-degree drop) and denominators."""
+    while True:
+        e = rng.randint(0, max_deg)
+        cs = [F(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 7))) if rng.random() < 0.7
+              else F(0) for _ in range(e + 1)]
+        if any(cs):
+            return HomPoly2(e, cs)
+
+
 def _form(p: UniPoly) -> HomPoly2:
     """p as a binary form of its own degree: no zero at t = infinity, so the
     form's resultants and discriminant vanish exactly where p's would."""
@@ -145,6 +196,28 @@ def resultant_gcd_exhaustive() -> int:
             has_common = poly_gcd(p, q).degree >= 1
             assert vanishes == has_common, (p, q)
             done += 1
+    return done
+
+
+def resultant_oracle(seed: int, cases: int) -> int:
+    """hom_resultant equals the Sylvester determinant (``ref_resultant``) on
+    random forms of formal degrees 0..9; every third pair shares a planted
+    linear factor, and every fifth has both top coefficients zeroed (a
+    common zero at [0:1])."""
+    rng = random.Random(seed)
+    done = 0
+    for k in range(cases):
+        f, g = _rand_form(rng, 9), _rand_form(rng, 9)
+        if k % 3 == 0:
+            lin = HomPoly2(1, (rng.randint(-3, 3), rng.choice((-2, -1, 1, 2))))
+            f, g = f * lin, g * lin
+        if k % 5 == 0 and f.degree and g.degree:
+            f2 = HomPoly2(f.degree, f.coeffs[:-1])
+            g2 = HomPoly2(g.degree, g.coeffs[:-1])
+            if not (f2.is_zero or g2.is_zero):
+                f, g = f2, g2
+        assert hom_resultant(f, g) == ref_resultant(f, g), (f, g)
+        done += 1
     return done
 
 
@@ -254,6 +327,7 @@ def run_all(seed: int = 20260823) -> dict[str, int]:
         "resultant_multiplicativity": resultant_multiplicativity(seed + 2, 1400),
         "resultant_gcd_random": resultant_gcd_random(seed + 3, 1500),
         "resultant_gcd_exhaustive": resultant_gcd_exhaustive(),
+        "resultant_oracle": resultant_oracle(seed + 10, 1500),
         "distinct_count_square_law": distinct_count_square_law(seed + 4, 1200),
         "squarefree_laws": squarefree_laws(seed + 5, 800),
         "discriminant_laws": discriminant_laws(seed + 6, 700),

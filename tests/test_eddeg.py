@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from edcurve import eddeg, scene
 from edcurve.eddeg import (
+    _poly_abs_upper,
     CellExhaustedError,
     CuspError,
     DataInstabilityError,
@@ -36,6 +37,7 @@ from edcurve.exactnum import (
     hom_gcd_many,
     poly_gcd,
     product_tree,
+    refine_root,
     squarefree_part,
 )
 from edcurve.scene import (
@@ -1001,6 +1003,44 @@ class TestTriangulate:
         assert all(d_best <= d for d in res.distances)
         params = [iv.lo for iv in res.critical_parameters]
         assert params == sorted(params)
+
+    @pytest.mark.parametrize("seed,width", [(0, F(1, 1024)), (1, F(1, 4)), (4, F(1, 4)),
+                                            (5, F(1))])
+    def test_error_bounds_hold_at_a_fine_refinement(self, seed, width):
+        # |d_k - D(r_k)| <= err_k for every critical point r_k, with D(r_k)
+        # read at the midpoint of r_k refined to width 1e-60
+        f = twisted_cubic()
+        arr = generic_arrangement(11 + seed, 2, 2, 3)
+        u = random_data_point(8 + seed, 2, 2)
+        res = triangulate(f, arr, u, width)
+        reduced = reduce_critical_polynomial(f, arr, u).reduced
+        assert res.critical_parameters
+        for iv, d, err in zip(res.critical_parameters, res.distances,
+                              res.distance_error_bounds):
+            fine = refine_root(reduced, iv, F(1, 10**60))
+            assert abs(d - exact_distance(f, arr, u, fine.midpoint)) <= err
+
+    def test_first_order_bound_when_the_second_order_test_fails(self):
+        # the parabola t -> (t, t^2) under an affine camera: Q = 1, so the
+        # floor is 1 and no pole shrinks the interval.  At u = (1/3, -1),
+        # g = 2t^3 + 3t - 1/3 has one real root, and a width bound of 8 keeps
+        # its Cauchy box (-3, 3).  There G1 w = 57 * 6 > 2 g_upper = 380/3,
+        # so the bound is the first-order g_upper w / floor = 380
+        cam = Camera(2, 3, ((F(0), F(0), F(0), F(1)),
+                            (F(0), F(0), F(1), F(0)),
+                            (F(0), F(1), F(0), F(0))))
+        f, arr, u = twisted_cubic(), Arrangement((cam,)), DataPoint(u=((F(1, 3), F(-1)),))
+        res = triangulate(f, arr, u, F(8))
+        rc = reduce_critical_polynomial(f, arr, u)
+        assert rc.raw == UniPoly((F(-1, 3), 3, 0, 2))
+        (iv,) = res.critical_parameters
+        assert (iv.lo, iv.hi) == (-3, 3)
+        g_upper = _poly_abs_upper(rc.raw, iv.lo, iv.hi)
+        g1 = _poly_abs_upper(rc.raw.derivative(), iv.lo, iv.hi)
+        assert g1 * iv.width > 2 * g_upper
+        assert res.distance_error_bounds == (g_upper * iv.width,) == (380,)
+        fine = refine_root(rc.reduced, iv, F(1, 10**60))
+        assert abs(res.distances[0] - exact_distance(f, arr, u, fine.midpoint)) <= 380
 
     def test_json_shape(self):
         f = twisted_cubic()

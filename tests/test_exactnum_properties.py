@@ -14,7 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import bulk_properties
-from bulk_properties import poly_from_roots, ref_refine as _ref_refine
+from bulk_properties import poly_from_roots, ref_refine as _ref_refine, ref_resultant
 from edcurve import exactnum
 from edcurve.eddeg import (
     _poly_abs_upper,
@@ -55,6 +55,7 @@ class TestBulkSuites:
         "resultant_multiplicativity",
         "resultant_gcd_random",
         "resultant_gcd_exhaustive",
+        "resultant_oracle",
         "distinct_count_square_law",
         "squarefree_laws",
         "discriminant_laws",
@@ -257,6 +258,63 @@ class TestResultantShortcut:
         assert hom_resultant(f, g) != 0
         monkeypatch.setattr(exactnum, "hom_resultant", None)
         assert hom_resultant_is_nonzero(f, g) is True
+
+
+@st.composite
+def formal_forms(draw, max_deg=7):
+    """Nonzero binary forms of formal degree 0..max_deg: planted zero
+    coefficients (at the top too, a chart-degree drop) and denominators."""
+    e = draw(st.integers(min_value=0, max_value=max_deg))
+    nums = draw(st.lists(st.sampled_from((0, 0, 1, -1, 2, -3, 5, -9)),
+                         min_size=e + 1, max_size=e + 1))
+    dens = draw(st.lists(st.sampled_from((1, 1, 2, 3, 7)), min_size=e + 1, max_size=e + 1))
+    assume(any(nums))
+    return HomPoly2(e, [F(a, d) for a, d in zip(nums, dens)])
+
+
+def _sympy_resultant(f, g):
+    """Res_{m,n}(f, g) in sympy alone.  s -> s + c t has determinant 1, so it
+    keeps the resultant of binary forms, and for c with f(c, 1) g(c, 1) != 0
+    both charts f(1 + c t, t), g(1 + c t, t) keep their formal degrees, which
+    is the resultant sympy computes.  sympy's ``resultant`` agrees with the
+    Sylvester determinant only with the operand of larger degree first, so a
+    smaller f goes second and takes the swap's sign (-1)^(m n)."""
+    sp = pytest.importorskip("sympy")
+    t = sp.symbols("t")
+    c = next(c for c in range(f.degree + g.degree + 1)
+             if f.evaluate(c, 1) and g.evaluate(c, 1))
+
+    def chart(h):
+        return sp.expand(sum(a * (1 + c * t) ** (h.degree - k) * t ** k
+                             for k, a in enumerate(h.coeffs)))
+
+    if f.degree < g.degree:
+        return (-1) ** (f.degree * g.degree) * F(str(sp.resultant(chart(g), chart(f), t)))
+    return F(str(sp.resultant(chart(f), chart(g), t)))
+
+
+class TestResultantOracle:
+    """hom_resultant (subresultant chain) against the Sylvester determinant
+    and against sympy."""
+
+    @settings(max_examples=300)
+    @given(f=formal_forms(), g=formal_forms(), both_at_infinity=st.booleans())
+    @example(f=_hom(3), g=_hom(0, 2, 5), both_at_infinity=False)       # degree 0
+    @example(f=_hom(3), g=_hom(-2), both_at_infinity=False)            # both degree 0
+    @example(f=_hom(1, 2, 0, 0), g=_hom(3, -1, 5), both_at_infinity=False)  # f drops 2
+    @example(f=_hom(3, -1, 5), g=_hom(1, 2, 0), both_at_infinity=False)     # g drops 1
+    @example(f=_hom(1, 2, 0), g=_hom(4, 0, 0, 0), both_at_infinity=False)  # common [0:1]
+    def test_matches_sylvester_and_sympy(self, f, g, both_at_infinity):
+        if both_at_infinity and f.degree and g.degree:
+            f2, g2 = HomPoly2(f.degree, f.coeffs[:-1]), HomPoly2(g.degree, g.coeffs[:-1])
+            assume(not (f2.is_zero or g2.is_zero))
+            f, g = f2, g2
+        res = hom_resultant(f, g)
+        assert res == ref_resultant(f, g)
+        assert res == _sympy_resultant(f, g)
+        assert hom_resultant_is_nonzero(f, g) == (res != 0)
+        if both_at_infinity and f.degree and g.degree:
+            assert res == 0
 
 
 # -- integer sign evaluation against the Fraction reference ---------------------
