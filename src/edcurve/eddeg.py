@@ -53,6 +53,7 @@ from .exactnum import (
     Rat,
     UNI_ONE,
     UniPoly,
+    _as_rat,
     _bisect,
     _eval_int,
     _sign,
@@ -103,9 +104,9 @@ class DataPoint:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "u", tuple(tuple(Fraction(x) for x in row) for row in self.u)
+            self, "u", tuple(tuple(_as_rat(x) for x in row) for row in self.u)
         )
-        object.__setattr__(self, "beta0", Fraction(self.beta0))
+        object.__setattr__(self, "beta0", _as_rat(self.beta0))
 
     def check_shape(self, arr: Arrangement):
         if len(self.u) != arr.n or any(len(row) != arr.h for row in self.u):
@@ -544,20 +545,43 @@ class TriangulationResult:
         }
 
 
-def _poly_abs_upper(p: UniPoly, lo: Rat, hi: Rat) -> Rat:
-    """sum |c_k| M^k with M = max(|lo|, |hi|): an upper bound for |p| on [lo, hi]."""
-    c, d = p.int_coeffs()
-    return Fraction(*_abs_upper_parts([abs(x) for x in c], d, lo, hi))
+def _value_parts(c: Sequence[int], d: int, x: Rat) -> tuple[int, int]:
+    """(num, den), den > 0, with num/den the value at x of the polynomial with
+    integer numerators c over the denominator d.
+
+    Summed in integers as den(x)^deg * sum c[k] x^k (``_eval_int``); the pair
+    is not reduced, so no gcd is taken.
+    """
+    return _eval_int(c, x), d * x.denominator ** max(len(c) - 1, 0)
 
 
 def _abs_upper_parts(abs_c: Sequence[int], d: int, lo: Rat, hi: Rat) -> tuple[int, int]:
-    """(num, den), den > 0, with num/den = sum (abs_c[k]/d) M^k, M = max(|lo|, |hi|).
+    """:func:`_value_parts` of sum (abs_c[k]/d) M^k at M = max(|lo|, |hi|): for
+    abs_c the absolute numerators of p over d, an upper bound for |p| on [lo, hi]."""
+    return _value_parts(abs_c, d, max(abs(lo), abs(hi)))
 
-    Summed in integers as den(M)^deg * sum abs_c[k] M^k; the pair is not
-    reduced, so no gcd is taken.
+
+def _quotient(p, q, x: Rat) -> Rat:
+    """p(x) / q(x) for polynomials, or forms at s = 1, with q(x) != 0.
+
+    The two :func:`_value_parts` are cross-multiplied with their common power
+    of x's denominator cancelled, so one gcd reduces the result.
     """
-    m = max(abs(lo), abs(hi))
-    return _eval_int(abs_c, m), d * m.denominator ** max(len(abs_c) - 1, 0)
+    a, b = len(p.num) - 1, len(q.num) - 1
+    num, den = _eval_int(p.num, x) * q.den, _eval_int(q.num, x) * p.den
+    if a < b:
+        num *= x.denominator ** (b - a)
+    else:
+        den *= x.denominator ** (a - b)
+    return Fraction(num, den)
+
+
+def _fraction(num: int, den: int) -> Rat:
+    """Fraction(num, den) for den != 0, with the power of two that num and den
+    share shifted out first, so that its one gcd runs on the shorter pair."""
+    x = num | den
+    z = (x & -x).bit_length() - 1
+    return Fraction(num >> z, den >> z)
 
 
 def triangulate(
@@ -582,7 +606,7 @@ def triangulate(
     is g_upper w / (2 floor), valid by the second-order bound whenever
     G1 w <= 2 g_upper, and g_upper w / floor when that test fails.
     """
-    width_bound = Fraction(width_bound)
+    width_bound = _as_rat(width_bound)
     if width_bound <= 0:
         raise ValueError("width bound must be positive")
     u.check_shape(arr)
@@ -627,53 +651,60 @@ def triangulate(
     q3_c, q3_d = qcubes_all.int_coeffs()
     slope_c, slope_d = qcubes_all.derivative().int_coeffs()
     slope_abs = [abs(x) for x in slope_c]
+    g_c, g_d = rc.raw.int_coeffs()
+    g_abs = [abs(x) for x in g_c]
     dg_c, dg_d = rc.raw.derivative().int_coeffs()
     dg_abs = [abs(x) for x in dg_c]
     squares = _square_tree(scene.images)
     dist_num, dist_den = _perturbed_numerator(scene.images, squares, u.u, 0), squares[-1][0]
 
+    # every bound below is an unreduced integer pair (num, den), den > 0, until
+    # the one Fraction of each printed value
     distances = []
     bounds = []
     final_ivs = []
+    midpoints = []
     for iv, slo in pole_free:
         # derivative bound needs a positive floor |Q(m)| - S * width/2 for
         # |Q| = |prod q^3| on the interval, S the slope bound of Q' on it.
         # Termination: the root r is pole-free, so Q(r) != 0; by the mean
         # value theorem |Q(m)| >= |Q(r)| - S * width/2, and S never grows
         # as the intervals nest, so the floor is positive once
-        # S * width < |Q(r)|.  The test is cross-multiplied in integers
-        # (every denominator is positive), so no gcd is taken per step.
+        # S * width < |Q(r)|.
         while True:
             m = iv.midpoint
-            qn, qd = abs(_eval_int(q3_c, m)), q3_d * m.denominator ** (len(q3_c) - 1)
+            qn, qd = _value_parts(q3_c, q3_d, m)
             sn, sd = _abs_upper_parts(slope_abs, slope_d, iv.lo, iv.hi)
             half = iv.width / 2
-            if qn * sd * half.denominator > sn * half.numerator * qd:
+            floor_n = abs(qn) * sd * half.denominator - sn * half.numerator * qd
+            if floor_n > 0:
                 break
             iv = _halve(red_c, iv, slo)
-        m = iv.midpoint
-        floor = Fraction(qn, qd) - Fraction(sn, sd) * half
-        dist = dist_num.evaluate(1, m) / dist_den.evaluate(1, m)
-        g_upper = _poly_abs_upper(rc.raw, iv.lo, iv.hi)
-        # g_upper w / (2 floor) when G1 w <= 2 g_upper, tested in integers,
-        # else the first-order g_upper w / floor (docstring)
+        floor_d = qd * sd * half.denominator
+        gn, gd = _abs_upper_parts(g_abs, g_d, iv.lo, iv.hi)
         g1n, g1d = _abs_upper_parts(dg_abs, dg_d, iv.lo, iv.hi)
-        w = iv.width
-        err = g_upper / floor * w / 2
-        if g1n * w.numerator * g_upper.denominator > (
-                2 * g_upper.numerator * g1d * w.denominator):
-            err *= 2
+        wn, wd = iv.width.numerator, iv.width.denominator
+        # g_upper w / floor, halved when G1 w <= 2 g_upper (docstring)
+        err_n, err_d = gn * wn * floor_d, gd * wd * floor_n
+        if g1n * wn * gd <= 2 * gn * g1d * wd:
+            err_d *= 2
         final_ivs.append(iv)
-        distances.append(dist)
-        bounds.append(err)
+        midpoints.append(m)
+        distances.append(_quotient(dist_num, dist_den, m))
+        bounds.append(_fraction(err_n, err_d))
 
     argmin = min(range(len(distances)), key=lambda k: (distances[k], k))
-    tstar = final_ivs[argmin].midpoint
+    tstar = midpoints[argmin]
     world = f.evaluate(Fraction(1), tstar)
-    blocks = tuple(
-        tuple(p.evaluate(tstar) / q.evaluate(tstar) for p in ps) for q, ps in charts
-    )
-    lower = min(d - b for d, b in zip(distances, bounds))
+    blocks = tuple(tuple(_quotient(p, q, tstar) for p in ps) for q, ps in charts)
+    # min_k (d_k - b_k), compared as unreduced pairs
+    lows = [(d.numerator * b.denominator - b.numerator * d.denominator,
+             d.denominator * b.denominator) for d, b in zip(distances, bounds)]
+    low_n, low_d = lows[0]
+    for n, den in lows[1:]:
+        if n * low_d < low_n * den:
+            low_n, low_d = n, den
+    lower = _fraction(low_n, low_d)
     return TriangulationResult(
         critical_parameters=tuple(final_ivs),
         distances=tuple(distances),

@@ -1016,28 +1016,72 @@ def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
-def _taylor_shift(a: Sequence[int], c: int) -> list[int]:
-    """Coefficients of a(x + c) for a nonempty integer list (Kronecker substitution).
+def _packed_shift(a: Sequence[int], c: int) -> tuple[int, int]:
+    """(a(X + c), nb) for c = 1 or -1, a nonempty integer list and X = 256**nb.
 
     Every coefficient of a(x + c) has absolute value at most
-    max|a| * (d + 1) * (1 + |c|)^d for d = len(a) - 1, so one Horner pass at
-    the big integer X + c, X = 256**nb with that bound below X / 2, leaves
-    the shifted coefficients as the signed base-X digits of the result.
+    max|a| * (d + 1) * 2^d for d = len(a) - 1, and nb is chosen with that
+    bound below X / 2, so the shifted coefficients are the signed base-X
+    digits of a(X + c) (``_kron_unpack``).  Horner's step acc * (X + c) is
+    a shift and one addition or subtraction.
     """
     d = len(a) - 1
-    bound = max(map(abs, a)) * (d + 1) * (1 + abs(c)) ** d
+    bound = max(map(abs, a)) * (d + 1) << d
     nb = (bound.bit_length() + 8) // 8
     k = 8 * nb
     acc = 0
-    for x in reversed(a):
-        acc = (acc << k) + acc * c + x
-    return _kron_unpack(acc, nb, d + 1)
+    if c == 1:
+        for x in reversed(a):
+            acc = (acc << k) + acc + x
+    else:
+        for x in reversed(a):
+            acc = (acc << k) - acc + x
+    return acc, nb
+
+
+def _taylor_shift(a: Sequence[int], c: int) -> list[int]:
+    """Coefficients of a(x + c) for c = 1 or -1 and a nonempty integer list."""
+    acc, nb = _packed_shift(a, c)
+    return _kron_unpack(acc, nb, len(a))
 
 
 def _sign_changes(a: Sequence[int]) -> int:
     """Sign variations of a coefficient sequence, zeros skipped."""
     signs = [x > 0 for x in a if x]
     return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _shift_variations(q: Sequence[int]) -> int:
+    """Sign variations of (x + 1)^d q(1 / (x + 1)), d = len(q) - 1, for q != 0.
+
+    They are the sign variations of the Taylor shift by 1 of q reversed, whose
+    coefficients are the signed digits b_i of v = acc + H for (acc, nb) of
+    ``_packed_shift`` and H the top bit of every slot (the bias of
+    ``_slot_bias``): slot i of v holds b_i + 2^(k-1), k = 8 nb, which has its
+    top bit set exactly when b_i >= 0.  With T = v & H, the top bits of
+    T ^ (T >> k) below the top slot mark the neighbours of different sign.
+    That count skips no zero, so it is used only when no b_i is 0, that is
+    when no slot of z = v ^ H is 0.  The SWAR test (z - L) & ~z & H, L the
+    low bit of every slot, is nonzero exactly then: subtracting 1 from every
+    slot borrows only out of a zero slot, and the lowest zero slot is the
+    first, with no borrow coming in, to turn 0 into a set top bit, while a
+    nonzero slot without a borrow coming in sets its top bit only if it was
+    set.  Otherwise the digits are unpacked and counted with zeros skipped.
+
+    A q whose coefficients all have one sign (zeros aside) gives 0 untested:
+    its reverse and that reverse's shift have only coefficients of that sign.
+    """
+    if min(q) >= 0 or max(q) <= 0:
+        return 0
+    acc, nb = _packed_shift(q[::-1], 1)
+    k = 8 * nb
+    top = _slot_bias(nb, len(q))[1]
+    v = acc + top
+    z = v ^ top
+    if (z - (top >> (k - 1))) & ~z & top:
+        return _sign_changes(_kron_unpack(acc, nb, len(q)))
+    t = v & top
+    return ((t ^ (t >> k)) & (top >> k)).bit_count()
 
 
 def _drop_twos(q: list[int]) -> list[int]:
@@ -1073,12 +1117,34 @@ def _descartes_roots(a: list[int]) -> list[list[int]]:
     :func:`_root_bound_exponent`; on a power-of-two box the integer
     coefficients shrink as the intervals do.  A node is the interval
     (-2^e + 2^(e+1) k / 2^j, -2^e + 2^(e+1) (k+1) / 2^j) with a positive
-    multiple q of a pulled back to (0, 1).  The sign variations of
-    (x + 1)^d q(1 / (x + 1)) bound the roots in (0, 1) and share their parity,
-    so 0 discards the node and 1 certifies one root.  A bisection point that
-    is a root is recorded as a point and divided out of the right half, so
-    q(0) is never 0 and has a's sign just inside the left end (the sign of
-    a' there when that end is a root).
+    multiple q of a pulled back to (0, 1).  Its test v is the number of sign
+    variations of (x + 1)^d q(1 / (x + 1)) (:func:`_shift_variations`, read
+    from the packed Taylor shift), which bounds the roots in (0, 1) and
+    shares their parity, so 0 discards the node and 1 certifies one root.  A
+    bisection point that is a root is recorded as a point and divided out of
+    the right half, so q(0) is never 0 and has a's sign just inside the left
+    end (the sign of a' there when that end is a root).
+
+    A node with v >= 2 splits into left = 2^d q(x / 2) and
+    right = left(x + 1), whose tests are taken when they are made.  The
+    midpoint is a root exactly when left(1) = sum(left) is 0.  Two rules spare
+    work without changing a test:
+
+    * A q whose coefficients all have one sign gets 0 without a shift: the
+      coefficients of (x + 1)^d q(1 / (x + 1)) then all have that sign too.
+    * Subadditivity (Eigenwillig, Sharma & Yap, ISSAC 2006): the left and
+      right tests and the midpoint, when it is a root, sum to at most v.  For
+      disjoint open subintervals the tests sum to at most v.  Around a root m
+      take (m - t, m + t), whose test is at least 1 as it holds m.  For small
+      t, the transformed coefficients of (lo, m - t) and (m + t, hi) are
+      close to those of (lo, m) and (m, hi), where m's root makes one end
+      coefficient 0: the nonzero ones keep their signs, and a zero turning
+      nonzero adds variations and removes none, so those tests are at least
+      the tests of (lo, m) and (m, hi).  (Dividing the root at 0 out of the
+      right half changes neither its transformed polynomial nor its test.)
+      So when the left test plus [midpoint is a root] is already v, the
+      right half has test 0 and holds no root: it is neither shifted nor
+      tested.
 
     Each entry is [lo_num, lo_den, hi_num, hi_den, s] for lowest-terms ends:
     s = 0 for an exact root lo = hi, else the open interval (lo, hi) holds one
@@ -1093,11 +1159,11 @@ def _descartes_roots(a: list[int]) -> list[list[int]]:
 
     # the root node: a(2^e (y - 1)) at y = 2x is a(2^e (2x - 1)) on (0, 1)
     shifted = _taylor_shift([x << (e * i) for i, x in enumerate(a)], -1)
+    q = _drop_twos([x << i for i, x in enumerate(shifted)])
     roots: list[list[int]] = []
-    stack = [(_drop_twos([x << i for i, x in enumerate(shifted)]), 0, 0)]
+    stack = [(q, 0, 0, _shift_variations(q))]
     while stack:
-        q, k, j = stack.pop()
-        v = _sign_changes(_taylor_shift(q[::-1], 1))
+        q, k, j, v = stack.pop()
         if v == 0:
             continue
         if v == 1:
@@ -1105,13 +1171,19 @@ def _descartes_roots(a: list[int]) -> list[list[int]]:
             continue
         d = len(q) - 1
         left = [x << (d - i) for i, x in enumerate(q)]  # 2^d q(x / 2)
-        right = _taylor_shift(left, 1)                   # 2^d q((x + 1) / 2)
-        if not right[0]:
+        mid = sum(left) == 0                             # left(1) = 2^d q(1/2)
+        if mid:
             m = at(2 * k + 1, j + 1)
             roots.append([*m, *m, 0])
-            del right[0]
-        stack.append((_drop_twos(left), 2 * k, j + 1))
-        stack.append((_drop_twos(right), 2 * k + 1, j + 1))
+        q_left = _drop_twos(left)
+        v_left = _shift_variations(q_left)
+        stack.append((q_left, 2 * k, j + 1, v_left))
+        if v_left + mid < v:                             # else no root right
+            right = _taylor_shift(left, 1)               # 2^d q((x + 1) / 2)
+            if mid:
+                del right[0]
+            right = _drop_twos(right)
+            stack.append((right, 2 * k + 1, j + 1, _shift_variations(right)))
     return roots
 
 

@@ -12,6 +12,7 @@ import random
 from fractions import Fraction as F
 from itertools import product
 
+from edcurve import exactnum
 from edcurve.exactnum import (
     UNI_ONE,
     HomPoly2,
@@ -61,6 +62,155 @@ def ref_refine(p: UniPoly, iv: IsolatingInterval, width_bound) -> IsolatingInter
         else:
             hi = m
     return IsolatingInterval(lo, hi, steps)
+
+
+def ref_abs_upper(p: UniPoly, lo, hi) -> F:
+    """sum |c_k| M^k with M = max(|lo|, |hi|), in Fraction arithmetic: the
+    upper bound for |p| on [lo, hi] that ``eddeg._abs_upper_parts`` sums in
+    integers."""
+    m = max(abs(lo), abs(hi))
+    acc, power = F(0), F(1)
+    for c in p.coeffs:
+        acc += abs(c) * power
+        power *= m
+    return acc
+
+
+def _sgn(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _ref_taylor_shift(a: list[int], c: int) -> list[int]:
+    """Coefficients of a(x + c), by repeated synthetic division: d(d+1)/2
+    multiply-adds on a plain list, no packing."""
+    b = list(a)
+    for i in range(len(b) - 1):
+        for j in range(len(b) - 2, i - 1, -1):
+            b[j] += c * b[j + 1]
+    return b
+
+
+def _ref_variations(a: list[int]) -> int:
+    signs = [_sgn(x) for x in a if x]
+    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+
+
+def ref_descartes_roots(a: list[int]) -> list[list[int]]:
+    """The Vincent-Collins-Akritas loop ``exactnum._descartes_roots`` ran
+    before its packed sign read and its skip rules: every node is tested by
+    a Taylor shift of its reversed coefficients, here ``_ref_taylor_shift``,
+    and both children of a split are made and tested.  Same entries."""
+    e = exactnum._root_bound_exponent(a)
+
+    def at(k: int, j: int) -> tuple[int, int]:
+        x = F((2 * k - (1 << j)) << e, 1 << j)
+        return x.numerator, x.denominator
+
+    shifted = _ref_taylor_shift([x << (e * i) for i, x in enumerate(a)], -1)
+    roots: list[list[int]] = []
+    stack = [(exactnum._drop_twos([x << i for i, x in enumerate(shifted)]), 0, 0)]
+    while stack:
+        q, k, j = stack.pop()
+        v = _ref_variations(_ref_taylor_shift(q[::-1], 1))
+        if v == 0:
+            continue
+        if v == 1:
+            roots.append([*at(k, j), *at(k + 1, j), _sgn(q[0])])
+            continue
+        d = len(q) - 1
+        left = [x << (d - i) for i, x in enumerate(q)]
+        right = _ref_taylor_shift(left, 1)
+        if not right[0]:
+            m = at(2 * k + 1, j + 1)
+            roots.append([*m, *m, 0])
+            del right[0]
+        stack.append((exactnum._drop_twos(left), 2 * k, j + 1))
+        stack.append((exactnum._drop_twos(right), 2 * k + 1, j + 1))
+    return roots
+
+
+def _holds(outer: list[int], inner: list[int]) -> bool:
+    """Whether the one root of the entry ``inner`` provably lies in the entry
+    ``outer`` (entries as ``_descartes_roots`` returns them)."""
+    a, b = F(outer[0], outer[1]), F(outer[2], outer[3])
+    x, y = F(inner[0], inner[1]), F(inner[2], inner[3])
+    if not outer[4]:
+        return x == y == a if not inner[4] else x < a < y
+    if not inner[4]:
+        return a < x < b
+    return a <= x and y <= b
+
+
+def assert_same_roots(got: list[list[int]], want: list[list[int]]) -> None:
+    """Each root of ``want`` lies in exactly one entry of ``got``, and vice versa."""
+    for inner in want:
+        assert sum(_holds(g, inner) for g in got) == 1, (got, want, inner)
+    for inner in got:
+        assert sum(_holds(w, inner) for w in want) == 1, (got, want, inner)
+
+
+def _int_sturm_chain(p: UniPoly) -> list[list[int]]:
+    # each remainder of UniPoly's division is the Euclidean remainder over Q,
+    # and its numerators a positive multiple of it: the chain's signs are
+    # those of the negated remainders
+    chain = [exactnum._int_primitive(p.num)]
+    if p.degree:
+        chain.append(exactnum._int_primitive(p.derivative().num))
+    while len(chain[-1]) > 1:
+        r = divmod(UniPoly(chain[-2]), UniPoly(chain[-1]))[1]
+        if r.is_zero:
+            break
+        chain.append(exactnum._int_primitive([-x for x in r.num]))
+    return chain
+
+
+def _int_variations(chain, x) -> int:
+    if x == "+inf":
+        signs = [_sgn(c[-1]) for c in chain]
+    elif x == "-inf":
+        signs = [_sgn(c[-1]) * (-1) ** (len(c) - 1) for c in chain]
+    else:
+        signs = [_sgn(exactnum._eval_int(c, x)) for c in chain]
+    signs = [s for s in signs if s]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def ref_sturm_isolate(p: UniPoly) -> list[IsolatingInterval]:
+    """The Sturm-chain isolator whose bisection tree ``sturm_isolate`` replays:
+    a Sturm chain of primitive integer polynomials, and the same stack,
+    midpoint fence and stopping rules.  Both return identical intervals."""
+    if p.degree == 0:
+        return []
+    chain = _int_sturm_chain(p)
+    if _int_variations(chain, "-inf") == _int_variations(chain, "+inf"):
+        return []
+    b = F(int(1 + max(abs(c / p.lc) for c in p.coeffs)) + 1)
+    out = []
+    stack = [(-b, _int_variations(chain, -b), b, _int_variations(chain, b))]
+    while stack:
+        a, va, c, vc = stack.pop()
+        if va - vc == 0:
+            continue
+        if va - vc == 1:
+            out.append(IsolatingInterval(a, c))
+            continue
+        m = (a + c) / 2
+        if exactnum._eval_int(chain[0], m) == 0:
+            delta = (c - a) / 4
+            while (exactnum._eval_int(chain[0], m - delta) == 0
+                   or exactnum._eval_int(chain[0], m + delta) == 0
+                   or _int_variations(chain, m - delta)
+                   - _int_variations(chain, m + delta) != 1):
+                delta /= 2
+            out.append(IsolatingInterval(m - delta, m + delta))
+            stack.append((a, va, m - delta, _int_variations(chain, m - delta)))
+            stack.append((m + delta, _int_variations(chain, m + delta), c, vc))
+        else:
+            vm = _int_variations(chain, m)
+            stack.append((a, va, m, vm))
+            stack.append((m, vm, c, vc))
+    out.sort(key=lambda iv: iv.lo)
+    return out
 
 
 def _bareiss_det(m: list[list[int]]) -> int:
@@ -320,6 +470,30 @@ def refine_agreement(seed: int, cases: int) -> int:
     return done
 
 
+def descartes_oracle(seed: int, cases: int) -> int:
+    """``_descartes_roots`` finds the roots of ``ref_descartes_roots``, and
+    ``sturm_isolate`` returns the intervals of ``ref_sturm_isolate``.  The
+    planted roots sit on the subdivision points of the Descartes boxes, some
+    with a neighbour 2^-k away, beside random rationals and a random
+    cofactor, which adds complex roots."""
+    rng = random.Random(seed)
+    done = 0
+    for _ in range(cases):
+        roots = set()
+        for _ in range(rng.randint(1, 5)):
+            x = F(rng.randint(-16, 16), rng.choice((1, 2, 4, 8, 3, 7)))
+            roots.add(x)
+            if rng.random() < 0.3:
+                roots.add(x + rng.choice((1, -1)) * F(1, 2 ** rng.randint(3, 40)))
+        p = squarefree_part(poly_from_roots(sorted(roots)) * _rand_poly(rng, 3, min_deg=0))
+        if p.degree == 0:
+            continue
+        assert_same_roots(exactnum._descartes_roots(p.num), ref_descartes_roots(p.num))
+        assert sturm_isolate(p) == ref_sturm_isolate(p), p
+        done += 1
+    return done
+
+
 def run_all(seed: int = 20260823) -> dict[str, int]:
     """Run every suite; the value is the per-suite executed-case count."""
     return {
@@ -334,4 +508,5 @@ def run_all(seed: int = 20260823) -> dict[str, int]:
         "sturm_grid_scan": sturm_grid_scan(seed + 7, 700),
         "hom_consistency": hom_consistency(seed + 8, 1000),
         "refine_agreement": refine_agreement(seed + 9, 150),
+        "descartes_oracle": descartes_oracle(seed + 11, 600),
     }

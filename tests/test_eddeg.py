@@ -14,14 +14,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from edcurve import eddeg, scene
+from bulk_properties import ref_abs_upper
 from edcurve.eddeg import (
-    _poly_abs_upper,
     CellExhaustedError,
     CuspError,
     DataInstabilityError,
     DataPoint,
     EDReport,
     NonGenericBetaError,
+    TriangulationResult,
     count_cell,
     critical_polynomial,
     ed_degree_affine,
@@ -39,6 +40,7 @@ from edcurve.exactnum import (
     product_tree,
     refine_root,
     squarefree_part,
+    sturm_isolate,
 )
 from edcurve.scene import (
     Arrangement,
@@ -169,6 +171,16 @@ class TestDataPoint:
         d.check_shape(generic_arrangement(0, 2, 2, 3))
         with pytest.raises(ValueError):
             d.check_shape(generic_arrangement(0, 1, 2, 3))
+
+    def test_floats_and_non_literal_strings_are_refused(self):
+        # a float would bring its binary expansion: 0.1 is 3602879701896397/2^55
+        with pytest.raises(TypeError, match="exact rational"):
+            DataPoint(u=((0.1, F(1)),))
+        with pytest.raises(TypeError, match="exact rational"):
+            DataPoint(u=((F(1), F(2)),), beta0=0.5)
+        with pytest.raises(ValueError, match="not a rational literal"):
+            DataPoint(u=(("1e-3", F(1)),))
+        assert DataPoint(u=(("-1/3", 2),), beta0="5").u == ((F(-1, 3), F(2)),)
 
     def test_round_trip(self):
         d = DataPoint(u=((F(1, 3), F(-2)),), beta0=F(5, 7))
@@ -1035,8 +1047,8 @@ class TestTriangulate:
         assert rc.raw == UniPoly((F(-1, 3), 3, 0, 2))
         (iv,) = res.critical_parameters
         assert (iv.lo, iv.hi) == (-3, 3)
-        g_upper = _poly_abs_upper(rc.raw, iv.lo, iv.hi)
-        g1 = _poly_abs_upper(rc.raw.derivative(), iv.lo, iv.hi)
+        g_upper = ref_abs_upper(rc.raw, iv.lo, iv.hi)
+        g1 = ref_abs_upper(rc.raw.derivative(), iv.lo, iv.hi)
         assert g1 * iv.width > 2 * g_upper
         assert res.distance_error_bounds == (g_upper * iv.width,) == (380,)
         fine = refine_root(rc.reduced, iv, F(1, 10**60))
@@ -1070,19 +1082,134 @@ class TestTriangulate:
 
     @pytest.mark.parametrize("scene", sorted(GOLDEN))
     def test_golden_bytes(self, scene):
-        data = Path(__file__).parent / "data"
-        if scene.startswith("twisted-cubic"):
-            f = twisted_cubic()
-            if scene == "twisted-cubic-two-views":
-                arr = arrangement_from_dict(json.loads((data / "two_generic.json").read_text()))
-                u = random_data_point(5, 2, 2)
-            else:
-                arr = arrangement_from_dict(json.loads((data / "one_generic.json").read_text()))
-                u = DataPoint(u=((F(10**155), F(3)),))
-        else:
-            f = random_curve(100, 4, 3)
-            arr = generic_arrangement(200, 4, 2, 3)
-            u = random_data_point(300, 4, 2)
-        res = triangulate(f, arr, u, F(1, 10**12))
+        res = triangulate(*_golden_scene(scene), F(1, 10**12))
         text = json.dumps(res.to_json_dict(), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == self.GOLDEN[scene]
+
+    # -- every exact value against its Fraction expression ------------------
+
+    @pytest.mark.parametrize("scene", sorted(GOLDEN))
+    def test_golden_values_match_the_fraction_reference(self, scene):
+        f, arr, u = _golden_scene(scene)
+        assert triangulate(f, arr, u, F(1, 10**12)) == ref_triangulate(f, arr, u, F(1, 10**12))
+
+    @settings(max_examples=60, deadline=None)
+    @given(curve_seed=st.integers(0, 50), camera_seed=st.integers(0, 500),
+           n=st.integers(1, 2), data_seed=st.integers(0, 500),
+           width=st.sampled_from((F(1), F(1, 4), F(1, 1000), F(3, 2**20), F(1, 10**12))))
+    def test_cell_values_match_the_fraction_reference(self, curve_seed, camera_seed, n,
+                                                      data_seed, width):
+        f = twisted_cubic() if curve_seed == 0 else random_curve(curve_seed, 3, 3)
+        arr = generic_arrangement(camera_seed, n, 2, 3)
+        u = random_data_point(data_seed, n, 2)
+        try:
+            want = ref_triangulate(f, arr, u, width)
+        except ValueError:
+            assume(False)
+        assert triangulate(f, arr, u, width) == want
+
+    def test_window_ends_that_are_not_dyadic(self):
+        # the parabola t -> (t, t^2) with u = (0, 1) has g = 2t^3 - t, whose
+        # root 0 is the first midpoint of the Cauchy box (-2, 2) and of the
+        # fenced interval (-1/2, 1/2).  Refinement to width 1/1000 meets it
+        # again and returns _bisect's window (-1/2000, 1/2000): the midpoint is
+        # the dyadic root, but its ends, the width, the half-width and the
+        # bound point M = 1/2000 have denominators that are not powers of two
+        cam = Camera(2, 3, ((F(0), F(0), F(0), F(1)),
+                            (F(0), F(0), F(1), F(0)),
+                            (F(0), F(1), F(0), F(0))))
+        f, arr, u = twisted_cubic(), Arrangement((cam,)), DataPoint(u=((F(0), F(1)),))
+        res = triangulate(f, arr, u, F(1, 1000))
+        assert [(iv.hi, iv.lo) for iv in res.critical_parameters][1] == (F(1, 2000), F(-1, 2000))
+        assert res == ref_triangulate(f, arr, u, F(1, 1000))
+
+    # -- exact width bounds ---------------------------------------------------
+
+    @pytest.mark.parametrize("width", [1e-3, 0.5])
+    def test_a_float_width_bound_is_refused(self, width):
+        with pytest.raises(TypeError, match="exact rational"):
+            triangulate(twisted_cubic(), generic_arrangement(11, 1, 2, 3),
+                        random_data_point(8, 1, 2), width)
+
+    def test_a_width_bound_string_must_be_a_rational_literal(self):
+        f, arr, u = twisted_cubic(), generic_arrangement(11, 1, 2, 3), random_data_point(8, 1, 2)
+        with pytest.raises(ValueError, match="not a rational literal"):
+            triangulate(f, arr, u, "1e-3")
+        assert triangulate(f, arr, u, "1/1024") == triangulate(f, arr, u, F(1, 1024))
+
+
+def _golden_scene(name: str) -> tuple[RationalCurve, Arrangement, DataPoint]:
+    """(curve, arrangement, data) of a golden triangulation scene."""
+    data = Path(__file__).parent / "data"
+    if name.startswith("twisted-cubic"):
+        if name == "twisted-cubic-two-views":
+            arr = arrangement_from_dict(json.loads((data / "two_generic.json").read_text()))
+            return twisted_cubic(), arr, random_data_point(5, 2, 2)
+        arr = arrangement_from_dict(json.loads((data / "one_generic.json").read_text()))
+        return twisted_cubic(), arr, DataPoint(u=((F(10**155), F(3)),))
+    return random_curve(100, 4, 3), generic_arrangement(200, 4, 2, 3), random_data_point(300, 4, 2)
+
+
+def ref_triangulate(f: RationalCurve, arr: Arrangement, u: DataPoint,
+                    width_bound: F) -> TriangulationResult:
+    """``triangulate`` with every value in Fraction arithmetic, as its bounds
+    loop computed them before they became integer pairs: the floor
+    |Q(m)| - S w / 2, the distance N(m) / Q2(m), both derivative bounds
+    (``ref_abs_upper``), the error bound, the world point, the image blocks
+    and the lower bound.  Isolation, refinement and the interval halvings
+    are triangulate's own."""
+    scene = Scene(f, arr)
+    scene.check_charts()
+    rc = reduce_critical_polynomial(f, arr, u, scene=scene)
+    intervals = sturm_isolate(rc.reduced)
+    if not intervals:
+        return TriangulationResult((), (), (), None, None, None, width_bound, True, None)
+
+    def sign(x):
+        return (x > 0) - (x < 0)
+
+    qprod = scene.prod_q
+    poles = squarefree_part(qprod) if qprod.degree else UniPoly((F(1),))
+    pole_ivs = sturm_isolate(poles) if poles.degree else []
+    pole_signs = [sign(poles.evaluate(pv.lo)) for pv in pole_ivs]
+    pole_free = []
+    for iv in intervals:
+        iv = refine_root(rc.reduced, iv, width_bound)
+        slo = sign(rc.reduced.evaluate(iv.lo))
+        for idx, pv in enumerate(pole_ivs):
+            while not (iv.hi <= pv.lo or pv.hi <= iv.lo):
+                iv = eddeg._halve(rc.reduced.num, iv, slo)
+                pv = eddeg._halve(poles.num, pv, pole_signs[idx])
+            pole_ivs[idx] = pv
+        pole_free.append((iv, slo))
+
+    cubes = scene.cube_tree[-1][0]
+    squares = eddeg._square_tree(scene.images)
+    dist_num = eddeg._perturbed_numerator(scene.images, squares, u.u, 0)
+    dist_den = squares[-1][0]
+    slope = cubes.derivative()
+    ivs, distances, bounds = [], [], []
+    for iv, slo in pole_free:
+        while True:
+            m = iv.midpoint
+            floor = abs(cubes.evaluate(m)) - ref_abs_upper(slope, iv.lo, iv.hi) * iv.width / 2
+            if floor > 0:
+                break
+            iv = eddeg._halve(rc.reduced.num, iv, slo)
+        g_upper = ref_abs_upper(rc.raw, iv.lo, iv.hi)
+        g1 = ref_abs_upper(rc.raw.derivative(), iv.lo, iv.hi)
+        err = g_upper / floor * iv.width / 2
+        if g1 * iv.width > 2 * g_upper:
+            err *= 2
+        ivs.append(iv)
+        distances.append(dist_num.evaluate(1, m) / dist_den.evaluate(1, m))
+        bounds.append(err)
+    argmin = min(range(len(distances)), key=lambda k: (distances[k], k))
+    tstar = ivs[argmin].midpoint
+    blocks = tuple(tuple(p.evaluate(tstar) / q.evaluate(tstar) for p in ps)
+                   for q, ps in scene.charts)
+    return TriangulationResult(
+        critical_parameters=tuple(ivs), distances=tuple(distances),
+        distance_error_bounds=tuple(bounds), argmin_index=argmin,
+        world_point=f.evaluate(F(1), tstar), image_blocks=blocks, width_bound=width_bound,
+        no_finite_minimizer=False, min_lower_bound=min(d - b for d, b in zip(distances, bounds)))

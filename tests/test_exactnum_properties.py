@@ -14,10 +14,18 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import bulk_properties
-from bulk_properties import poly_from_roots, ref_refine as _ref_refine, ref_resultant
+from bulk_properties import (
+    assert_same_roots,
+    poly_from_roots,
+    ref_abs_upper,
+    ref_descartes_roots,
+    ref_refine as _ref_refine,
+    ref_resultant,
+    ref_sturm_isolate as _int_sturm_isolate,
+)
 from edcurve import exactnum
 from edcurve.eddeg import (
-    _poly_abs_upper,
+    _abs_upper_parts,
     random_data_point,
     reduce_critical_polynomial,
 )
@@ -62,6 +70,7 @@ class TestBulkSuites:
         "sturm_grid_scan",
         "hom_consistency",
         "refine_agreement",
+        "descartes_oracle",
     ])
     def test_suite_runs(self, suite):
         assert self._counts()[suite] > 0
@@ -400,15 +409,6 @@ def _proved(p, lo, hi, refinements=0):
     return exactnum._isolating(lo, hi, refinements, p.num)
 
 
-def _ref_abs_upper(p, lo, hi):
-    m = max(abs(lo), abs(hi))
-    acc, power = F(0), F(1)
-    for c in p.coeffs:
-        acc += abs(c) * power
-        power *= m
-    return acc
-
-
 # roots a bisection from an integer Cauchy box lands on exactly
 DYADIC_ROOTS = tuple(F(n, 4) for n in (0, 1, -1, 2, -2, 3, -3, 4, -4, 6))
 small_rat = st.builds(F, st.integers(min_value=-9, max_value=9),
@@ -556,80 +556,23 @@ class TestIntegerSignsAgainstFractionReference:
     @example(p=UniPoly(), ends=[F(-1, 3), F(5, 7)])
     def test_abs_upper_is_the_same_rational(self, p, ends):
         p = p.scale(F(5, 8))
-        bound = _poly_abs_upper(p, *ends)
-        assert isinstance(bound, F)
-        assert bound == _ref_abs_upper(p, *ends)
+        c, d = p.int_coeffs()
+        num, den = _abs_upper_parts([abs(x) for x in c], d, *ends)
+        assert den > 0
+        assert F(num, den) == ref_abs_upper(p, *ends)
 
 
 # -- Descartes isolation against the Sturm-chain isolator ------------------------
 #
 # sturm_isolate replays the bisection tree of the Sturm-chain isolator it
 # replaced, with every root count taken from one Descartes isolation.  The
-# reference below is that isolator as it was: a Sturm chain of primitive
-# integer polynomials, and the same stack, midpoint fence and stopping rules.
-# Both must return identical intervals.  Unlike the Fraction reference above,
-# it is fast enough for the degree-46 polynomials of a four-view quartic scene.
-
-def _int_sturm_chain(p):
-    # each remainder of UniPoly's division is the Euclidean remainder over Q,
-    # and its numerators a positive multiple of it: the chain's signs are
-    # those of the negated remainders
-    chain = [exactnum._int_primitive(p.num)]
-    if p.degree:
-        chain.append(exactnum._int_primitive(p.derivative().num))
-    while len(chain[-1]) > 1:
-        r = divmod(UniPoly(chain[-2]), UniPoly(chain[-1]))[1]
-        if r.is_zero:
-            break
-        chain.append(exactnum._int_primitive([-x for x in r.num]))
-    return chain
-
-
-def _int_variations(chain, x):
-    if x == "+inf":
-        signs = [_sgn(c[-1]) for c in chain]
-    elif x == "-inf":
-        signs = [_sgn(c[-1]) * (-1) ** (len(c) - 1) for c in chain]
-    else:
-        signs = [_sgn(exactnum._eval_int(c, x)) for c in chain]
-    signs = [s for s in signs if s]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _int_sturm_isolate(p):
-    if p.degree == 0:
-        return []
-    chain = _int_sturm_chain(p)
-    if _int_variations(chain, "-inf") == _int_variations(chain, "+inf"):
-        return []
-    b = F(int(1 + max(abs(c / p.lc) for c in p.coeffs)) + 1)
-    out = []
-    stack = [(-b, _int_variations(chain, -b), b, _int_variations(chain, b))]
-    while stack:
-        a, va, c, vc = stack.pop()
-        if va - vc == 0:
-            continue
-        if va - vc == 1:
-            out.append(IsolatingInterval(a, c))
-            continue
-        m = (a + c) / 2
-        if exactnum._eval_int(chain[0], m) == 0:
-            delta = (c - a) / 4
-            while (exactnum._eval_int(chain[0], m - delta) == 0
-                   or exactnum._eval_int(chain[0], m + delta) == 0
-                   or _int_variations(chain, m - delta)
-                   - _int_variations(chain, m + delta) != 1):
-                delta /= 2
-            out.append(IsolatingInterval(m - delta, m + delta))
-            stack.append((a, va, m - delta, _int_variations(chain, m - delta)))
-            stack.append((m + delta, _int_variations(chain, m + delta), c, vc))
-        else:
-            vm = _int_variations(chain, m)
-            stack.append((a, va, m, vm))
-            stack.append((m, vm, c, vc))
-    out.sort(key=lambda iv: iv.lo)
-    return out
-
+# reference (``bulk_properties.ref_sturm_isolate``) is that isolator as it
+# was: a Sturm chain of primitive integer polynomials, and the same stack,
+# midpoint fence and stopping rules.  Both must return identical intervals.
+# Unlike the Fraction reference above, it is fast enough for the degree-46
+# polynomials of a four-view quartic scene.  The Descartes loop itself is
+# checked against ``bulk_properties.ref_descartes_roots``, the loop without
+# the packed sign read and the skip rules.
 
 # dyadic roots on the subdivision points of every Descartes box (-2^e, 2^e),
 # e >= 1, each optionally paired with a neighbour 2^-k away: the bisection
@@ -702,6 +645,64 @@ class TestDescartesAgainstSturmChain:
     ], ids=lambda p: str(p)[:40])
     def test_edge_cases_match(self, p):
         assert sturm_isolate(p) == _int_sturm_isolate(p)
+
+
+class TestPackedDescartes:
+    """``_descartes_roots`` reads each test from the packed Taylor shift and
+    skips provably empty children; ``ref_descartes_roots`` tests every node
+    and child on a plain coefficient list.  They must find the same roots."""
+
+    @given(p=planted_on_subdivision_points() | polys(max_deg=8, min_deg=1))
+    @example(p=FENCED)
+    def test_same_roots_as_the_unpacked_loop(self, p):
+        p = squarefree_part(p)
+        assume(p.degree >= 1)
+        assert_same_roots(exactnum._descartes_roots(p.num), ref_descartes_roots(p.num))
+        assert sturm_isolate(p) == _int_sturm_isolate(p)
+
+    def test_a_zero_shifted_coefficient_unpacks(self, monkeypatch):
+        # (t - 1)(t + 2) on its box (-4, 4): the right half (0, 4), which
+        # holds 1, has the test polynomial (x + 1)^2 q(1 / (x + 1)) = 9 - x^2,
+        # whose middle coefficient is 0
+        p = poly_from_roots([F(1), F(-2)])
+        unpacked = []
+        real = exactnum._sign_changes
+        monkeypatch.setattr(exactnum, "_sign_changes",
+                            lambda a: unpacked.append(list(a)) or real(a))
+        got = exactnum._descartes_roots(p.num)
+        assert [9, 0, -1] in unpacked
+        assert_same_roots(got, ref_descartes_roots(p.num))
+        assert sturm_isolate(p) == _int_sturm_isolate(p)
+
+    def test_the_right_half_after_a_midpoint_root_is_skipped(self, monkeypatch):
+        # t (t + 1): the box (-4, 4) splits at the root 0, and its left half
+        # holds -1 with test 1, so 1 + [0 is a root] = 2 is the parent's test
+        # and the right half is never shifted: the root node's shift by -1 is
+        # the only unpacked Taylor shift
+        p = poly_from_roots([F(0), F(-1)])
+        shifts = []
+        real = exactnum._taylor_shift
+        monkeypatch.setattr(exactnum, "_taylor_shift",
+                            lambda a, c: shifts.append(c) or real(a, c))
+        got = exactnum._descartes_roots(p.num)
+        assert shifts == [-1]
+        assert sorted(got) == [[-4, 1, 0, 1, 1], [0, 1, 0, 1, 0]]
+        assert_same_roots(got, ref_descartes_roots(p.num))
+        assert sturm_isolate(p) == _int_sturm_isolate(p)
+
+    def test_a_root_cluster_at_two_to_the_minus_forty(self):
+        p = poly_from_roots([F(0), F(1, 2**40), F(-1, 2**40), F(3, 2**40), F(5, 2)])
+        got = exactnum._descartes_roots(p.num)
+        assert len(got) == 5
+        assert_same_roots(got, ref_descartes_roots(p.num))
+        assert sturm_isolate(p) == _int_sturm_isolate(p)
+
+    @pytest.mark.parametrize("q", [[1, -2, -1], [3, 0, -1, 2], [-5, 7, 0, 0, 1],
+                                   [1, 2, 3], [-1, 0, -4], [0, 0, 1, -1]])
+    def test_shift_variations_count_the_shifted_signs(self, q):
+        # against the signs of the unpacked shift, zeros skipped
+        signs = [x > 0 for x in exactnum._taylor_shift(q[::-1], 1) if x]
+        assert exactnum._shift_variations(q) == sum(s != t for s, t in zip(signs, signs[1:]))
 
 
 # -- packed mod-p Euclid against the list loop -------------------------------------
