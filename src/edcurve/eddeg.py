@@ -96,8 +96,8 @@ class NonGenericBetaError(RuntimeError):
 
 @dataclass(frozen=True, slots=True)
 class DataPoint:
-    """Per camera i, the h affine image observations u_{i,1..h}; beta0 is the
-    optional quadric offset used only by the cross-check's perturbed variant."""
+    """Per camera i, the h affine image observations u_{i,1..h}.  The optional
+    beta0 is parsed and validated only: the cross-check draws its own."""
 
     u: tuple[tuple[Rat, ...], ...]
     beta0: Rat = Fraction(0)
@@ -419,7 +419,7 @@ def euler_cross_check(
 
     for generic rational beta, with the sum merged up a product tree of the
     Q_i^2 (:func:`tree_sum`), whose root is prod Q_k^2.  The two sets must be
-    disjoint (verified by a binary-form resultant); a collision is a
+    disjoint (verified by a binary-form gcd); a collision is a
     beta-independent certificate failure, but beta is re-drawn a few times
     before giving up, since the check itself must not depend on one unlucky
     draw.  A multiview map that is not an immersion is refused: node

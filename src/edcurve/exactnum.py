@@ -30,15 +30,16 @@ arbitrary-precision rationals:
   Landau-Mignotte bound, the gcd mod p scaled by gcd(lc a, lc b) and read
   in the symmetric range lifts to a candidate h of the same degree; h is
   accepted only once it divides both operands exactly, which makes it the
-  gcd (proof in ``poly_gcd``);
+  gcd (proof in ``poly_gcd``).  Binary forms share a zero on P^1 exactly
+  when their gcd (``hom_gcd``) is not constant;
 * binary-form resultants and discriminants from the subresultant chain on
   the one integer pseudo-division that also divides polynomials;
-* Euclid mod a prime p on packed residues, for the gcd above and the
-  resultant shortcut below: each operand's residues are packed into one
-  Python int, one coefficient per w-bit slot (w = 8 * nb >= 2k + 6 for
-  p = 2**k - 1, the byte packing of the product kernel), and an elimination
-  row is a few whole-integer operations: read the top slot, add a multiple
-  in [1, p - 1] of the shifted divisor, never subtract, so no slot borrows.
+* Euclid mod a prime p on packed residues, for the gcd above: each
+  operand's residues are packed into one Python int, one coefficient per
+  w-bit slot (w = 8 * nb >= 2k + 6 for p = 2**k - 1, the byte packing of
+  the product kernel), and an elimination row is a few whole-integer
+  operations: read the top slot, add a multiple in [1, p - 1] of the
+  shifted divisor, never subtract, so no slot borrows.
   Slots are reduced lazily, at each remainder and every 2**(w - 2k - 1)
   rows of a long quotient, which keeps every slot below 2**w (the overflow
   bound is in ``_mod_gcd``).  The primes are Mersenne primes so that one
@@ -46,14 +47,6 @@ arbitrary-precision rationals:
   a shift: x = (x & 2**k - 1) + (x >> k) (mod 2**k - 1).  This is Kronecker
   substitution applied to remaindering (von zur Gathen & Gerhard, Modern
   Computer Algebra, ch. 8);
-* a nonvanishing test for binary-form resultants that first runs Euclid mod
-  one prime p on the chart polynomials f(1, t), g(1, t).  Two forms share a
-  zero on P^1 either at [0:1], where both top coefficients vanish, or at a
-  common root of their chart polynomials.  When at most one top coefficient
-  is 0 the first case is excluded, and when p divides neither chart leading
-  coefficient, deg gcd mod p >= deg gcd over Q.  So a constant gcd mod p
-  proves Res != 0 over Q; it is the only answer taken from the modular run,
-  and every other outcome falls through to the exact resultant;
 * real-root isolation: the intervals of Sturm's bisection tree, with every
   root count read off one Descartes (Vincent-Collins-Akritas) isolation
   instead of a Sturm chain, and refinement to plain bisection's intervals by
@@ -86,8 +79,7 @@ _RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 # 61 to 216091, the one kind ``_mod_gcd`` reduces (by ``_mersenne_fold``).
 # For p not dividing the integer leading coefficients, deg gcd mod p >=
 # deg gcd over Q, which needs every modulus to be prime.  The first prime
-# proves coprimality (and, for binary forms without a common zero at [0:1],
-# a nonzero resultant); the larger ones lift gcds whose coefficients have up
+# proves coprimality; the larger ones lift gcds whose coefficients have up
 # to about 65,000 digits (``poly_gcd``).  About 88 KB in all.
 _PRIMES = tuple((1 << k) - 1 for k in (
     61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689, 9941,
@@ -746,8 +738,15 @@ class HomPoly2:
         return Fraction(acc, self.den * (s.denominator * t.denominator) ** e)
 
     def dehom(self) -> UniPoly:
-        """Restriction to the chart s = 1 (same coefficient list, as t-poly)."""
-        return _uni(self.num, self.den)
+        """Restriction to the chart s = 1 (same coefficient list, as t-poly).
+        Trailing zeros leave gcd(den, content) alone: no gcd is taken."""
+        num, n = self.num, self.degree + 1
+        while n and not num[n - 1]:
+            n -= 1
+        p = object.__new__(UniPoly)
+        _set(p, "num", num[:n])
+        _set(p, "den", self.den)
+        return p
 
     def int_coeffs(self) -> tuple[list[int], int]:
         """(all e+1 integer coefficients, positive denominator D), as for UniPoly."""
@@ -801,6 +800,17 @@ def _hom(degree: int, num: Sequence[int], den: int) -> HomPoly2:
     return h
 
 
+def _form(degree: int, chart: UniPoly) -> HomPoly2:
+    """The form of formal degree ``degree`` >= deg chart whose chart at s = 1
+    is ``chart``: its numerators padded with zeros, one per power of s.  The
+    pair stays canonical, so no gcd is taken."""
+    h = object.__new__(HomPoly2)
+    _set(h, "degree", degree)
+    _set(h, "num", chart.num + (0,) * (degree + 1 - len(chart.num)))
+    _set(h, "den", chart.den)
+    return h
+
+
 def hom_distinct_root_count(h: HomPoly2) -> int:
     """Distinct zeros of a nonzero binary form on P^1 (chart count + [0:1] if s | h)."""
     if h.is_zero:
@@ -836,17 +846,10 @@ def hom_resultant(f: HomPoly2, g: HomPoly2) -> Rat:
 
 
 def hom_resultant_is_nonzero(f: HomPoly2, g: HomPoly2) -> bool:
-    """Exact nonvanishing test with a modular shortcut (coprime mod p => nonzero)."""
+    """Whether Res(f, g) != 0: the nonzero forms have a constant gcd."""
     if f.is_zero or g.is_zero:
         raise ValueError("resultant of a zero form")
-    m, n = f.degree, g.degree
-    a, b = f.dehom().num, g.dehom().num
-    # with no common zero at [0:1] (one form has full chart degree), a constant
-    # chart gcd mod p proves Res != 0 (module docstring); None or a positive
-    # degree is inconclusive
-    if (len(a) == m + 1 or len(b) == n + 1) and _mod_gcd(a, b, _PRIMES[0]) == [1]:
-        return True
-    return hom_resultant(f, g) != 0
+    return hom_gcd(f, g).degree == 0
 
 
 def hom_discriminant(f: HomPoly2) -> Rat:
@@ -865,33 +868,27 @@ def hom_discriminant(f: HomPoly2) -> Rat:
 
 
 def hom_gcd(f: HomPoly2, g: HomPoly2) -> HomPoly2:
-    """Greatest common divisor of two binary forms (monic chart part, exact s-power)."""
-    if f.is_zero and g.is_zero:
-        raise ValueError("gcd of two zero forms")
-    if f.is_zero:
-        return _hom_monicish(g)
-    if g.is_zero:
-        return _hom_monicish(f)
-    u = poly_gcd(f.dehom(), g.dehom())
-    sval = min(f.s_valuation, g.s_valuation)
-    return _hom(len(u.num) - 1 + sval, u.num + (0,) * sval, u.den)
+    """Greatest common divisor of two binary forms, not both zero: the monic
+    chart gcd times the lower power of s.  For nonzero forms it is constant
+    exactly when they share no zero on P^1."""
+    a, b = f.dehom(), g.dehom()
+    u = poly_gcd(a, b)  # refuses two zero forms
+    if not a or not b:  # a zero form is divisible by every power of s
+        return _form((f if a else g).degree, u)
+    return _form(u.degree + min(f.degree - a.degree, g.degree - b.degree), u)
 
 
-def _hom_monicish(f: HomPoly2) -> HomPoly2:
-    d = f.dehom().monic()
-    return _hom(f.degree, d.num + (0,) * (f.degree + 1 - len(d.num)), d.den)
-
-
-def hom_gcd_many(forms: Sequence[HomPoly2]) -> HomPoly2:
-    """gcd of a family of binary forms, ignoring zero members; all-zero is an error."""
-    alive = [f for f in forms if not f.is_zero]
-    if not alive:
+def hom_gcd_many(forms: Iterable[HomPoly2]) -> HomPoly2:
+    """gcd of a family of binary forms, ignoring zero members; all-zero is an
+    error.  The family is read lazily, up to the first constant gcd."""
+    g = None
+    for f in forms:
+        if not f.is_zero:
+            g = _form(f.degree, f.dehom().monic()) if g is None else hom_gcd(g, f)
+            if g.degree == 0:
+                break
+    if g is None:
         raise ValueError("gcd of an all-zero family")
-    g = _hom_monicish(alive[0])
-    for f in alive[1:]:
-        if g.degree == 0:
-            break
-        g = hom_gcd(g, f)
     return g
 
 

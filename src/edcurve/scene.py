@@ -33,6 +33,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import lcm, prod
 from typing import Iterable, Iterator, Sequence
 
@@ -42,12 +43,12 @@ from .exactnum import (
     UniPoly,
     _as_rat,
     _clear_denominators,
+    _form,
     _hom,
     hom_discriminant,
     hom_gcd,
     hom_gcd_many,
     hom_resultant,
-    poly_gcd,
     product_tree,
     rat_from_str,
     rat_to_str,
@@ -106,27 +107,21 @@ def cusp_form(wronskians: Iterable[UniPoly], e: int) -> HomPoly2:
 
     It is read from the chart Wronskians a b' - a' b of those pairs
     (:func:`chart_wronskians`), for the charts a(t) = F(1, t) of forms F of
-    formal degree e; zero ones are skipped.  Euler's identity gives
-    s * (F_s G_t - G_s F_t) = e * (F G_t - G F_t), so a minor's chart part is
-    the Wronskian up to the factor e, and its power of s, the zero at
-    t = infinity, is 2e - 2 minus that Wronskian's degree.  The map is an
-    immersion exactly when the form is constant; the gcd stops at the first
-    constant partial gcd, so a lazy iterable is read only that far.  The
-    chart part is monic.  Raises ``ValueError`` when every Wronskian
-    vanishes: every view maps the curve to a point.
+    formal degree e.  Euler's identity gives
+    s * (F_s G_t - G_s F_t) = e * (F G_t - G F_t), so a minor is, up to the
+    factor e, the Wronskian taken as a form of formal degree 2e - 2: its
+    power of s is the zero at t = infinity.  The map is an immersion exactly
+    when the form is constant.  Zero Wronskians are skipped, and
+    :func:`hom_gcd_many` stops at the first constant partial gcd, so a lazy
+    iterable is read only that far.  The chart part is monic.  Raises
+    ``ValueError`` when every Wronskian vanishes: every view maps the curve
+    to a point.
     """
-    g, s_power = None, 2 * e - 2
-    for w in wronskians:
-        if w.is_zero:
-            continue
-        s_power = min(s_power, 2 * e - 2 - w.degree)
-        g = w if g is None else poly_gcd(g, w)
-        if g.degree == 0 and s_power == 0:
-            break
-    if g is None:
+    forms = (_form(2 * e - 2, w) for w in wronskians if not w.is_zero)
+    first = next(forms, None)
+    if first is None:
         raise ValueError("the image of the curve in every view is a point")
-    g = g.monic()
-    return _hom(g.degree + s_power, g.num + (0,) * s_power, g.den)
+    return hom_gcd_many(chain((first,), forms))
 
 
 def chart_wronskians(views: Iterable[Sequence[UniPoly]]) -> Iterator[UniPoly]:
@@ -569,12 +564,19 @@ def curve_to_dict(f: RationalCurve) -> dict:
     }
 
 
+def _json_int(d: dict, key: str) -> int:
+    """d[key] if it is a JSON integer (an int, not a bool), unconverted."""
+    if not isinstance(x := d[key], int) or isinstance(x, bool):
+        raise TypeError(f"{key} must be an integer, not {x!r}")
+    return x
+
+
 def curve_from_dict(d: dict) -> RationalCurve:
     """The curve of a curve object; a coordinate row must hold exactly
     degree + 1 coefficients, so a huge degree is refused before any padding."""
     try:
-        N = int(d["N"])
-        e = int(d["degree"])
+        N = _json_int(d, "N")
+        e = _json_int(d, "degree")
         coords = []
         for row in d["coords"]:
             row = tuple(rat_from_str(x) for x in row)
@@ -597,8 +599,8 @@ def camera_to_dict(c: Camera) -> dict:
 
 def camera_from_dict(d: dict) -> Camera:
     try:
-        h = int(d["h"])
-        N = int(d["N"])
+        h = _json_int(d, "h")
+        N = _json_int(d, "N")
         rows = tuple(tuple(rat_from_str(x) for x in row) for row in d["rows"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed camera object: {exc}") from exc

@@ -253,6 +253,25 @@ def ref_resultant(f: HomPoly2, g: HomPoly2) -> F:
     return F(_bareiss_det(rows), f.den ** n * g.den ** m)
 
 
+def ref_cusp_form(wronskians, e: int) -> HomPoly2:
+    """The cusp form by a chart loop of its own: the ``poly_gcd`` of the
+    nonzero Wronskians, and the power of s kept by hand as 2e - 2 minus the
+    largest Wronskian degree, stopping once both are trivial.  The oracle for
+    ``scene.cusp_form``, which takes each Wronskian as a binary form of
+    formal degree 2e - 2 and leaves the gcd to ``hom_gcd_many``."""
+    g, s_power = None, 2 * e - 2
+    for w in wronskians:
+        if w.is_zero:
+            continue
+        s_power = min(s_power, 2 * e - 2 - w.degree)
+        g = w if g is None else poly_gcd(g, w)
+        if g.degree == 0 and s_power == 0:
+            break
+    if g is None:
+        raise ValueError("the image of the curve in every view is a point")
+    return HomPoly2(g.degree + s_power, g.monic().coeffs)
+
+
 def _rand_form(rng: random.Random, max_deg: int) -> HomPoly2:
     """A nonzero binary form of formal degree 0..max_deg with planted zero
     coefficients (the top one too, a chart-degree drop) and denominators."""

@@ -126,6 +126,15 @@ class TestEddeg:
         assert code == 1
         assert "malformed.json" in err
 
+    def test_non_integer_degree_exits_one(self, capsys, tmp_path):
+        # a fractional degree is refused, not truncated to the cubic's 3
+        curve = json.loads(Path(TW).read_text())
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps({**curve, "degree": 3.5}))
+        code, out, err = run_cli(capsys, "eddeg", "--curve", str(path), "--cameras", ONE)
+        assert (code, out) == (1, "")
+        assert err.startswith("edcurve: error:") and "malformed curve object" in err
+
     def test_missing_file_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "eddeg", "--curve", "no_such_file.json",
                                "--cameras", ONE)

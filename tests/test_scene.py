@@ -12,11 +12,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from edcurve.exactnum import HomPoly2, hom_gcd_many
+from bulk_properties import ref_cusp_form
+from edcurve import exactnum, scene
+from edcurve.exactnum import HomPoly2, UniPoly, hom_gcd_many
 from edcurve.scene import (
     Arrangement,
     Camera,
     RationalCurve,
+    Scene,
     apply_camera,
     arrangement_from_dict,
     arrangement_to_dict,
@@ -100,6 +103,84 @@ class TestRationalCurve:
         for e in range(1, 9):
             f = rational_normal_curve(e, e)
             assert hom_gcd_many(f.coords).degree == 0
+
+
+@st.composite
+def _wronskian_families(draw):
+    """(e, Wronskians of degree <= 2e - 2): multiples of one shared chart
+    factor, all of degree at most 2e - 2 - k for a shared power s^k, with
+    zero members mixed in."""
+    e = draw(st.integers(1, 4))
+    top = 2 * e - 2
+    shared = UniPoly(tuple(draw(st.lists(st.integers(-3, 3), min_size=1,
+                                         max_size=top + 1).filter(any))))
+    room = top - shared.degree
+    k = draw(st.integers(0, room))
+    ws = []
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.booleans()) and draw(st.booleans()):
+            ws.append(UniPoly())
+            continue
+        cs = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=room - k + 1))
+        ws.append(shared * UniPoly(tuple(cs)))
+    return e, ws
+
+
+def _stop_at_constant(ws, e):
+    """Yield ws, and raise if asked for one more once the Wronskians read so
+    far have a constant cusp form."""
+    seen = []
+    for w in ws:
+        seen.append(w)
+        yield w
+        if any(seen) and ref_cusp_form(seen, e).degree == 0:
+            raise AssertionError("read past the first constant gcd")
+
+
+class TestCuspForm:
+    @settings(max_examples=300)
+    @given(_wronskian_families())
+    @example((2, [UniPoly(), UniPoly()]))                         # all zero
+    @example((2, []))                                             # no Wronskian
+    @example((1, [UniPoly(), UniPoly((3,)), UniPoly((-5,))]))     # e = 1
+    @example((2, [UniPoly((2,)), UniPoly((1, 1, 1))]))            # constant first
+    @example((2, [UniPoly((1, 1)), UniPoly((-1, 1))]))            # shared s
+    @example((3, [UniPoly((1, 0, 1)), UniPoly(),                  # shared s and chart
+                  UniPoly((1, 0, 1)) * UniPoly((-2, 1))]))
+    def test_matches_the_chart_loop(self, case):
+        e, ws = case
+        try:
+            want = ref_cusp_form(ws, e)
+        except ValueError:
+            with pytest.raises(ValueError, match="every view is a point"):
+                cusp_form(iter(ws), e)
+            return
+        assert cusp_form(iter(ws), e) == want
+
+    def test_reads_no_further_than_the_first_constant_gcd(self):
+        ws = [UniPoly((1, 0, 1)), UniPoly((-1, 0, 1)), UniPoly((2, 3))]
+        assert cusp_form(_stop_at_constant(ws, 2), 2) == HomPoly2(0, (1,))
+        forms = (HomPoly2(2, w.coeffs) for w in _stop_at_constant(ws, 2))
+        assert hom_gcd_many(forms) == HomPoly2(0, (1,))
+
+    def test_scene_cusps_read_no_further(self, monkeypatch):
+        f = twisted_cubic()
+        arr = Arrangement(tuple(random_camera(s, 2, 3) for s in (5, 6, 7)))
+        want = Scene(f, arr).cusps
+        assert want.degree == 0
+        wronskians = scene.chart_wronskians
+        monkeypatch.setattr(scene, "chart_wronskians",
+                            lambda views: _stop_at_constant(wronskians(views), f.e))
+        assert Scene(f, arr).cusps == want
+
+    def test_a_gcd_error_is_not_a_point_image(self, monkeypatch):
+        def refuse(a, b):
+            raise ValueError("coefficients too large for the modular gcd")
+
+        monkeypatch.setattr(exactnum, "poly_gcd", refuse)
+        ws = [UniPoly((1, 0, 1)), UniPoly((-1, 0, 1))]
+        with pytest.raises(ValueError, match="too large"):
+            cusp_form(iter(ws), 2)
 
 
 @st.composite
@@ -326,3 +407,22 @@ class TestSerialization:
                 curve_from_dict({"N": 1, "degree": degree, "coords": [["1", "0"], ["0", "1"]]})
         with pytest.raises(ValueError):
             camera_from_dict({"h": 1, "rows": [["1", "0"], ["0", "1"]]})
+
+    # int() reads the first four as the valid 1
+    NOT_JSON_INTS = [1.5, 1.0, "1", True, None, [1]]
+
+    @pytest.mark.parametrize("value", NOT_JSON_INTS)
+    @pytest.mark.parametrize("key", ["N", "degree"])
+    def test_curve_integers_are_json_integers(self, key, value):
+        d = {"N": 1, "degree": 1, "coords": [["1", "0"], ["0", "1"]]}
+        assert curve_from_dict(d).N == 1
+        with pytest.raises(ValueError, match="malformed curve object"):
+            curve_from_dict({**d, key: value})
+
+    @pytest.mark.parametrize("value", NOT_JSON_INTS)
+    @pytest.mark.parametrize("key", ["h", "N"])
+    def test_camera_integers_are_json_integers(self, key, value):
+        d = {"h": 1, "N": 1, "rows": [["1", "0"], ["0", "1"]]}
+        assert camera_from_dict(d).h == 1
+        with pytest.raises(ValueError, match="malformed camera object"):
+            camera_from_dict({**d, key: value})
