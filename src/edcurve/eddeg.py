@@ -584,6 +584,30 @@ def _fraction(num: int, den: int) -> Rat:
     return Fraction(num >> z, den >> z)
 
 
+def _least(pairs: Sequence[tuple[int, int]]) -> tuple[int, int]:
+    """The first pair (num, den), den > 0, of least value num / den.
+
+    Each comparison is screened by the two quotients correctly rounded to
+    floats (a quotient beyond the float range taken as an infinity of its
+    sign), which carry the sign, the bit length and the leading 53 bits.
+    The rounding is monotonic, so fl(x) < fl(y) proves x < y; only a tie of
+    the rounded values falls through to the exact cross-multiplication.
+    """
+    rounded = []
+    for num, den in pairs:
+        try:
+            rounded.append(num / den)
+        except OverflowError:
+            rounded.append(float("inf") if num > 0 else float("-inf"))
+    low = 0
+    for k in range(1, len(pairs)):
+        if rounded[k] < rounded[low] or (
+                rounded[k] == rounded[low]
+                and pairs[k][0] * pairs[low][1] < pairs[low][0] * pairs[k][1]):
+            low = k
+    return pairs[low]
+
+
 def triangulate(
     f: RationalCurve, arr: Arrangement, u: DataPoint, width_bound: Rat
 ) -> TriangulationResult:
@@ -698,13 +722,9 @@ def triangulate(
     world = f.evaluate(Fraction(1), tstar)
     blocks = tuple(tuple(_quotient(p, q, tstar) for p in ps) for q, ps in charts)
     # min_k (d_k - b_k), compared as unreduced pairs
-    lows = [(d.numerator * b.denominator - b.numerator * d.denominator,
-             d.denominator * b.denominator) for d, b in zip(distances, bounds)]
-    low_n, low_d = lows[0]
-    for n, den in lows[1:]:
-        if n * low_d < low_n * den:
-            low_n, low_d = n, den
-    lower = _fraction(low_n, low_d)
+    lower = _fraction(*_least([
+        (d.numerator * b.denominator - b.numerator * d.denominator,
+         d.denominator * b.denominator) for d, b in zip(distances, bounds)]))
     return TriangulationResult(
         critical_parameters=tuple(final_ivs),
         distances=tuple(distances),

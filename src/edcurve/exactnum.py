@@ -26,7 +26,8 @@ arbitrary-precision rationals:
   JACM 1971; von zur Gathen & Gerhard, Modern Computer Algebra, ch. 6):
   Euclid mod a prime p (below) gives the monic gcd mod p.  For p dividing
   neither leading coefficient, deg gcd mod p >= deg gcd over Q, so a
-  constant gcd mod p proves coprimality.  Otherwise, at a p above the
+  constant gcd mod p proves coprimality however small p is; the first
+  prime, 2**17 - 1, is the smallest.  Otherwise, at a p above the
   Landau-Mignotte bound, the gcd mod p scaled by gcd(lc a, lc b) and read
   in the symmetric range lifts to a candidate h of the same degree; h is
   accepted only once it divides both operands exactly, which makes it the
@@ -76,14 +77,18 @@ Rat = Fraction
 _RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 # The primes of the modular gcd: 2**k - 1 for every Mersenne exponent k from
-# 61 to 216091, the one kind ``_mod_gcd`` reduces (by ``_mersenne_fold``).
-# For p not dividing the integer leading coefficients, deg gcd mod p >=
-# deg gcd over Q, which needs every modulus to be prime.  The first prime
-# proves coprimality; the larger ones lift gcds whose coefficients have up
-# to about 65,000 digits (``poly_gcd``).  About 88 KB in all.
+# 17 to 216091, the one kind ``_mod_gcd`` reduces (by ``_mersenne_fold``,
+# which needs k >= 14).  For p not dividing the integer leading coefficients,
+# deg gcd mod p >= deg gcd over Q, which needs every modulus to be prime but
+# not large: so the first prime, the smallest, proves coprimality in the
+# narrowest slots (40 bits against 128 for 2**61 - 1).  An unlucky first
+# prime, one that divides the resultant, costs one more Euclid at a prime
+# above the coefficient bound, never a wrong answer.  The larger primes lift
+# gcds whose coefficients have up to about 65,000 digits (``poly_gcd``).
+# About 88 KB in all.
 _PRIMES = tuple((1 << k) - 1 for k in (
-    61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689, 9941,
-    11213, 19937, 21701, 23209, 44497, 86243, 110503, 132049, 216091))
+    17, 19, 31, 61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423,
+    9689, 9941, 11213, 19937, 21701, 23209, 44497, 86243, 110503, 132049, 216091))
 
 
 def rat_from_str(s: str) -> Rat:
@@ -576,8 +581,9 @@ def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
     deg v >= d = deg gcd over Q: the primitive integer gcd g divides a and b
     in Z[t] (Gauss's lemma), and its leading coefficient divides theirs, so
     g mod p keeps its degree and divides both mod p.  A constant v therefore
-    proves a and b coprime; that is the common case, and it costs one Euclid
-    mod the first prime.
+    proves a and b coprime whatever the size of p; that is the common case,
+    and it costs one Euclid mod the first prime, 2**17 - 1, the smallest the
+    kernel folds and so the one with the narrowest slots.
 
     Once v is not constant, a and b are made primitive and
     gamma = gcd(lc a, lc b).  As lc g divides gamma, gamma * g / lc g is an

@@ -1138,6 +1138,49 @@ class TestTriangulate:
         assert triangulate(f, arr, u, "1/1024") == triangulate(f, arr, u, F(1, 1024))
 
 
+def _plain_least(pairs):
+    """The lower bound's selection with one exact cross-multiplication per
+    comparison: the first pair (num, den) of least value."""
+    low_n, low_d = pairs[0]
+    for n, den in pairs[1:]:
+        if n * low_d < low_n * den:
+            low_n, low_d = n, den
+    return low_n, low_d
+
+
+@st.composite
+def least_pairs(draw):
+    """(num, den) pairs, den > 0, as the lower bound compares them: pairs of
+    up to 5400 bits, one value at different scales and a unit of the last of
+    up to 5400 bits away from it, and quotients beyond the float range."""
+    n0 = draw(st.integers(min_value=-2**100, max_value=2**100))
+    d0 = draw(st.integers(min_value=1, max_value=2**100))
+    pairs = []
+    for _ in range(draw(st.integers(min_value=1, max_value=10))):
+        kind = draw(st.sampled_from(("near", "free", "overflow", "underflow")))
+        scale = 1 << draw(st.integers(min_value=0, max_value=5300))
+        if kind == "near":
+            pairs.append((n0 * scale + draw(st.integers(min_value=-1, max_value=1)), d0 * scale))
+        elif kind == "free":
+            pairs.append((draw(st.integers(min_value=-2**5400, max_value=2**5400)),
+                          draw(st.integers(min_value=1, max_value=2**5400))))
+        elif kind == "overflow":
+            pairs.append((draw(st.sampled_from((1, -1))) * (d0 << 1100) * scale + n0, d0 * scale))
+        else:
+            pairs.append((n0 * scale, d0 << 1100))
+    return pairs
+
+
+class TestLeastLowerBound:
+    @settings(max_examples=300)
+    @given(pairs=least_pairs())
+    @example(pairs=[(1, 3), (2, 6), (0, 1), (-1, 2**1100), (-2, 2**1101)])
+    @example(pairs=[(2**1100, 1), (2**1100 + 1, 1), (-2**1100, 3), (-2**1101, 6)])
+    @example(pairs=[(3 * 2**5300 + 1, 2**5300), (3 * 2**5300, 2**5300), (3, 1)])
+    def test_matches_the_plain_comparison(self, pairs):
+        assert eddeg._least(pairs) == _plain_least(pairs)
+
+
 def _golden_scene(name: str) -> tuple[RationalCurve, Arrangement, DataPoint]:
     """(curve, arrangement, data) of a golden triangulation scene."""
     data = Path(__file__).parent / "data"

@@ -768,10 +768,11 @@ def mod_gcd_operands(draw, p):
     return a, b
 
 
-# the kernel against the list loop on the first two primes of the table, on
-# 2**107 - 1, the first that folds every 512 rows rather than every 32, and
-# on 2**521 - 1, whose slots span 131 bytes
-ORACLE_EXPONENTS = (61, 89, 107, 521)
+# the kernel against the list loop on the first prime of the table, 2**17 - 1,
+# whose 40-bit slots fold every 32 rows, on 2**61 - 1 and 2**89 - 1, which
+# fold every 32 rows too, on 2**107 - 1, which folds every 512, and on
+# 2**521 - 1, whose slots span 131 bytes
+ORACLE_EXPONENTS = (17, 61, 89, 107, 521)
 ORACLE_PRIMES = tuple(2**k - 1 for k in ORACLE_EXPONENTS)
 
 
@@ -780,8 +781,8 @@ class TestPackedModGcd:
         # deg gcd mod p >= deg gcd over Q needs every modulus to be prime:
         # check the table against sympy's list of Mersenne exponents
         sympy = pytest.importorskip("sympy")
-        exponents = [sympy.ntheory.mersenne_prime_exponent(i) for i in range(9, 32)]
-        assert exponents[0] == 61 and exponents[-1] == 216091
+        exponents = [sympy.ntheory.mersenne_prime_exponent(i) for i in range(6, 32)]
+        assert exponents[0] == 17 and exponents[-1] == 216091
         assert _PRIMES == tuple(2**k - 1 for k in exponents)
         for p in _PRIMES:
             nb, rows = exactnum._slot_layout(p)
@@ -912,21 +913,29 @@ class TestPrimeFallbackOrder:
 
     # t - 5 divides a, and divides b only mod P0.  With the small other root,
     # P0 is above the gcd bound, so its lift is tried and fails the division
-    # check; with the large ones, -2**120 and -2**121, the bound is about
-    # 2**124.3, and 2**130.2 with the common factor planted as well, whose
-    # degree 3 mod P0 is one too high.
-    SMALL = (poly_from_roots([F(5), F(-2)]), poly_from_roots([F(5 + P0)]))
-    LARGE = (poly_from_roots([F(5), F(-2**120)]), poly_from_roots([F(5 + P0), F(-2**121)]))
+    # check, and P1 proves coprimality; with the large ones, -2**120 and
+    # -2**121, the bound is about 2**124.3, and 2**130.2 with the common
+    # factor planted as well, whose degree 3 mod P0 is one too high.  The
+    # pair t - 362 and t^2 + 27 (as 362^2 + 27 = P0) shares the root 362
+    # only mod P0 with small coefficients of its own: the bound is 112, so
+    # the lift at P0 is tried and fails as well.
+    PAIRS = {
+        "small": (poly_from_roots([F(5), F(-2)]), poly_from_roots([F(5 + P0)])),
+        "large": (poly_from_roots([F(5), F(-2**120)]),
+                  poly_from_roots([F(5 + P0), F(-2**121)])),
+        "sum": (poly_from_roots([F(362)]), UniPoly((F(P0 - 362**2), F(0), F(1)))),
+    }
     COMMON = UniPoly((F(-2, 3), F(1), F(1)))
 
-    @pytest.mark.parametrize("size,common,after", [
-        ("small", False, 89),
+    @pytest.mark.parametrize("pair,common,after", [
+        ("small", False, 19),
         ("large", False, 127),
         ("large", True, 521),
+        ("sum", False, 19),
     ])
-    def test_a_root_shared_only_mod_the_first_prime(self, monkeypatch, size, common, after):
+    def test_a_root_shared_only_mod_the_first_prime(self, monkeypatch, pair, common, after):
         tried = self._spy(monkeypatch)
-        a, b = self.SMALL if size == "small" else self.LARGE
+        a, b = self.PAIRS[pair]
         if common:
             a, b = a * self.COMMON, b * self.COMMON
         g = poly_gcd(a, b)
@@ -937,7 +946,7 @@ class TestPrimeFallbackOrder:
         tried = self._spy(monkeypatch)
         monkeypatch.setattr(exactnum, "_PRIMES", _PRIMES[:3])
         with pytest.raises(ValueError, match="too large for the modular gcd"):
-            poly_gcd(*self.LARGE)
+            poly_gcd(*self.PAIRS["large"])
         assert tried == [self.P0]
 
 
@@ -955,6 +964,53 @@ def gcd_polys(draw, min_deg, max_deg):
     return UniPoly(cs[:-1] + [cs[-1] or F(1)])
 
 
+# the table before it started at the smallest prime the kernel folds
+OLD_PRIMES = tuple(p for p in _PRIMES if p >= 2**61 - 1)
+
+
+def _with_old_primes(f, *args):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactnum, "_PRIMES", OLD_PRIMES)
+        return f(*args)
+
+
+@st.composite
+def count_shaped_operands(draw):
+    """(a, b) of degree 100 to about 150 with coefficients of about 200 bits,
+    the size of g and g' or of g and the pole product in a count, optionally
+    with a planted common factor, a squared factor of a that divides b once,
+    or a root shared only mod the first prime."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+
+    def poly(degree, bits):
+        return UniPoly([rng.randint(-2**bits, 2**bits) for _ in range(degree)]
+                       + [rng.randint(1, 2**bits)])
+
+    a = poly(draw(st.integers(min_value=100, max_value=140)), 200)
+    b = poly(draw(st.integers(min_value=100, max_value=140)), 200)
+    plant = draw(st.sampled_from(("none", "common", "square", "mod-first-prime")))
+    if plant == "mod-first-prime":
+        r = rng.randrange(_PRIMES[0])
+        a, b = a * UniPoly((-r, 1)), b * UniPoly((-r - _PRIMES[0], 1))
+    elif plant != "none":
+        c = poly(draw(st.integers(min_value=1, max_value=5)), 20)
+        a, b = (a * c * c, b * c) if plant == "square" else (a * c, b * c)
+    return a, b
+
+
+class TestFirstPrimeDifferential:
+    """Coprimality is proved mod the smallest prime of the table and a common
+    factor is lifted at a prime above the coefficient bound: gcds and
+    squarefree parts of count-sized operands equal those of the old table."""
+
+    @settings(max_examples=40)
+    @given(operands=count_shaped_operands())
+    def test_count_shaped_operands_match_the_old_table(self, operands):
+        a, b = operands
+        assert poly_gcd(a, b) == _with_old_primes(poly_gcd, a, b)
+        assert squarefree_part(a) == _with_old_primes(squarefree_part, a)
+
+
 class TestModularGcdAgainstSympy:
     @settings(max_examples=150)
     @given(a=gcd_polys(0, 6), b=gcd_polys(0, 6),
@@ -969,8 +1025,10 @@ class TestModularGcdAgainstSympy:
         if square is not None:
             a, b = a * square * square, b * square
         g = poly_gcd(a, b)
-        assert g == _sympy_monic_gcd(a, b)
+        assert g == _sympy_monic_gcd(a, b) == _with_old_primes(poly_gcd, a, b)
         sp = pytest.importorskip("sympy")
         t = sp.symbols("t")
         sqf = sp.sqf_part(sp.Poly(a.coeffs[::-1], t, domain="QQ")).monic()
-        assert squarefree_part(a) == UniPoly(tuple(F(str(c)) for c in reversed(sqf.all_coeffs())))
+        sqf_part = squarefree_part(a)
+        assert sqf_part == UniPoly(tuple(F(str(c)) for c in reversed(sqf.all_coeffs())))
+        assert sqf_part == _with_old_primes(squarefree_part, a)
