@@ -96,6 +96,9 @@ MAX_E = 12      # --e of sweep: curve degree
 MAX_N = 12      # --n of sweep, l3 and scroll: number of cameras
 MAX_H = 12      # each --h value of sweep: image dimension
 MAX_H_LIST = 8  # entries of an --h list (sweep, l3)
+# Attempts per cell of eddeg, sweep, l3 and scroll: each rejected attempt
+# costs a count and a line of stderr.
+MAX_RETRIES = 64
 # Work caps of wedge and multidegree, from sizes the input gives; the largest
 # accepted case takes about a second.
 MAX_WEDGE_WORK = 100_000  # Laplace steps C(h+1, k) * C(N+1, k) * k! of wedge
@@ -582,7 +585,8 @@ def build_parser() -> _Parser:
                        help="emit a machine-readable JSON envelope")
         if retries:
             p.add_argument("--retries", type=int, default=8,
-                           help="genericity reseeding budget (default 8)")
+                           help=f"genericity reseeding budget (default 8, at most "
+                                f"{MAX_RETRIES})")
 
     p = sub.add_parser("eddeg", help="critical-point count for curve + cameras")
     p.add_argument("--curve", required=True, help="curve JSON file")
@@ -659,6 +663,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if getattr(ns, "retries", 1) < 1:
             raise _CliError(f"--retries must be at least 1, got {ns.retries}")
+        if getattr(ns, "retries", 1) > MAX_RETRIES:
+            raise _CliError(f"--retries must be at most {MAX_RETRIES}, got {ns.retries}")
         code = ns.func(ns)
         sys.stdout.flush()  # a closed pipe fails here, not at shutdown
         return code

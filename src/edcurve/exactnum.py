@@ -27,12 +27,13 @@ arbitrary-precision rationals:
   Euclid mod a prime p (below) gives the monic gcd mod p.  For p dividing
   neither leading coefficient, deg gcd mod p >= deg gcd over Q, so a
   constant gcd mod p proves coprimality however small p is; the first
-  prime, 2**17 - 1, is the smallest.  Otherwise, at a p above the
-  Landau-Mignotte bound, the gcd mod p scaled by gcd(lc a, lc b) and read
-  in the symmetric range lifts to a candidate h of the same degree; h is
-  accepted only once it divides both operands exactly, which makes it the
-  gcd (proof in ``poly_gcd``).  Binary forms share a zero on P^1 exactly
-  when their gcd (``hom_gcd``) is not constant;
+  prime, 2**17 - 1, is the smallest.  Otherwise, at that prime and each
+  later one, the gcd mod p scaled by gcd(lc a, lc b) and read in the
+  symmetric range lifts to a candidate h of the same degree; h is accepted
+  only once it divides both operands exactly, which makes it the gcd
+  (proof in ``poly_gcd``), so no coefficient bound chooses the prime.
+  Binary forms share a zero on P^1 exactly when their gcd (``hom_gcd``)
+  is not constant;
 * binary-form resultants and discriminants from the subresultant chain on
   the one integer pseudo-division that also divides polynomials;
 * Euclid mod a prime p on packed residues, for the gcd above: each
@@ -69,7 +70,7 @@ import decimal
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd as _int_gcd, isqrt, lcm
+from math import gcd as _int_gcd, lcm
 from typing import Iterable, Sequence
 
 Rat = Fraction
@@ -82,9 +83,10 @@ _RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 # deg gcd mod p >= deg gcd over Q, which needs every modulus to be prime but
 # not large: so the first prime, the smallest, proves coprimality in the
 # narrowest slots (40 bits against 128 for 2**61 - 1).  An unlucky first
-# prime, one that divides the resultant, costs one more Euclid at a prime
-# above the coefficient bound, never a wrong answer.  The larger primes lift
-# gcds whose coefficients have up to about 65,000 digits (``poly_gcd``).
+# prime, one that divides the resultant, costs one more Euclid at the next
+# prime, never a wrong answer.  A common factor is lifted at the first prime
+# above four times its height; the larger primes lift gcds whose
+# coefficients have up to about 65,000 digits (``poly_gcd``).
 # About 88 KB in all.
 _PRIMES = tuple((1 << k) - 1 for k in (
     17, 19, 31, 61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423,
@@ -587,18 +589,19 @@ def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
 
     Once v is not constant, a and b are made primitive and
     gamma = gcd(lc a, lc b).  As lc g divides gamma, gamma * g / lc g is an
-    integer polynomial, and by the Landau-Mignotte bound (von zur Gathen &
-    Gerhard, Modern Computer Algebra, section 6.6) its coefficients are at
-    most gamma * 2**d * min(||a||_2, ||b||_2) in absolute value.  Primes up to
-    twice that bound are skipped.  At a prime above it, the candidate h is
-    the primitive part of gamma * v read in the symmetric range mod p (a
-    smaller leading coefficient makes the pseudo-divisions below cheaper).
-    gamma is nonzero mod p, so deg h = deg v >= d; and once h divides a and b
-    exactly, h divides g, so deg h <= d and h is g up to a unit.  The bound
-    only makes the first lucky prime (deg v = d) succeed: correctness rests
-    on the division check alone, and a candidate that fails it moves on to
-    the next prime.  Past the last prime, which takes gcd coefficients of
-    about 65,000 digits, the gcd is refused with a ``ValueError``.
+    integer polynomial, and at this prime and every later one the candidate
+    h is the primitive part of gamma * v read in the symmetric range mod p
+    (a smaller leading coefficient makes the pseudo-divisions below
+    cheaper).  gamma is nonzero mod p, so deg h = deg v >= d; and once h
+    divides a and b exactly, h divides g, so deg h <= d and h is g up to a
+    unit.  Correctness rests on the division check alone, so any prime may
+    lift, and no coefficient bound picks one.  The check runs only when
+    every coefficient of gamma * v read so is below p / 4: a correct lift
+    passes that at every prime above four times its height, so the gate
+    only spares divisions that would fail.  An unlucky prime, at which
+    deg v > d, costs one more Euclid at the next prime.  Past the last
+    prime, which reads coefficients of about 65,000 digits, the gcd is
+    refused with a ``ValueError``.
     """
     if p.is_zero and q.is_zero:
         raise ValueError("gcd of two zero polynomials")
@@ -609,25 +612,19 @@ def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
     if p.degree == 0 or q.degree == 0:
         return UNI_ONE
     a, b = p.num, q.num
-    d = min(len(a), len(b)) - 1
-    bound = 0  # until a common factor shows mod some prime
+    gamma = 0  # until a common factor shows mod some prime
     for prime in _PRIMES:
-        if prime <= bound:
-            continue
         v = _mod_gcd(a, b, prime)
         if v is None:
             continue
         if len(v) == 1:
             return UNI_ONE
-        if not bound:
+        if not gamma:
             a, b = _int_primitive(a), _int_primitive(b)
             gamma = _int_gcd(a[-1], b[-1])
-            norm = isqrt(min(sum(x * x for x in a), sum(x * x for x in b))) + 1
-        d = min(d, len(v) - 1)
-        bound = 2 * gamma * norm << d
-        if prime > bound:
-            lifted = (gamma * x % prime for x in v)
-            h = _uni(_int_primitive([c - prime if 2 * c > prime else c for c in lifted]), 1)
+        lifted = [c - prime if 2 * c > prime else c for c in (gamma * x % prime for x in v)]
+        if all(4 * abs(c) < prime for c in lifted):
+            h = _uni(_int_primitive(lifted), 1)
             if not divmod(p, h)[1] and not divmod(q, h)[1]:
                 return h.monic()
     raise ValueError("coefficients too large for the modular gcd")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction as F
 from itertools import product
+from math import gcd, isqrt
 
 from edcurve import exactnum
 from edcurve.exactnum import (
@@ -251,6 +252,42 @@ def ref_resultant(f: HomPoly2, g: HomPoly2) -> F:
     rows = [[0] * i + a + [0] * (n - 1 - i) for i in range(n)]
     rows += [[0] * i + b + [0] * (m - 1 - i) for i in range(m)]
     return F(_bareiss_det(rows), f.den ** n * g.den ** m)
+
+
+def ref_bounded_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
+    """``poly_gcd`` with the prime of its lift chosen by the Landau-Mignotte
+    bound (von zur Gathen & Gerhard, Modern Computer Algebra, section 6.6):
+    once a common factor shows mod some prime, every prime up to twice
+    gamma * 2**d * min(||a||_2, ||b||_2) is skipped, d the least degree seen
+    mod a prime.  The oracle for ``poly_gcd``, which lifts at every prime."""
+    if p.is_zero or q.is_zero:
+        return poly_gcd(p, q)
+    if p.degree == 0 or q.degree == 0:
+        return UNI_ONE
+    a, b = p.num, q.num
+    d = min(len(a), len(b)) - 1
+    bound = 0  # until a common factor shows mod some prime
+    for prime in exactnum._PRIMES:
+        if prime <= bound:
+            continue
+        v = exactnum._mod_gcd(a, b, prime)
+        if v is None:
+            continue
+        if len(v) == 1:
+            return UNI_ONE
+        if not bound:
+            a, b = exactnum._int_primitive(a), exactnum._int_primitive(b)
+            gamma = gcd(a[-1], b[-1])
+            norm = isqrt(min(sum(x * x for x in a), sum(x * x for x in b))) + 1
+        d = min(d, len(v) - 1)
+        bound = 2 * gamma * norm << d
+        if prime > bound:
+            lifted = (gamma * x % prime for x in v)
+            h = UniPoly(exactnum._int_primitive(
+                [c - prime if 2 * c > prime else c for c in lifted]))
+            if not divmod(p, h)[1] and not divmod(q, h)[1]:
+                return h.monic()
+    raise ValueError("coefficients too large for the modular gcd")
 
 
 def ref_cusp_form(wronskians, e: int) -> HomPoly2:

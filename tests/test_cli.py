@@ -638,12 +638,13 @@ _FAULTS = ("none",) * 5 + ("dims", "shape", "field", "object")
 
 
 @st.composite
-def _scene_json(draw):
+def _scene_json(draw, big=False):
     """(curve, cameras) objects: a degree-e curve in P^N and n cameras of
     height h with small entries.  Well-formed, e, n in 1..5 and
     2 <= h <= N <= 5; or with one fault: e, n, h and N anywhere in
     [-1, 5], a row or a row's length off by one, one field any JSON value,
-    or a whole object any JSON value."""
+    or a whole object any JSON value.  With ``big``, about one scene in ten
+    has one 3000-digit entry, a curve coefficient or a camera entry."""
     fault = draw(st.sampled_from(_FAULTS))
     if fault == "dims":
         N, e, h, n = (draw(st.integers(-1, 5)) for _ in range(4))
@@ -658,6 +659,10 @@ def _scene_json(draw):
 
     curve = {"N": N, "degree": e, "coords": rows(N + 1, e + 1)}
     cams = [{"h": h, "N": N, "rows": rows(h + 1, N + 1)} for _ in range(max(n, 0))]
+    entries = [row for row in curve["coords"] + [r for cam in cams for r in cam["rows"]] if row]
+    if big and entries and draw(st.integers(0, 9)) == 0:
+        row = draw(st.sampled_from(entries))
+        row[draw(st.integers(0, len(row) - 1))] = str(BIG)
     if fault == "field":
         obj = draw(st.sampled_from([curve, *cams]))
         obj[draw(st.sampled_from(sorted(obj)))] = draw(_JUNK)
@@ -729,7 +734,7 @@ def _grid_argv(draw):
     """sweep or l3 argv.  Most are well-formed: e in 1..4, n in 1..3, h in
     {2, 3}, retries 1 or 2; the others draw e, n, h and retries anywhere in
     [-1, 5] (h from a list of one or two), take a malformed range or list, or
-    go over a size cap."""
+    go over a size cap (retries 10**12)."""
     if draw(st.integers(0, 2)):
         e, n = _range_text(st.integers(1, 4)), _range_text(st.integers(1, 3))
         h = st.sampled_from(("2", "3", "2,3"))
@@ -740,7 +745,7 @@ def _grid_argv(draw):
         e = n = st.one_of(_range_text(_INT, empty=True), bad, over)
         h = st.one_of(st.lists(_INT, min_size=1, max_size=2).map(
             lambda xs: ",".join(map(str, xs))), bad, st.sampled_from(("13", "2," * 9)))
-        retries = _INT
+        retries = st.one_of(_INT, st.just(10**12))
     if draw(st.booleans()):
         argv = ["sweep", *_option(draw, "e", draw(e))]
     else:
@@ -749,6 +754,21 @@ def _grid_argv(draw):
              *_option(draw, "retries", str(draw(retries))),
              "--seed", str(draw(st.integers(0, 3)))]
     return argv + (["--json"] if draw(st.booleans()) else [])
+
+
+def _json(path):
+    return json.loads(Path(path).read_text())
+
+
+def _with_entry(path, keys, value):
+    """The JSON object of the file at ``path`` with the entry reached by
+    ``keys`` set to ``value``."""
+    obj = _json(path)
+    inner = obj
+    for key in keys[:-1]:
+        inner = inner[key]
+    inner[keys[-1]] = value
+    return obj
 
 
 def _assert_clean_exit(argv) -> None:
@@ -779,16 +799,27 @@ class TestCliFuzz:
     def test_sweep_and_l3_grids(self, argv):
         _assert_clean_exit(argv)
 
+    # triangulate refines every root until the distance bound holds, in a
+    # number of steps that grows with the scene's digits: a 3000-digit entry
+    # takes from half a minute to over two there, so its scenes stay small
     @settings(max_examples=200)
-    @given(_scene_json(), st.sampled_from(("eddeg", "triangulate")),
+    @given(st.sampled_from(("eddeg", "triangulate")).flatmap(
+               lambda command: st.tuples(_scene_json(big=command == "eddeg"),
+                                         st.just(command))),
            st.sampled_from((1, 2, 2, 0, -1)))
     # a non-finite dimension was an OverflowError traceback
-    @example(({"N": float("inf"), "degree": 1, "coords": []}, {"cameras": []}), "eddeg", 1)
-    @example(({"N": 1, "degree": 1, "coords": [["1", "0"], ["0", "1"]]},
-              {"cameras": [{"h": 1, "N": float("-inf"), "rows": []}]}), "triangulate", 1)
+    @example((({"N": float("inf"), "degree": 1, "coords": []}, {"cameras": []}), "eddeg"), 1)
+    @example((({"N": 1, "degree": 1, "coords": [["1", "0"], ["0", "1"]]},
+               {"cameras": [{"h": 1, "N": float("-inf"), "rows": []}]}), "triangulate"), 1)
     # a huge degree padded each short row with 10**9 zeros (about 8 GB)
-    @example(({"N": 1, "degree": 10**9, "coords": [["1"], ["1"]]}, {"cameras": []}), "eddeg", 1)
-    def test_eddeg_and_triangulate_on_degenerate_scenes(self, scene, command, retries):
+    @example((({"N": 1, "degree": 10**9, "coords": [["1"], ["1"]]}, {"cameras": []}),
+              "eddeg"), 1)
+    # one 3000-digit curve coefficient, and one 3000-digit camera entry
+    @example(((_with_entry(TW, ["coords", 0, 1], str(BIG)), _json(ONE)), "eddeg"), 2)
+    @example(((_json(TW), _with_entry(ONE, ["cameras", 0, "rows", 1, 2], str(BIG))),
+              "eddeg"), 2)
+    def test_eddeg_and_triangulate_on_degenerate_scenes(self, drawn, retries):
+        scene, command = drawn
         with tempfile.TemporaryDirectory() as tmp:
             paths = []
             for name, obj in zip(("curve.json", "cameras.json"), scene):
@@ -838,7 +869,11 @@ class TestCliFuzz:
                      ["sweep", "--h", ",".join(["2"] * (cli.MAX_H_LIST + 1))],
                      ["l3", "--n", str(cli.MAX_N + 1)],
                      ["l3", "--h", ",".join(["2"] * (cli.MAX_H_LIST + 1))],
-                     ["scroll", "--bezier1", BEZ1, "--bezier2", BEZ2, "--n", f"1..{10**12}"]):
+                     ["scroll", "--bezier1", BEZ1, "--bezier2", BEZ2, "--n", f"1..{10**12}"],
+                     ["sweep", "--retries", str(cli.MAX_RETRIES + 1)],
+                     ["l3", "--retries", f"{10**12}"],
+                     ["eddeg", "--curve", CONIC, "--cameras", PARABOLA_CAM,
+                      "--retries", str(cli.MAX_RETRIES + 1)]):
             code, out, err = run_cli(capsys, *argv)
             assert code == 1 and out == "", argv
             assert err.startswith("edcurve: error: ") and "at most" in err, (argv, err)

@@ -18,6 +18,7 @@ from bulk_properties import (
     assert_same_roots,
     poly_from_roots,
     ref_abs_upper,
+    ref_bounded_gcd,
     ref_descartes_roots,
     ref_refine as _ref_refine,
     ref_resultant,
@@ -874,9 +875,10 @@ def _sympy_monic_gcd(p, q):
 
 class TestPrimeFallbackOrder:
     """poly_gcd tries each prime in turn and skips one that divides a leading
-    coefficient.  Once a common factor shows mod some prime, it skips every
-    prime up to the coefficient bound and lifts the gcd mod the next one,
-    which it keeps only if it divides both operands exactly."""
+    coefficient.  Once a common factor shows mod some prime, it lifts the gcd
+    mod that prime and every later one, and keeps a lift only if it divides
+    both operands exactly: a root shared mod one prime alone costs one more
+    Euclid, at the next prime, whatever the size of the coefficients."""
 
     P0, P1 = _PRIMES[:2]
 
@@ -911,14 +913,13 @@ class TestPrimeFallbackOrder:
         assert g.degree == (0 if coprime else 2)
         assert tried == list(_PRIMES[:primes])
 
-    # t - 5 divides a, and divides b only mod P0.  With the small other root,
-    # P0 is above the gcd bound, so its lift is tried and fails the division
-    # check, and P1 proves coprimality; with the large ones, -2**120 and
-    # -2**121, the bound is about 2**124.3, and 2**130.2 with the common
-    # factor planted as well, whose degree 3 mod P0 is one too high.  The
-    # pair t - 362 and t^2 + 27 (as 362^2 + 27 = P0) shares the root 362
-    # only mod P0 with small coefficients of its own: the bound is 112, so
-    # the lift at P0 is tried and fails as well.
+    # t - 5 divides a, and divides b only mod P0, so the lift t - 5 at P0
+    # fails the division check and P1 proves coprimality, with the small
+    # other root as with the large ones, -2**120 and -2**121.  With the
+    # common factor planted as well, the degree 3 mod P0 is one too high,
+    # and P1 lifts the common factor.  The pair t - 362 and t^2 + 27 (as
+    # 362^2 + 27 = P0) shares the root 362 only mod P0 with small
+    # coefficients of its own.
     PAIRS = {
         "small": (poly_from_roots([F(5), F(-2)]), poly_from_roots([F(5 + P0)])),
         "large": (poly_from_roots([F(5), F(-2**120)]),
@@ -927,27 +928,61 @@ class TestPrimeFallbackOrder:
     }
     COMMON = UniPoly((F(-2, 3), F(1), F(1)))
 
-    @pytest.mark.parametrize("pair,common,after", [
-        ("small", False, 19),
-        ("large", False, 127),
-        ("large", True, 521),
-        ("sum", False, 19),
+    @pytest.mark.parametrize("pair,common", [
+        ("small", False),
+        ("large", False),
+        ("large", True),
+        ("sum", False),
     ])
-    def test_a_root_shared_only_mod_the_first_prime(self, monkeypatch, pair, common, after):
+    def test_a_root_shared_only_mod_the_first_prime(self, monkeypatch, pair, common):
         tried = self._spy(monkeypatch)
         a, b = self.PAIRS[pair]
         if common:
             a, b = a * self.COMMON, b * self.COMMON
         g = poly_gcd(a, b)
         assert g == _sympy_monic_gcd(a, b) == (self.COMMON if common else UniPoly((1,)))
-        assert tried == [self.P0, 2**after - 1]
+        assert tried == [self.P0, self.P1]
+
+    def test_a_count_shaped_root_shared_only_mod_the_first_prime(self, monkeypatch):
+        # degree 139 and 138 with 200-bit coefficients, the size of g and g'
+        # in a count: the first prime sees the planted root, the next proves
+        # the pair coprime, with no jump to a prime above a coefficient bound
+        rng = random.Random(17)
+        a, b = (UniPoly([rng.randint(-2**200, 2**200) for _ in range(degree)] + [2**200])
+                for degree in (138, 137))
+        r = rng.randrange(self.P0)
+        a, b = a * UniPoly((-r, 1)), b * UniPoly((-r - self.P0, 1))
+        tried = self._spy(monkeypatch)
+        assert poly_gcd(a, b) == UniPoly((1,))
+        assert tried == [self.P0, self.P1]
+
+    # a cubic common factor of 200-bit coefficients (the cofactors are monic,
+    # so gamma is its leading coefficient) reads below p / 4 in the symmetric
+    # range only from 2**521 - 1 on, the eighth prime
+    COMMON_200 = UniPoly((2**200 - 3, -2**199 - 5, 2**198 + 7, 2**200 - 9))
+    PAIR_200 = (COMMON_200 * UniPoly((1, 0, 1)), COMMON_200 * UniPoly((-7, 1)))
+
+    def test_a_common_factor_lifts_at_the_first_prime_above_four_times_its_height(
+            self, monkeypatch):
+        tried = self._spy(monkeypatch)
+        assert poly_gcd(*self.PAIR_200) == self.COMMON_200.monic()
+        assert tried == list(_PRIMES[:8]) and _PRIMES[7] == 2**521 - 1
 
     def test_an_exhausted_table_refuses_the_gcd(self, monkeypatch):
         tried = self._spy(monkeypatch)
         monkeypatch.setattr(exactnum, "_PRIMES", _PRIMES[:3])
         with pytest.raises(ValueError, match="too large for the modular gcd"):
-            poly_gcd(*self.PAIRS["large"])
-        assert tried == [self.P0]
+            poly_gcd(*self.PAIR_200)
+        assert tried == list(_PRIMES[:3])
+
+    def test_a_small_common_factor_of_huge_operands(self):
+        # 240,000-bit coefficients, past the largest prime: no bound on the
+        # operands refuses the gcd, and the first prime lifts t - 1
+        rng = random.Random(240_000)
+        t1 = UniPoly((-1, 1))
+        a, b = (UniPoly([(1 << 239_999) | rng.getrandbits(239_999) for _ in range(3)]) * t1
+                for _ in range(2))
+        assert poly_gcd(a, b) == t1
 
 
 # small rationals and ~300-bit numerators over up to 40-bit denominators
@@ -1000,8 +1035,9 @@ def count_shaped_operands(draw):
 
 class TestFirstPrimeDifferential:
     """Coprimality is proved mod the smallest prime of the table and a common
-    factor is lifted at a prime above the coefficient bound: gcds and
-    squarefree parts of count-sized operands equal those of the old table."""
+    factor is lifted at the first prime whose lift divides both operands:
+    gcds and squarefree parts of count-sized operands equal those of the old
+    table."""
 
     @settings(max_examples=40)
     @given(operands=count_shaped_operands())
@@ -1009,6 +1045,29 @@ class TestFirstPrimeDifferential:
         a, b = operands
         assert poly_gcd(a, b) == _with_old_primes(poly_gcd, a, b)
         assert squarefree_part(a) == _with_old_primes(squarefree_part, a)
+
+
+class TestBoundedGcdDifferential:
+    """poly_gcd lifts a common factor at every prime from the first that
+    shows it, and ``ref_bounded_gcd`` only at primes above the
+    Landau-Mignotte bound: both return the one monic gcd."""
+
+    @settings(max_examples=40)
+    @given(operands=count_shaped_operands())
+    def test_count_shaped_operands(self, operands):
+        a, b = operands
+        assert poly_gcd(a, b) == ref_bounded_gcd(a, b)
+        assert poly_gcd(a, a.derivative()) == ref_bounded_gcd(a, a.derivative())
+
+    @settings(max_examples=150)
+    @given(a=gcd_polys(0, 6), b=gcd_polys(0, 6),
+           common=st.none() | gcd_polys(1, 4), square=st.none() | gcd_polys(1, 3))
+    def test_small_operands(self, a, b, common, square):
+        if common is not None:
+            a, b = a * common, b * common
+        if square is not None:
+            a, b = a * square * square, b * square
+        assert poly_gcd(a, b) == ref_bounded_gcd(a, b)
 
 
 class TestModularGcdAgainstSympy:
