@@ -9,11 +9,11 @@ parameter; its derivative has a polynomial numerator
 with p_ij, q_i the dehomogenized image coordinates of view i.  The degree is
 at most 3en-2: each Wronskian W_ij = p'_ij q_i - p_ij q'_i loses two degrees
 to leading-term cancellation.  Everything but u is data-free and comes from
-one ``scene.Scene`` per count.  View i's numerator
-n_i = sum_j (p_ij - u_ij q_i) W_ij = A_i - sum_j u_ij (q_i W_ij) is affine in
-u over the scene's A_i = sum_j p_ij W_ij and q_i W_ij, so a data sample
-costs no product there, and g, the numerator of sum_i n_i / q_i^3, is merged
-pairwise up the scene's product tree of the q_i^3 (``exactnum.tree_sum``).
+one ``scene.Scene`` per count.  g is the numerator of sum_i n_i / q_i^3 with
+n_i = sum_j (p_ij - u_ij q_i) W_ij, and it is assembled by Kronecker
+substitution as one integer: every chart and every n_i is evaluated at
+X = 256**nb, the fractions are merged pairwise at X, and g's coefficients
+are read back from the one result (``_kron_sum``).
 
 The count of the variety's critical points is the number of distinct complex
 roots after removing two kinds of spurious parameters:
@@ -45,6 +45,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Optional, Sequence, Union
 
 from .exactnum import (
@@ -56,17 +57,19 @@ from .exactnum import (
     _as_rat,
     _bisect,
     _eval_int,
+    _hom,
+    _kron_pack,
+    _kron_unpack,
     _sign,
+    _uni,
     distinct_root_count,
     hom_distinct_root_count,
     hom_resultant_is_nonzero,
     poly_gcd,
-    product_tree,
     rat_to_str,
     refine_root,
     squarefree_part,
     sturm_isolate,
-    tree_sum,
 )
 from .scene import (
     Arrangement,
@@ -154,22 +157,118 @@ def critical_polynomial(
     """Numerator of d/dt of the squared distance, assembled term-exactly.
 
     g = sum_i n_i prod_{k != i} q_k^3 with n_i = sum_j (p_ij - u_ij q_i) W_ij
-    and W_ij = p'_ij q_i - p_ij q'_i; degree <= 3en-2 by Wronskian
-    leading-term cancellation.  Each n_i = A_i - sum_j u_ij (q_i W_ij) is
-    affine in u over the scene's data-free terms, so a sample costs no
-    product there; the sum of the fractions n_i / q_i^3 is then merged up
-    the scene's product tree of the q_i^3 (:func:`tree_sum`).  ``scene`` may
+    and W_ij = p'_ij q_i - p_ij q'_i: the numerator of sum_i n_i / q_i^3
+    over prod q_k^3, evaluated at X and unpacked once (:func:`_kron_sum`).
+    Its degree is at most 3en - 2: every chart has degree at most e, and the
+    t^(2e-1) coefficients of p'_ij q_i and p_ij q'_i are both e times the
+    product of the t^e coefficients, so deg W_ij <= 2e - 2.  ``scene`` may
     pass in the :class:`Scene` of (f, arr).
     """
     u.check_shape(arr)
     scene = scene_for(f, arr, scene)
     scene.check_charts()
-    nums = []
-    for (a, qws), row in zip(scene.data_free_terms, u.u):
-        for uij, qw in zip(row, qws):
-            a = a - qw.scale(uij)
-        nums.append(a)
-    return tree_sum(nums, scene.cube_tree)
+    views = [(q, *ps) for q, ps in scene.charts]
+    return _uni(*_kron_sum(views, u.u, 3 * f.e * arr.n - 1, wronskian=True))
+
+
+def _l1(a) -> int:
+    return sum(map(abs, a))
+
+
+def _fraction_sum(pairs: Sequence[tuple[int, int]]) -> int:
+    """sum_i a_i prod_{k != i} b_k for pairs (a_i, b_i): the numerator of
+    sum_i a_i / b_i over prod b_i.  Adjacent fractions merge as
+    a/b + c/d = (ad + cb)/(bd), an odd last one carried up, so the operands
+    of each level are balanced; the root's denominator is not formed."""
+    while len(pairs) > 2:
+        up = [(a * d + c * b, b * d) for (a, b), (c, d) in zip(pairs[::2], pairs[1::2])]
+        if len(pairs) % 2:
+            up.append(pairs[-1])
+        pairs = up
+    if len(pairs) == 1:
+        return pairs[0][0]
+    (a, b), (c, d) = pairs
+    return a * d + c * b
+
+
+def _kron_sum(views, rows, size: int, *, wronskian: bool,
+              constant: Rat = Fraction(0)) -> tuple[list[int], int]:
+    """(H, den), H the ``size`` integer coefficients, with H / den equal to
+    prod_i q_i^k times
+
+        constant + sum_i sum_j (p_ij - u_ij q_i) W_ij / q_i^3   (wronskian, k = 3)
+        constant + sum_i sum_j (p_ij - u_ij q_i)^2 / q_i^2      (otherwise, k = 2)
+
+    for views i, each the polynomials (q_i, p_i1, ..., p_ih) (charts, or the
+    coefficient lists of forms), and data rows u_i, given that this
+    product has at most ``size`` coefficients.
+
+    View i is cleared to integers: with D the lcm of its polynomials'
+    denominators, Q = D q_i and P_j = D p_ij; with B the lcm of the
+    denominators of u_i, L_j = B P_j - (B u_ij) Q = B D (p_ij - u_ij q_i).
+    W is bilinear, so W(P_j, Q) = D^2 W_ij, and view i's fraction is
+    N_i / C_i with N_i = sum_j L_j W(P_j, Q) and C_i = B Q^3, or
+    N_i = sum_j L_j^2 and C_i = B^2 Q^2.  The constant a / b is one more
+    fraction.  H = a prod C_i + b sum_i N_i prod_{k != i} C_k, and H / den
+    is the product above for den = b prod_i B D^3, or b prod_i B^2 D^2.
+
+    Evaluation at X = 256**nb is a ring map Z[x] -> Z, so every N_i and
+    C_i is formed at X from the packed Q, P_j (and their derivatives) with
+    integer products alone, the fractions are summed at X
+    (:func:`_fraction_sum`), and H(X) is unpacked once.  The ell-1 norm is
+    submultiplicative, ||fg|| <= ||f|| ||g||, so
+    ||H||_inf <= ||H||_1 <= |a| prod ||C_i|| + b sum_i ||N_i|| prod_{k != i} ||C_k||,
+    with ||L_j|| <= B ||P_j|| + |B u_ij| ||Q||,
+    ||W(P_j, Q)|| <= ||P_j'|| ||Q|| + ||P_j|| ||Q'|| and ||C_i|| <= B ||Q||^3,
+    or (B ||Q||)^2;
+    :func:`_fraction_sum` of these norm pairs is that bound.  nb makes it,
+    and every packed coefficient, less than 2**(8 nb - 1) = X / 2, so each
+    of H's ``size`` coefficients is one signed digit of H(X)
+    (``_kron_unpack``) and every pack is exact (``_kron_pack``).
+    """
+    a0, b0 = constant.numerator, constant.denominator
+    cleared, norms, top, den = [], [], 0, b0
+    for polys, row in zip(views, rows):
+        d = lcm(*(p.den for p in polys))
+        q, *ps = [[x * (d // p.den) for x in p.num] for p in polys]
+        b = lcm(*(x.denominator for x in row))
+        rs = [x.numerator * (b // x.denominator) for x in row]
+        nq, nps = _l1(q), [_l1(p) for p in ps]
+        nls = [b * n + abs(r) * nq for n, r in zip(nps, rs)]
+        if wronskian:
+            dq, dps = _derivative(q), [_derivative(p) for p in ps]
+            ndq, ndps = _l1(dq), [_l1(dp) for dp in dps]
+            nws = [ndp * nq + n * ndq for n, ndp in zip(nps, ndps)]
+            norms.append((sum(nl * nw for nl, nw in zip(nls, nws)), b * nq ** 3))
+            top = max(top, ndq, *ndps)
+            cleared.append((q, ps, b, rs, dq, dps))
+            den *= b * d ** 3
+        else:
+            norms.append((sum(nl * nl for nl in nls), (b * nq) ** 2))
+            cleared.append((q, ps, b, rs))
+            den *= (b * d) ** 2
+        top = max(top, nq, *nps)
+    if a0:
+        norms.append((abs(a0), b0))
+    nb = (max(top, _fraction_sum(norms)).bit_length() + 8) // 8
+    pairs = []
+    for q, ps, b, rs, *derivs in cleared:
+        qx, pxs = _kron_pack(q, nb), [_kron_pack(p, nb) for p in ps]
+        lins = [b * px - r * qx for px, r in zip(pxs, rs)]
+        if wronskian:
+            dq, dps = derivs
+            dqx = _kron_pack(dq, nb)
+            pairs.append((sum(lin * (_kron_pack(dp, nb) * qx - px * dqx)
+                              for lin, px, dp in zip(lins, pxs, dps)), b * qx ** 3))
+        else:
+            pairs.append((sum(lin * lin for lin in lins), (b * qx) ** 2))
+    if a0:
+        pairs.append((a0, b0))
+    return _kron_unpack(_fraction_sum(pairs), nb, size), den
+
+
+def _derivative(a: Sequence[int]) -> list[int]:
+    return [k * a[k] for k in range(1, len(a))]
 
 
 @dataclass(frozen=True)
@@ -417,9 +516,8 @@ def euler_cross_check(
 
         G = beta0 * prod Q_k^2 + sum_i [prod_{k != i} Q_k^2] sum_j (P_ij - beta_ij Q_i)^2
 
-    for generic rational beta, with the sum merged up a product tree of the
-    Q_i^2 (:func:`tree_sum`), whose root is prod Q_k^2.  The two sets must be
-    disjoint (verified by a binary-form gcd); a collision is a
+    for generic rational beta (:func:`_perturbed_numerator`).  The two sets
+    must be disjoint (verified by a binary-form gcd); a collision is a
     beta-independent certificate failure, but beta is re-drawn a few times
     before giving up, since the check itself must not depend on one unlucky
     draw.  A multiview map that is not an immersion is refused: node
@@ -433,7 +531,6 @@ def euler_cross_check(
     prod_q = scene.prod_q_form
     s_inf = hom_distinct_root_count(prod_q)
 
-    tree = _square_tree(scene.images)
     for attempt in range(4):
         rng = random.Random(f"{seed}:euler-beta:{attempt}")
         beta = [
@@ -441,7 +538,7 @@ def euler_cross_check(
             for _ in range(arr.n)
         ]
         beta0 = Fraction(rng.randint(1, 64), rng.randint(1, 8))
-        g_beta = _perturbed_numerator(scene.images, tree, beta, beta0)
+        g_beta = _perturbed_numerator(scene.images, beta, beta0)
         if g_beta.is_zero:
             continue
         if hom_resultant_is_nonzero(prod_q, g_beta):
@@ -450,24 +547,14 @@ def euler_cross_check(
     raise NonGenericBetaError("non-generic beta")
 
 
-def _square_tree(images) -> list[list[HomPoly2]]:
-    """``product_tree`` of the squared chart forms Q_i^2 of the view images."""
-    return product_tree([img[0] * img[0] for img in images])
-
-
-def _perturbed_numerator(images, tree, beta, beta0: Rat) -> HomPoly2:
+def _perturbed_numerator(images, beta, beta0: Rat) -> HomPoly2:
     """G = beta0 * prod Q_k^2 + sum_i [prod_{k != i} Q_k^2] sum_j (P_ij - beta_ij Q_i)^2
-    for the view images (Q_i, P_i1, ...), with ``tree`` the product tree of
-    the Q_i^2: its root is prod Q_k^2 and the sum is its :func:`tree_sum`."""
-    inners = []
-    for img, row in zip(images, beta):
-        q = img[0]
-        inner = HomPoly2(2 * q.degree)
-        for p, b in zip(img[1:], row):
-            lin = p - b * q
-            inner = inner + lin * lin
-        inners.append(inner)
-    return beta0 * tree[-1][0] + tree_sum(inners, tree)
+    for the view images (Q_i, P_i1, ...), a form of degree 2 sum_i deg Q_i:
+    the numerator of beta0 + sum_i sum_j (P_ij - beta_ij Q_i)^2 / Q_i^2 over
+    prod Q_k^2, read from one evaluation at X (:func:`_kron_sum`)."""
+    degree = 2 * sum(img[0].degree for img in images)
+    return _hom(degree, *_kron_sum(images, beta, degree + 1, wronskian=False,
+                                   constant=_as_rat(beta0)))
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +706,8 @@ def triangulate(
     each midpoint value is within ``distance_error_bounds[k]`` of its exact
     critical value, so the true minimum lies in [min_k (d_k - err_k), d_argmin].
     One :class:`Scene` of (f, arr) serves the reduction and the bounds: its
-    charts, pole product and product tree of the q_i^3.
+    charts and its pole products prod q_i and prod Q_i, whose cube and
+    square are Q and Q2 below.
 
     The bound: the squared distance D = N / Q2 (``_perturbed_numerator`` at
     beta = u, beta0 = 0, over prod Q_i^2) has D' = 2 g / Q for Q = prod q_i^3.
@@ -671,7 +759,7 @@ def triangulate(
             pole_ivs[idx] = pv
         pole_free.append((iv, slo))
 
-    qcubes_all = scene.cube_tree[-1][0]
+    qcubes_all = qprod * qprod * qprod
     q3_c, q3_d = qcubes_all.int_coeffs()
     slope_c, slope_d = qcubes_all.derivative().int_coeffs()
     slope_abs = [abs(x) for x in slope_c]
@@ -679,8 +767,8 @@ def triangulate(
     g_abs = [abs(x) for x in g_c]
     dg_c, dg_d = rc.raw.derivative().int_coeffs()
     dg_abs = [abs(x) for x in dg_c]
-    squares = _square_tree(scene.images)
-    dist_num, dist_den = _perturbed_numerator(scene.images, squares, u.u, 0), squares[-1][0]
+    dist_num = _perturbed_numerator(scene.images, u.u, 0)
+    dist_den = scene.prod_q_form * scene.prod_q_form
 
     # every bound below is an unreduced integer pair (num, den), den > 0, until
     # the one Fraction of each printed value

@@ -896,45 +896,6 @@ def hom_gcd_many(forms: Iterable[HomPoly2]) -> HomPoly2:
 
 
 # ---------------------------------------------------------------------------
-# sums of fractions over a product tree
-# ---------------------------------------------------------------------------
-
-def product_tree(leaves: Sequence) -> list[list]:
-    """The levels of a product tree over a nonempty list of polynomials.
-
-    Level 0 is the leaves; each next level multiplies adjacent pairs and
-    carries an odd last node up unchanged, so the last level holds one node,
-    the product of every leaf.
-    """
-    levels = [list(leaves)]
-    while len(level := levels[-1]) > 1:
-        up = [level[k] * level[k + 1] for k in range(0, len(level) - 1, 2)]
-        if len(level) % 2:
-            up.append(level[-1])
-        levels.append(up)
-    return levels
-
-
-def tree_sum(nums: Sequence, tree: list[list]):
-    """sum_i nums[i] * prod_{k != i} d_k for the leaves d_k of ``tree``.
-
-    That is the numerator of sum_i nums[i] / d_i over the root: adjacent
-    fractions merge up the tree as a/b + c/d = (ad + cb)/(bd), with the
-    denominators read from the tree and an odd last fraction carried up
-    unchanged (the linear combination of von zur Gathen & Gerhard, *Modern
-    Computer Algebra*, ch. 10).  Two products per merge, n - 1 merges, and
-    the operands of each level are balanced.
-    """
-    for level in tree[:-1]:
-        up = [nums[k] * level[k + 1] + nums[k + 1] * level[k]
-              for k in range(0, len(nums) - 1, 2)]
-        if len(nums) % 2:
-            up.append(nums[-1])
-        nums = up
-    return nums[0]
-
-
-# ---------------------------------------------------------------------------
 # real-root isolation
 # ---------------------------------------------------------------------------
 

@@ -49,7 +49,6 @@ from .exactnum import (
     hom_gcd,
     hom_gcd_many,
     hom_resultant,
-    product_tree,
     rat_from_str,
     rat_to_str,
 )
@@ -259,11 +258,12 @@ class Scene:
       so on a generic scene it builds only the first view's; and
       ``cusp_chart``, its chart part;
     * ``prod_q_form``, the product of the chart forms Q_i, and ``prod_q``,
-      its chart prod_i q_i;
-    * for the critical polynomial only, ``data_free_terms`` (per view
-      A_i = sum_j p_ij W_ij and the q_i W_ij, with the Wronskians
-      W_ij = p_ij' q_i - p_ij q_i') and ``cube_tree``, the product tree of
-      the q_i^3.
+      its chart prod_i q_i.
+
+    The critical polynomial and the cross-check's perturbed numerator read
+    only the charts and the images: each is one evaluation at a packing
+    point per data sample (``eddeg._kron_sum``), so no data-free product
+    is kept for them.
 
     Nothing is checked on construction beyond what ``apply_camera`` checks:
     a consumer calls ``check_charts`` where it refuses a vanishing chart, and
@@ -304,25 +304,6 @@ class Scene:
     @cached_property
     def prod_q(self) -> UniPoly:
         return self.prod_q_form.dehom()
-
-    @cached_property
-    def data_free_terms(self) -> tuple[tuple[UniPoly, tuple[UniPoly, ...]], ...]:
-        """Per view i, (A_i, (q_i W_i1, ..., q_i W_ih)) with A_i = sum_j p_ij W_ij
-        and W_ij = p_ij' q_i - p_ij q_i': view i's term of the critical
-        polynomial at data u has the numerator
-        sum_j (p_ij - u_ij q_i) W_ij = A_i - sum_j u_ij q_i W_ij."""
-        out = []
-        for q, ps in self.charts:
-            dq = q.derivative()
-            ws = [p.derivative() * q - p * dq for p in ps]
-            a = sum((p * w for p, w in zip(ps, ws)), start=UniPoly())
-            out.append((a, tuple(q * w for w in ws)))
-        return tuple(out)
-
-    @cached_property
-    def cube_tree(self) -> list[list[UniPoly]]:
-        """``product_tree`` of the q_i^3; its root is prod_i q_i^3."""
-        return product_tree([q * q * q for q, _ in self.charts])
 
 
 def scene_for(f: RationalCurve, arr: Arrangement, scene: Scene | None) -> Scene:

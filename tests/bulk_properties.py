@@ -1,4 +1,5 @@
-"""Seeded bulk law-checking for the exact polynomial layer.
+"""Seeded bulk law-checking for the exact polynomial layer and for the two
+closed forms that ``eddeg`` assembles from it.
 
 Each function runs a batch of exact identity checks driven by one Mersenne-
 Twister seed and returns the number of cases executed, so callers (including
@@ -13,7 +14,8 @@ from fractions import Fraction as F
 from itertools import product
 from math import gcd, isqrt
 
-from edcurve import exactnum
+from edcurve import eddeg, exactnum
+from edcurve.eddeg import DataPoint, critical_polynomial
 from edcurve.exactnum import (
     UNI_ONE,
     HomPoly2,
@@ -28,6 +30,7 @@ from edcurve.exactnum import (
     squarefree_part,
     sturm_isolate,
 )
+from edcurve.scene import Arrangement, Camera, RationalCurve, apply_camera
 
 
 def poly_from_roots(roots) -> UniPoly:
@@ -550,6 +553,138 @@ def descartes_oracle(seed: int, cases: int) -> int:
     return done
 
 
+def critical_polynomial_oracle(f, arr, u: DataPoint) -> UniPoly:
+    """g = sum_{i,j} (p_ij - u_ij q_i)(p'_ij q_i - p_ij q'_i) prod_{k != i} q_k^3,
+    term by term, with each prod_{k != i} q_k^3 built directly: the oracle
+    for the Kronecker assembly of ``eddeg.critical_polynomial``."""
+    charts = []
+    for i, cam in enumerate(arr.cameras):
+        img = apply_camera(cam, f)
+        if img[0].is_zero:
+            raise ValueError(f"curve at infinity of camera {i}")
+        charts.append((img[0].dehom(), [p.dehom() for p in img[1:]]))
+    g = UniPoly()
+    for i, (q, ps) in enumerate(charts):
+        outer = UniPoly((1,))
+        for k, (qk, _) in enumerate(charts):
+            if k != i:
+                outer = outer * qk * qk * qk
+        dq = q.derivative()
+        for j, p in enumerate(ps):
+            g = g + (p - u.u[i][j] * q) * (p.derivative() * q - p * dq) * outer
+    return g
+
+
+def _products_excluding_each(factors, one) -> list:
+    """[prod_{k != i} factors[k] for each i] from prefix and suffix products:
+    the cofactors of ``perturbed_numerator_oracle``."""
+    n = len(factors)
+    out = [one] * n
+    for i in range(1, n):
+        out[i] = out[i - 1] * factors[i - 1]
+    suffix = one
+    for i in range(n - 2, -1, -1):
+        suffix = suffix * factors[i + 1]
+        out[i] = out[i] * suffix
+    return out
+
+
+def perturbed_numerator_oracle(images, beta, beta0) -> HomPoly2:
+    """The cross-check's G = beta0 * prod Q_k^2 + sum_i [prod_{k != i} Q_k^2]
+    sum_j (P_ij - beta_ij Q_i)^2, with the prefix and suffix cofactors: the
+    oracle for ``eddeg._perturbed_numerator``."""
+    qs = [img[0] for img in images]
+    outers = _products_excluding_each([q * q for q in qs], HomPoly2(0, (1,)))
+    prod_q = qs[0]
+    for q in qs[1:]:
+        prod_q = prod_q * q
+    g = beta0 * (prod_q * prod_q)
+    for i, (img, outer) in enumerate(zip(images, outers)):
+        inner = HomPoly2(2 * qs[i].degree)
+        for j, p in enumerate(img[1:]):
+            lin = p - beta[i][j] * qs[i]
+            inner = inner + lin * lin
+        g = g + inner * outer
+    return g
+
+
+def _rand_rat(rng: random.Random, bound: int = 5) -> F:
+    return F(rng.randint(-bound, bound), rng.choice((1, 1, 2, 3, 7)))
+
+
+def _non_generic_cell(rng: random.Random):
+    """(curve, arrangement, data) of a kind a generic draw almost never
+    gives: rational curve, camera and data entries (some data denominators
+    of 13 digits), with probability 1/2 a curve coordinate s^e, and each
+    camera's chart row either random, the chart row of camera 0 (charts
+    sharing every zero), the row picking s^e (a constant chart), or a row
+    whose chart drops below degree e (a zero at [0:1], which two such
+    charts share).  None when the draw is not a curve or a camera."""
+    e, h, n = rng.randint(1, 3), rng.choice((2, 3)), rng.randint(1, 4)
+    N = h + 1
+    rows = [[_rand_rat(rng) for _ in range(e + 1)] for _ in range(N + 1)]
+    if rng.random() < 0.5:
+        rows[0] = [F(1)] + [F(0)] * e
+    cams = []
+    for i in range(n):
+        entries = [[_rand_rat(rng) for _ in range(N + 1)] for _ in range(h + 1)]
+        kind = rng.choice(("random", "repeat", "constant", "drop"))
+        if kind == "repeat" and cams:
+            entries[0] = list(cams[0].entries[0])
+        elif kind == "constant" and rows[0][1:] == [0] * e:
+            entries[0] = [F(1)] + [F(0)] * N
+        elif kind == "drop":
+            # the t^e coefficient of the chart is sum_k row[k] * rows[k][e]
+            top = [r[e] for r in rows]
+            k = next((k for k, c in enumerate(top) if c), None)
+            if k is not None:
+                entries[0][k] = 0
+                entries[0][k] = -sum(a * c for a, c in zip(entries[0], top)) / top[k]
+        try:
+            cams.append(Camera(h, N, entries))
+        except ValueError:
+            return None
+    try:
+        f = RationalCurve(N=N, e=e, coords=tuple(HomPoly2(e, r) for r in rows))
+    except ValueError:
+        return None
+    den = rng.choice((1, 8, 10**12 + 39))
+    u = DataPoint(u=tuple(tuple(F(rng.randint(-64 * den, 64 * den), rng.randint(1, den))
+                                for _ in range(h)) for _ in range(n)))
+    return f, Arrangement(tuple(cams)), u
+
+
+def assembly_oracle(seed: int, cases: int) -> int:
+    """``critical_polynomial`` and the cross-check's perturbed numerator
+    equal their term-by-term sums (``critical_polynomial_oracle``,
+    ``perturbed_numerator_oracle``) on non-generic cells
+    (``_non_generic_cell``); a chart that vanishes is refused by both."""
+    rng = random.Random(seed)
+    done = 0
+    while done < cases:
+        cell = _non_generic_cell(rng)
+        if cell is None:
+            continue
+        f, arr, u = cell
+        try:
+            want = critical_polynomial_oracle(f, arr, u)
+        except ValueError:
+            try:
+                critical_polynomial(f, arr, u)
+            except ValueError:
+                pass
+            else:
+                raise AssertionError(f"a vanishing chart was not refused: {f}, {arr}")
+        else:
+            assert critical_polynomial(f, arr, u) == want, (f, arr, u)
+        images = [apply_camera(c, f) for c in arr.cameras]
+        beta0 = rng.choice((F(0), _rand_rat(rng)))
+        got = eddeg._perturbed_numerator(images, u.u, beta0)
+        assert got == perturbed_numerator_oracle(images, u.u, beta0), (f, arr, u, beta0)
+        done += 1
+    return done
+
+
 def run_all(seed: int = 20260823) -> dict[str, int]:
     """Run every suite; the value is the per-suite executed-case count."""
     return {
@@ -565,4 +700,5 @@ def run_all(seed: int = 20260823) -> dict[str, int]:
         "hom_consistency": hom_consistency(seed + 8, 1000),
         "refine_agreement": refine_agreement(seed + 9, 150),
         "descartes_oracle": descartes_oracle(seed + 11, 600),
+        "assembly_oracle": assembly_oracle(seed + 12, 150),
     }

@@ -14,7 +14,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from edcurve import eddeg, scene
-from bulk_properties import ref_abs_upper
+from bulk_properties import (
+    critical_polynomial_oracle,
+    perturbed_numerator_oracle,
+    ref_abs_upper,
+)
 from edcurve.eddeg import (
     CellExhaustedError,
     CuspError,
@@ -37,7 +41,6 @@ from edcurve.exactnum import (
     UniPoly,
     hom_gcd_many,
     poly_gcd,
-    product_tree,
     refine_root,
     squarefree_part,
     sturm_isolate,
@@ -108,60 +111,6 @@ def exact_distance(f, arr, u: DataPoint, t: F) -> F:
         for j, p in enumerate(img[1:]):
             total += (p.dehom().evaluate(t) / q - u.u[i][j]) ** 2
     return total
-
-
-def critical_polynomial_oracle(f, arr, u: DataPoint) -> UniPoly:
-    """g = sum_{i,j} (p_ij - u_ij q_i)(p'_ij q_i - p_ij q'_i) prod_{k != i} q_k^3,
-    term by term, with each prod_{k != i} q_k^3 built directly: the oracle
-    for the product-tree assembly of ``critical_polynomial``."""
-    charts = []
-    for i, cam in enumerate(arr.cameras):
-        img = apply_camera(cam, f)
-        if img[0].is_zero:
-            raise ValueError(f"curve at infinity of camera {i}")
-        charts.append((img[0].dehom(), [p.dehom() for p in img[1:]]))
-    g = UniPoly()
-    for i, (q, ps) in enumerate(charts):
-        outer = UniPoly((1,))
-        for k, (qk, _) in enumerate(charts):
-            if k != i:
-                outer = outer * qk * qk * qk
-        dq = q.derivative()
-        for j, p in enumerate(ps):
-            g = g + (p - u.u[i][j] * q) * (p.derivative() * q - p * dq) * outer
-    return g
-
-
-def _products_excluding_each(factors, one) -> list:
-    """[prod_{k != i} factors[k] for each i] from prefix and suffix products:
-    the cofactors of ``perturbed_numerator_oracle``."""
-    n = len(factors)
-    out = [one] * n
-    for i in range(1, n):
-        out[i] = out[i - 1] * factors[i - 1]
-    suffix = one
-    for i in range(n - 2, -1, -1):
-        suffix = suffix * factors[i + 1]
-        out[i] = out[i] * suffix
-    return out
-
-
-def perturbed_numerator_oracle(images, beta, beta0) -> HomPoly2:
-    """The cross-check's G = beta0 * prod Q_k^2 + sum_i [prod_{k != i} Q_k^2]
-    sum_j (P_ij - beta_ij Q_i)^2, with the prefix and suffix cofactors."""
-    qs = [img[0] for img in images]
-    outers = _products_excluding_each([q * q for q in qs], HomPoly2(0, (1,)))
-    prod_q = qs[0]
-    for q in qs[1:]:
-        prod_q = prod_q * q
-    g = beta0 * (prod_q * prod_q)
-    for i, (img, outer) in enumerate(zip(images, outers)):
-        inner = HomPoly2(2 * qs[i].degree)
-        for j, p in enumerate(img[1:]):
-            lin = p - beta[i][j] * qs[i]
-            inner = inner + lin * lin
-        g = g + inner * outer
-    return g
 
 
 class TestDataPoint:
@@ -639,8 +588,10 @@ class TestOneToOneViews:
         shared = Scene(f, arr)
         assert euler_cross_check(f, arr, 5, scene=shared) == rep.ed_degree
         assert calls == {"apply_camera": 12, "cusp_form": 4}
-        # the cross-check never pays for the count's data-free terms
-        assert "data_free_terms" not in vars(shared) and "cube_tree" not in vars(shared)
+        # the cross-check fills only the caches it reads: the cusp form and
+        # the product of the chart forms
+        assert set(vars(shared)) == {"curve", "arrangement", "images", "charts",
+                                     "cusps", "prod_q_form"}
         assert ed_degree_affine(f, arr, 5, scene=shared) == rep
         assert calls == {"apply_camera": 12, "cusp_form": 4}
         # a cell's count hands its scene back, and its cross-check reads it
@@ -838,7 +789,7 @@ _DATA = st.builds(F, st.integers(-64, 64), st.integers(1, 8))
 @st.composite
 def _assembly_cells(draw):
     """(curve, arrangement, data): e <= 3, n in 1..9 cameras (an odd n leaves
-    a leaf to carry up the product tree), h in {2, 3}, curve entries in
+    a fraction to carry up the pairwise merge), h in {2, 3}, curve entries in
     [-2, 2], seeded cameras with entries in [-2, 2] (a zero chart is
     possible) and rational data.  With ``constant`` the curve's last
     coordinate is s^e and the first camera's chart row picks it, so that
@@ -866,9 +817,83 @@ def _assembly_cells(draw):
     return f, Arrangement(tuple(cams)), u
 
 
+# 10^3000 - 1, an entry far wider than every other
+_BIG = 10**3000 - 1
+
+_ENTRY = st.builds(F, st.integers(-3, 3), st.sampled_from((1, 1, 2, 3, 7)))
+
+
+@st.composite
+def _edge_cells(draw):
+    """(curve, arrangement, data) with the shapes that the Kronecker assembly
+    must clear and bound right: e <= 3, n in 1..3, h = 2, N = 3, rational
+    curve and camera entries (chart denominators above 1), data with
+    denominators of up to 40 digits, and each of these when drawn:
+
+    * ``zero_row``: the curve's last coordinate is 0 and camera 0's row 1
+      picks it, so that p_01 = 0;
+    * ``constant``: the first coordinate is s^e and camera 0's chart row
+      picks it, so that q_0 = 1;
+    * ``drop``: the last camera's chart row kills every t^e coefficient, so
+      that its chart has a zero at [0:1];
+    * ``big``: one curve or camera entry is 10^3000 - 1, or one data entry
+      is 1 / (10^3000 - 1)."""
+    e = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 3))
+    zero_row, constant, drop = (draw(st.booleans()) for _ in range(3))
+    big = draw(st.sampled_from((None, None, None, "curve", "camera", "data")))
+    rows = [[draw(_ENTRY) for _ in range(e + 1)] for _ in range(4)]
+    if constant:
+        rows[0] = [F(1)] + [F(0)] * e
+    if zero_row:
+        rows[3] = [F(0)] * (e + 1)
+    if big == "curve":
+        rows[1][draw(st.integers(0, e))] = F(_BIG)
+    try:
+        f = RationalCurve(N=3, e=e, coords=tuple(HomPoly2(e, r) for r in rows))
+    except ValueError:
+        assume(False)
+    cams = [[[draw(_ENTRY) for _ in range(4)] for _ in range(3)] for _ in range(n)]
+    if constant:
+        cams[0][0] = [F(1), F(0), F(0), F(0)]
+    if zero_row:
+        cams[0][1] = [F(0), F(0), F(0), F(1)]
+    if drop:
+        # the t^e coefficient of the chart is sum_k row[k] * rows[k][e]
+        top = [r[e] for r in rows]
+        k = next(k for k, c in enumerate(top) if c)
+        row = cams[-1][0]
+        row[k] = F(0)
+        row[k] = -sum(a * c for a, c in zip(row, top)) / top[k]
+    if big == "camera":
+        i, j, k = (draw(st.integers(0, m)) for m in (n - 1, 2, 3))
+        cams[i][j][k] = F(_BIG)
+    try:
+        arr = Arrangement(tuple(Camera(2, 3, c) for c in cams))
+    except ValueError:
+        assume(False)
+    data = st.builds(F, st.integers(-10**40, 10**40), st.integers(1, 10**40))
+    u = [[draw(data) for _ in range(2)] for _ in range(n)]
+    if big == "data":
+        u[draw(st.integers(0, n - 1))][draw(st.integers(0, 1))] = F(1, _BIG)
+    return f, arr, DataPoint(u=tuple(tuple(row) for row in u))
+
+
+def _monomial_cell(a: int, n: int):
+    """A cell where the bound of the Kronecker assembly is attained: on the
+    twisted cubic, every camera's chart row picks s^3 (q_i = 1) and its rows
+    pick a t^3 and a t^2, so that p_i1 = a t^3 and p_i2 = a t^2, with zero
+    data.  g = n a^2 (3 t^5 + 2 t^3) has no cancellation, and its largest
+    coefficient 3 n a^2 is within a factor 5/3 of the ell-1 bound 5 n a^2."""
+    cams = tuple(Camera(2, 3, ((0, 0, 0, 1), (a, 0, 0, 0), (0, a, 0, 0)))
+                 for _ in range(n))
+    return twisted_cubic(), Arrangement(cams), DataPoint(u=((0, 0),) * n)
+
+
 class TestTreeAssembly:
-    """The product-tree assemblies of g and of the cross-check's G_beta are
-    the same polynomials as the term-by-term sums they replaced."""
+    """The Kronecker assemblies of g and of the cross-check's G_beta, one
+    evaluation at a packing point each, are the same polynomials as the
+    term-by-term sums."""
 
     @settings(max_examples=150)
     @given(_assembly_cells())
@@ -896,9 +921,26 @@ class TestTreeAssembly:
     def test_perturbed_numerator_matches_the_cofactor_sum(self, cell, beta0):
         f, arr, beta = cell
         images = [apply_camera(c, f) for c in arr.cameras]
-        tree = product_tree([img[0] * img[0] for img in images])
-        got = eddeg._perturbed_numerator(images, tree, beta.u, F(beta0))
+        got = eddeg._perturbed_numerator(images, beta.u, F(beta0))
         assert got == perturbed_numerator_oracle(images, beta.u, F(beta0))
+
+    @settings(max_examples=120)
+    @given(_edge_cells(), st.sampled_from((F(0), F(3), F(-7, 5), F(_BIG, 3))))
+    def test_both_assemblies_on_edge_cells(self, cell, beta0):
+        f, arr, u = cell
+        assert critical_polynomial(f, arr, u) == critical_polynomial_oracle(f, arr, u)
+        images = [apply_camera(c, f) for c in arr.cameras]
+        got = eddeg._perturbed_numerator(images, u.u, beta0)
+        assert got == perturbed_numerator_oracle(images, u.u, beta0)
+
+    @pytest.mark.parametrize("a", [1, 7, 2**40 + 1, 10**50, 3**700],
+                             ids=["1", "7", "2^40+1", "10^50", "3^700"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_a_cell_that_attains_the_bound(self, a, n):
+        f, arr, u = _monomial_cell(a, n)
+        g = critical_polynomial(f, arr, u)
+        assert g == critical_polynomial_oracle(f, arr, u)
+        assert g == UniPoly((0, 0, 0, 2 * n * a * a, 0, 3 * n * a * a))
 
 
 class TestEulerCrossCheck:
@@ -1226,10 +1268,11 @@ def ref_triangulate(f: RationalCurve, arr: Arrangement, u: DataPoint,
             pole_ivs[idx] = pv
         pole_free.append((iv, slo))
 
-    cubes = scene.cube_tree[-1][0]
-    squares = eddeg._square_tree(scene.images)
-    dist_num = eddeg._perturbed_numerator(scene.images, squares, u.u, 0)
-    dist_den = squares[-1][0]
+    cubes, dist_den = UniPoly((1,)), HomPoly2(0, (1,))
+    for (q, _), img in zip(scene.charts, scene.images):
+        cubes = cubes * q * q * q
+        dist_den = dist_den * img[0] * img[0]
+    dist_num = perturbed_numerator_oracle(scene.images, u.u, 0)
     slope = cubes.derivative()
     ivs, distances, bounds = [], [], []
     for iv, slo in pole_free:

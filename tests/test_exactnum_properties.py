@@ -72,6 +72,7 @@ class TestBulkSuites:
         "hom_consistency",
         "refine_agreement",
         "descartes_oracle",
+        "assembly_oracle",
     ])
     def test_suite_runs(self, suite):
         assert self._counts()[suite] > 0
