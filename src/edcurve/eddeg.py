@@ -34,10 +34,18 @@ double points of the image cancel from this balance identically, so the check
 is valid whenever the multiview map is an immersion; cusps break it and are
 refused.
 
-Every computation is exact; data points are sampled from a seeded
-Mersenne-Twister generator and each count is recomputed with a second,
-independent data sample — a disagreement means the sample was non-generic and
-surfaces as an error instead of a wrong number.
+Every result is exact.  A sample whose count reaches the bound 3en - 2 is
+proved so from residues mod 2**17 - 1 without building g: H mod p, for H the
+integer multiple of g that the Kronecker assembly gives, is computed in
+folded residue slots (``_kron_sum_mod``), and a nonzero top residue with
+constant gcds mod p against H', prod q_i and the cusp chart proves that g
+has degree 3en - 2, no repeated root and nothing to saturate
+(``_squarefree_mod_p``).  Any other outcome builds g and reduces it exactly;
+the cross-check reads its perturbed numerator the same way.  Data points
+are sampled from a seeded Mersenne-Twister generator and each count is
+recomputed with a second, independent data sample — a disagreement means
+the sample was non-generic and surfaces as an error instead of a wrong
+number.
 """
 
 from __future__ import annotations
@@ -54,12 +62,17 @@ from .exactnum import (
     Rat,
     UNI_ONE,
     UniPoly,
+    _PRIMES,
     _as_rat,
     _bisect,
     _eval_int,
+    _fold_masks,
     _hom,
     _kron_pack,
     _kron_unpack,
+    _mersenne_fold,
+    _mod_gcd,
+    _pack_residues,
     _sign,
     _uni,
     distinct_root_count,
@@ -175,20 +188,38 @@ def _l1(a) -> int:
     return sum(map(abs, a))
 
 
-def _fraction_sum(pairs: Sequence[tuple[int, int]]) -> int:
+def _fraction_sum(pairs: Sequence[tuple[int, int]], fold=lambda x: x) -> int:
     """sum_i a_i prod_{k != i} b_k for pairs (a_i, b_i): the numerator of
     sum_i a_i / b_i over prod b_i.  Adjacent fractions merge as
     a/b + c/d = (ad + cb)/(bd), an odd last one carried up, so the operands
-    of each level are balanced; the root's denominator is not formed."""
+    of each level are balanced; the root's denominator is not formed.
+    ``fold`` is applied to every numerator and denominator formed
+    (``_kron_sum_mod``)."""
     while len(pairs) > 2:
-        up = [(a * d + c * b, b * d) for (a, b), (c, d) in zip(pairs[::2], pairs[1::2])]
+        up = [(fold(a * d + c * b), fold(b * d))
+              for (a, b), (c, d) in zip(pairs[::2], pairs[1::2])]
         if len(pairs) % 2:
             up.append(pairs[-1])
         pairs = up
     if len(pairs) == 1:
         return pairs[0][0]
     (a, b), (c, d) = pairs
-    return a * d + c * b
+    return fold(a * d + c * b)
+
+
+def _cleared(views, rows, wronskian: bool):
+    """Each view of :func:`_kron_sum` cleared to integers, in order: the
+    lists Q and [P_j], the integers B and [B u_ij], and D, then, for the
+    Wronskian, the lists Q' and [P_j']."""
+    for polys, row in zip(views, rows):
+        d = lcm(*(p.den for p in polys))
+        q, *ps = [[x * (d // p.den) for x in p.num] for p in polys]
+        b = lcm(*(x.denominator for x in row))
+        rs = [x.numerator * (b // x.denominator) for x in row]
+        if wronskian:
+            yield q, ps, b, rs, d, _derivative(q), [_derivative(p) for p in ps]
+        else:
+            yield q, ps, b, rs, d
 
 
 def _kron_sum(views, rows, size: int, *, wronskian: bool,
@@ -203,9 +234,9 @@ def _kron_sum(views, rows, size: int, *, wronskian: bool,
     coefficient lists of forms), and data rows u_i, given that this
     product has at most ``size`` coefficients.
 
-    View i is cleared to integers: with D the lcm of its polynomials'
-    denominators, Q = D q_i and P_j = D p_ij; with B the lcm of the
-    denominators of u_i, L_j = B P_j - (B u_ij) Q = B D (p_ij - u_ij q_i).
+    View i is cleared to integers (:func:`_cleared`): with D the lcm of its
+    polynomials' denominators, Q = D q_i and P_j = D p_ij; with B the lcm of
+    the denominators of u_i, L_j = B P_j - (B u_ij) Q = B D (p_ij - u_ij q_i).
     W is bilinear, so W(P_j, Q) = D^2 W_ij, and view i's fraction is
     N_i / C_i with N_i = sum_j L_j W(P_j, Q) and C_i = B Q^3, or
     N_i = sum_j L_j^2 and C_i = B^2 Q^2.  The constant a / b is one more
@@ -227,32 +258,26 @@ def _kron_sum(views, rows, size: int, *, wronskian: bool,
     (``_kron_unpack``) and every pack is exact (``_kron_pack``).
     """
     a0, b0 = constant.numerator, constant.denominator
-    cleared, norms, top, den = [], [], 0, b0
-    for polys, row in zip(views, rows):
-        d = lcm(*(p.den for p in polys))
-        q, *ps = [[x * (d // p.den) for x in p.num] for p in polys]
-        b = lcm(*(x.denominator for x in row))
-        rs = [x.numerator * (b // x.denominator) for x in row]
+    cleared, norms, top, den = list(_cleared(views, rows, wronskian)), [], 0, b0
+    for q, ps, b, rs, d, *derivs in cleared:
         nq, nps = _l1(q), [_l1(p) for p in ps]
         nls = [b * n + abs(r) * nq for n, r in zip(nps, rs)]
         if wronskian:
-            dq, dps = _derivative(q), [_derivative(p) for p in ps]
+            dq, dps = derivs
             ndq, ndps = _l1(dq), [_l1(dp) for dp in dps]
             nws = [ndp * nq + n * ndq for n, ndp in zip(nps, ndps)]
             norms.append((sum(nl * nw for nl, nw in zip(nls, nws)), b * nq ** 3))
             top = max(top, ndq, *ndps)
-            cleared.append((q, ps, b, rs, dq, dps))
             den *= b * d ** 3
         else:
             norms.append((sum(nl * nl for nl in nls), (b * nq) ** 2))
-            cleared.append((q, ps, b, rs))
             den *= (b * d) ** 2
         top = max(top, nq, *nps)
     if a0:
         norms.append((abs(a0), b0))
     nb = (max(top, _fraction_sum(norms)).bit_length() + 8) // 8
     pairs = []
-    for q, ps, b, rs, *derivs in cleared:
+    for q, ps, b, rs, _, *derivs in cleared:
         qx, pxs = _kron_pack(q, nb), [_kron_pack(p, nb) for p in ps]
         lins = [b * px - r * qx for px, r in zip(pxs, rs)]
         if wronskian:
@@ -265,6 +290,91 @@ def _kron_sum(views, rows, size: int, *, wronskian: bool,
     if a0:
         pairs.append((a0, b0))
     return _kron_unpack(_fraction_sum(pairs), nb, size), den
+
+
+def _kron_sum_mod(views, rows, size: int, *, wronskian: bool,
+                  constant: Rat = Fraction(0)) -> tuple[list[int], int]:
+    """(h, p): h the ``size`` residues in [0, p) of the H of :func:`_kron_sum`
+    mod a prime p, given that every polynomial of the views also has at most
+    ``size`` coefficients.
+
+    The same ring operations run on residues.  p = 2**k - 1 is the first
+    prime of ``_PRIMES`` that admits a slot of w = 8 nb bits with
+    2k + 3 + bitlen(size) <= w <= 3k - 1: the upper end is the bound of
+    ``_mersenne_fold``, the lower one is proved below (2**17 - 1 serves
+    every size below 2048, and the last prime any size below 2**200000).
+    Each view is cleared by :func:`_cleared`, its polynomials' residues are
+    packed into nonnegative w-bit slots (``_pack_residues``), and a
+    difference is a sum with the negated residues, so no slot is ever
+    negative.  Every product is followed by ``_mersenne_fold`` with masks of
+    ``size`` slots, which leaves every slot below 2**(k+1) with its residue
+    mod p and drops every slot at or above ``size``: read with t = 2**w,
+    that is the map Z[t] -> (Z/p)[t]/(t**size), a ring map.  So the result
+    is H mod (p, t**size), which is H mod p, as H has at most ``size``
+    coefficients.
+
+    No slot overflows before its fold.  Every operand of a product has at
+    most ``size`` slots, each below 2**(k+1), so each slot of the product
+    is a sum of at most ``size`` terms below 2**(2k+2).  What is folded is a
+    product, a sum of two products, or a product plus a folded value, each
+    with slots below 2 * size * 2**(2k+2) <= 2**(2k + 3 + bitlen(size)) <= 2**w,
+    or a sum of at most two scalars below p (B, -B u_ij, B^2 mod p) times
+    operands, with slots below 2**(2k+2).  Slots never carry, so the slots
+    of the packed int are the coefficients of the polynomial.
+    """
+    for p in _PRIMES:
+        k = p.bit_length()
+        nb = (2 * k + 10 + size.bit_length()) // 8
+        if 8 * nb <= 3 * k - 1:
+            break
+    low, high = _fold_masks(p, nb, size)
+
+    def fold(x: int) -> int:
+        return _mersenne_fold(x, k, low, high)
+
+    pairs = []
+    for q, ps, b, rs, _, *derivs in _cleared(views, rows, wronskian):
+        qx, pxs = _pack_residues(q, p, nb), [_pack_residues(x, p, nb) for x in ps]
+        lins = [fold(b % p * px + -r % p * qx) for px, r in zip(pxs, rs)]
+        square, num = fold(qx * qx), 0
+        if wronskian:
+            dq, dps = derivs
+            minus_dqx = _pack_residues([-x for x in dq], p, nb)
+            for lin, px, dp in zip(lins, pxs, dps):
+                num = fold(num + lin * fold(_pack_residues(dp, p, nb) * qx + px * minus_dqx))
+            pairs.append((num, fold(b % p * fold(square * qx))))
+        else:
+            for lin in lins:
+                num = fold(num + lin * lin)
+            pairs.append((num, fold(b * b % p * square)))
+    a0, b0 = constant.numerator, constant.denominator
+    if a0:
+        pairs.append((a0 % p, b0 % p))
+    data = _fraction_sum(pairs, fold).to_bytes(nb * size, "little")
+    return [int.from_bytes(data[j:j + nb], "little") % p
+            for j in range(0, nb * size, nb)], p
+
+
+def _squarefree_mod_p(views, rows, size: int, others, *, wronskian: bool,
+                      constant: Rat = Fraction(0)) -> bool:
+    """Whether residues prove that the H of :func:`_kron_sum` has degree
+    ``size`` - 1 and no repeated root, and shares no root with any of the
+    integer coefficient lists ``others``; False means only "not proved".
+
+    With (h, p) from :func:`_kron_sum_mod`, a nonzero h[size - 1] proves
+    deg H = size - 1, since H has at most ``size`` coefficients.  For an
+    integer polynomial b whose leading coefficient p does not divide
+    (``_mod_gcd`` gives None otherwise), a common factor of H and b over Q
+    has a primitive integer multiple that divides both in Z[t] (Gauss's
+    lemma), whose leading coefficient divides lc H and so survives mod p:
+    it divides h and b mod p with its degree, as in ``poly_gcd``.  So
+    ``_mod_gcd(h, b, p) == [1]`` proves H and b coprime over Q.  For b = H',
+    whose residues are h' (leading coefficient (size - 1) lc h), that proves
+    H squarefree.
+    """
+    h, p = _kron_sum_mod(views, rows, size, wronskian=wronskian, constant=constant)
+    return bool(h[-1]) and all(_mod_gcd(h, b, p) == [1]
+                               for b in (_derivative(h), *others))
 
 
 def _derivative(a: Sequence[int]) -> list[int]:
@@ -289,13 +399,7 @@ def reduce_critical_polynomial(
 
     Refuses h = 1 (module docstring) and a scene whose every view maps the
     curve to a point."""
-    if arr.h < 2:
-        raise ValueError("h = 1 arrangements are refused: a view onto a line "
-                         "ramifies at smooth points, which the cusp saturation "
-                         "would remove")
-    u.check_shape(arr)
-    scene = scene_for(f, arr, scene)
-    scene.check_charts()
+    scene = _reduction_scene(f, arr, u, scene)
     cusps = scene.cusp_chart
     g = critical_polynomial(f, arr, u, scene=scene)
     if g.is_zero:
@@ -321,6 +425,47 @@ def reduce_critical_polynomial(
         removed_pole_factors=poles_removed,
         removed_immersion_factors=cusp_removed,
     )
+
+
+def _reduction_scene(f: RationalCurve, arr: Arrangement, u: DataPoint,
+                     scene: Optional[Scene]) -> Scene:
+    """The scene of (f, arr), once the refusals that precede every
+    reduction have passed, in their order: h = 1, the data's shape and a
+    vanishing chart.  A point image is refused next, by the first read of
+    ``scene.cusp_chart``."""
+    if arr.h < 2:
+        raise ValueError("h = 1 arrangements are refused: a view onto a line "
+                         "ramifies at smooth points, which the cusp saturation "
+                         "would remove")
+    u.check_shape(arr)
+    scene = scene_for(f, arr, scene)
+    scene.check_charts()
+    return scene
+
+
+def _sample_count(f: RationalCurve, arr: Arrangement, u: DataPoint,
+                  scene: Scene) -> tuple[int, int, int, int]:
+    """(count, deg g, removed pole degree, removed cusp degree) of one data
+    sample, as :func:`reduce_critical_polynomial` gives them.
+
+    First the residues of g's integer multiple H mod p
+    (:func:`_squarefree_mod_p`): when they prove that g has the degree bound
+    3en - 2, no repeated root and no root in common with prod q_i or the
+    cusp chart, g is its own squarefree part and neither saturation removes
+    a factor, so the tuple is (3en - 2, 3en - 2, 0, 0) and g is never built.
+    Any other outcome runs the exact reduction, after the same refusals in
+    the same order.
+    """
+    scene = _reduction_scene(f, arr, u, scene)
+    cusps = scene.cusp_chart
+    bound = 3 * f.e * arr.n - 2
+    others = [scene.prod_q.num, cusps.num] if cusps.degree else [scene.prod_q.num]
+    if _squarefree_mod_p([(q, *ps) for q, ps in scene.charts], u.u, bound + 1,
+                         others, wronskian=True):
+        return bound, bound, 0, 0
+    rc = reduce_critical_polynomial(f, arr, u, scene=scene)
+    return (rc.reduced.degree, rc.raw.degree, rc.removed_pole_factors,
+            rc.removed_immersion_factors)
 
 
 # ---------------------------------------------------------------------------
@@ -391,30 +536,21 @@ def ed_degree_affine(
         s.check_shape(arr)
     scene = scene_for(f, arr, scene)
     scene.check_charts()
-    counts = []
-    reductions = []
-    for s in samples:
-        rc = reduce_critical_polynomial(f, arr, s, scene=scene)
-        d = rc.reduced.degree
-        assert d is not None
-        counts.append(d)
-        reductions.append(rc)
-    if counts[0] != counts[1]:
+    counts = [_sample_count(f, arr, s, scene) for s in samples]
+    if counts[0][0] != counts[1][0]:
         raise DataInstabilityError("data not generic; reseed")
 
     cert = genericity_certificate(arr, f, scene=scene)
-    rc = reductions[0]
-    raw_deg = rc.raw.degree
-    assert raw_deg is not None
+    count, raw_deg, poles_removed, cusp_removed = counts[0]
     formula = 3 * f.e * arr.n - 2
     return EDReport(
-        ed_degree=counts[0],
+        ed_degree=count,
         critical_poly_degree=raw_deg,
-        removed_pole_factors=rc.removed_pole_factors,
-        removed_immersion_factors=rc.removed_immersion_factors,
+        removed_pole_factors=poles_removed,
+        removed_immersion_factors=cusp_removed,
         certificate=cert,
         formula_value=formula,
-        formula_match=counts[0] == formula,
+        formula_match=count == formula,
         cross_check=None,
         stable=True,
         seeds=(seed, seed + 1),
@@ -523,6 +659,13 @@ def euler_cross_check(
     draw.  A multiview map that is not an immersion is refused: node
     contributions cancel from this balance, cusp contributions do not.
     ``scene`` may pass in the :class:`Scene` of (f, arr).
+
+    Each attempt first reads G mod p (:func:`_squarefree_mod_p`), G of
+    formal degree 2en.  A nonzero t^(2en) residue proves that G does not
+    vanish at [0:1], so its zeros are those of its chart, of degree 2en;
+    when that chart is also proved squarefree and coprime to the chart of
+    prod Q_k, #S_Q = 2en and the sets are disjoint.  Any other outcome runs
+    the attempt's exact steps.
     """
     scene = scene_for(f, arr, scene)
     if scene.cusps.degree:
@@ -530,6 +673,9 @@ def euler_cross_check(
     scene.check_charts()
     prod_q = scene.prod_q_form
     s_inf = hom_distinct_root_count(prod_q)
+    degree = 2 * sum(img[0].degree for img in scene.images)
+    # the chart of prod Q_k, taken here so that ``scene.prod_q`` stays unread
+    chart = prod_q.dehom().num
 
     for attempt in range(4):
         rng = random.Random(f"{seed}:euler-beta:{attempt}")
@@ -538,6 +684,9 @@ def euler_cross_check(
             for _ in range(arr.n)
         ]
         beta0 = Fraction(rng.randint(1, 64), rng.randint(1, 8))
+        if _squarefree_mod_p(scene.images, beta, degree + 1, [chart],
+                             wronskian=False, constant=beta0):
+            return s_inf + degree - 2
         g_beta = _perturbed_numerator(scene.images, beta, beta0)
         if g_beta.is_zero:
             continue

@@ -181,9 +181,7 @@ def _mod_gcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int] | None:
     k = p.bit_length()
     nb, rows_per_fold = _slot_layout(p)
     w = 8 * nb
-    size = max(len(a), len(b))
-    low = int.from_bytes(p.to_bytes(nb, "little") * size, "little")
-    high = int.from_bytes(((1 << (w - k)) - 1).to_bytes(nb, "little") * size, "little")
+    low, high = _fold_masks(p, nb, max(len(a), len(b)))
     slot = (1 << w) - 1
     if len(a) < len(b):
         a, b = b, a
@@ -232,14 +230,32 @@ def _slot_layout(p: int) -> tuple[int, int]:
     return nb, 1 << (8 * nb - 2 * k - 1)
 
 
+def _fold_masks(p: int, nb: int, size: int) -> tuple[int, int]:
+    """(low, high) of ``_mersenne_fold`` for p = 2**k - 1 over ``size`` slots
+    of w = 8 * nb bits: the low k bits and the low w - k bits of each."""
+    k = p.bit_length()
+    return (int.from_bytes(p.to_bytes(nb, "little") * size, "little"),
+            int.from_bytes(((1 << (8 * nb - k)) - 1).to_bytes(nb, "little") * size,
+                           "little"))
+
+
 def _mersenne_fold(x: int, k: int, low: int, high: int) -> int:
     """Two folds s -> (s & 2**k - 1) + (s >> k) on every slot of x at once.
 
-    ``low`` masks the low k bits and ``high`` the low w - k bits of every w-bit
-    slot.  A fold keeps each slot's residue mod 2**k - 1, as 2**k = 1 there.
-    From a slot below 2**w = 2**(2k + e), the first fold leaves less than
+    x is a sum of nonnegative slots s_j * 2**(w*j) with every s_j < 2**w,
+    and ``low`` and ``high`` are the masks of ``_fold_masks``: the low k
+    bits and the low w - k bits of each of ``size`` w-bit slots.  Slot j of
+    x >> k holds bits k..w-1 of s_j below the low k bits of s_(j+1), and
+    ``high`` keeps only the former, so the slots fold independently.  A
+    fold keeps each slot's residue mod 2**k - 1, as 2**k = 1 there.  From a
+    slot below 2**w = 2**(2k + e), the first fold leaves less than
     2**k + 2**(k+e) and the second less than 2**k + 2**(e+1) <= 2**(k+1),
-    as e + 1 <= k.
+    as e + 1 <= k: so any width 2k < w <= 3k - 1 folds, the layout of
+    ``_mod_gcd`` (``_slot_layout``) among them.  Slots at or above ``size``
+    meet no mask and are dropped: read as the coefficients of a polynomial
+    in t = 2**w, x is reduced mod (p, t**size), and truncation mod t**size
+    is a ring map, so products and sums may be folded this way after every
+    step (``eddeg._kron_sum_mod``).
     """
     x = (x & low) + (x >> k & high)
     return (x & low) + (x >> k & high)

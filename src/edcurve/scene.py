@@ -262,8 +262,11 @@ class Scene:
 
     The critical polynomial and the cross-check's perturbed numerator read
     only the charts and the images: each is one evaluation at a packing
-    point per data sample (``eddeg._kron_sum``), so no data-free product
-    is kept for them.
+    point per data sample (``eddeg._kron_sum``), or its residues mod
+    2**17 - 1 in folded slots (``eddeg._kron_sum_mod``), so no data-free
+    product is kept for them.  A count's certificate mod p reads
+    ``prod_q`` and ``cusp_chart``; the cross-check's reads only
+    ``prod_q_form``.
 
     Nothing is checked on construction beyond what ``apply_camera`` checks:
     a consumer calls ``check_charts`` where it refuses a vanishing chart, and

@@ -13,6 +13,7 @@ import random
 from fractions import Fraction as F
 from itertools import product
 from math import gcd, isqrt
+from unittest import mock
 
 from edcurve import eddeg, exactnum
 from edcurve.eddeg import DataPoint, critical_polynomial
@@ -30,7 +31,15 @@ from edcurve.exactnum import (
     squarefree_part,
     sturm_isolate,
 )
-from edcurve.scene import Arrangement, Camera, RationalCurve, apply_camera
+from edcurve.scene import (
+    Arrangement,
+    Camera,
+    RationalCurve,
+    Scene,
+    apply_camera,
+    random_camera,
+    random_curve,
+)
 
 
 def poly_from_roots(roots) -> UniPoly:
@@ -685,6 +694,149 @@ def assembly_oracle(seed: int, cases: int) -> int:
     return done
 
 
+def outcome(fn, *args, **kwargs):
+    """fn's value, or the type and message of the error it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+def exact_outcome(fn, *args, **kwargs):
+    """:func:`outcome` with no count or cross-check proved mod p, so that
+    each takes its exact path."""
+    with mock.patch.object(eddeg, "_squarefree_mod_p", lambda *a, **k: False):
+        return outcome(fn, *args, **kwargs)
+
+
+def _generic_cell(rng: random.Random):
+    """(curve, arrangement, data) from the seeded samplers: e <= 3, n <= 4,
+    h in {2, 3}, N = h + 1, integer entries, the data of
+    ``random_data_point``."""
+    e, h, n = rng.randint(1, 3), rng.choice((2, 3)), rng.randint(1, 4)
+    f = random_curve(rng.randrange(2**32), e, h + 1)
+    arr = Arrangement(tuple(random_camera(rng.randrange(2**32), h, h + 1)
+                            for _ in range(n)))
+    return f, arr, eddeg.random_data_point(rng.randrange(2**32), n, h)
+
+
+def double_root_data(f: RationalCurve, arr: Arrangement, t0: F,
+                     rng: random.Random) -> DataPoint | None:
+    """Data at which t0 is a degenerate critical point, so that the critical
+    polynomial has a double root at t0; None when t0 is a pole of a chart
+    or the system below is singular.
+
+    For D the squared distance, D'/2 = sum (x_ij - u_ij) x'_ij and
+    D''/2 = sum x'_ij^2 + (x_ij - u_ij) x''_ij with x_ij = p_ij / q_i.  Every
+    u_ij but u_00 and u_01 is drawn, and those two solve D'(t0) = 0 and
+    D''(t0) = 0, which are linear in them."""
+    views = []
+    for q, ps in Scene(f, arr).charts:
+        q0, q1, q2 = (q.evaluate(t0), q.derivative().evaluate(t0),
+                      q.derivative().derivative().evaluate(t0))
+        if not q0:
+            return None
+        row = []
+        for p in ps:
+            p0, p1, p2 = (p.evaluate(t0), p.derivative().evaluate(t0),
+                          p.derivative().derivative().evaluate(t0))
+            w = (p1 * q0 - p0 * q1) / q0**2
+            row.append((p0 / q0, w, (p2 * q0 - p0 * q2) / q0**2 - 2 * q1 * w / q0))
+        views.append(row)
+    u = [[_rand_rat(rng) for _ in range(arr.h)] for _ in range(arr.n)]
+    a = b = F(0)  # D'/2 and D''/2 without the terms of u_00 and u_01
+    for i, row in enumerate(views):
+        for j, (x, x1, x2) in enumerate(row):
+            b += x1 * x1
+            if i or j >= 2:
+                a += (x - u[i][j]) * x1
+                b += (x - u[i][j]) * x2
+    (x0, a0, b0), (y0, a1, b1) = views[0][:2]
+    det = a0 * b1 - a1 * b0
+    if not det:
+        return None
+    # (v0, v1) = (x_00 - u_00, x_01 - u_01) solves a0 v0 + a1 v1 = -a, b0 v0 + b1 v1 = -b
+    u[0][0] = x0 - (a1 * b - a * b1) / det
+    u[0][1] = y0 - (a * b0 - a0 * b) / det
+    return DataPoint(u=tuple(map(tuple, u)))
+
+
+# the circle (1, t) / (1 + t^2) through the identity, whose chart's zeros
+# +-i lie on the isotropic cone: they are simple roots of the critical
+# polynomial, and zeros of every perturbed numerator G_beta
+_CIRCLE = RationalCurve(N=2, e=2, coords=(HomPoly2(2, (1, 0, 1)), HomPoly2(2, (1, 0, 0)),
+                                         HomPoly2(2, (0, 1, 0))))
+_IDENTITY = Camera(2, 2, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+# the cuspidal cubic (s^3, s t^2, t^3): every view has the cusp at t = 0,
+# a simple root of the critical polynomial
+_CUSPIDAL = RationalCurve(N=2, e=3, coords=(HomPoly2(3, (1, 0, 0, 0)),
+                                           HomPoly2(3, (0, 0, 1, 0)),
+                                           HomPoly2(3, (0, 0, 0, 1))))
+
+
+def _special_cell(rng: random.Random):
+    """(curve, arrangement, data) where the critical polynomial has full
+    degree and exactly one kind of root that the count must not keep: a
+    double root (``double_root_data`` on a generic cell), a root at a pole
+    (``_CIRCLE`` beside random views) or a cusp (``_CUSPIDAL`` under random
+    cameras).  None when the draw fails."""
+    kind = rng.choice(("double", "pole", "cusp"))
+    if kind == "double":
+        f, arr, _ = _generic_cell(rng)
+        return f, arr, double_root_data(f, arr, _rand_rat(rng, 3), rng)
+    n = rng.randint(1, 3)
+    cams = [random_camera(rng.randrange(2**32), 2, 2) for _ in range(n)]
+    if kind == "pole":
+        f, cams[0] = _CIRCLE, _IDENTITY
+    else:
+        f = _CUSPIDAL
+    return f, Arrangement(tuple(cams)), eddeg.random_data_point(rng.randrange(2**32), n, 2)
+
+
+def modular_count(seed: int, cases: int) -> int:
+    """The residues of both Kronecker assemblies mod p are the exact sums
+    mod p, and ``ed_degree_affine`` and ``euler_cross_check`` give what
+    their exact paths give (``exact_outcome``): every report field, or the
+    same error with the same message, with the cell's data as the first
+    sample.  The cells are seeded generic ones, non-generic ones (``_non_generic_cell``)
+    and ones with a double root, a root at a pole or a cusp
+    (``_special_cell``), each of which only one test of the certificate
+    mod p refuses.  Both outcomes of the certificate must occur."""
+    rng = random.Random(seed)
+    draws = (_generic_cell, _non_generic_cell, _special_cell)
+    proved = {True: 0, False: 0}
+    certify = eddeg._squarefree_mod_p
+
+    def spy(*args, **kwargs):
+        ok = certify(*args, **kwargs)
+        proved[ok] += 1
+        return ok
+
+    done = 0
+    while done < cases:
+        cell = rng.choice(draws)(rng)
+        if cell is None or cell[2] is None:
+            continue
+        f, arr, u = cell
+        charts = [(q, *ps) for q, ps in Scene(f, arr).charts]
+        images = [apply_camera(c, f) for c in arr.cameras]
+        for views, size, kwargs in (
+                (charts, 3 * f.e * arr.n - 1, {"wronskian": True}),
+                (images, 2 * f.e * arr.n + 1, {"wronskian": False, "constant": _rand_rat(rng)})):
+            h, p = eddeg._kron_sum_mod(views, u.u, size, **kwargs)
+            assert h == [c % p for c in eddeg._kron_sum(views, u.u, size, **kwargs)[0]], cell
+        s = rng.randrange(2**32)
+        points = (u, eddeg.random_data_point(s, arr.n, arr.h))
+        for fn, kwargs in ((eddeg.ed_degree_affine, {"data_points": points}),
+                           (eddeg.euler_cross_check, {})):
+            with mock.patch.object(eddeg, "_squarefree_mod_p", spy):
+                got = outcome(fn, f, arr, s, **kwargs)
+            assert got == exact_outcome(fn, f, arr, s, **kwargs), (f, arr, u, s, got)
+        done += 1
+    assert proved[True] and proved[False], proved
+    return done
+
+
 def run_all(seed: int = 20260823) -> dict[str, int]:
     """Run every suite; the value is the per-suite executed-case count."""
     return {
@@ -701,4 +853,5 @@ def run_all(seed: int = 20260823) -> dict[str, int]:
         "refine_agreement": refine_agreement(seed + 9, 150),
         "descartes_oracle": descartes_oracle(seed + 11, 600),
         "assembly_oracle": assembly_oracle(seed + 12, 150),
+        "modular_count": modular_count(seed + 13, 150),
     }

@@ -13,9 +13,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from edcurve import eddeg, scene
+from edcurve import cli, eddeg, scene
 from bulk_properties import (
     critical_polynomial_oracle,
+    double_root_data,
+    exact_outcome,
+    outcome,
     perturbed_numerator_oracle,
     ref_abs_upper,
 )
@@ -879,6 +882,17 @@ def _edge_cells(draw):
     return f, arr, DataPoint(u=tuple(tuple(row) for row in u))
 
 
+# an edge cell whose second chart vanishes: camera 1's chart row picks a
+# zero coordinate of the curve
+_CHART_AT_INFINITY = (
+    RationalCurve(N=3, e=3, coords=(H(3, 1, 0, 0, 0), H(3, 0, 0, 0, 1),
+                                    H(3, 0, 0, 0, 0), H(3, 0, 0, 0, 0))),
+    Arrangement((Camera(2, 3, ((1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))),
+                 Camera(2, 3, ((0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0))))),
+    DataPoint(u=((0, 0), (0, 0))),
+)
+
+
 def _monomial_cell(a: int, n: int):
     """A cell where the bound of the Kronecker assembly is attained: on the
     twisted cubic, every camera's chart row picks s^3 (q_i = 1) and its rows
@@ -926,9 +940,17 @@ class TestTreeAssembly:
 
     @settings(max_examples=120)
     @given(_edge_cells(), st.sampled_from((F(0), F(3), F(-7, 5), F(_BIG, 3))))
+    @example(_CHART_AT_INFINITY, F(0))
     def test_both_assemblies_on_edge_cells(self, cell, beta0):
         f, arr, u = cell
-        assert critical_polynomial(f, arr, u) == critical_polynomial_oracle(f, arr, u)
+        try:
+            want = critical_polynomial_oracle(f, arr, u)
+        except ValueError as exc:
+            # a drawn curve can lie in a camera's plane at infinity
+            with pytest.raises(ValueError, match=str(exc)):
+                critical_polynomial(f, arr, u)
+        else:
+            assert critical_polynomial(f, arr, u) == want
         images = [apply_camera(c, f) for c in arr.cameras]
         got = eddeg._perturbed_numerator(images, u.u, beta0)
         assert got == perturbed_numerator_oracle(images, u.u, beta0)
@@ -941,6 +963,191 @@ class TestTreeAssembly:
         g = critical_polynomial(f, arr, u)
         assert g == critical_polynomial_oracle(f, arr, u)
         assert g == UniPoly((0, 0, 0, 2 * n * a * a, 0, 3 * n * a * a))
+
+
+def _spy_kron_sum(monkeypatch) -> list:
+    """Patch ``eddeg._kron_sum`` to record each call's size; the list."""
+    sizes, exact = [], eddeg._kron_sum
+
+    def spy(views, rows, size, **kwargs):
+        sizes.append(size)
+        return exact(views, rows, size, **kwargs)
+
+    monkeypatch.setattr(eddeg, "_kron_sum", spy)
+    return sizes
+
+
+class TestModularCertificate:
+    """A count or a cross-check proved from residues mod 2**17 - 1 is the
+    one the exact path gives, and anything the residues do not prove falls
+    through to that path."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_small_cells(), st.integers(0, 2**32))
+    def test_small_cells_match_the_exact_path(self, cell, seed):
+        f, arr = cell
+        for fn in (ed_degree_affine, euler_cross_check):
+            assert outcome(fn, f, arr, seed) == exact_outcome(fn, f, arr, seed)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_edge_cells(), st.integers(0, 2**32))
+    def test_edge_cells_match_the_exact_path(self, cell, seed):
+        f, arr, u = cell
+        points = (u, random_data_point(seed, arr.n, arr.h))
+        assert (outcome(ed_degree_affine, f, arr, seed, data_points=points)
+                == exact_outcome(ed_degree_affine, f, arr, seed, data_points=points))
+        assert (outcome(euler_cross_check, f, arr, seed)
+                == exact_outcome(euler_cross_check, f, arr, seed))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_edge_cells(), st.sampled_from((F(0), F(3), F(-7, 5), F(_BIG, 3))))
+    def test_residues_are_the_exact_sum_mod_p(self, cell, beta0):
+        f, arr, u = cell
+        charts = [(q, *ps) for q, ps in Scene(f, arr).charts]
+        images = [apply_camera(c, f) for c in arr.cameras]
+        for views, size, kwargs in (
+                (charts, 3 * f.e * arr.n - 1, {"wronskian": True}),
+                (images, 2 * f.e * arr.n + 1, {"wronskian": False, "constant": beta0})):
+            h, p = eddeg._kron_sum_mod(views, u.u, size, **kwargs)
+            assert p == 2**17 - 1
+            assert h == [c % p for c in eddeg._kron_sum(views, u.u, size, **kwargs)[0]]
+
+    @pytest.mark.parametrize("size, k", [(2047, 17), (2048, 19)])
+    def test_the_slot_width_picks_the_prime(self, size, k):
+        # 2k + 3 + bitlen(size) <= 8 nb <= 3k - 1 has no solution at k = 17
+        # once size has 12 bits
+        tw = twisted_cubic()
+        arr = generic_arrangement(11, 1, 2, 3)
+        views = [(q, *ps) for q, ps in Scene(tw, arr).charts]
+        u = random_data_point(3, 1, 2).u
+        h, p = eddeg._kron_sum_mod(views, u, size, wronskian=True)
+        assert p == 2**k - 1
+        assert h == [c % p for c in eddeg._kron_sum(views, u, size, wronskian=True)[0]]
+
+    def test_a_generic_large_cell_builds_no_exact_polynomial(self, monkeypatch):
+        f = random_curve(2024, 6, 5)
+        arr = generic_arrangement(700, 8, 3, 5)
+        sizes = _spy_kron_sum(monkeypatch)
+        rep, cross = ed_degree_affine(f, arr, 3), euler_cross_check(f, arr, 3)
+        assert sizes == []
+        assert rep.certificate.passes
+        assert rep.ed_degree == rep.critical_poly_degree == cross == 142
+        assert (rep.removed_pole_factors, rep.removed_immersion_factors) == (0, 0)
+        assert exact_outcome(ed_degree_affine, f, arr, 3) == rep
+        assert exact_outcome(euler_cross_check, f, arr, 3) == cross
+        assert sizes == [143, 143, 97]
+
+    def test_a_squared_chart_falls_through(self, monkeypatch):
+        # the cell of test_a_squared_chart_counts_through_the_modular_gcd:
+        # q_0^3 divides g, so no sample can be proved mod p
+        f = random_curve(7, 4, 4)
+        cams = [random_camera(300 + i, 3, 4) for i in range(4)]
+        cams[1] = Camera(3, 4, (cams[0].entries[0], *cams[1].entries[1:]))
+        arr = Arrangement(tuple(cams))
+        sizes = _spy_kron_sum(monkeypatch)
+        rep = count_cell(f, arr, lambda k: 11 + k, 3, require_certificate=False).report
+        assert sizes == [47, 47]
+        assert (rep.ed_degree, rep.critical_poly_degree, rep.removed_pole_factors) == (34, 46, 4)
+        assert exact_outcome(ed_degree_affine, f, arr, 11) == rep
+
+    def test_a_zero_top_residue_falls_through(self, monkeypatch):
+        tw = twisted_cubic()
+        arr = generic_arrangement(100, 2, 2, 3)
+        proved = ed_degree_affine(tw, arr, 5), euler_cross_check(tw, arr, 5)
+        residues = eddeg._kron_sum_mod
+
+        def zero_top(*args, **kwargs):
+            h, p = residues(*args, **kwargs)
+            return h[:-1] + [0], p
+
+        monkeypatch.setattr(eddeg, "_kron_sum_mod", zero_top)
+        sizes = _spy_kron_sum(monkeypatch)
+        assert (ed_degree_affine(tw, arr, 5), euler_cross_check(tw, arr, 5)) == proved
+        assert sizes == [17, 17, 13]
+        assert proved[0].ed_degree == proved[1] == 16
+
+    def test_a_double_root_falls_through(self, monkeypatch):
+        # only the gcd with H' refuses: g has full degree and a double root
+        tw, arr = twisted_cubic(), generic_arrangement(100, 2, 2, 3)
+        u = double_root_data(tw, arr, F(1, 2), random.Random(1))
+        rc = reduce_critical_polynomial(tw, arr, u)
+        assert (rc.raw.degree, rc.reduced.degree) == (16, 15)
+        assert (rc.removed_pole_factors, rc.removed_immersion_factors) == (0, 0)
+        sizes = _spy_kron_sum(monkeypatch)
+        points = (u, random_data_point(5, 2, 2))
+        got = outcome(ed_degree_affine, tw, arr, 5, data_points=points)
+        assert got == (DataInstabilityError, "data not generic; reseed")
+        assert sizes == [17]
+        assert exact_outcome(ed_degree_affine, tw, arr, 5, data_points=points) == got
+
+    def test_a_root_at_a_pole_falls_through(self, monkeypatch):
+        # the circle (1, t) / (1 + t^2): only the gcd with prod q_i refuses
+        # the count, and every G_beta vanishes at the chart's zeros +-i,
+        # which only the gcd with the chart of prod Q_k refuses
+        circle = RationalCurve(N=2, e=2, coords=(H(2, 1, 0, 1), H(2, 1, 0, 0), H(2, 0, 1, 0)))
+        arr = Arrangement((Camera(2, 2, ((1, 0, 0), (0, 1, 0), (0, 0, 1))),
+                           random_camera(5, 2, 2)))
+        sizes = _spy_kron_sum(monkeypatch)
+        rep = ed_degree_affine(circle, arr, 3)
+        assert (rep.ed_degree, rep.critical_poly_degree) == (8, 10)
+        assert (rep.removed_pole_factors, rep.removed_immersion_factors) == (2, 0)
+        with pytest.raises(NonGenericBetaError):
+            euler_cross_check(circle, arr, 3)
+        assert sizes == [11, 11, 9, 9, 9, 9]
+        assert exact_outcome(ed_degree_affine, circle, arr, 3) == rep
+
+    def test_a_cusp_falls_through(self, monkeypatch):
+        # every view of the cuspidal cubic has its cusp at t = 0: only the
+        # gcd with the cusp chart refuses
+        arr = generic_arrangement(9, 2, 2, 2)
+        sizes = _spy_kron_sum(monkeypatch)
+        rep = ed_degree_affine(cuspidal_cubic(), arr, 3)
+        assert (rep.ed_degree, rep.critical_poly_degree) == (15, 16)
+        assert (rep.removed_pole_factors, rep.removed_immersion_factors) == (0, 1)
+        assert sizes == [17, 17]
+        assert exact_outcome(ed_degree_affine, cuspidal_cubic(), arr, 3) == rep
+
+    def test_refusals_keep_their_order_and_messages(self):
+        line = line_in_p3()
+        # every row restricts to a multiple of s on the line: a point image
+        point_rows = ((1, 0, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1))
+        # the unit circle (s^2 - t^2, 2st) / (s^2 + t^2) with its centre as
+        # data: the distance is constant, so g vanishes identically
+        circle = RationalCurve(N=2, e=2, coords=(H(2, 1, 0, -1), H(2, 0, 2, 0),
+                                                 H(2, 1, 0, 1)))
+        ring = Arrangement((Camera(2, 2, ((0, 0, 1), (1, 0, 0), (0, 1, 0))),))
+        centre = DataPoint(u=((0, 0),))
+        cases = [
+            (line, Arrangement((Camera(1, 3, point_rows[:2]),)), None,
+             "h = 1 arrangements are refused"),
+            (line, Arrangement((Camera(2, 3, point_rows),)), None,
+             "the image of the curve in every view is a point"),
+            (circle, ring, (centre, random_data_point(5, 1, 2)),
+             "critical polynomial vanished identically"),
+        ]
+        for f, arr, points, message in cases:
+            got = outcome(ed_degree_affine, f, arr, 5, data_points=points)
+            assert got[0] is ValueError and got[1].startswith(message)
+            assert exact_outcome(ed_degree_affine, f, arr, 5, data_points=points) == got
+
+    def test_a_3000_digit_camera_entry(self, tmp_path, capsys, monkeypatch):
+        # eddeg --seed 3 on the twisted cubic, with camera 0's rows[1][2]
+        # of two_generic.json replaced by 10^3000 - 1: the residues prove
+        # the count and the cross-check, and the exact path prints the same
+        sizes = _spy_kron_sum(monkeypatch)
+        cameras = _load("two_generic.json")
+        cameras["cameras"][0]["rows"][1][2] = str(_BIG)
+        (tmp_path / "cameras.json").write_text(json.dumps(cameras))
+        argv = ["eddeg", "--curve", str(Path(__file__).parent / "data" / "twisted_cubic.json"),
+                "--cameras", str(tmp_path / "cameras.json"), "--seed", "3", "--json"]
+        outputs = []
+        for run in (outcome, exact_outcome):
+            assert run(cli.main, argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert sizes == [17, 17, 13]
+        assert outputs[0] == outputs[1]
+        results = json.loads(outputs[0])["results"]
+        assert results["ed_degree"] == results["cross_check"] == 16
 
 
 class TestEulerCrossCheck:

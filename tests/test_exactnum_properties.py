@@ -73,6 +73,7 @@ class TestBulkSuites:
         "refine_agreement",
         "descartes_oracle",
         "assembly_oracle",
+        "modular_count",
     ])
     def test_suite_runs(self, suite):
         assert self._counts()[suite] > 0
