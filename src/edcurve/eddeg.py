@@ -10,10 +10,13 @@ with p_ij, q_i the dehomogenized image coordinates of view i.  The degree is
 at most 3en-2: each Wronskian W_ij = p'_ij q_i - p_ij q'_i loses two degrees
 to leading-term cancellation.  Everything but u is data-free and comes from
 one ``scene.Scene`` per count.  g is the numerator of sum_i n_i / q_i^3 with
-n_i = sum_j (p_ij - u_ij q_i) W_ij, and it is assembled by Kronecker
-substitution as one integer: every chart and every n_i is evaluated at
-X = 256**nb, the fractions are merged pairwise at X, and g's coefficients
-are read back from the one result (``_kron_sum``).
+n_i = sum_j (p_ij - u_ij q_i) W_ij.  One straight-line program
+(``_assemble``) forms an integer multiple H of g from the charts and the
+data, and ``_kron_sum`` and ``_kron_sum_mod`` are its front ends, which run
+it in three rings: on ell-1 norms, which size the slots of X = 256**nb; on
+the integers at X, so that H is assembled by Kronecker substitution as one
+integer and its coefficients are read back from it; and on residues mod a
+prime, in folded slots.
 
 The count of the variety's critical points is the number of distinct complex
 roots after removing two kinds of spurious parameters:
@@ -35,17 +38,15 @@ is valid whenever the multiview map is an immersion; cusps break it and are
 refused.
 
 Every result is exact.  A sample whose count reaches the bound 3en - 2 is
-proved so from residues mod 2**17 - 1 without building g: H mod p, for H the
-integer multiple of g that the Kronecker assembly gives, is computed in
-folded residue slots (``_kron_sum_mod``), and a nonzero top residue with
-constant gcds mod p against H', prod q_i and the cusp chart proves that g
-has degree 3en - 2, no repeated root and nothing to saturate
-(``_squarefree_mod_p``).  Any other outcome builds g and reduces it exactly;
-the cross-check reads its perturbed numerator the same way.  Data points
-are sampled from a seeded Mersenne-Twister generator and each count is
-recomputed with a second, independent data sample — a disagreement means
-the sample was non-generic and surfaces as an error instead of a wrong
-number.
+proved so from residues mod 2**17 - 1 without building g: H mod p
+(``_kron_sum_mod``) with a nonzero top residue and constant gcds mod p
+against H', prod q_i and the cusp chart proves that g has degree 3en - 2,
+no repeated root and nothing to saturate (``_squarefree_mod_p``).  Any
+other outcome builds g and reduces it exactly; the cross-check reads its
+perturbed numerator the same way.  Data points are sampled from a seeded
+Mersenne-Twister generator and each count is recomputed with a second,
+independent data sample — a disagreement means the sample was non-generic
+and surfaces as an error instead of a wrong number.
 """
 
 from __future__ import annotations
@@ -180,12 +181,7 @@ def critical_polynomial(
     u.check_shape(arr)
     scene = scene_for(f, arr, scene)
     scene.check_charts()
-    views = [(q, *ps) for q, ps in scene.charts]
-    return _uni(*_kron_sum(views, u.u, 3 * f.e * arr.n - 1, wronskian=True))
-
-
-def _l1(a) -> int:
-    return sum(map(abs, a))
+    return _uni(*_kron_sum(scene.charts, u.u, 3 * f.e * arr.n - 1, wronskian=True))
 
 
 def _fraction_sum(pairs: Sequence[tuple[int, int]], fold=lambda x: x) -> int:
@@ -194,7 +190,7 @@ def _fraction_sum(pairs: Sequence[tuple[int, int]], fold=lambda x: x) -> int:
     a/b + c/d = (ad + cb)/(bd), an odd last one carried up, so the operands
     of each level are balanced; the root's denominator is not formed.
     ``fold`` is applied to every numerator and denominator formed
-    (``_kron_sum_mod``)."""
+    (:func:`_assemble`)."""
     while len(pairs) > 2:
         up = [(fold(a * d + c * b), fold(b * d))
               for (a, b), (c, d) in zip(pairs[::2], pairs[1::2])]
@@ -222,6 +218,42 @@ def _cleared(views, rows, wronskian: bool):
             yield q, ps, b, rs, d
 
 
+def _assemble(cleared, constant: Rat, pack, scalar=lambda x: x, fold=lambda x: x):
+    """The one program that forms the H of :func:`_kron_sum` from the
+    :func:`_cleared` views, run on the values that ``pack`` gives an
+    integer list and ``scalar`` an integer, with ``fold`` applied to every
+    sum and product formed.  Per view,
+
+        L_j = B P_j + (-B u_ij) Q,   W_j = P_j' Q + P_j (-Q'),
+        N_i = sum_j L_j W_j and C_i = B Q^3      (Wronskian),
+        N_i = sum_j L_j^2 and C_i = B^2 Q^2      (otherwise),
+
+    the constant a / b is one more fraction, and :func:`_fraction_sum` of
+    the pairs (N_i, C_i) is H = a prod C_i + b sum_i N_i prod_{k != i} C_k.
+    Every step is a sum, a product or a scalar multiple; -Q' is packed as
+    a list of its own.
+    """
+    pairs = []
+    for q, ps, b, rs, _, *derivs in cleared:
+        qx, pxs = pack(q), [pack(p) for p in ps]
+        lins = [fold(scalar(b) * px + scalar(-r) * qx) for px, r in zip(pxs, rs)]
+        num, square = 0, fold(qx * qx)
+        if derivs:
+            dq, dps = derivs
+            minus_dqx = pack([-x for x in dq])
+            for lin, px, dp in zip(lins, pxs, dps):
+                num = fold(num + lin * fold(pack(dp) * qx + px * minus_dqx))
+            pairs.append((num, fold(scalar(b) * fold(square * qx))))
+        else:
+            for lin in lins:
+                num = fold(num + lin * lin)
+            pairs.append((num, fold(scalar(b * b) * square)))
+    a, b = constant.numerator, constant.denominator
+    if a:
+        pairs.append((scalar(a), scalar(b)))
+    return _fraction_sum(pairs, fold)
+
+
 def _kron_sum(views, rows, size: int, *, wronskian: bool,
               constant: Rat = Fraction(0)) -> tuple[list[int], int]:
     """(H, den), H the ``size`` integer coefficients, with H / den equal to
@@ -238,58 +270,35 @@ def _kron_sum(views, rows, size: int, *, wronskian: bool,
     polynomials' denominators, Q = D q_i and P_j = D p_ij; with B the lcm of
     the denominators of u_i, L_j = B P_j - (B u_ij) Q = B D (p_ij - u_ij q_i).
     W is bilinear, so W(P_j, Q) = D^2 W_ij, and view i's fraction is
-    N_i / C_i with N_i = sum_j L_j W(P_j, Q) and C_i = B Q^3, or
-    N_i = sum_j L_j^2 and C_i = B^2 Q^2.  The constant a / b is one more
-    fraction.  H = a prod C_i + b sum_i N_i prod_{k != i} C_k, and H / den
-    is the product above for den = b prod_i B D^3, or b prod_i B^2 D^2.
+    N_i / C_i as :func:`_assemble` forms them.  H / den is the product above
+    for den = b prod_i B D^3, or b prod_i B^2 D^2.  :func:`_assemble` runs
+    twice, with X = 256**nb:
 
-    Evaluation at X = 256**nb is a ring map Z[x] -> Z, so every N_i and
-    C_i is formed at X from the packed Q, P_j (and their derivatives) with
-    integer products alone, the fractions are summed at X
-    (:func:`_fraction_sum`), and H(X) is unpacked once.  The ell-1 norm is
-    submultiplicative, ||fg|| <= ||f|| ||g||, so
-    ||H||_inf <= ||H||_1 <= |a| prod ||C_i|| + b sum_i ||N_i|| prod_{k != i} ||C_k||,
-    with ||L_j|| <= B ||P_j|| + |B u_ij| ||Q||,
-    ||W(P_j, Q)|| <= ||P_j'|| ||Q|| + ||P_j|| ||Q'|| and ||C_i|| <= B ||Q||^3,
-    or (B ||Q||)^2;
-    :func:`_fraction_sum` of these norm pairs is that bound.  nb makes it,
-    and every packed coefficient, less than 2**(8 nb - 1) = X / 2, so each
-    of H's ``size`` coefficients is one signed digit of H(X)
-    (``_kron_unpack``) and every pack is exact (``_kron_pack``).
+    * On ell-1 norms (``pack`` the norm, ``scalar`` abs): the norm is
+      subadditive and submultiplicative, ||cf|| = |c| ||f|| and
+      ||-f|| = ||f||, so by induction over the program each value bounds
+      the norm of the polynomial the exact run forms there, and the result
+      bounds ||H||_1 >= ||H||_inf.  nb makes it, and the norm of every
+      packed list, less than 2**(8 nb - 1) = X / 2.
+    * On the integers at X (``pack`` is ``_kron_pack``, exact as every
+      packed coefficient is below X / 2): evaluation at X is a ring map
+      Z[x] -> Z, so the run gives H(X), and each of H's ``size``
+      coefficients, below X / 2, is one signed digit of it
+      (``_kron_unpack``).
     """
-    a0, b0 = constant.numerator, constant.denominator
-    cleared, norms, top, den = list(_cleared(views, rows, wronskian)), [], 0, b0
-    for q, ps, b, rs, d, *derivs in cleared:
-        nq, nps = _l1(q), [_l1(p) for p in ps]
-        nls = [b * n + abs(r) * nq for n, r in zip(nps, rs)]
-        if wronskian:
-            dq, dps = derivs
-            ndq, ndps = _l1(dq), [_l1(dp) for dp in dps]
-            nws = [ndp * nq + n * ndq for n, ndp in zip(nps, ndps)]
-            norms.append((sum(nl * nw for nl, nw in zip(nls, nws)), b * nq ** 3))
-            top = max(top, ndq, *ndps)
-            den *= b * d ** 3
-        else:
-            norms.append((sum(nl * nl for nl in nls), (b * nq) ** 2))
-            den *= (b * d) ** 2
-        top = max(top, nq, *nps)
-    if a0:
-        norms.append((abs(a0), b0))
-    nb = (max(top, _fraction_sum(norms)).bit_length() + 8) // 8
-    pairs = []
-    for q, ps, b, rs, _, *derivs in cleared:
-        qx, pxs = _kron_pack(q, nb), [_kron_pack(p, nb) for p in ps]
-        lins = [b * px - r * qx for px, r in zip(pxs, rs)]
-        if wronskian:
-            dq, dps = derivs
-            dqx = _kron_pack(dq, nb)
-            pairs.append((sum(lin * (_kron_pack(dp, nb) * qx - px * dqx)
-                              for lin, px, dp in zip(lins, pxs, dps)), b * qx ** 3))
-        else:
-            pairs.append((sum(lin * lin for lin in lins), (b * qx) ** 2))
-    if a0:
-        pairs.append((a0, b0))
-    return _kron_unpack(_fraction_sum(pairs), nb, size), den
+    cleared, norms = list(_cleared(views, rows, wronskian)), []
+
+    def l1(a) -> int:
+        norms.append(sum(map(abs, a)))
+        return norms[-1]
+
+    bound = _assemble(cleared, constant, l1, abs)
+    nb = (max([bound, *norms]).bit_length() + 8) // 8
+    den = constant.denominator
+    for _, _, b, _, d, *_ in cleared:
+        den *= b * d ** 3 if wronskian else (b * d) ** 2
+    h = _assemble(cleared, constant, lambda a: _kron_pack(a, nb))
+    return _kron_unpack(h, nb, size), den
 
 
 def _kron_sum_mod(views, rows, size: int, *, wronskian: bool,
@@ -298,19 +307,19 @@ def _kron_sum_mod(views, rows, size: int, *, wronskian: bool,
     mod a prime p, given that every polynomial of the views also has at most
     ``size`` coefficients.
 
-    The same ring operations run on residues.  p = 2**k - 1 is the first
+    :func:`_assemble` runs on residues.  p = 2**k - 1 is the first
     prime of ``_PRIMES`` that admits a slot of w = 8 nb bits with
     2k + 3 + bitlen(size) <= w <= 3k - 1: the upper end is the bound of
     ``_mersenne_fold``, the lower one is proved below (2**17 - 1 serves
     every size below 2048, and the last prime any size below 2**200000).
-    Each view is cleared by :func:`_cleared`, its polynomials' residues are
-    packed into nonnegative w-bit slots (``_pack_residues``), and a
-    difference is a sum with the negated residues, so no slot is ever
-    negative.  Every product is followed by ``_mersenne_fold`` with masks of
-    ``size`` slots, which leaves every slot below 2**(k+1) with its residue
-    mod p and drops every slot at or above ``size``: read with t = 2**w,
-    that is the map Z[t] -> (Z/p)[t]/(t**size), a ring map.  So the result
-    is H mod (p, t**size), which is H mod p, as H has at most ``size``
+    A list's residues are packed into nonnegative w-bit slots
+    (``_pack_residues``), a scalar is its residue, and a difference is a
+    sum with the negated residues, so no slot is ever negative.  Every sum
+    and product is followed by ``_mersenne_fold`` with masks of ``size``
+    slots, which leaves every slot below 2**(k+1) with its residue mod p
+    and drops every slot at or above ``size``: read with t = 2**w, that is
+    the map Z[t] -> (Z/p)[t]/(t**size), a ring map.  So the result is
+    H mod (p, t**size), which is H mod p, as H has at most ``size``
     coefficients.
 
     No slot overflows before its fold.  Every operand of a product has at
@@ -328,29 +337,10 @@ def _kron_sum_mod(views, rows, size: int, *, wronskian: bool,
         if 8 * nb <= 3 * k - 1:
             break
     low, high = _fold_masks(p, nb, size)
-
-    def fold(x: int) -> int:
-        return _mersenne_fold(x, k, low, high)
-
-    pairs = []
-    for q, ps, b, rs, _, *derivs in _cleared(views, rows, wronskian):
-        qx, pxs = _pack_residues(q, p, nb), [_pack_residues(x, p, nb) for x in ps]
-        lins = [fold(b % p * px + -r % p * qx) for px, r in zip(pxs, rs)]
-        square, num = fold(qx * qx), 0
-        if wronskian:
-            dq, dps = derivs
-            minus_dqx = _pack_residues([-x for x in dq], p, nb)
-            for lin, px, dp in zip(lins, pxs, dps):
-                num = fold(num + lin * fold(_pack_residues(dp, p, nb) * qx + px * minus_dqx))
-            pairs.append((num, fold(b % p * fold(square * qx))))
-        else:
-            for lin in lins:
-                num = fold(num + lin * lin)
-            pairs.append((num, fold(b * b % p * square)))
-    a0, b0 = constant.numerator, constant.denominator
-    if a0:
-        pairs.append((a0 % p, b0 % p))
-    data = _fraction_sum(pairs, fold).to_bytes(nb * size, "little")
+    h = _assemble(_cleared(views, rows, wronskian), constant,
+                  lambda a: _pack_residues(a, p, nb), lambda x: x % p,
+                  lambda x: _mersenne_fold(x, k, low, high))
+    data = h.to_bytes(nb * size, "little")
     return [int.from_bytes(data[j:j + nb], "little") % p
             for j in range(0, nb * size, nb)], p
 
@@ -460,8 +450,7 @@ def _sample_count(f: RationalCurve, arr: Arrangement, u: DataPoint,
     cusps = scene.cusp_chart
     bound = 3 * f.e * arr.n - 2
     others = [scene.prod_q.num, cusps.num] if cusps.degree else [scene.prod_q.num]
-    if _squarefree_mod_p([(q, *ps) for q, ps in scene.charts], u.u, bound + 1,
-                         others, wronskian=True):
+    if _squarefree_mod_p(scene.charts, u.u, bound + 1, others, wronskian=True):
         return bound, bound, 0, 0
     rc = reduce_critical_polynomial(f, arr, u, scene=scene)
     return (rc.reduced.degree, rc.raw.degree, rc.removed_pole_factors,
@@ -873,7 +862,6 @@ def triangulate(
     u.check_shape(arr)
     scene = Scene(f, arr)
     scene.check_charts()
-    charts = scene.charts
     rc = reduce_critical_polynomial(f, arr, u, scene=scene)
     qprod = scene.prod_q
     intervals = sturm_isolate(rc.reduced)
@@ -957,7 +945,8 @@ def triangulate(
     argmin = min(range(len(distances)), key=lambda k: (distances[k], k))
     tstar = midpoints[argmin]
     world = f.evaluate(Fraction(1), tstar)
-    blocks = tuple(tuple(_quotient(p, q, tstar) for p in ps) for q, ps in charts)
+    blocks = tuple(tuple(_quotient(p, q, tstar) for p in ps)
+                   for q, *ps in scene.charts)
     # min_k (d_k - b_k), compared as unreduced pairs
     lower = _fraction(*_least([
         (d.numerator * b.denominator - b.numerator * d.denominator,

@@ -249,22 +249,22 @@ class Scene:
     A count builds one and both of its data samples, its certificate and
     its cross-check read it; a triangulation builds its own.  Construction
     applies each camera once (``images``) and takes the charts, per view i
-    the pair (q_i, (p_i1, ..., p_ih)) of the image coordinates at s = 1
-    (``charts``).  The rest is computed on first use and kept for the
-    scene's lifetime:
+    the tuple (q_i, p_i1, ..., p_ih) of the image coordinates at s = 1
+    (``charts``), the shape of ``images``.  The rest is computed on first
+    use and kept for the scene's lifetime:
 
     * ``cusps``, :func:`cusp_form` read lazily from the :func:`chart_wronskians`
-      of the views (q_i, p_i1, ..., p_ih), whose pairs with q_i come first,
-      so on a generic scene it builds only the first view's; and
-      ``cusp_chart``, its chart part;
+      of the charts, whose pairs with q_i come first, so on a generic scene
+      it builds only the first view's; and ``cusp_chart``, its chart part;
     * ``prod_q_form``, the product of the chart forms Q_i, and ``prod_q``,
       its chart prod_i q_i.
 
     The critical polynomial and the cross-check's perturbed numerator read
-    only the charts and the images: each is one evaluation at a packing
-    point per data sample (``eddeg._kron_sum``), or its residues mod
-    2**17 - 1 in folded slots (``eddeg._kron_sum_mod``), so no data-free
-    product is kept for them.  A count's certificate mod p reads
+    only the charts and the images, through one program run per data
+    sample (``eddeg._assemble``) with two front ends: its exact value at a
+    packing point (``eddeg._kron_sum``) and its residues mod 2**17 - 1 in
+    folded slots (``eddeg._kron_sum_mod``), so no data-free product is
+    kept for them.  A count's certificate mod p reads
     ``prod_q`` and ``cusp_chart``; the cross-check's reads only
     ``prod_q_form``.
 
@@ -279,13 +279,12 @@ class Scene:
         self.curve = f
         self.arrangement = arr
         self.images = tuple(apply_camera(cam, f) for cam in arr.cameras)
-        self.charts = tuple((img[0].dehom(), tuple(p.dehom() for p in img[1:]))
-                            for img in self.images)
+        self.charts = tuple(tuple(c.dehom() for c in img) for img in self.images)
 
     def check_charts(self) -> None:
         """Raise ``ValueError`` at the first view whose chart polynomial
         vanishes identically: the curve lies in that view's plane at infinity."""
-        for i, (q, _) in enumerate(self.charts):
+        for i, (q, *_) in enumerate(self.charts):
             if q.is_zero:
                 raise ValueError(f"curve at infinity of camera {i}")
 
@@ -293,8 +292,7 @@ class Scene:
     def cusps(self) -> HomPoly2:
         """The multiview cusp form; raises ``ValueError`` when every view maps
         the curve to a point."""
-        return cusp_form(chart_wronskians((q, *ps) for q, ps in self.charts),
-                         self.curve.e)
+        return cusp_form(chart_wronskians(self.charts), self.curve.e)
 
     @cached_property
     def cusp_chart(self) -> UniPoly:

@@ -694,6 +694,71 @@ def assembly_oracle(seed: int, cases: int) -> int:
     return done
 
 
+def l1_bound_oracle(views, rows, *, wronskian: bool, constant=F(0)) -> tuple[int, int]:
+    """(bound, nb) of ``eddeg._kron_sum``, from the norm loop written out:
+    bound, the ell-1 bound on H built from the norms of each view's
+    cleared lists, and nb, the slot bytes that make it and every packed
+    list's norm less than half a slot.  The oracle for the ell-1 run of
+    ``eddeg._assemble``."""
+    def norm(a):
+        return sum(map(abs, a))
+
+    pairs, top = [], 0
+    for q, ps, b, rs, _, *derivs in eddeg._cleared(views, rows, wronskian):
+        nq, nps = norm(q), [norm(p) for p in ps]
+        nls = [b * n + abs(r) * nq for n, r in zip(nps, rs)]
+        if wronskian:
+            dq, dps = derivs
+            ndq, ndps = norm(dq), [norm(dp) for dp in dps]
+            nws = [ndp * nq + n * ndq for n, ndp in zip(nps, ndps)]
+            pairs.append((sum(nl * nw for nl, nw in zip(nls, nws)), b * nq ** 3))
+            top = max(top, ndq, *ndps)
+        else:
+            pairs.append((sum(nl * nl for nl in nls), (b * nq) ** 2))
+        top = max(top, nq, *nps)
+    if constant:
+        pairs.append((abs(constant.numerator), constant.denominator))
+    bound = eddeg._fraction_sum(pairs)
+    return bound, (max(top, bound).bit_length() + 8) // 8
+
+
+def check_l1_bound(f, arr, u: DataPoint, beta0) -> None:
+    """On the critical polynomial's assembly (the charts) and the
+    cross-check's (the images, with constant beta0), ``eddeg._kron_sum``'s
+    ell-1 run of ``eddeg._assemble`` gives ``l1_bound_oracle``'s bound and
+    its exact run is unpacked at the oracle's nb."""
+    assemble = eddeg._assemble
+    for views, size, kwargs in (
+            (Scene(f, arr).charts, 3 * f.e * arr.n - 1, {"wronskian": True}),
+            ([apply_camera(c, f) for c in arr.cameras], 2 * f.e * arr.n + 1,
+             {"wronskian": False, "constant": beta0})):
+        runs = []
+
+        def spy(*args, **kw):
+            runs.append(assemble(*args, **kw))
+            return runs[-1]
+
+        with mock.patch.object(eddeg, "_assemble", spy), \
+                mock.patch.object(eddeg, "_kron_unpack", wraps=eddeg._kron_unpack) as unpack:
+            eddeg._kron_sum(views, u.u, size, **kwargs)
+        bound, nb = l1_bound_oracle(views, u.u, **kwargs)
+        assert (runs[0], unpack.call_args.args[1]) == (bound, nb), (f, arr, u, kwargs)
+
+
+def l1_bound(seed: int, cases: int) -> int:
+    """``check_l1_bound`` on generic and non-generic cells
+    (``_generic_cell``, ``_non_generic_cell``)."""
+    rng = random.Random(seed)
+    done = 0
+    while done < cases:
+        cell = rng.choice((_generic_cell, _non_generic_cell))(rng)
+        if cell is None:
+            continue
+        check_l1_bound(*cell, rng.choice((F(0), _rand_rat(rng))))
+        done += 1
+    return done
+
+
 def outcome(fn, *args, **kwargs):
     """fn's value, or the type and message of the error it raises."""
     try:
@@ -731,7 +796,7 @@ def double_root_data(f: RationalCurve, arr: Arrangement, t0: F,
     u_ij but u_00 and u_01 is drawn, and those two solve D'(t0) = 0 and
     D''(t0) = 0, which are linear in them."""
     views = []
-    for q, ps in Scene(f, arr).charts:
+    for q, *ps in Scene(f, arr).charts:
         q0, q1, q2 = (q.evaluate(t0), q.derivative().evaluate(t0),
                       q.derivative().derivative().evaluate(t0))
         if not q0:
@@ -818,7 +883,7 @@ def modular_count(seed: int, cases: int) -> int:
         if cell is None or cell[2] is None:
             continue
         f, arr, u = cell
-        charts = [(q, *ps) for q, ps in Scene(f, arr).charts]
+        charts = Scene(f, arr).charts
         images = [apply_camera(c, f) for c in arr.cameras]
         for views, size, kwargs in (
                 (charts, 3 * f.e * arr.n - 1, {"wronskian": True}),
@@ -854,4 +919,5 @@ def run_all(seed: int = 20260823) -> dict[str, int]:
         "descartes_oracle": descartes_oracle(seed + 11, 600),
         "assembly_oracle": assembly_oracle(seed + 12, 150),
         "modular_count": modular_count(seed + 13, 150),
+        "l1_bound": l1_bound(seed + 14, 300),
     }

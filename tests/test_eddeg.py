@@ -10,11 +10,12 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from edcurve import cli, eddeg, scene
 from bulk_properties import (
+    check_l1_bound,
     critical_polynomial_oracle,
     double_root_data,
     exact_outcome,
@@ -882,6 +883,13 @@ def _edge_cells(draw):
     return f, arr, DataPoint(u=tuple(tuple(row) for row in u))
 
 
+# every phase but shrinking, for tests whose failing example would shrink
+# for minutes before it is reported: each shrink step of ``_edge_cells``
+# redraws 40-digit data and reassembles 3000-digit entries, and a wrong
+# slot width took one to four minutes to shrink on ``_assembly_cells``
+_NO_SHRINK = tuple(p for p in Phase if p is not Phase.shrink)
+
+
 # an edge cell whose second chart vanishes: camera 1's chart row picks a
 # zero coordinate of the curve
 _CHART_AT_INFINITY = (
@@ -907,7 +915,8 @@ def _monomial_cell(a: int, n: int):
 class TestTreeAssembly:
     """The Kronecker assemblies of g and of the cross-check's G_beta, one
     evaluation at a packing point each, are the same polynomials as the
-    term-by-term sums."""
+    term-by-term sums, and their slots have the width that the norm loop
+    written out gives (``l1_bound_oracle``)."""
 
     @settings(max_examples=150)
     @given(_assembly_cells())
@@ -938,7 +947,7 @@ class TestTreeAssembly:
         got = eddeg._perturbed_numerator(images, beta.u, F(beta0))
         assert got == perturbed_numerator_oracle(images, beta.u, F(beta0))
 
-    @settings(max_examples=120)
+    @settings(max_examples=120, phases=_NO_SHRINK)
     @given(_edge_cells(), st.sampled_from((F(0), F(3), F(-7, 5), F(_BIG, 3))))
     @example(_CHART_AT_INFINITY, F(0))
     def test_both_assemblies_on_edge_cells(self, cell, beta0):
@@ -954,6 +963,17 @@ class TestTreeAssembly:
         images = [apply_camera(c, f) for c in arr.cameras]
         got = eddeg._perturbed_numerator(images, u.u, beta0)
         assert got == perturbed_numerator_oracle(images, u.u, beta0)
+
+    @settings(max_examples=150, phases=_NO_SHRINK)
+    @given(_assembly_cells(), st.sampled_from((F(0), F(3), F(-7, 5))))
+    def test_l1_bound_matches_the_norm_loop(self, cell, beta0):
+        check_l1_bound(*cell, beta0)
+
+    @settings(max_examples=100, phases=_NO_SHRINK)
+    @given(_edge_cells(), st.sampled_from((F(0), F(3), F(-7, 5), F(_BIG, 3))))
+    @example(_CHART_AT_INFINITY, F(0))
+    def test_l1_bound_on_edge_cells(self, cell, beta0):
+        check_l1_bound(*cell, beta0)
 
     @pytest.mark.parametrize("a", [1, 7, 2**40 + 1, 10**50, 3**700],
                              ids=["1", "7", "2^40+1", "10^50", "3^700"])
@@ -989,7 +1009,7 @@ class TestModularCertificate:
         for fn in (ed_degree_affine, euler_cross_check):
             assert outcome(fn, f, arr, seed) == exact_outcome(fn, f, arr, seed)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, phases=_NO_SHRINK)
     @given(_edge_cells(), st.integers(0, 2**32))
     def test_edge_cells_match_the_exact_path(self, cell, seed):
         f, arr, u = cell
@@ -999,11 +1019,11 @@ class TestModularCertificate:
         assert (outcome(euler_cross_check, f, arr, seed)
                 == exact_outcome(euler_cross_check, f, arr, seed))
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100, deadline=None, phases=_NO_SHRINK)
     @given(_edge_cells(), st.sampled_from((F(0), F(3), F(-7, 5), F(_BIG, 3))))
     def test_residues_are_the_exact_sum_mod_p(self, cell, beta0):
         f, arr, u = cell
-        charts = [(q, *ps) for q, ps in Scene(f, arr).charts]
+        charts = Scene(f, arr).charts
         images = [apply_camera(c, f) for c in arr.cameras]
         for views, size, kwargs in (
                 (charts, 3 * f.e * arr.n - 1, {"wronskian": True}),
@@ -1018,7 +1038,7 @@ class TestModularCertificate:
         # once size has 12 bits
         tw = twisted_cubic()
         arr = generic_arrangement(11, 1, 2, 3)
-        views = [(q, *ps) for q, ps in Scene(tw, arr).charts]
+        views = Scene(tw, arr).charts
         u = random_data_point(3, 1, 2).u
         h, p = eddeg._kron_sum_mod(views, u, size, wronskian=True)
         assert p == 2**k - 1
@@ -1476,7 +1496,7 @@ def ref_triangulate(f: RationalCurve, arr: Arrangement, u: DataPoint,
         pole_free.append((iv, slo))
 
     cubes, dist_den = UniPoly((1,)), HomPoly2(0, (1,))
-    for (q, _), img in zip(scene.charts, scene.images):
+    for (q, *_), img in zip(scene.charts, scene.images):
         cubes = cubes * q * q * q
         dist_den = dist_den * img[0] * img[0]
     dist_num = perturbed_numerator_oracle(scene.images, u.u, 0)
@@ -1500,7 +1520,7 @@ def ref_triangulate(f: RationalCurve, arr: Arrangement, u: DataPoint,
     argmin = min(range(len(distances)), key=lambda k: (distances[k], k))
     tstar = ivs[argmin].midpoint
     blocks = tuple(tuple(p.evaluate(tstar) / q.evaluate(tstar) for p in ps)
-                   for q, ps in scene.charts)
+                   for q, *ps in scene.charts)
     return TriangulationResult(
         critical_parameters=tuple(ivs), distances=tuple(distances),
         distance_error_bounds=tuple(bounds), argmin_index=argmin,

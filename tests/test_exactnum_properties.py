@@ -74,6 +74,7 @@ class TestBulkSuites:
         "descartes_oracle",
         "assembly_oracle",
         "modular_count",
+        "l1_bound",
     ])
     def test_suite_runs(self, suite):
         assert self._counts()[suite] > 0
@@ -595,7 +596,7 @@ def _quartic_scene_polynomials():
     u = random_data_point(300, 4, 2)
     scene = Scene(f, arr)
     qprod = UniPoly((F(1),))
-    for q, _ in scene.charts:
+    for q, *_ in scene.charts:
         qprod = qprod * q
     return reduce_critical_polynomial(f, arr, u, scene=scene).reduced, squarefree_part(qprod)
 
