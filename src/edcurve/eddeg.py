@@ -41,12 +41,15 @@ Every result is exact.  A sample whose count reaches the bound 3en - 2 is
 proved so from residues mod 2**17 - 1 without building g: H mod p
 (``_kron_sum_mod``) with a nonzero top residue and constant gcds mod p
 against H', prod q_i and the cusp chart proves that g has degree 3en - 2,
-no repeated root and nothing to saturate (``_squarefree_mod_p``).  Any
-other outcome builds g and reduces it exactly; the cross-check reads its
-perturbed numerator the same way.  Data points are sampled from a seeded
-Mersenne-Twister generator and each count is recomputed with a second,
-independent data sample — a disagreement means the sample was non-generic
-and surfaces as an error instead of a wrong number.
+no repeated root and nothing to saturate (``_squarefree_mod_p``).  A
+passing genericity certificate already proves the last two gcds, so the
+count computes it first and then takes only the one against H'
+(``scene.Scene``).  Any other outcome builds g and reduces it exactly; the
+cross-check reads its perturbed numerator the same way.  Data points are
+sampled from a seeded Mersenne-Twister generator and each count is
+recomputed with a second, independent data sample — a disagreement means
+the sample was non-generic and surfaces as an error instead of a wrong
+number.
 """
 
 from __future__ import annotations
@@ -443,13 +446,22 @@ def _sample_count(f: RationalCurve, arr: Arrangement, u: DataPoint,
     3en - 2, no repeated root and no root in common with prod q_i or the
     cusp chart, g is its own squarefree part and neither saturation removes
     a factor, so the tuple is (3en - 2, 3en - 2, 0, 0) and g is never built.
-    Any other outcome runs the exact reduction, after the same refusals in
-    the same order.
+    When the scene holds a passing certificate (``Scene.certified``), the
+    last two are proved already: at a zero t0 of q_i,
+    g(t0) = -q_i'(t0) * sum_j p_ij(t0)^2 * prod_{k != i} q_k(t0)^3, and the
+    discriminant, sum-of-squares and resultant conditions make each factor
+    nonzero (``scene.Scene``); ``immersion_ok`` makes the cusp chart
+    constant.  Then only the gcd with H' is taken.  Without one, both gcds
+    stay.  Any other outcome runs the exact reduction, after the same
+    refusals in the same order.
     """
     scene = _reduction_scene(f, arr, u, scene)
     cusps = scene.cusp_chart
     bound = 3 * f.e * arr.n - 2
-    others = [scene.prod_q.num, cusps.num] if cusps.degree else [scene.prod_q.num]
+    if scene.certified:
+        others = []
+    else:
+        others = [scene.prod_q.num, cusps.num] if cusps.degree else [scene.prod_q.num]
     if _squarefree_mod_p(scene.charts, u.u, bound + 1, others, wronskian=True):
         return bound, bound, 0, 0
     rc = reduce_critical_polynomial(f, arr, u, scene=scene)
@@ -511,7 +523,10 @@ def ed_degree_affine(
     and requires agreement (raising :class:`DataInstabilityError` otherwise).
     ``data_points`` overrides the sampler with explicit data (reproduction and
     testing); exactly two points are used.  Both samples and the certificate
-    read one :class:`Scene`, built here unless ``scene`` passes it in.
+    read one :class:`Scene`: ``scene`` when passed in, else
+    :func:`scene_for`'s.  The certificate is taken after the refusals that
+    precede every sample, in their order, and before the samples, which
+    read it (:func:`_sample_count`).
     """
     if data_points is None:
         samples = [random_data_point(seed, arr.n, arr.h),
@@ -525,11 +540,13 @@ def ed_degree_affine(
         s.check_shape(arr)
     scene = scene_for(f, arr, scene)
     scene.check_charts()
+    # h = 1 and a point image are refused here, as the first sample would
+    _reduction_scene(f, arr, samples[0], scene).cusp_chart
+    cert = genericity_certificate(arr, f, scene=scene)
     counts = [_sample_count(f, arr, s, scene) for s in samples]
     if counts[0][0] != counts[1][0]:
         raise DataInstabilityError("data not generic; reseed")
 
-    cert = genericity_certificate(arr, f, scene=scene)
     count, raw_deg, poles_removed, cusp_removed = counts[0]
     formula = 3 * f.e * arr.n - 2
     return EDReport(
@@ -593,8 +610,10 @@ def count_cell(
     ``require_certificate``, and on ``ValueError`` only when the cameras are
     redrawn: with a fixed arrangement a degenerate scene propagates, since
     reseeding the data cannot cure it.  Each attempt counts on one
-    :class:`Scene`, which the outcome hands back so that a cross-check can
-    read it.  Raises :class:`CellExhaustedError` when no attempt is accepted.
+    :class:`Scene` (:func:`scene_for`, so retries on a fixed arrangement
+    share one, and its certificate), which the outcome hands back so that a
+    cross-check can read it.  Raises :class:`CellExhaustedError` when no
+    attempt is accepted.
     """
     redraw = not isinstance(arrangement, Arrangement)
     rejected: list[str] = []
@@ -608,7 +627,7 @@ def count_cell(
                 # as in ed_degree_affine
                 first_data.check_shape(arr)
                 samples = (first_data, random_data_point(seed, arr.n, arr.h))
-            scene = Scene(f, arr)
+            scene = scene_for(f, arr, None)
             rep = ed_degree_affine(f, arr, seed, data_points=samples, scene=scene)
         except DataInstabilityError as exc:
             rejected.append(str(exc))
@@ -647,14 +666,20 @@ def euler_cross_check(
     before giving up, since the check itself must not depend on one unlucky
     draw.  A multiview map that is not an immersion is refused: node
     contributions cancel from this balance, cusp contributions do not.
-    ``scene`` may pass in the :class:`Scene` of (f, arr).
+    ``scene`` may pass in the :class:`Scene` of (f, arr); else
+    :func:`scene_for` gives one.
 
     Each attempt first reads G mod p (:func:`_squarefree_mod_p`), G of
     formal degree 2en.  A nonzero t^(2en) residue proves that G does not
     vanish at [0:1], so its zeros are those of its chart, of degree 2en;
     when that chart is also proved squarefree and coprime to the chart of
-    prod Q_k, #S_Q = 2en and the sets are disjoint.  Any other outcome runs
-    the attempt's exact steps.
+    prod Q_k, #S_Q = 2en and the sets are disjoint.  The coprimality needs
+    no gcd when the scene already holds a passing certificate
+    (``Scene.certified``): at a zero of Q_i on P^1,
+    G = prod_{k != i} Q_k^2 * sum_j P_ij^2 for every beta and beta0, and
+    the certificate makes both factors nonzero (``scene.Scene``).  This
+    check never computes a certificate itself, so on a scene without one
+    the gcd is taken.  Any other outcome runs the attempt's exact steps.
     """
     scene = scene_for(f, arr, scene)
     if scene.cusps.degree:
@@ -664,7 +689,7 @@ def euler_cross_check(
     s_inf = hom_distinct_root_count(prod_q)
     degree = 2 * sum(img[0].degree for img in scene.images)
     # the chart of prod Q_k, taken here so that ``scene.prod_q`` stays unread
-    chart = prod_q.dehom().num
+    others = [] if scene.certified else [prod_q.dehom().num]
 
     for attempt in range(4):
         rng = random.Random(f"{seed}:euler-beta:{attempt}")
@@ -673,7 +698,7 @@ def euler_cross_check(
             for _ in range(arr.n)
         ]
         beta0 = Fraction(rng.randint(1, 64), rng.randint(1, 8))
-        if _squarefree_mod_p(scene.images, beta, degree + 1, [chart],
+        if _squarefree_mod_p(scene.images, beta, degree + 1, others,
                              wronskian=False, constant=beta0):
             return s_inf + degree - 2
         g_beta = _perturbed_numerator(scene.images, beta, beta0)
@@ -843,9 +868,9 @@ def triangulate(
     argmin together with a certified interval for the true attained minimum:
     each midpoint value is within ``distance_error_bounds[k]`` of its exact
     critical value, so the true minimum lies in [min_k (d_k - err_k), d_argmin].
-    One :class:`Scene` of (f, arr) serves the reduction and the bounds: its
-    charts and its pole products prod q_i and prod Q_i, whose cube and
-    square are Q and Q2 below.
+    One :class:`Scene` of (f, arr) (:func:`scene_for`) serves the
+    reduction and the bounds: its charts and its pole products prod q_i and
+    prod Q_i, whose cube and square are Q and Q2 below.
 
     The bound: the squared distance D = N / Q2 (``_perturbed_numerator`` at
     beta = u, beta0 = 0, over prod Q_i^2) has D' = 2 g / Q for Q = prod q_i^3.
@@ -860,7 +885,7 @@ def triangulate(
     if width_bound <= 0:
         raise ValueError("width bound must be positive")
     u.check_shape(arr)
-    scene = Scene(f, arr)
+    scene = scene_for(f, arr, None)
     scene.check_charts()
     rc = reduce_critical_polynomial(f, arr, u, scene=scene)
     qprod = scene.prod_q

@@ -246,8 +246,9 @@ def apply_camera(camera: Camera, f: RationalCurve) -> tuple[HomPoly2, ...]:
 class Scene:
     """The data-free part of every computation on one curve and arrangement.
 
-    A count builds one and both of its data samples, its certificate and
-    its cross-check read it; a triangulation builds its own.  Construction
+    A count, its certificate and its cross-check read one scene, and so
+    does a triangulation: :func:`scene_for` hands each of them the scene it
+    built last for the same curve and arrangement objects.  Construction
     applies each camera once (``images``) and takes the charts, per view i
     the tuple (q_i, p_i1, ..., p_ih) of the image coordinates at s = 1
     (``charts``), the shape of ``images``.  The rest is computed on first
@@ -257,16 +258,35 @@ class Scene:
       of the charts, whose pairs with q_i come first, so on a generic scene
       it builds only the first view's; and ``cusp_chart``, its chart part;
     * ``prod_q_form``, the product of the chart forms Q_i, and ``prod_q``,
-      its chart prod_i q_i.
+      its chart prod_i q_i;
+    * ``certificate``, the :class:`GenericityCertificate` of the scene.
 
     The critical polynomial and the cross-check's perturbed numerator read
     only the charts and the images, through one program run per data
     sample (``eddeg._assemble``) with two front ends: its exact value at a
     packing point (``eddeg._kron_sum``) and its residues mod 2**17 - 1 in
     folded slots (``eddeg._kron_sum_mod``), so no data-free product is
-    kept for them.  A count's certificate mod p reads
-    ``prod_q`` and ``cusp_chart``; the cross-check's reads only
-    ``prod_q_form``.
+    kept for them.
+
+    A passing certificate also proves that neither has a root at a pole.
+    Let t0 be a zero of q_i.  Every term of g = sum_k n_k prod_{l != k} q_l^3
+    with k != i carries q_i^3, and q_i(t0) = 0 leaves n_i(t0) =
+    sum_j p_ij(t0) (-p_ij(t0) q_i'(t0)), so
+
+        g(t0) = -q_i'(t0) * sum_j p_ij(t0)^2 * prod_{k != i} q_k(t0)^3.
+
+    Likewise every term of the cross-check's G_beta but view i's carries
+    Q_i^2, so at a zero of Q_i on P^1, for every beta and beta0,
+
+        G_beta = prod_{k != i} Q_k^2 * sum_j P_ij^2.
+
+    A passing certificate makes every factor nonzero: the discriminant of
+    Q_i makes its zeros simple, so q_i'(t0) != 0; the trivial gcd of Q_i
+    with sum_j P_ij^2 gives sum_j p_ij(t0)^2 != 0; the pairwise resultants
+    give Q_k != 0 at a zero of Q_i for k != i.  So g is coprime to prod q_i
+    and G_beta to the chart of prod Q_k, for every data point, and
+    ``immersion_ok`` makes the cusp chart constant.  ``certified`` reads
+    whether a passing certificate is held, without computing one.
 
     Nothing is checked on construction beyond what ``apply_camera`` checks:
     a consumer calls ``check_charts`` where it refuses a vanishing chart, and
@@ -306,11 +326,43 @@ class Scene:
     def prod_q(self) -> UniPoly:
         return self.prod_q_form.dehom()
 
+    @cached_property
+    def certificate(self) -> GenericityCertificate:
+        """The genericity certificate; raises ``ValueError`` when every view
+        maps the curve to a point, as its first step reads ``cusps``."""
+        return _certify(self)
+
+    @property
+    def certified(self) -> bool:
+        """Whether the scene holds a certificate that passes; reading this
+        never computes one."""
+        cert = self.__dict__.get("certificate")
+        return cert is not None and cert.passes
+
+
+# the scene that scene_for built last; one slot, read and replaced whole,
+# so a race between threads can only cost a rebuild
+_last_scene: Scene | None = None
+
 
 def scene_for(f: RationalCurve, arr: Arrangement, scene: Scene | None) -> Scene:
-    """``scene`` when it was built from (f, arr), a new scene when it is None."""
+    """``scene`` when it was built from (f, arr); when it is None, the scene
+    that this function built last if that was from these very objects
+    (``is``, not ``==``), and a new one otherwise, which it remembers.
+
+    The one remembered scene is held strongly, so the identities it is
+    compared by cannot be reused by other objects while it is held.  A
+    scene depends only on its curve and arrangement, both immutable, so a
+    count repeated on the same objects, its certificate, its cross-check and
+    a triangulation all read one scene and its caches.
+    """
+    global _last_scene
     if scene is None:
-        return Scene(f, arr)
+        last = _last_scene
+        if last is not None and last.curve is f and last.arrangement is arr:
+            return last
+        scene = _last_scene = Scene(f, arr)
+        return scene
     if scene.curve != f or scene.arrangement != arr:
         raise ValueError("the scene was built from another curve or arrangement")
     return scene
@@ -367,16 +419,22 @@ class GenericityCertificate:
 def genericity_certificate(
     arr: Arrangement, f: RationalCurve, *, scene: Scene | None = None
 ) -> GenericityCertificate:
-    """Compute every certificate quantity exactly; deterministic.
+    """Every certificate quantity, exact and deterministic: the
+    ``certificate`` of the scene of (f, arr), computed once per scene.
 
     ``scene`` may pass in the :class:`Scene` of (f, arr) when the caller
-    already has it.  Raises ``ValueError`` when every view maps the curve to
-    a point (:func:`cusp_form`).
+    already has it (:func:`scene_for`).  Raises ``ValueError`` when every
+    view maps the curve to a point (:func:`cusp_form`).
     """
     if arr.N != f.N:
         raise ValueError("arrangement and curve dimensions differ")
+    return scene_for(f, arr, scene).certificate
+
+
+def _certify(scene: Scene) -> GenericityCertificate:
+    """The certificate of ``scene``, computed (``Scene.certificate``)."""
+    arr, f = scene.arrangement, scene.curve
     reasons: list[str] = []
-    scene = scene_for(f, arr, scene)
     images = scene.images
     defect = scene.cusps.degree
     immersion_ok = defect == 0

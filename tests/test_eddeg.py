@@ -585,24 +585,42 @@ class TestOneToOneViews:
         assert rep.certificate.passes and rep.ed_degree == 3 * 3 * 3 - 2
         # one scene serves the saturation of both samples and the certificate
         assert calls == {"apply_camera": 3, "cusp_form": 1}
-        ed_degree_affine(f, arr, 7)
-        assert calls == {"apply_camera": 6, "cusp_form": 2}
+        # a repeated count, a triangulation and a cross-check on the same
+        # objects read that scene and its certificate again, and build none
+        assert ed_degree_affine(f, arr, 7).certificate is rep.certificate
         triangulate(f, arr, random_data_point(5, 3, 2), F(1, 64))
-        assert calls == {"apply_camera": 9, "cusp_form": 3}
+        assert euler_cross_check(f, arr, 5) == rep.ed_degree
+        assert calls == {"apply_camera": 3, "cusp_form": 1}
         shared = Scene(f, arr)
         assert euler_cross_check(f, arr, 5, scene=shared) == rep.ed_degree
-        assert calls == {"apply_camera": 12, "cusp_form": 4}
+        assert calls == {"apply_camera": 6, "cusp_form": 2}
         # the cross-check fills only the caches it reads: the cusp form and
-        # the product of the chart forms
+        # the product of the chart forms; it computes no certificate
         assert set(vars(shared)) == {"curve", "arrangement", "images", "charts",
                                      "cusps", "prod_q_form"}
         assert ed_degree_affine(f, arr, 5, scene=shared) == rep
-        assert calls == {"apply_camera": 12, "cusp_form": 4}
-        # a cell's count hands its scene back, and its cross-check reads it
+        assert calls == {"apply_camera": 6, "cusp_form": 2}
+        # a cell's count hands its scene back, and its cross-check reads it;
+        # an explicit scene is used but not remembered, so the cell's is the
+        # first one
         out = count_cell(f, arr, lambda k: 5, 1)
         assert out.report == rep and out.scene.arrangement is arr
+        assert out.scene is not shared
         assert euler_cross_check(f, arr, 5, scene=out.scene) == rep.ed_degree
-        assert calls == {"apply_camera": 15, "cusp_form": 5}
+        assert calls == {"apply_camera": 6, "cusp_form": 2}
+
+    def test_alternating_cells_count_on_their_own_scenes(self):
+        # the remembered scene is matched by identity: alternating cells,
+        # and an arrangement equal to another but distinct, each count on
+        # a scene of their own objects, as on a fresh one
+        f1, f2 = random_curve(77, 3, 3), twisted_cubic()
+        a1, a2 = generic_arrangement(300, 3, 2, 3), generic_arrangement(100, 2, 2, 3)
+        twin = Arrangement(a1.cameras)
+        for f, arr in ((f1, a1), (f2, a2), (f1, a1), (f1, twin), (f2, a2), (f2, twin)):
+            want = (ed_degree_affine(f, arr, 5, scene=Scene(f, arr)),
+                    euler_cross_check(f, arr, 5, scene=Scene(f, arr)))
+            assert (ed_degree_affine(f, arr, 5), euler_cross_check(f, arr, 5)) == want
+            assert want[0].ed_degree == want[1] == 3 * 3 * arr.n - 2
 
     def test_a_scene_serves_only_its_own_curve_and_arrangement(self):
         f = random_curve(77, 3, 3)
@@ -886,7 +904,9 @@ def _edge_cells(draw):
 # every phase but shrinking, for tests whose failing example would shrink
 # for minutes before it is reported: each shrink step of ``_edge_cells``
 # redraws 40-digit data and reassembles 3000-digit entries, and a wrong
-# slot width took one to four minutes to shrink on ``_assembly_cells``
+# slot width took one to four minutes to shrink on ``_assembly_cells``;
+# a failing term-by-term sum, triangulation reference and small-cell exact
+# path shrank for 151 s, 79 s and 39 s
 _NO_SHRINK = tuple(p for p in Phase if p is not Phase.shrink)
 
 
@@ -918,7 +938,7 @@ class TestTreeAssembly:
     term-by-term sums, and their slots have the width that the norm loop
     written out gives (``l1_bound_oracle``)."""
 
-    @settings(max_examples=150)
+    @settings(max_examples=150, phases=_NO_SHRINK)
     @given(_assembly_cells())
     def test_critical_polynomial_matches_the_term_by_term_sum(self, cell):
         f, arr, u = cell
@@ -1002,7 +1022,7 @@ class TestModularCertificate:
     one the exact path gives, and anything the residues do not prove falls
     through to that path."""
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150, deadline=None, phases=_NO_SHRINK)
     @given(_small_cells(), st.integers(0, 2**32))
     def test_small_cells_match_the_exact_path(self, cell, seed):
         f, arr = cell
@@ -1168,6 +1188,143 @@ class TestModularCertificate:
         assert outputs[0] == outputs[1]
         results = json.loads(outputs[0])["results"]
         assert results["ed_degree"] == results["cross_check"] == 16
+
+
+def _spy_others(monkeypatch) -> list:
+    """Patch ``eddeg._squarefree_mod_p`` to record the ``others`` of each
+    call, with whether it was the count's (Wronskian) one; the list."""
+    seen, certify = [], eddeg._squarefree_mod_p
+
+    def spy(views, rows, size, others, **kwargs):
+        seen.append((kwargs["wronskian"], [list(b) for b in others]))
+        return certify(views, rows, size, others, **kwargs)
+
+    monkeypatch.setattr(eddeg, "_squarefree_mod_p", spy)
+    return seen
+
+
+def _spy_mod_gcd(monkeypatch) -> list:
+    """Patch ``eddeg._mod_gcd`` to record each (b, result); the list."""
+    seen, mod_gcd = [], eddeg._mod_gcd
+
+    def spy(a, b, p):
+        seen.append((list(b), mod_gcd(a, b, p)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(eddeg, "_mod_gcd", spy)
+    return seen
+
+
+def _sympy_chart(form, x):
+    sp = pytest.importorskip("sympy")
+    return sp.Poly(list(reversed([sp.Rational(c.numerator, c.denominator)
+                                  for c in form.dehom().coeffs])) or [0], x)
+
+
+_SMALL_RAT = st.builds(F, st.integers(-9, 9), st.integers(1, 4))
+
+
+class TestCertificateDischargesThePoleGcds:
+    """A passing certificate proves that g shares no root with prod q_i and
+    G_beta none with the chart of prod Q_k, so the count and a cross-check
+    on a certified scene take neither gcd; without one both stay."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_small_cells(), st.data())
+    def test_the_lemma_on_small_cells(self, cell, data):
+        sp = pytest.importorskip("sympy")
+        f, arr = cell
+        assume(genericity_certificate(arr, f).passes)
+        x = sp.symbols("x")
+        views = [[_sympy_chart(c, x) for c in apply_camera(cam, f)] for cam in arr.cameras]
+        rows = st.lists(_SMALL_RAT, min_size=arr.h, max_size=arr.h)
+        u = data.draw(st.lists(rows, min_size=arr.n, max_size=arr.n))
+        beta = data.draw(st.lists(rows, min_size=arr.n, max_size=arr.n))
+        beta0 = data.draw(_SMALL_RAT)
+        qs = [v[0] for v in views]
+        prod_q = sp.prod(qs)
+
+        def others(i, power):
+            return sp.prod([q ** power for k, q in enumerate(qs) if k != i])
+
+        g = sum(((p - sp.Rational(uij.numerator, uij.denominator) * q)
+                 * (p.diff(x) * q - p * q.diff(x)) * others(i, 3))
+                for i, ((q, *ps), ui) in enumerate(zip(views, u))
+                for p, uij in zip(ps, ui))
+        g_beta = sp.Rational(beta0.numerator, beta0.denominator) * prod_q ** 2 + sum(
+            ((p - sp.Rational(b.numerator, b.denominator) * q) ** 2 * others(i, 2))
+            for i, ((q, *ps), bi) in enumerate(zip(views, beta))
+            for p, b in zip(ps, bi))
+        assert sp.gcd(g, prod_q).degree() == 0
+        assert sp.gcd(g_beta, prod_q).degree() == 0
+
+    def test_a_certified_count_and_cross_check_take_only_the_gcd_with_h_prime(
+            self, monkeypatch):
+        tw, arr = twisted_cubic(), generic_arrangement(100, 2, 2, 3)
+        want = (exact_outcome(ed_degree_affine, tw, arr, 5),
+                exact_outcome(euler_cross_check, tw, arr, 5))
+        gcds, others = _spy_mod_gcd(monkeypatch), _spy_others(monkeypatch)
+        rep = ed_degree_affine(tw, arr, 5)
+        assert rep.certificate.passes
+        assert (rep, euler_cross_check(tw, arr, 5)) == want
+        # two samples and the cross-check, each proved by the gcd with its
+        # derivative alone
+        assert others == [(True, []), (True, []), (False, [])]
+        assert [(len(b), r) for b, r in gcds] == [(16, [1]), (16, [1]), (12, [1])]
+
+    def test_a_root_at_a_pole_is_still_found_without_a_certificate(self, monkeypatch):
+        # the circle of test_a_root_at_a_pole_falls_through: its chart
+        # 1 + t^2 shares its zeros with 1 + t^2 = p_1^2 + p_2^2, so the
+        # certificate fails, and the gcd with prod q_i is the one that
+        # refuses each sample
+        circle = RationalCurve(N=2, e=2, coords=(H(2, 1, 0, 1), H(2, 1, 0, 0),
+                                                 H(2, 0, 1, 0)))
+        arr = Arrangement((Camera(2, 2, ((1, 0, 0), (0, 1, 0), (0, 0, 1))),
+                           random_camera(5, 2, 2)))
+        gcds = _spy_mod_gcd(monkeypatch)
+        rep = ed_degree_affine(circle, arr, 3)
+        assert not rep.certificate.passes
+        assert (rep.ed_degree, rep.removed_pole_factors) == (8, 2)
+        prod_q = list(Scene(circle, arr).prod_q.num)
+        assert [r for b, r in gcds if b == prod_q] == [[1, 0, 1], [1, 0, 1]]
+
+    @pytest.mark.parametrize("name", ["shared chart row", "conic"])
+    def test_a_failing_certificate_keeps_both_gcds(self, monkeypatch, name):
+        if name == "conic":
+            f = curve_from_dict(_load("conic.json"))
+            arr = arrangement_from_dict(_load("parabola_cam.json"))
+        else:
+            f = random_curve(7, 4, 4)
+            cams = [random_camera(300 + i, 3, 4) for i in range(4)]
+            cams[1] = Camera(3, 4, (cams[0].entries[0], *cams[1].entries[1:]))
+            arr = Arrangement(tuple(cams))
+        fresh = Scene(f, arr)
+        prod_q, chart = list(fresh.prod_q.num), list(fresh.prod_q_form.dehom().num)
+        others = _spy_others(monkeypatch)
+        rep = count_cell(f, arr, lambda k: 11 + k, 3, require_certificate=False).report
+        assert not rep.certificate.passes
+        # the shared row's cross-check ends in NonGenericBetaError; each of
+        # its attempts asks for the gcd all the same
+        outcome(euler_cross_check, f, arr, 11)
+        assert [w for w, _ in others] == [True, True] + [False] * (len(others) - 2)
+        assert len(others) > 2
+        for wronskian, bs in others:
+            assert (prod_q if wronskian else chart) in bs
+
+    def test_a_lone_cross_check_keeps_the_chart_gcd(self, monkeypatch):
+        # a cross-check never computes a certificate: on a fresh scene, or
+        # on objects no count has seen, it takes the gcd with the chart of
+        # prod Q_k, and it drops it once the scene holds a passing one
+        tw, arr = twisted_cubic(), generic_arrangement(100, 2, 2, 3)
+        fresh = Scene(tw, arr)
+        chart = list(fresh.prod_q_form.dehom().num)
+        others = _spy_others(monkeypatch)
+        assert euler_cross_check(tw, arr, 5, scene=fresh) == 16
+        assert euler_cross_check(tw, generic_arrangement(100, 2, 2, 3), 5) == 16
+        assert others == [(False, [chart])] * 2
+        assert genericity_certificate(arr, tw, scene=fresh).passes
+        assert euler_cross_check(tw, arr, 5, scene=fresh) == 16
+        assert others[-1] == (False, [])
 
 
 class TestEulerCrossCheck:
@@ -1362,7 +1519,7 @@ class TestTriangulate:
         f, arr, u = _golden_scene(scene)
         assert triangulate(f, arr, u, F(1, 10**12)) == ref_triangulate(f, arr, u, F(1, 10**12))
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, phases=_NO_SHRINK)
     @given(curve_seed=st.integers(0, 50), camera_seed=st.integers(0, 500),
            n=st.integers(1, 2), data_seed=st.integers(0, 500),
            width=st.sampled_from((F(1), F(1, 4), F(1, 1000), F(3, 2**20), F(1, 10**12))))

@@ -36,6 +36,7 @@ from edcurve.scene import (
     random_camera_degree_drop,
     random_curve,
     rational_normal_curve,
+    scene_for,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -378,6 +379,60 @@ class TestGenericityCertificate:
         assert d["passes"] is True
         assert len(d["discriminants"]) == 2
         assert d["pairwise_resultants"][0]["i"] == 0
+
+
+class TestSceneFor:
+    """``scene_for`` hands back the one scene it built last when asked for
+    the very same curve and arrangement objects, and builds one otherwise."""
+
+    def test_the_same_objects_share_one_scene_and_one_certificate(self):
+        f = twisted_cubic()
+        arr = Arrangement((random_camera(101, 2, 3), random_camera(102, 2, 3)))
+        shared = scene_for(f, arr, None)
+        assert scene_for(f, arr, None) is shared
+        cert = genericity_certificate(arr, f)
+        assert shared.certificate is cert and genericity_certificate(arr, f) is cert
+
+    def test_alternating_pairs_and_an_equal_arrangement_get_their_own_scenes(self):
+        f1, f2 = twisted_cubic(), random_curve(5, 3, 3)
+        a1 = Arrangement((random_camera(101, 2, 3), random_camera(102, 2, 3)))
+        a2 = Arrangement((random_camera(103, 2, 3), random_camera(104, 2, 3)))
+        twin = Arrangement(a1.cameras)
+        assert twin == a1 and twin is not a1
+        built = []
+        for f, arr in ((f1, a1), (f2, a2), (f1, a1), (f1, twin), (f1, a1), (f2, a1),
+                       (f2, a1)):
+            got = scene_for(f, arr, None)
+            assert got.curve is f and got.arrangement is arr
+            fresh = Scene(f, arr)
+            assert got.images == fresh.images and got.charts == fresh.charts
+            assert got.certificate == genericity_certificate(arr, f, scene=fresh)
+            built.append(got)
+        # one slot: only a repeat of the pair just asked for is not rebuilt
+        assert built[-1] is built[-2]
+        assert len({id(x) for x in built}) == len(built) - 1
+
+    def test_an_explicit_scene_is_used_but_not_remembered(self):
+        f = twisted_cubic()
+        arr = Arrangement((random_camera(101, 2, 3),))
+        remembered = scene_for(f, arr, None)
+        explicit = Scene(f, arr)
+        assert scene_for(f, arr, explicit) is explicit
+        assert scene_for(f, arr, None) is remembered
+        # a scene that cannot be built leaves the remembered one in place
+        with pytest.raises(ValueError, match="world dimension"):
+            scene_for(cuspidal_cubic(), arr, None)
+        assert scene_for(f, arr, None) is remembered
+
+    def test_certified_never_computes_a_certificate(self):
+        f = twisted_cubic()
+        c = random_camera(7, 2, 3)
+        for arr, passes in ((Arrangement((c, random_camera(8, 2, 3))), True),
+                            (Arrangement((c, c)), False)):
+            fresh = Scene(f, arr)
+            assert not fresh.certified and "certificate" not in vars(fresh)
+            assert fresh.certificate.passes is passes
+            assert fresh.certified is passes
 
 
 class TestSerialization:
