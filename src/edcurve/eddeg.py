@@ -12,11 +12,13 @@ to leading-term cancellation.  Everything but u is data-free and comes from
 one ``scene.Scene`` per count.  g is the numerator of sum_i n_i / q_i^3 with
 n_i = sum_j (p_ij - u_ij q_i) W_ij.  One straight-line program
 (``_assemble``) forms an integer multiple H of g from the charts and the
-data, and ``_kron_sum`` and ``_kron_sum_mod`` are its front ends, which run
-it in three rings: on ell-1 norms, which size the slots of X = 256**nb; on
-the integers at X, so that H is assembled by Kronecker substitution as one
+data, in two passes: a view pass that reads no data and a data pass.
+``_kron_sum`` and ``_kron_sum_mod`` are its front ends, which run it in
+three rings: on ell-1 norms, which size the slots of X = 256**nb; on the
+integers at X, so that H is assembled by Kronecker substitution as one
 integer and its coefficients are read back from it; and on residues mod a
-prime, in folded slots.
+prime, in folded slots, where one view pass serves every data sample of a
+count (``_mod_views``).
 
 The count of the variety's critical points is the number of distinct complex
 roots after removing two kinds of spurious parameters:
@@ -58,7 +60,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .exactnum import (
     HomPoly2,
@@ -206,51 +208,87 @@ def _fraction_sum(pairs: Sequence[tuple[int, int]], fold=lambda x: x) -> int:
     return fold(a * d + c * b)
 
 
-def _cleared(views, rows, wronskian: bool):
-    """Each view of :func:`_kron_sum` cleared to integers, in order: the
-    lists Q and [P_j], the integers B and [B u_ij], and D, then, for the
-    Wronskian, the lists Q' and [P_j']."""
-    for polys, row in zip(views, rows):
+def _cleared_views(views, wronskian: bool):
+    """Each view of :func:`_kron_sum` cleared to integers, in order: with D
+    the lcm of its polynomials' denominators, the lists Q = D q_i and
+    [P_j = D p_ij], and D, then, for the Wronskian, the lists -Q' and
+    [P_j']."""
+    for polys in views:
         d = lcm(*(p.den for p in polys))
         q, *ps = [[x * (d // p.den) for x in p.num] for p in polys]
-        b = lcm(*(x.denominator for x in row))
-        rs = [x.numerator * (b // x.denominator) for x in row]
         if wronskian:
-            yield q, ps, b, rs, d, _derivative(q), [_derivative(p) for p in ps]
+            yield q, ps, d, [-x for x in _derivative(q)], [_derivative(p) for p in ps]
         else:
-            yield q, ps, b, rs, d
+            yield q, ps, d
 
 
-def _assemble(cleared, constant: Rat, pack, scalar=lambda x: x, fold=lambda x: x):
+def _cleared_rows(rows):
+    """Each data row u_i of :func:`_kron_sum` cleared to integers: with B
+    the lcm of its denominators, B and the list [B u_ij]."""
+    for row in rows:
+        b = lcm(*(x.denominator for x in row))
+        yield b, [x.numerator * (b // x.denominator) for x in row]
+
+
+def _assemble(views, rows, constant: Rat, pack, scalar=lambda x: x, fold=lambda x: x):
     """The one program that forms the H of :func:`_kron_sum` from the
-    :func:`_cleared` views, run on the values that ``pack`` gives an
-    integer list and ``scalar`` an integer, with ``fold`` applied to every
-    sum and product formed.  Per view,
+    :func:`_cleared_views` views and the :func:`_cleared_rows` rows, run on
+    the values that ``pack`` gives an integer list and ``scalar`` an
+    integer, with ``fold`` applied to every sum and product formed.  Per
+    view,
 
-        L_j = B P_j + (-B u_ij) Q,   W_j = P_j' Q + P_j (-Q'),
+        W_j = P_j' Q + P_j (-Q') and Q^3    (Wronskian),
+        Q^2                                 (otherwise)
+
+    do not depend on the data: :func:`_view_pass` forms them, with the
+    packed Q and P_j.  :func:`_data_pass` forms the rest,
+
+        L_j = B P_j + (-B u_ij) Q,
         N_i = sum_j L_j W_j and C_i = B Q^3      (Wronskian),
         N_i = sum_j L_j^2 and C_i = B^2 Q^2      (otherwise),
 
-    the constant a / b is one more fraction, and :func:`_fraction_sum` of
-    the pairs (N_i, C_i) is H = a prod C_i + b sum_i N_i prod_{k != i} C_k.
-    Every step is a sum, a product or a scalar multiple; -Q' is packed as
-    a list of its own.
+    the constant a / b as one more fraction, and :func:`_fraction_sum` of
+    the pairs (N_i, C_i), which is H = a prod C_i + b sum_i N_i prod_{k != i} C_k.
+    Every step is a sum, a product or a scalar multiple, so one view pass
+    serves every data point of a ring whose ``pack`` and ``fold`` do not
+    depend on the data: :func:`_kron_sum_mod` takes it once per count
+    (:func:`_mod_views`).
     """
-    pairs = []
-    for q, ps, b, rs, _, *derivs in cleared:
+    return _data_pass(_view_pass(views, pack, fold), rows, constant, scalar, fold)
+
+
+def _view_pass(views, pack, fold) -> list:
+    """The data-free half of :func:`_assemble`: per view, the packed Q and
+    [P_j], then [W_j] and Q^3 for the Wronskian, or None and Q^2."""
+    out = []
+    for q, ps, _, *derivs in views:
         qx, pxs = pack(q), [pack(p) for p in ps]
-        lins = [fold(scalar(b) * px + scalar(-r) * qx) for px, r in zip(pxs, rs)]
-        num, square = 0, fold(qx * qx)
+        square = fold(qx * qx)
         if derivs:
-            dq, dps = derivs
-            minus_dqx = pack([-x for x in dq])
-            for lin, px, dp in zip(lins, pxs, dps):
-                num = fold(num + lin * fold(pack(dp) * qx + px * minus_dqx))
-            pairs.append((num, fold(scalar(b) * fold(square * qx))))
+            minus_dq, dps = derivs
+            minus_dqx = pack(minus_dq)
+            ws = [fold(pack(dp) * qx + px * minus_dqx) for px, dp in zip(pxs, dps)]
+            out.append((qx, pxs, ws, fold(square * qx)))
         else:
+            out.append((qx, pxs, None, square))
+    return out
+
+
+def _data_pass(viewed, rows, constant: Rat, scalar, fold) -> int:
+    """The half of :func:`_assemble` that reads the data: H from the
+    :func:`_view_pass` of the views and the cleared rows."""
+    pairs = []
+    for (qx, pxs, ws, power), (b, rs) in zip(viewed, rows):
+        lins = [fold(scalar(b) * px + scalar(-r) * qx) for px, r in zip(pxs, rs)]
+        num = 0
+        if ws is None:
             for lin in lins:
                 num = fold(num + lin * lin)
-            pairs.append((num, fold(scalar(b * b) * square)))
+            pairs.append((num, fold(scalar(b * b) * power)))
+        else:
+            for lin, w in zip(lins, ws):
+                num = fold(num + lin * w)
+            pairs.append((num, fold(scalar(b) * power)))
     a, b = constant.numerator, constant.denominator
     if a:
         pairs.append((scalar(a), scalar(b)))
@@ -269,12 +307,13 @@ def _kron_sum(views, rows, size: int, *, wronskian: bool,
     coefficient lists of forms), and data rows u_i, given that this
     product has at most ``size`` coefficients.
 
-    View i is cleared to integers (:func:`_cleared`): with D the lcm of its
-    polynomials' denominators, Q = D q_i and P_j = D p_ij; with B the lcm of
-    the denominators of u_i, L_j = B P_j - (B u_ij) Q = B D (p_ij - u_ij q_i).
-    W is bilinear, so W(P_j, Q) = D^2 W_ij, and view i's fraction is
-    N_i / C_i as :func:`_assemble` forms them.  H / den is the product above
-    for den = b prod_i B D^3, or b prod_i B^2 D^2.  :func:`_assemble` runs
+    View i is cleared to integers (:func:`_cleared_views`): with D the lcm
+    of its polynomials' denominators, Q = D q_i and P_j = D p_ij; with B
+    the lcm of the denominators of u_i (:func:`_cleared_rows`),
+    L_j = B P_j - (B u_ij) Q = B D (p_ij - u_ij q_i).  W is bilinear, so
+    W(P_j, Q) = D^2 W_ij, and view i's fraction is N_i / C_i as
+    :func:`_assemble` forms them.  H / den is the product above for
+    den = b prod_i B D^3, or b prod_i B^2 D^2.  :func:`_assemble` runs
     twice, with X = 256**nb:
 
     * On ell-1 norms (``pack`` the norm, ``scalar`` abs): the norm is
@@ -289,28 +328,61 @@ def _kron_sum(views, rows, size: int, *, wronskian: bool,
       coefficients, below X / 2, is one signed digit of it
       (``_kron_unpack``).
     """
-    cleared, norms = list(_cleared(views, rows, wronskian)), []
+    cleared, norms = list(_cleared_views(views, wronskian)), []
+    rows = list(_cleared_rows(rows))
 
     def l1(a) -> int:
         norms.append(sum(map(abs, a)))
         return norms[-1]
 
-    bound = _assemble(cleared, constant, l1, abs)
+    bound = _assemble(cleared, rows, constant, l1, abs)
     nb = (max([bound, *norms]).bit_length() + 8) // 8
     den = constant.denominator
-    for _, _, b, _, d, *_ in cleared:
+    for (_, _, d, *_), (b, _) in zip(cleared, rows):
         den *= b * d ** 3 if wronskian else (b * d) ** 2
-    h = _assemble(cleared, constant, lambda a: _kron_pack(a, nb))
+    h = _assemble(cleared, rows, constant, lambda a: _kron_pack(a, nb))
     return _kron_unpack(h, nb, size), den
 
 
-def _kron_sum_mod(views, rows, size: int, *, wronskian: bool,
-                  constant: Rat = Fraction(0)) -> tuple[list[int], int]:
-    """(h, p): h the ``size`` residues in [0, p) of the H of :func:`_kron_sum`
-    mod a prime p, given that every polynomial of the views also has at most
-    ``size`` coefficients.
+class _ModViews(NamedTuple):
+    """The data-free half of :func:`_kron_sum_mod` for one list of views
+    and one ``size``: the prime p, the slot bytes nb, ``size``, the fold
+    mod (p, t**size), and the :func:`_view_pass` of the views on residues."""
 
-    :func:`_assemble` runs on residues.  p = 2**k - 1 is the first
+    p: int
+    nb: int
+    size: int
+    fold: Callable[[int], int]
+    viewed: list
+
+
+def _mod_views(views, size: int, *, wronskian: bool) -> _ModViews:
+    """The :class:`_ModViews` of ``views`` for H of at most ``size``
+    coefficients, given that every polynomial of the views also has at most
+    ``size`` coefficients: p, nb and the fold as :func:`_kron_sum_mod`
+    chooses them, and the view pass on residues.  A count takes it once
+    for both samples, a cross-check once for all its attempts."""
+    for p in _PRIMES:
+        k = p.bit_length()
+        nb = (2 * k + 10 + size.bit_length()) // 8
+        if 8 * nb <= 3 * k - 1:
+            break
+    low, high = _fold_masks(p, nb, size)
+
+    def fold(x: int) -> int:
+        return _mersenne_fold(x, k, low, high)
+
+    return _ModViews(p, nb, size, fold, _view_pass(
+        _cleared_views(views, wronskian), lambda a: _pack_residues(a, p, nb), fold))
+
+
+def _kron_sum_mod(views: _ModViews, rows, *,
+                  constant: Rat = Fraction(0)) -> tuple[list[int], int]:
+    """(h, p): h the ``views.size`` residues in [0, p) of the H of
+    :func:`_kron_sum` mod a prime p, for the views of :func:`_mod_views`.
+
+    :func:`_assemble` runs on residues: its view pass once, in
+    :func:`_mod_views`, and its data pass here.  p = 2**k - 1 is the first
     prime of ``_PRIMES`` that admits a slot of w = 8 nb bits with
     2k + 3 + bitlen(size) <= w <= 3k - 1: the upper end is the bound of
     ``_mersenne_fold``, the lower one is proved below (2**17 - 1 serves
@@ -323,7 +395,8 @@ def _kron_sum_mod(views, rows, size: int, *, wronskian: bool,
     and drops every slot at or above ``size``: read with t = 2**w, that is
     the map Z[t] -> (Z/p)[t]/(t**size), a ring map.  So the result is
     H mod (p, t**size), which is H mod p, as H has at most ``size``
-    coefficients.
+    coefficients.  The view pass depends on neither the data nor the
+    constant, so one serves every data point.
 
     No slot overflows before its fold.  Every operand of a product has at
     most ``size`` slots, each below 2**(k+1), so each slot of the product
@@ -334,28 +407,22 @@ def _kron_sum_mod(views, rows, size: int, *, wronskian: bool,
     operands, with slots below 2**(2k+2).  Slots never carry, so the slots
     of the packed int are the coefficients of the polynomial.
     """
-    for p in _PRIMES:
-        k = p.bit_length()
-        nb = (2 * k + 10 + size.bit_length()) // 8
-        if 8 * nb <= 3 * k - 1:
-            break
-    low, high = _fold_masks(p, nb, size)
-    h = _assemble(_cleared(views, rows, wronskian), constant,
-                  lambda a: _pack_residues(a, p, nb), lambda x: x % p,
-                  lambda x: _mersenne_fold(x, k, low, high))
+    p, nb, size = views.p, views.nb, views.size
+    h = _data_pass(views.viewed, _cleared_rows(rows), constant, lambda x: x % p, views.fold)
     data = h.to_bytes(nb * size, "little")
     return [int.from_bytes(data[j:j + nb], "little") % p
             for j in range(0, nb * size, nb)], p
 
 
-def _squarefree_mod_p(views, rows, size: int, others, *, wronskian: bool,
+def _squarefree_mod_p(views: _ModViews, rows, others, *,
                       constant: Rat = Fraction(0)) -> bool:
     """Whether residues prove that the H of :func:`_kron_sum` has degree
-    ``size`` - 1 and no repeated root, and shares no root with any of the
-    integer coefficient lists ``others``; False means only "not proved".
+    size - 1, for size = ``views.size``, and no repeated root, and shares no
+    root with any of the integer coefficient lists ``others``; False means
+    only "not proved".
 
     With (h, p) from :func:`_kron_sum_mod`, a nonzero h[size - 1] proves
-    deg H = size - 1, since H has at most ``size`` coefficients.  For an
+    deg H = size - 1, since H has at most size coefficients.  For an
     integer polynomial b whose leading coefficient p does not divide
     (``_mod_gcd`` gives None otherwise), a common factor of H and b over Q
     has a primitive integer multiple that divides both in Z[t] (Gauss's
@@ -365,7 +432,7 @@ def _squarefree_mod_p(views, rows, size: int, others, *, wronskian: bool,
     whose residues are h' (leading coefficient (size - 1) lc h), that proves
     H squarefree.
     """
-    h, p = _kron_sum_mod(views, rows, size, wronskian=wronskian, constant=constant)
+    h, p = _kron_sum_mod(views, rows, constant=constant)
     return bool(h[-1]) and all(_mod_gcd(h, b, p) == [1]
                                for b in (_derivative(h), *others))
 
@@ -437,9 +504,11 @@ def _reduction_scene(f: RationalCurve, arr: Arrangement, u: DataPoint,
 
 
 def _sample_count(f: RationalCurve, arr: Arrangement, u: DataPoint,
-                  scene: Scene) -> tuple[int, int, int, int]:
+                  scene: Scene, views: _ModViews) -> tuple[int, int, int, int]:
     """(count, deg g, removed pole degree, removed cusp degree) of one data
-    sample, as :func:`reduce_critical_polynomial` gives them.
+    sample, as :func:`reduce_critical_polynomial` gives them; ``views`` is
+    the :func:`_mod_views` of the scene's charts for size 3en - 1, which
+    every sample of a count shares.
 
     First the residues of g's integer multiple H mod p
     (:func:`_squarefree_mod_p`): when they prove that g has the degree bound
@@ -462,7 +531,7 @@ def _sample_count(f: RationalCurve, arr: Arrangement, u: DataPoint,
         others = []
     else:
         others = [scene.prod_q.num, cusps.num] if cusps.degree else [scene.prod_q.num]
-    if _squarefree_mod_p(scene.charts, u.u, bound + 1, others, wronskian=True):
+    if _squarefree_mod_p(views, u.u, others):
         return bound, bound, 0, 0
     rc = reduce_critical_polynomial(f, arr, u, scene=scene)
     return (rc.reduced.degree, rc.raw.degree, rc.removed_pole_factors,
@@ -526,7 +595,9 @@ def ed_degree_affine(
     read one :class:`Scene`: ``scene`` when passed in, else
     :func:`scene_for`'s.  The certificate is taken after the refusals that
     precede every sample, in their order, and before the samples, which
-    read it (:func:`_sample_count`).
+    read it (:func:`_sample_count`).  The residue view pass of the charts
+    (:func:`_mod_views`) is taken once, after the certificate, and both
+    samples read it.
     """
     if data_points is None:
         samples = [random_data_point(seed, arr.n, arr.h),
@@ -543,7 +614,8 @@ def ed_degree_affine(
     # h = 1 and a point image are refused here, as the first sample would
     _reduction_scene(f, arr, samples[0], scene).cusp_chart
     cert = genericity_certificate(arr, f, scene=scene)
-    counts = [_sample_count(f, arr, s, scene) for s in samples]
+    views = _mod_views(scene.charts, 3 * f.e * arr.n - 1, wronskian=True)
+    counts = [_sample_count(f, arr, s, scene, views) for s in samples]
     if counts[0][0] != counts[1][0]:
         raise DataInstabilityError("data not generic; reseed")
 
@@ -677,19 +749,27 @@ def euler_cross_check(
     no gcd when the scene already holds a passing certificate
     (``Scene.certified``): at a zero of Q_i on P^1,
     G = prod_{k != i} Q_k^2 * sum_j P_ij^2 for every beta and beta0, and
-    the certificate makes both factors nonzero (``scene.Scene``).  This
-    check never computes a certificate itself, so on a scene without one
-    the gcd is taken.  Any other outcome runs the attempt's exact steps.
+    the certificate makes both factors nonzero (``scene.Scene``).  Such a
+    scene also needs no root count for #S_inf: the certificate gives
+    prod Q_k exactly as many distinct zeros on P^1 as its formal degree en
+    (``scene.Scene``).  This check never computes a certificate itself, so
+    on a scene without one the gcd is taken and ``hom_distinct_root_count``
+    counts #S_inf.  The residue view pass of the images
+    (:func:`_mod_views`) is taken once and serves every attempt.  Any other
+    outcome runs the attempt's exact steps.
     """
     scene = scene_for(f, arr, scene)
     if scene.cusps.degree:
         raise CuspError("cross-check requires immersion")
     scene.check_charts()
     prod_q = scene.prod_q_form
-    s_inf = hom_distinct_root_count(prod_q)
     degree = 2 * sum(img[0].degree for img in scene.images)
-    # the chart of prod Q_k, taken here so that ``scene.prod_q`` stays unread
-    others = [] if scene.certified else [prod_q.dehom().num]
+    if scene.certified:
+        s_inf, others = prod_q.degree, []
+    else:
+        # the chart of prod Q_k, taken here so that ``scene.prod_q`` stays unread
+        s_inf, others = hom_distinct_root_count(prod_q), [prod_q.dehom().num]
+    views = _mod_views(scene.images, degree + 1, wronskian=False)
 
     for attempt in range(4):
         rng = random.Random(f"{seed}:euler-beta:{attempt}")
@@ -698,8 +778,7 @@ def euler_cross_check(
             for _ in range(arr.n)
         ]
         beta0 = Fraction(rng.randint(1, 64), rng.randint(1, 8))
-        if _squarefree_mod_p(scene.images, beta, degree + 1, others,
-                             wronskian=False, constant=beta0):
+        if _squarefree_mod_p(views, beta, others, constant=beta0):
             return s_inf + degree - 2
         g_beta = _perturbed_numerator(scene.images, beta, beta0)
         if g_beta.is_zero:

@@ -75,7 +75,9 @@ from typing import Iterable, Sequence
 
 Rat = Fraction
 
-_RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+# ASCII digits only, as the schemas' rational pattern: without re.ASCII, \d
+# matches every Unicode decimal digit, and int() reads "٣" as 3
+_RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$", re.ASCII)
 
 # The primes of the modular gcd: 2**k - 1 for every Mersenne exponent k from
 # 17 to 216091, the one kind ``_mod_gcd`` reduces (by ``_mersenne_fold``,

@@ -41,10 +41,13 @@ from .exactnum import (
     HomPoly2,
     Rat,
     UniPoly,
+    _PRIMES,
     _as_rat,
     _clear_denominators,
     _form,
     _hom,
+    _mod_gcd,
+    _pack_residues,
     hom_discriminant,
     hom_gcd,
     hom_gcd_many,
@@ -262,11 +265,12 @@ class Scene:
     * ``certificate``, the :class:`GenericityCertificate` of the scene.
 
     The critical polynomial and the cross-check's perturbed numerator read
-    only the charts and the images, through one program run per data
-    sample (``eddeg._assemble``) with two front ends: its exact value at a
-    packing point (``eddeg._kron_sum``) and its residues mod 2**17 - 1 in
-    folded slots (``eddeg._kron_sum_mod``), so no data-free product is
-    kept for them.
+    only the charts and the images, through one program (``eddeg._assemble``)
+    with two front ends: its exact value at a packing point
+    (``eddeg._kron_sum``) and its residues mod 2**17 - 1 in folded slots
+    (``eddeg._kron_sum_mod``).  Its data-free products, the residue view
+    pass, are taken once per count or cross-check and not kept on the
+    scene.
 
     A passing certificate also proves that neither has a root at a pole.
     Let t0 be a zero of q_i.  Every term of g = sum_k n_k prod_{l != k} q_l^3
@@ -285,8 +289,13 @@ class Scene:
     with sum_j P_ij^2 gives sum_j p_ij(t0)^2 != 0; the pairwise resultants
     give Q_k != 0 at a zero of Q_i for k != i.  So g is coprime to prod q_i
     and G_beta to the chart of prod Q_k, for every data point, and
-    ``immersion_ok`` makes the cusp chart constant.  ``certified`` reads
-    whether a passing certificate is held, without computing one.
+    ``immersion_ok`` makes the cusp chart constant.  The same conditions
+    count the cross-check's #S_inf: each Q_i is a nonzero form of formal
+    degree e whose nonzero discriminant gives it e distinct zeros on P^1,
+    [0:1] included, and the nonzero pairwise resultants keep the zeros of
+    different views apart, so prod Q_k has exactly en distinct zeros on
+    P^1, its formal degree.  ``certified`` reads whether a passing
+    certificate is held, without computing one.
 
     Nothing is checked on construction beyond what ``apply_camera`` checks:
     a consumer calls ``check_charts`` where it refuses a vanishing chart, and
@@ -432,7 +441,14 @@ def genericity_certificate(
 
 
 def _certify(scene: Scene) -> GenericityCertificate:
-    """The certificate of ``scene``, computed (``Scene.certificate``)."""
+    """The certificate of ``scene``, computed (``Scene.certificate``).
+
+    Each view's sum-of-squares condition is first proved from residues mod
+    2**17 - 1 (:func:`_sum_square_coprime_mod_p`), which gives True only
+    where the exact test gives True; anything it does not prove, such as a
+    sum of squares that vanishes mod p, takes the exact ``hom_gcd``.  So the
+    certificate, its reasons and their order are the exact ones.
+    """
     arr, f = scene.arrangement, scene.curve
     reasons: list[str] = []
     images = scene.images
@@ -468,6 +484,9 @@ def _certify(scene: Scene) -> GenericityCertificate:
 
     gcd_trivial = []
     for i, img in enumerate(images):
+        if _sum_square_coprime_mod_p(img[0], img[1:]):
+            gcd_trivial.append(True)
+            continue
         ssq = HomPoly2(2 * f.e)
         for p in img[1:]:
             ssq = ssq + p * p
@@ -497,6 +516,41 @@ def _certify(scene: Scene) -> GenericityCertificate:
         immersion_defect_degree=defect,
         reasons=tuple(reasons),
     )
+
+
+def _sum_square_coprime_mod_p(q: HomPoly2, ps: Sequence[HomPoly2]) -> bool:
+    """Whether residues mod p = 2**17 - 1 prove that the form Q shares no
+    zero on P^1 with sum_j P_j^2; False means only "not proved".
+
+    Let a be the integer numerators of Q (a[k] multiplies s^(e-k) t^k) and
+    S = sum_j (D P_j)^2 = D^2 sum_j P_j^2, with D the lcm of the P_j's
+    denominators, an integer form with the zeros of sum_j P_j^2.  Its
+    residues are read from one sum of squares of the packed residues of
+    the D P_j: each slot of a square is a sum of at most e + 1 products
+    below p^2, and the slots of the w = 8 nb bit layout below hold h of
+    them without a carry.
+
+    Q's value at [0:1] is a[e], so a top residue a[e] != 0 mod p rules out
+    a zero there and makes the chart a(t) = Q(1, t) of degree e: every zero
+    of Q is [1:t0] with a(t0) = 0.  (``_mod_gcd`` gives None when p
+    divides a[e].)  A common zero there would make a and the chart s of S
+    share an irreducible factor c over Q, taken primitive in Z[t]; by
+    Gauss's lemma c divides a and s in Z[t], and lc c divides a[e], which
+    p does not divide, so c mod p keeps its degree >= 1 and divides a mod p
+    and s mod p.  So when s mod p is not zero, with its vanishing top
+    residues dropped, ``_mod_gcd(a, s mod p, p) == [1]`` proves that Q and
+    sum_j P_j^2 share no zero on P^1, as in ``poly_gcd``.
+    """
+    p = _PRIMES[0]
+    d = lcm(*(x.den for x in ps))
+    size = 2 * q.degree + 1
+    nb = (2 * p.bit_length() + len(ps).bit_length() + (q.degree + 1).bit_length() + 7) // 8
+    packed = [_pack_residues([c * (d // x.den) for c in x.num], p, nb) for x in ps]
+    data = sum(x * x for x in packed).to_bytes(nb * size, "little")
+    s = [int.from_bytes(data[j:j + nb], "little") % p for j in range(0, nb * size, nb)]
+    while s and not s[-1]:
+        s.pop()
+    return bool(s) and _mod_gcd(q.num, s, p) == [1]
 
 
 # ---------------------------------------------------------------------------

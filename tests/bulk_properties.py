@@ -704,7 +704,8 @@ def l1_bound_oracle(views, rows, *, wronskian: bool, constant=F(0)) -> tuple[int
         return sum(map(abs, a))
 
     pairs, top = [], 0
-    for q, ps, b, rs, _, *derivs in eddeg._cleared(views, rows, wronskian):
+    for (q, ps, _, *derivs), (b, rs) in zip(eddeg._cleared_views(views, wronskian),
+                                            eddeg._cleared_rows(rows)):
         nq, nps = norm(q), [norm(p) for p in ps]
         nls = [b * n + abs(r) * nq for n, r in zip(nps, rs)]
         if wronskian:
@@ -757,6 +758,13 @@ def l1_bound(seed: int, cases: int) -> int:
         check_l1_bound(*cell, rng.choice((F(0), _rand_rat(rng))))
         done += 1
     return done
+
+
+def kron_sum_mod(views, rows, size: int, *, wronskian: bool, constant=F(0)):
+    """(h, p) of ``eddeg._kron_sum_mod`` on the ``eddeg._mod_views`` of
+    ``views``."""
+    mod_views = eddeg._mod_views(views, size, wronskian=wronskian)
+    return eddeg._kron_sum_mod(mod_views, rows, constant=constant)
 
 
 def outcome(fn, *args, **kwargs):
@@ -888,7 +896,7 @@ def modular_count(seed: int, cases: int) -> int:
         for views, size, kwargs in (
                 (charts, 3 * f.e * arr.n - 1, {"wronskian": True}),
                 (images, 2 * f.e * arr.n + 1, {"wronskian": False, "constant": _rand_rat(rng)})):
-            h, p = eddeg._kron_sum_mod(views, u.u, size, **kwargs)
+            h, p = kron_sum_mod(views, u.u, size, **kwargs)
             assert h == [c % p for c in eddeg._kron_sum(views, u.u, size, **kwargs)[0]], cell
         s = rng.randrange(2**32)
         points = (u, eddeg.random_data_point(s, arr.n, arr.h))

@@ -135,6 +135,17 @@ class TestEddeg:
         assert (code, out) == (1, "")
         assert err.startswith("edcurve: error:") and "malformed curve object" in err
 
+    @pytest.mark.parametrize("digit", ["\u0663", "\uff13"])
+    def test_a_non_ascii_digit_exits_one(self, capsys, tmp_path, digit):
+        # an Arabic-Indic or fullwidth 3, which int() would read as 3
+        curve = json.loads(Path(TW).read_text())
+        curve["coords"][0][0] = digit
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps(curve))
+        code, out, err = run_cli(capsys, "eddeg", "--curve", str(path), "--cameras", ONE)
+        assert (code, out) == (1, "")
+        assert err.startswith("edcurve: error:") and "not a rational literal" in err
+
     def test_missing_file_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "eddeg", "--curve", "no_such_file.json",
                                "--cameras", ONE)
@@ -616,7 +627,16 @@ class TestReproduceExamples:
                  "--seed", str(seed)],
                 capture_output=True, text=True, timeout=300, env=CHILD_ENV)
             assert proc.returncode == 0, (seed, proc.stdout + proc.stderr)
-            assert "; 0 unexpected mismatch(es)" in proc.stdout
+            assert proc.stdout.endswith("\n0 unexpected mismatch(es)\n")
+            assert proc.stderr.startswith("total time ")
+
+    def test_seed_zero_stdout_is_the_golden(self):
+        # the wall time goes to stderr, so stdout is a function of the seed
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "reproduce_examples.py"), "--seed", "0"],
+            capture_output=True, timeout=300, env=CHILD_ENV)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (DATA / "gallery_seed0.txt").read_bytes()
 
 
 _INT = st.integers(-1, 5)

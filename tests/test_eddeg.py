@@ -13,12 +13,13 @@ import pytest
 from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
-from edcurve import cli, eddeg, scene
+from edcurve import cli, eddeg, exactnum, scene
 from bulk_properties import (
     check_l1_bound,
     critical_polynomial_oracle,
     double_root_data,
     exact_outcome,
+    kron_sum_mod,
     outcome,
     perturbed_numerator_oracle,
     ref_abs_upper,
@@ -43,6 +44,7 @@ from edcurve.eddeg import (
 from edcurve.exactnum import (
     HomPoly2,
     UniPoly,
+    hom_distinct_root_count,
     hom_gcd_many,
     poly_gcd,
     refine_root,
@@ -1040,17 +1042,25 @@ class TestModularCertificate:
                 == exact_outcome(euler_cross_check, f, arr, seed))
 
     @settings(max_examples=100, deadline=None, phases=_NO_SHRINK)
-    @given(_edge_cells(), st.sampled_from((F(0), F(3), F(-7, 5), F(_BIG, 3))))
-    def test_residues_are_the_exact_sum_mod_p(self, cell, beta0):
+    @given(_edge_cells(), st.sampled_from((F(0), F(3), F(-7, 5), F(_BIG, 3))),
+           st.integers(0, 2**32))
+    def test_residues_are_the_exact_sum_mod_p(self, cell, beta0, seed):
+        # each data point reads one shared view pass, as the samples of a
+        # count and the attempts of a cross-check do, and a data pass must
+        # leave it as it found it
         f, arr, u = cell
-        charts = Scene(f, arr).charts
-        images = [apply_camera(c, f) for c in arr.cameras]
-        for views, size, kwargs in (
-                (charts, 3 * f.e * arr.n - 1, {"wronskian": True}),
-                (images, 2 * f.e * arr.n + 1, {"wronskian": False, "constant": beta0})):
-            h, p = eddeg._kron_sum_mod(views, u.u, size, **kwargs)
-            assert p == 2**17 - 1
-            assert h == [c % p for c in eddeg._kron_sum(views, u.u, size, **kwargs)[0]]
+        rows = (u.u, random_data_point(seed, arr.n, arr.h).u, u.u)
+        for views, size, wronskian, constant in (
+                (Scene(f, arr).charts, 3 * f.e * arr.n - 1, True, F(0)),
+                ([apply_camera(c, f) for c in arr.cameras], 2 * f.e * arr.n + 1,
+                 False, beta0)):
+            shared = eddeg._mod_views(views, size, wronskian=wronskian)
+            assert shared.p == 2**17 - 1
+            for row in rows:
+                h, p = eddeg._kron_sum_mod(shared, row, constant=constant)
+                exact = eddeg._kron_sum(views, row, size, wronskian=wronskian,
+                                        constant=constant)[0]
+                assert h == [c % p for c in exact]
 
     @pytest.mark.parametrize("size, k", [(2047, 17), (2048, 19)])
     def test_the_slot_width_picks_the_prime(self, size, k):
@@ -1060,7 +1070,7 @@ class TestModularCertificate:
         arr = generic_arrangement(11, 1, 2, 3)
         views = Scene(tw, arr).charts
         u = random_data_point(3, 1, 2).u
-        h, p = eddeg._kron_sum_mod(views, u, size, wronskian=True)
+        h, p = kron_sum_mod(views, u, size, wronskian=True)
         assert p == 2**k - 1
         assert h == [c % p for c in eddeg._kron_sum(views, u, size, wronskian=True)[0]]
 
@@ -1195,9 +1205,10 @@ def _spy_others(monkeypatch) -> list:
     call, with whether it was the count's (Wronskian) one; the list."""
     seen, certify = [], eddeg._squarefree_mod_p
 
-    def spy(views, rows, size, others, **kwargs):
-        seen.append((kwargs["wronskian"], [list(b) for b in others]))
-        return certify(views, rows, size, others, **kwargs)
+    def spy(views, rows, others, **kwargs):
+        # only the count's view pass forms Wronskians
+        seen.append((views.viewed[0][2] is not None, [list(b) for b in others]))
+        return certify(views, rows, others, **kwargs)
 
     monkeypatch.setattr(eddeg, "_squarefree_mod_p", spy)
     return seen
@@ -1325,6 +1336,111 @@ class TestCertificateDischargesThePoleGcds:
         assert genericity_certificate(arr, tw, scene=fresh).passes
         assert euler_cross_check(tw, arr, 5, scene=fresh) == 16
         assert others[-1] == (False, [])
+
+
+def _spy_calls(monkeypatch, names) -> dict:
+    """Patch each ``eddeg`` function of ``names`` to count its calls; the
+    counts by name."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def spy(*args, _name=name, _fn=getattr(eddeg, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(eddeg, name, spy)
+    return calls
+
+
+class TestOneViewPassPerCount:
+    """The data-free half of the residue assembly, the view pass, runs once
+    per count and once per cross-check
+    (``TestModularCertificate::test_residues_are_the_exact_sum_mod_p``
+    checks the residues that each data point reads from it)."""
+
+    @pytest.mark.parametrize("proved", [True, False], ids=["proved", "exact"])
+    def test_the_view_pass_runs_once_per_count(self, monkeypatch, proved):
+        # the cuspidal cubic's samples fall through to the exact path, whose
+        # own view passes run in the integer rings
+        f = twisted_cubic() if proved else cuspidal_cubic()
+        arr = generic_arrangement(100, 2, 2, 3) if proved else generic_arrangement(9, 2, 2, 2)
+        calls = _spy_calls(monkeypatch, ("_mod_views", "_kron_sum_mod", "_kron_sum"))
+        rep = ed_degree_affine(f, arr, 5)
+        assert rep.certificate.passes is proved
+        assert calls == {"_mod_views": 1, "_kron_sum_mod": 2,
+                         "_kron_sum": 0 if proved else 2}
+        assert exact_outcome(ed_degree_affine, f, arr, 5) == rep
+        if proved:
+            calls.update(dict.fromkeys(calls, 0))
+            assert euler_cross_check(f, arr, 5) == 16
+            assert calls == {"_mod_views": 1, "_kron_sum_mod": 1, "_kron_sum": 0}
+
+
+class TestSInfFromTheCertificate:
+    """A passing certificate gives prod Q_k exactly en distinct zeros on
+    P^1, so a cross-check on a certified scene takes #S_inf from the formal
+    degree and takes no squarefree part of prod q."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_small_cells())
+    def test_the_lemma_on_small_cells(self, cell):
+        sp = pytest.importorskip("sympy")
+        f, arr = cell
+        try:
+            assume(genericity_certificate(arr, f).passes)
+        except ValueError:
+            assume(False)  # every view maps the curve to a point
+        form = Scene(f, arr).prod_q_form
+        x = sp.symbols("x")
+        chart = _sympy_chart(form, x)
+        distinct = sp.sqf_part(chart).degree() + (chart.degree() < form.degree)
+        assert distinct == form.degree == f.e * arr.n
+
+    def _squarefree_parts(self, monkeypatch) -> list:
+        seen, squarefree = [], exactnum.squarefree_part
+        monkeypatch.setattr(exactnum, "squarefree_part",
+                            lambda p: seen.append(p) or squarefree(p))
+        return seen
+
+    def test_only_an_uncertified_cross_check_counts_the_zeros(self, monkeypatch):
+        tw, arr = twisted_cubic(), generic_arrangement(100, 2, 2, 3)
+        fresh = Scene(tw, arr)
+        chart = fresh.prod_q_form.dehom()
+        seen = self._squarefree_parts(monkeypatch)
+        # no certificate is held yet: the cross-check counts the zeros
+        assert euler_cross_check(tw, arr, 5, scene=fresh) == 16
+        assert seen == [chart]
+        assert genericity_certificate(arr, tw, scene=fresh).passes
+        seen.clear()
+        assert euler_cross_check(tw, arr, 5, scene=fresh) == 16
+        assert seen == []
+
+    def test_a_failing_certificate_counts_the_zeros(self, monkeypatch):
+        # Q = s^2 on the conic: one distinct zero, where the formal degree is 2
+        f = curve_from_dict(_load("conic.json"))
+        arr = arrangement_from_dict(_load("parabola_cam.json"))
+        fresh = Scene(f, arr)
+        assert not genericity_certificate(arr, f, scene=fresh).passes
+        seen = self._squarefree_parts(monkeypatch)
+        assert outcome(euler_cross_check, f, arr, 11, scene=fresh) == \
+            exact_outcome(euler_cross_check, f, arr, 11, scene=fresh)
+        assert fresh.prod_q_form.dehom() in seen
+        assert hom_distinct_root_count(fresh.prod_q_form) == 1
+
+class TestSumSquaresModPOnCells:
+    """The certificate with its sum-of-squares test proved mod p where the
+    residues prove it (``scene._sum_square_coprime_mod_p``) is the exact one;
+    ``tests/test_scene.py`` tests the proof itself."""
+
+    @settings(max_examples=60, deadline=None, phases=_NO_SHRINK)
+    @given(_small_cells())
+    def test_small_cells_give_the_exact_certificate(self, cell):
+        # the certificate's sum-of-squares test proved mod p gives the
+        # certificate of the exact hom_gcd, reasons and all
+        f, arr = cell
+        got = outcome(scene._certify, Scene(f, arr))
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(scene, "_sum_square_coprime_mod_p", lambda q, ps: False)
+            assert got == outcome(scene._certify, Scene(f, arr))
 
 
 class TestEulerCrossCheck:

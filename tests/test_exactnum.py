@@ -52,6 +52,18 @@ class TestRationalStrings:
         with pytest.raises(ValueError):
             rat_from_str(bad)
 
+    @pytest.mark.parametrize("bad", ["\u0663", "\uff11\uff12", "1/\u0662", "-\u0967", "+\u0663/4"])
+    def test_rejects_non_ascii_digits(self, bad):
+        # Arabic-Indic, fullwidth and Devanagari digits, which int() reads,
+        # are outside the schemas' [0-9]
+        assert int(bad.lstrip("+-").split("/")[-1]) >= 0
+        with pytest.raises(ValueError, match="not a rational literal"):
+            rat_from_str(bad)
+
+    def test_a_plus_sign_is_accepted(self):
+        assert rat_from_str("+3") == 3
+        assert rat_from_str("+3/4") == F(3, 4)
+
     def test_round_trip(self):
         for v in (F(0), F(7), F(-7), F(22, 7), F(-3, 1000)):
             assert rat_from_str(rat_to_str(v)) == v

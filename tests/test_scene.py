@@ -381,6 +381,113 @@ class TestGenericityCertificate:
         assert d["pairwise_resultants"][0]["i"] == 0
 
 
+_P17 = 2**17 - 1
+# small entries make shared zeros, repeated zeros and zeros at [0:1]
+# common; multiples of p make residues vanish that are not zero
+_SSQ_ENTRY = st.one_of(st.integers(-2, 2), st.builds(F, st.integers(-9, 9), st.integers(1, 4)),
+                       st.sampled_from((_P17, -2 * _P17, F(_P17, 3), 10**40 + 1)))
+
+
+@st.composite
+def _view_forms(draw):
+    """(Q, [P_j]): one view's chart form and h in 1..3 image forms of degree e <= 4."""
+    e = draw(st.integers(1, 4))
+    form = st.lists(_SSQ_ENTRY, min_size=e + 1, max_size=e + 1).map(lambda c: HomPoly2(e, c))
+    return draw(form), draw(st.lists(form, min_size=1, max_size=3))
+
+
+def _exact_sum_square_trivial(q: HomPoly2, ps) -> bool:
+    """The certificate's exact test: sum_j P_j^2 is not zero and its gcd
+    with Q is constant."""
+    ssq = HomPoly2(2 * q.degree)
+    for p in ps:
+        ssq = ssq + p * p
+    return not ssq.is_zero and exactnum.hom_gcd(q, ssq).degree == 0
+
+
+def _exact_certificate(monkeypatch, f, arr):
+    """The certificate of a fresh scene with no sum-of-squares test proved
+    mod p."""
+    with monkeypatch.context() as m:
+        m.setattr(scene, "_sum_square_coprime_mod_p", lambda q, ps: False)
+        return scene._certify(Scene(f, arr))
+
+
+class TestSumSquaresModP:
+    """The certificate's sum-of-squares test is proved from residues mod
+    2**17 - 1 where they can prove it, and takes the exact gcd otherwise;
+    the certificate is the exact one either way."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_view_forms())
+    @example((H(2, 1, 0, 1), [H(2, 1, 0, 0), H(2, 0, 1, 0)]))
+    @example((H(1, 1, 2), [H(1, 0, _P17), H(1, _P17, _P17)]))
+    def test_a_proof_agrees_with_the_exact_gcd(self, view):
+        # the examples: the circle, whose chart 1 + t^2 is p_1^2 + p_2^2;
+        # a sum of squares that vanishes mod p but is coprime to Q
+        q, ps = view
+        if q.is_zero:
+            return
+        exact = _exact_sum_square_trivial(q, ps)
+        proved = scene._sum_square_coprime_mod_p(q, ps)
+        assert not proved or exact
+
+    @pytest.mark.parametrize("case", ["conic", "degree drop", "vanishing", "zero mod p"])
+    def test_planted_failures_fall_through(self, monkeypatch, case):
+        line = RationalCurve(N=3, e=1, coords=(H(1, 1, 0), H(1, 0, 1), HomPoly2(1), HomPoly2(1)))
+        if case == "conic":
+            # Q = s^2: a double zero at [0:1], where t^4 + s^2 t^2 is 1
+            f = curve_from_dict(json.loads((DATA / "conic.json").read_text()))
+            arr = arrangement_from_dict(json.loads((DATA / "parabola_cam.json").read_text()))
+        elif case == "degree drop":
+            # every chart vanishes at [0:1]
+            f = twisted_cubic()
+            arr = Arrangement((random_camera_degree_drop(3),))
+        elif case == "vanishing":
+            # camera 0's image rows pick the line's two zero coordinates
+            f = line
+            arr = Arrangement((Camera(2, 3, ((1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))),
+                               random_camera(5, 2, 3)))
+        else:
+            # Q = s + 2t, P = (p t, p (s + t)): sum P^2 = 0 mod p, yet
+            # coprime to Q
+            f = RationalCurve(N=2, e=1, coords=(H(1, 1, 0), H(1, 0, 1), H(1, 1, 1)))
+            arr = Arrangement((Camera(2, 2, ((1, 2, 0), (0, _P17, 0), (0, 0, _P17))),))
+        proofs, gcds = [], []
+        prove, exact_gcd = scene._sum_square_coprime_mod_p, scene.hom_gcd
+        monkeypatch.setattr(scene, "_sum_square_coprime_mod_p",
+                            lambda q, ps: proofs.append(prove(q, ps)) or proofs[-1])
+        monkeypatch.setattr(scene, "hom_gcd",
+                            lambda a, b: gcds.append(exact_gcd(a, b)) or gcds[-1])
+        cert = scene._certify(Scene(f, arr))
+        assert proofs[0] is False
+        want = {"conic": [True], "degree drop": [True], "vanishing": [False, True],
+                "zero mod p": [True]}[case]
+        assert list(cert.sum_square_gcd_trivial) == want
+        if case == "vanishing":
+            # the zero sum of squares needs no gcd, and camera 1 is proved
+            assert proofs == [False, True] and gcds == []
+            assert "camera 0 image coordinates vanish identically" in cert.reasons
+        else:
+            assert proofs == [False] and len(gcds) == 1
+        assert cert == _exact_certificate(monkeypatch, f, arr)
+
+    def test_a_proved_view_builds_no_exact_sum_of_squares(self, monkeypatch):
+        f = random_curve(2024, 6, 5)
+        arr = Arrangement(tuple(random_camera(700 + i, 3, 5) for i in range(8)))
+        fresh = Scene(f, arr)
+        fresh.cusps  # read first: the cusp form multiplies no forms either
+        products, gcds = [], []
+        mul = HomPoly2.__mul__
+        monkeypatch.setattr(HomPoly2, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+        monkeypatch.setattr(scene, "hom_gcd", lambda a, b: gcds.append(1))
+        cert = fresh.certificate
+        assert cert.passes and all(cert.sum_square_gcd_trivial)
+        assert (products, gcds) == ([], [])
+        monkeypatch.undo()
+        assert cert == _exact_certificate(monkeypatch, f, arr)
+
+
 class TestSceneFor:
     """``scene_for`` hands back the one scene it built last when asked for
     the very same curve and arrangement objects, and builds one otherwise."""
