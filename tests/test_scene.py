@@ -434,7 +434,6 @@ class TestSumSquaresModP:
 
     @pytest.mark.parametrize("case", ["conic", "degree drop", "vanishing", "zero mod p"])
     def test_planted_failures_fall_through(self, monkeypatch, case):
-        line = RationalCurve(N=3, e=1, coords=(H(1, 1, 0), H(1, 0, 1), HomPoly2(1), HomPoly2(1)))
         if case == "conic":
             # Q = s^2: a double zero at [0:1], where t^4 + s^2 t^2 is 1
             f = curve_from_dict(json.loads((DATA / "conic.json").read_text()))
@@ -445,7 +444,7 @@ class TestSumSquaresModP:
             arr = Arrangement((random_camera_degree_drop(3),))
         elif case == "vanishing":
             # camera 0's image rows pick the line's two zero coordinates
-            f = line
+            f = RationalCurve(N=3, e=1, coords=(H(1, 1, 0), H(1, 0, 1), HomPoly2(1), HomPoly2(1)))
             arr = Arrangement((Camera(2, 3, ((1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))),
                                random_camera(5, 2, 3)))
         else:
@@ -476,7 +475,7 @@ class TestSumSquaresModP:
         f = random_curve(2024, 6, 5)
         arr = Arrangement(tuple(random_camera(700 + i, 3, 5) for i in range(8)))
         fresh = Scene(f, arr)
-        fresh.cusps  # read first: the cusp form multiplies no forms either
+        fresh.cusps  # computed first, so that only the certificate's own work is counted
         products, gcds = [], []
         mul = HomPoly2.__mul__
         monkeypatch.setattr(HomPoly2, "__mul__", lambda a, b: products.append(1) or mul(a, b))
