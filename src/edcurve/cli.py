@@ -249,15 +249,17 @@ def _count_redrawn(f: RationalCurve, draw, master: int, label: str,
         raise _CliError(f"{label}: {exc}", EXIT_GENERICITY)
 
 
-def _attach_cross_check(outcome: CellOutcome, master: int, label: str) -> EDReport:
+def _attach_cross_check(f: RationalCurve, outcome: CellOutcome, master: int,
+                        label: str) -> EDReport:
     """The outcome's report with ``cross_check`` filled when the check
-    applies, read from the count's scene; genericity failures escalate."""
-    rep, scene = outcome.report, outcome.scene
+    applies, on the curve f and the outcome's arrangement, so that it reads
+    the count's scene (``scene_for``); genericity failures escalate."""
+    rep = outcome.report
     if not rep.certificate.passes:
         return rep
     try:
-        value = euler_cross_check(scene.curve, scene.arrangement,
-                                  derive_seed(master, f"{label}:beta"), scene=scene)
+        value = euler_cross_check(f, outcome.arrangement,
+                                  derive_seed(master, f"{label}:beta"))
     except NonGenericBetaError as exc:
         raise _CliError(str(exc), EXIT_GENERICITY)
     return EDReport(**{**rep.__dict__, "cross_check": value})
@@ -270,7 +272,7 @@ def _attach_cross_check(outcome: CellOutcome, master: int, label: str) -> EDRepo
 def cmd_eddeg(ns) -> int:
     f, arr, first = _scene_files(ns)
     outcome = _count(f, arr, ns.seed, "eddeg", ns.retries, first_data=first)
-    rep = _attach_cross_check(outcome, ns.seed, "eddeg")
+    rep = _attach_cross_check(f, outcome, ns.seed, "eddeg")
     _emit(ns, _report_text(rep), rep.to_json_dict())
     return EXIT_OK
 
@@ -310,7 +312,7 @@ def cmd_sweep(ns) -> int:
         cell = {"e": e, "n": n, "h": h, "variant": variant, "cell_seed":
                 derive_seed(ns.seed, label)}
         try:
-            rep = _attach_cross_check(_count(f, arr, ns.seed, label, ns.retries),
+            rep = _attach_cross_check(f, _count(f, arr, ns.seed, label, ns.retries),
                                       ns.seed, label)
         except (_CliError, CellExhaustedError) as exc:
             cell["status"] = "error"

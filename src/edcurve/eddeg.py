@@ -79,12 +79,14 @@ from .exactnum import (
     _mersenne_fold,
     _mod_gcd,
     _pack_residues,
+    _rat_array,
     _sign,
     _uni,
     distinct_root_count,
     hom_distinct_root_count,
     hom_resultant_is_nonzero,
     poly_gcd,
+    rat_from_str,
     rat_to_str,
     refine_root,
     squarefree_part,
@@ -142,10 +144,8 @@ class DataPoint:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DataPoint":
-        from .exactnum import rat_from_str
-
         try:
-            u = tuple(tuple(rat_from_str(x) for x in row) for row in d["u"])
+            u = tuple(_rat_array(row) for row in d["u"])
             beta0 = rat_from_str(d.get("beta0", "0"))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed data object: {exc}") from exc
@@ -170,9 +170,7 @@ def random_data_point(seed: int, n: int, h: int) -> DataPoint:
 # the critical polynomial and its reduction
 # ---------------------------------------------------------------------------
 
-def critical_polynomial(
-    f: RationalCurve, arr: Arrangement, u: DataPoint, *, scene: Optional[Scene] = None
-) -> UniPoly:
+def critical_polynomial(f: RationalCurve, arr: Arrangement, u: DataPoint) -> UniPoly:
     """Numerator of d/dt of the squared distance, assembled term-exactly.
 
     g = sum_i n_i prod_{k != i} q_k^3 with n_i = sum_j (p_ij - u_ij q_i) W_ij
@@ -180,11 +178,11 @@ def critical_polynomial(
     over prod q_k^3, evaluated at X and unpacked once (:func:`_kron_sum`).
     Its degree is at most 3en - 2: every chart has degree at most e, and the
     t^(2e-1) coefficients of p'_ij q_i and p_ij q'_i are both e times the
-    product of the t^e coefficients, so deg W_ij <= 2e - 2.  ``scene`` may
-    pass in the :class:`Scene` of (f, arr).
+    product of the t^e coefficients, so deg W_ij <= 2e - 2.  The charts are
+    those of :func:`scene_for`'s :class:`Scene` of (f, arr).
     """
     u.check_shape(arr)
-    scene = scene_for(f, arr, scene)
+    scene = scene_for(f, arr)
     scene.check_charts()
     return _uni(*_kron_sum(scene.charts, u.u, 3 * f.e * arr.n - 1, wronskian=True))
 
@@ -452,16 +450,16 @@ class ReducedCritical:
 
 
 def reduce_critical_polynomial(
-    f: RationalCurve, arr: Arrangement, u: DataPoint, *, scene: Optional[Scene] = None
+    f: RationalCurve, arr: Arrangement, u: DataPoint
 ) -> ReducedCritical:
     """Squarefree part of the critical polynomial, saturated against the
-    poles and the cusps; ``scene`` as in :func:`critical_polynomial`.
+    poles and the cusps of :func:`scene_for`'s :class:`Scene` of (f, arr).
 
     Refuses h = 1 (module docstring) and a scene whose every view maps the
     curve to a point."""
-    scene = _reduction_scene(f, arr, u, scene)
+    scene = _reduction_scene(f, arr, u)
     cusps = scene.cusp_chart
-    g = critical_polynomial(f, arr, u, scene=scene)
+    g = critical_polynomial(f, arr, u)
     if g.is_zero:
         raise ValueError("critical polynomial vanished identically; data sits on "
                          "the variety's symmetry locus")
@@ -487,18 +485,17 @@ def reduce_critical_polynomial(
     )
 
 
-def _reduction_scene(f: RationalCurve, arr: Arrangement, u: DataPoint,
-                     scene: Optional[Scene]) -> Scene:
-    """The scene of (f, arr), once the refusals that precede every
-    reduction have passed, in their order: h = 1, the data's shape and a
-    vanishing chart.  A point image is refused next, by the first read of
+def _reduction_scene(f: RationalCurve, arr: Arrangement, u: DataPoint) -> Scene:
+    """:func:`scene_for`'s scene of (f, arr), once the refusals that precede
+    every reduction have passed, in their order: h = 1, the data's shape and
+    a vanishing chart.  A point image is refused next, by the first read of
     ``scene.cusp_chart``."""
     if arr.h < 2:
         raise ValueError("h = 1 arrangements are refused: a view onto a line "
                          "ramifies at smooth points, which the cusp saturation "
                          "would remove")
     u.check_shape(arr)
-    scene = scene_for(f, arr, scene)
+    scene = scene_for(f, arr)
     scene.check_charts()
     return scene
 
@@ -506,9 +503,10 @@ def _reduction_scene(f: RationalCurve, arr: Arrangement, u: DataPoint,
 def _sample_count(f: RationalCurve, arr: Arrangement, u: DataPoint,
                   scene: Scene, views: _ModViews) -> tuple[int, int, int, int]:
     """(count, deg g, removed pole degree, removed cusp degree) of one data
-    sample, as :func:`reduce_critical_polynomial` gives them; ``views`` is
-    the :func:`_mod_views` of the scene's charts for size 3en - 1, which
-    every sample of a count shares.
+    sample, as :func:`reduce_critical_polynomial` gives them, on the scene
+    of (f, arr) once its refusals have passed (:func:`_reduction_scene`);
+    ``views`` is the :func:`_mod_views` of the scene's charts for size
+    3en - 1, which every sample of a count shares.
 
     First the residues of g's integer multiple H mod p
     (:func:`_squarefree_mod_p`): when they prove that g has the degree bound
@@ -521,10 +519,8 @@ def _sample_count(f: RationalCurve, arr: Arrangement, u: DataPoint,
     discriminant, sum-of-squares and resultant conditions make each factor
     nonzero (``scene.Scene``); ``immersion_ok`` makes the cusp chart
     constant.  Then only the gcd with H' is taken.  Without one, both gcds
-    stay.  Any other outcome runs the exact reduction, after the same
-    refusals in the same order.
+    stay.  Any other outcome runs the exact reduction.
     """
-    scene = _reduction_scene(f, arr, u, scene)
     cusps = scene.cusp_chart
     bound = 3 * f.e * arr.n - 2
     if scene.certified:
@@ -533,7 +529,7 @@ def _sample_count(f: RationalCurve, arr: Arrangement, u: DataPoint,
         others = [scene.prod_q.num, cusps.num] if cusps.degree else [scene.prod_q.num]
     if _squarefree_mod_p(views, u.u, others):
         return bound, bound, 0, 0
-    rc = reduce_critical_polynomial(f, arr, u, scene=scene)
+    rc = reduce_critical_polynomial(f, arr, u)
     return (rc.reduced.degree, rc.raw.degree, rc.removed_pole_factors,
             rc.removed_immersion_factors)
 
@@ -584,7 +580,6 @@ def ed_degree_affine(
     seed: int,
     *,
     data_points: Optional[Sequence[DataPoint]] = None,
-    scene: Optional[Scene] = None,
 ) -> EDReport:
     """Distinct critical points of the squared distance to the affine multiview curve.
 
@@ -592,12 +587,11 @@ def ed_degree_affine(
     and requires agreement (raising :class:`DataInstabilityError` otherwise).
     ``data_points`` overrides the sampler with explicit data (reproduction and
     testing); exactly two points are used.  Both samples and the certificate
-    read one :class:`Scene`: ``scene`` when passed in, else
-    :func:`scene_for`'s.  The certificate is taken after the refusals that
-    precede every sample, in their order, and before the samples, which
-    read it (:func:`_sample_count`).  The residue view pass of the charts
-    (:func:`_mod_views`) is taken once, after the certificate, and both
-    samples read it.
+    read :func:`scene_for`'s :class:`Scene` of (f, arr).  The certificate is
+    taken after the refusals that precede every sample, in their order, and
+    before the samples, which read it (:func:`_sample_count`).  The residue
+    view pass of the charts (:func:`_mod_views`) is taken once, after the
+    certificate, and both samples read it.
     """
     if data_points is None:
         samples = [random_data_point(seed, arr.n, arr.h),
@@ -609,11 +603,11 @@ def ed_degree_affine(
 
     for s in samples:
         s.check_shape(arr)
-    scene = scene_for(f, arr, scene)
+    scene = scene_for(f, arr)
     scene.check_charts()
     # h = 1 and a point image are refused here, as the first sample would
-    _reduction_scene(f, arr, samples[0], scene).cusp_chart
-    cert = genericity_certificate(arr, f, scene=scene)
+    _reduction_scene(f, arr, samples[0]).cusp_chart
+    cert = genericity_certificate(arr, f)
     views = _mod_views(scene.charts, 3 * f.e * arr.n - 1, wronskian=True)
     counts = [_sample_count(f, arr, s, scene, views) for s in samples]
     if counts[0][0] != counts[1][0]:
@@ -654,12 +648,11 @@ class CellExhaustedError(RuntimeError):
 
 @dataclass(frozen=True)
 class CellOutcome:
-    """The accepted count, the arrangement and :class:`Scene` it used, and
-    why each earlier attempt was rejected, in order."""
+    """The accepted count, the arrangement it used, and why each earlier
+    attempt was rejected, in order."""
 
     report: EDReport
     arrangement: Arrangement
-    scene: Scene
     rejected: tuple[str, ...]
 
 
@@ -681,11 +674,11 @@ def count_cell(
     rejected on :class:`DataInstabilityError`, on a failed certificate when
     ``require_certificate``, and on ``ValueError`` only when the cameras are
     redrawn: with a fixed arrangement a degenerate scene propagates, since
-    reseeding the data cannot cure it.  Each attempt counts on one
-    :class:`Scene` (:func:`scene_for`, so retries on a fixed arrangement
-    share one, and its certificate), which the outcome hands back so that a
-    cross-check can read it.  Raises :class:`CellExhaustedError` when no
-    attempt is accepted.
+    reseeding the data cannot cure it.  Each attempt counts on
+    :func:`scene_for`'s :class:`Scene`, so retries on a fixed arrangement
+    share one, and its certificate, and a cross-check on the outcome's
+    arrangement reads the accepted attempt's.  Raises
+    :class:`CellExhaustedError` when no attempt is accepted.
     """
     redraw = not isinstance(arrangement, Arrangement)
     rejected: list[str] = []
@@ -699,8 +692,7 @@ def count_cell(
                 # as in ed_degree_affine
                 first_data.check_shape(arr)
                 samples = (first_data, random_data_point(seed, arr.n, arr.h))
-            scene = scene_for(f, arr, None)
-            rep = ed_degree_affine(f, arr, seed, data_points=samples, scene=scene)
+            rep = ed_degree_affine(f, arr, seed, data_points=samples)
         except DataInstabilityError as exc:
             rejected.append(str(exc))
             continue
@@ -712,8 +704,7 @@ def count_cell(
         if require_certificate and not rep.certificate.passes:
             rejected.append("certificate failed: " + "; ".join(rep.certificate.reasons))
             continue
-        return CellOutcome(report=rep, arrangement=arr, scene=scene,
-                           rejected=tuple(rejected))
+        return CellOutcome(report=rep, arrangement=arr, rejected=tuple(rejected))
     raise CellExhaustedError(rejected)
 
 
@@ -721,9 +712,7 @@ def count_cell(
 # Euler-characteristic cross-check
 # ---------------------------------------------------------------------------
 
-def euler_cross_check(
-    f: RationalCurve, arr: Arrangement, seed: int, *, scene: Optional[Scene] = None
-) -> int:
+def euler_cross_check(f: RationalCurve, arr: Arrangement, seed: int) -> int:
     """#S_inf + #S_Q - 2, the parameter-line Euler-characteristic count.
 
     #S_inf: distinct zeros on P^1 of prod_i q_i (parameters mapped to infinity
@@ -738,8 +727,8 @@ def euler_cross_check(
     before giving up, since the check itself must not depend on one unlucky
     draw.  A multiview map that is not an immersion is refused: node
     contributions cancel from this balance, cusp contributions do not.
-    ``scene`` may pass in the :class:`Scene` of (f, arr); else
-    :func:`scene_for` gives one.
+    The images and pole products are those of :func:`scene_for`'s
+    :class:`Scene` of (f, arr).
 
     Each attempt first reads G mod p (:func:`_squarefree_mod_p`), G of
     formal degree 2en.  A nonzero t^(2en) residue proves that G does not
@@ -758,7 +747,7 @@ def euler_cross_check(
     (:func:`_mod_views`) is taken once and serves every attempt.  Any other
     outcome runs the attempt's exact steps.
     """
-    scene = scene_for(f, arr, scene)
+    scene = scene_for(f, arr)
     if scene.cusps.degree:
         raise CuspError("cross-check requires immersion")
     scene.check_charts()
@@ -964,9 +953,9 @@ def triangulate(
     if width_bound <= 0:
         raise ValueError("width bound must be positive")
     u.check_shape(arr)
-    scene = scene_for(f, arr, None)
+    scene = scene_for(f, arr)
     scene.check_charts()
-    rc = reduce_critical_polynomial(f, arr, u, scene=scene)
+    rc = reduce_critical_polynomial(f, arr, u)
     qprod = scene.prod_q
     intervals = sturm_isolate(rc.reduced)
     if not intervals:

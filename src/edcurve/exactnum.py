@@ -76,8 +76,9 @@ from typing import Iterable, Sequence
 Rat = Fraction
 
 # ASCII digits only, as the schemas' rational pattern: without re.ASCII, \d
-# matches every Unicode decimal digit, and int() reads "٣" as 3
-_RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$", re.ASCII)
+# matches every Unicode decimal digit, and int() reads "٣" as 3; matched
+# with fullmatch, as "$" alone also matches before a trailing newline
+_RAT_RE = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)
 
 # The primes of the modular gcd: 2**k - 1 for every Mersenne exponent k from
 # 17 to 216091, the one kind ``_mod_gcd`` reduces (by ``_mersenne_fold``,
@@ -96,14 +97,25 @@ _PRIMES = tuple((1 << k) - 1 for k in (
 
 
 def rat_from_str(s: str) -> Rat:
-    """Parse a rational literal "a/b" or "a" (optional sign, decimal digits)."""
-    if not isinstance(s, str) or not _RAT_RE.match(s.strip()):
+    """Parse a rational literal "a/b" or "a" (optional sign, decimal digits,
+    no surrounding whitespace)."""
+    if not isinstance(s, str) or not _RAT_RE.fullmatch(s):
         raise ValueError(f"not a rational literal: {s!r}")
-    num, _, den = s.strip().partition("/")
+    num, _, den = s.partition("/")
     d = _str_to_int(den) if den else 1
     if d == 0:
         raise ValueError(f"zero denominator in rational literal: {s!r}")
     return Fraction(_str_to_int(num), d)
+
+
+def _rat_array(row) -> tuple[Rat, ...]:
+    """The rationals of a JSON array of rational literals.  Raises
+    ``TypeError`` on anything but a list: a string would otherwise be read
+    character by character, "1000" as four literals."""
+    if not isinstance(row, list):
+        raise TypeError("expected an array of rational literals, "
+                        f"not {type(row).__name__}")
+    return tuple(rat_from_str(x) for x in row)
 
 
 def rat_to_str(x: Rat) -> str:

@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import comb
 from typing import Sequence
 
-from .exactnum import HomPoly2, Rat, rat_from_str, rat_to_str
+from .exactnum import HomPoly2, Rat, _rat_array, rat_to_str
 from .scene import Camera, RationalCurve
 
 # ---------------------------------------------------------------------------
@@ -264,7 +264,7 @@ class BezierCurve:
     @classmethod
     def from_dict(cls, d: dict) -> "BezierCurve":
         try:
-            pts = tuple(tuple(rat_from_str(x) for x in p) for p in d["control"])
+            pts = tuple(_rat_array(p) for p in d["control"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed bezier object: {exc}") from exc
         return cls(E=len(pts) - 1, control=pts)

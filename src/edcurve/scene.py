@@ -48,11 +48,11 @@ from .exactnum import (
     _hom,
     _mod_gcd,
     _pack_residues,
+    _rat_array,
     hom_discriminant,
     hom_gcd,
     hom_gcd_many,
     hom_resultant,
-    rat_from_str,
     rat_to_str,
 )
 
@@ -354,27 +354,24 @@ class Scene:
 _last_scene: Scene | None = None
 
 
-def scene_for(f: RationalCurve, arr: Arrangement, scene: Scene | None) -> Scene:
-    """``scene`` when it was built from (f, arr); when it is None, the scene
-    that this function built last if that was from these very objects
-    (``is``, not ``==``), and a new one otherwise, which it remembers.
+def scene_for(f: RationalCurve, arr: Arrangement) -> Scene:
+    """The scene that this function built last if that was from these very
+    objects (``is``, not ``==``), and a new one otherwise, which it
+    remembers.  :func:`genericity_certificate` and every public function of
+    ``eddeg`` that reads a scene get it here; none takes one as an argument.
 
     The one remembered scene is held strongly, so the identities it is
     compared by cannot be reused by other objects while it is held.  A
     scene depends only on its curve and arrangement, both immutable, so a
     count repeated on the same objects, its certificate, its cross-check and
-    a triangulation all read one scene and its caches.
+    a triangulation all read one scene and its caches.  Equal but distinct
+    objects get a scene of their own.
     """
     global _last_scene
-    if scene is None:
-        last = _last_scene
-        if last is not None and last.curve is f and last.arrangement is arr:
-            return last
-        scene = _last_scene = Scene(f, arr)
-        return scene
-    if scene.curve != f or scene.arrangement != arr:
-        raise ValueError("the scene was built from another curve or arrangement")
-    return scene
+    last = _last_scene
+    if last is None or last.curve is not f or last.arrangement is not arr:
+        last = _last_scene = Scene(f, arr)
+    return last
 
 
 # ---------------------------------------------------------------------------
@@ -425,19 +422,15 @@ class GenericityCertificate:
         }
 
 
-def genericity_certificate(
-    arr: Arrangement, f: RationalCurve, *, scene: Scene | None = None
-) -> GenericityCertificate:
+def genericity_certificate(arr: Arrangement, f: RationalCurve) -> GenericityCertificate:
     """Every certificate quantity, exact and deterministic: the
-    ``certificate`` of the scene of (f, arr), computed once per scene.
-
-    ``scene`` may pass in the :class:`Scene` of (f, arr) when the caller
-    already has it (:func:`scene_for`).  Raises ``ValueError`` when every
-    view maps the curve to a point (:func:`cusp_form`).
+    ``certificate`` of :func:`scene_for`'s scene of (f, arr), computed once
+    per scene.  Raises ``ValueError`` when every view maps the curve to a
+    point (:func:`cusp_form`).
     """
     if arr.N != f.N:
         raise ValueError("arrangement and curve dimensions differ")
-    return scene_for(f, arr, scene).certificate
+    return scene_for(f, arr).certificate
 
 
 def _certify(scene: Scene) -> GenericityCertificate:
@@ -673,7 +666,7 @@ def curve_from_dict(d: dict) -> RationalCurve:
         e = _json_int(d, "degree")
         coords = []
         for row in d["coords"]:
-            row = tuple(rat_from_str(x) for x in row)
+            row = _rat_array(row)
             if len(row) != e + 1:
                 raise ValueError(f"a coordinate row holds {len(row)} coefficients, "
                                  f"not degree + 1 = {e + 1}")
@@ -695,7 +688,7 @@ def camera_from_dict(d: dict) -> Camera:
     try:
         h = _json_int(d, "h")
         N = _json_int(d, "N")
-        rows = tuple(tuple(rat_from_str(x) for x in row) for row in d["rows"])
+        rows = tuple(_rat_array(row) for row in d["rows"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed camera object: {exc}") from exc
     return Camera(h=h, N=N, entries=rows)

@@ -146,6 +146,16 @@ class TestEddeg:
         assert (code, out) == (1, "")
         assert err.startswith("edcurve: error:") and "not a rational literal" in err
 
+    def test_a_string_row_exits_one(self, capsys, tmp_path):
+        # the schema's rows are arrays; the string "1000" is not read as the
+        # four literals 1, 0, 0, 0
+        path = tmp_path / "cameras.json"
+        path.write_text(json.dumps({"cameras": [
+            {"h": 2, "N": 3, "rows": ["1000", "0100", "0010"]}]}))
+        code, out, err = run_cli(capsys, "eddeg", "--curve", TW, "--cameras", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("edcurve: error:") and "malformed camera object" in err
+
     def test_missing_file_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "eddeg", "--curve", "no_such_file.json",
                                "--cameras", ONE)
@@ -334,7 +344,7 @@ class TestTriangulate:
         assert max(len(d) for d in env["results"]["distances"]) > 4300
 
     def test_invalid_tolerance_exits_one(self, capsys):
-        for bad in ("--tol=0", "--tol=-1/2", "--tol=abc"):
+        for bad in ("--tol=0", "--tol=-1/2", "--tol=abc", "--tol= 1/10"):
             code, _, err = run_cli(capsys, "triangulate", "--curve", TW,
                                    "--cameras", ONE, bad)
             assert code == 1, bad

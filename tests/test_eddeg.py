@@ -67,6 +67,7 @@ from edcurve.scene import (
     random_camera_degree_drop,
     random_curve,
     rational_normal_curve,
+    scene_for,
 )
 
 
@@ -144,6 +145,9 @@ class TestDataPoint:
     def test_malformed(self):
         with pytest.raises(ValueError, match="malformed data object"):
             DataPoint.from_dict({"u": "nope"})
+        # a string row is not read digit by digit as u = ((1, 2), (3, 4))
+        with pytest.raises(ValueError, match="malformed data object.*array"):
+            DataPoint.from_dict({"u": ["12", "34"]})
 
     def test_sampler_deterministic(self):
         assert random_data_point(9, 2, 3) == random_data_point(9, 2, 3)
@@ -419,8 +423,7 @@ class TestCountCell:
         assert out.rejected == () and not rep.certificate.passes
         assert (rep.ed_degree, rep.critical_poly_degree) == (34, 46)
         assert rep.removed_pole_factors == 4
-        raw = reduce_critical_polynomial(f, arr, random_data_point(11, 4, 3),
-                                         scene=out.scene).raw
+        raw = reduce_critical_polynomial(f, arr, random_data_point(11, 4, 3)).raw
         t = sp.symbols("t")
         sqf = sp.sqf_part(sp.Poly([sp.Rational(str(c)) for c in reversed(raw.coeffs)], t))
         assert squarefree_part(raw).degree == sqf.degree() == 38
@@ -593,48 +596,39 @@ class TestOneToOneViews:
         triangulate(f, arr, random_data_point(5, 3, 2), F(1, 64))
         assert euler_cross_check(f, arr, 5) == rep.ed_degree
         assert calls == {"apply_camera": 3, "cusp_form": 1}
-        shared = Scene(f, arr)
-        assert euler_cross_check(f, arr, 5, scene=shared) == rep.ed_degree
+        # an equal but distinct arrangement gets a scene of its own
+        twin = Arrangement(arr.cameras)
+        assert euler_cross_check(f, twin, 5) == rep.ed_degree
         assert calls == {"apply_camera": 6, "cusp_form": 2}
         # the cross-check fills only the caches it reads: the cusp form and
         # the product of the chart forms; it computes no certificate
-        assert set(vars(shared)) == {"curve", "arrangement", "images", "charts",
-                                     "cusps", "prod_q_form"}
-        assert ed_degree_affine(f, arr, 5, scene=shared) == rep
+        assert set(vars(scene_for(f, twin))) == {
+            "curve", "arrangement", "images", "charts", "cusps", "prod_q_form"}
+        assert ed_degree_affine(f, twin, 5) == rep
         assert calls == {"apply_camera": 6, "cusp_form": 2}
-        # a cell's count hands its scene back, and its cross-check reads it;
-        # an explicit scene is used but not remembered, so the cell's is the
-        # first one
-        out = count_cell(f, arr, lambda k: 5, 1)
-        assert out.report == rep and out.scene.arrangement is arr
-        assert out.scene is not shared
-        assert euler_cross_check(f, arr, 5, scene=out.scene) == rep.ed_degree
+        # a cell's count and the cross-check on its outcome's arrangement
+        # read that scene again
+        out = count_cell(f, twin, lambda k: 5, 1)
+        assert out.report == rep and out.arrangement is twin
+        assert euler_cross_check(f, out.arrangement, 5) == rep.ed_degree
         assert calls == {"apply_camera": 6, "cusp_form": 2}
 
     def test_alternating_cells_count_on_their_own_scenes(self):
         # the remembered scene is matched by identity: alternating cells,
         # and an arrangement equal to another but distinct, each count on
-        # a scene of their own objects, as on a fresh one
+        # a scene of their own objects, as on fresh twins of them; the
+        # twins' cross-checks each run on a scene without a certificate
         f1, f2 = random_curve(77, 3, 3), twisted_cubic()
         a1, a2 = generic_arrangement(300, 3, 2, 3), generic_arrangement(100, 2, 2, 3)
         twin = Arrangement(a1.cameras)
-        for f, arr in ((f1, a1), (f2, a2), (f1, a1), (f1, twin), (f2, a2), (f2, twin)):
-            want = (ed_degree_affine(f, arr, 5, scene=Scene(f, arr)),
-                    euler_cross_check(f, arr, 5, scene=Scene(f, arr)))
-            assert (ed_degree_affine(f, arr, 5), euler_cross_check(f, arr, 5)) == want
-            assert want[0].ed_degree == want[1] == 3 * 3 * arr.n - 2
-
-    def test_a_scene_serves_only_its_own_curve_and_arrangement(self):
-        f = random_curve(77, 3, 3)
-        arr = generic_arrangement(300, 3, 2, 3)
-        other = generic_arrangement(400, 3, 2, 3)
-        shared = Scene(f, arr)
-        u = random_data_point(5, 3, 2)
-        with pytest.raises(ValueError, match="another curve or arrangement"):
-            critical_polynomial(f, other, u, scene=shared)
-        with pytest.raises(ValueError, match="another curve or arrangement"):
-            genericity_certificate(arr, twisted_cubic(), scene=shared)
-        assert critical_polynomial(f, arr, u, scene=shared) == critical_polynomial(f, arr, u)
+        cells = ((f1, a1), (f2, a2), (f1, a1), (f1, twin), (f2, a2), (f2, twin))
+        want = [(ed_degree_affine(f, Arrangement(arr.cameras), 5),
+                 euler_cross_check(f, Arrangement(arr.cameras), 5)) for f, arr in cells]
+        got = [(ed_degree_affine(f, arr, 5), euler_cross_check(f, arr, 5))
+               for f, arr in cells]
+        assert got == want
+        for (rep, cross), (f, arr) in zip(want, cells):
+            assert rep.ed_degree == cross == 3 * 3 * arr.n - 2
 
 
 # The camera of the monomial cell of `edcurve sweep --e 3 --n 1 --h 2 --seed
@@ -1323,18 +1317,17 @@ class TestCertificateDischargesThePoleGcds:
             assert (prod_q if wronskian else chart) in bs
 
     def test_a_lone_cross_check_keeps_the_chart_gcd(self, monkeypatch):
-        # a cross-check never computes a certificate: on a fresh scene, or
-        # on objects no count has seen, it takes the gcd with the chart of
+        # a cross-check never computes a certificate: on objects no count
+        # has seen, or on their twins, it takes the gcd with the chart of
         # prod Q_k, and it drops it once the scene holds a passing one
         tw, arr = twisted_cubic(), generic_arrangement(100, 2, 2, 3)
-        fresh = Scene(tw, arr)
-        chart = list(fresh.prod_q_form.dehom().num)
         others = _spy_others(monkeypatch)
-        assert euler_cross_check(tw, arr, 5, scene=fresh) == 16
-        assert euler_cross_check(tw, generic_arrangement(100, 2, 2, 3), 5) == 16
+        assert euler_cross_check(tw, arr, 5) == 16
+        chart = list(scene_for(tw, arr).prod_q_form.dehom().num)
+        assert euler_cross_check(tw, Arrangement(arr.cameras), 5) == 16
         assert others == [(False, [chart])] * 2
-        assert genericity_certificate(arr, tw, scene=fresh).passes
-        assert euler_cross_check(tw, arr, 5, scene=fresh) == 16
+        assert genericity_certificate(arr, tw).passes
+        assert euler_cross_check(tw, arr, 5) == 16
         assert others[-1] == (False, [])
 
 
@@ -1403,28 +1396,26 @@ class TestSInfFromTheCertificate:
 
     def test_only_an_uncertified_cross_check_counts_the_zeros(self, monkeypatch):
         tw, arr = twisted_cubic(), generic_arrangement(100, 2, 2, 3)
-        fresh = Scene(tw, arr)
-        chart = fresh.prod_q_form.dehom()
         seen = self._squarefree_parts(monkeypatch)
         # no certificate is held yet: the cross-check counts the zeros
-        assert euler_cross_check(tw, arr, 5, scene=fresh) == 16
-        assert seen == [chart]
-        assert genericity_certificate(arr, tw, scene=fresh).passes
+        assert euler_cross_check(tw, arr, 5) == 16
+        assert seen == [scene_for(tw, arr).prod_q_form.dehom()]
+        assert genericity_certificate(arr, tw).passes
         seen.clear()
-        assert euler_cross_check(tw, arr, 5, scene=fresh) == 16
+        assert euler_cross_check(tw, arr, 5) == 16
         assert seen == []
 
     def test_a_failing_certificate_counts_the_zeros(self, monkeypatch):
         # Q = s^2 on the conic: one distinct zero, where the formal degree is 2
         f = curve_from_dict(_load("conic.json"))
         arr = arrangement_from_dict(_load("parabola_cam.json"))
-        fresh = Scene(f, arr)
-        assert not genericity_certificate(arr, f, scene=fresh).passes
+        assert not genericity_certificate(arr, f).passes
         seen = self._squarefree_parts(monkeypatch)
-        assert outcome(euler_cross_check, f, arr, 11, scene=fresh) == \
-            exact_outcome(euler_cross_check, f, arr, 11, scene=fresh)
-        assert fresh.prod_q_form.dehom() in seen
-        assert hom_distinct_root_count(fresh.prod_q_form) == 1
+        assert outcome(euler_cross_check, f, arr, 11) == \
+            exact_outcome(euler_cross_check, f, arr, 11)
+        form = scene_for(f, arr).prod_q_form
+        assert form.dehom() in seen
+        assert hom_distinct_root_count(form) == 1
 
 class TestSumSquaresModPOnCells:
     """The certificate with its sum-of-squares test proved mod p where the
@@ -1743,9 +1734,9 @@ def ref_triangulate(f: RationalCurve, arr: Arrangement, u: DataPoint,
     (``ref_abs_upper``), the error bound, the world point, the image blocks
     and the lower bound.  Isolation, refinement and the interval halvings
     are triangulate's own."""
-    scene = Scene(f, arr)
+    scene = scene_for(f, arr)
     scene.check_charts()
-    rc = reduce_critical_polynomial(f, arr, u, scene=scene)
+    rc = reduce_critical_polynomial(f, arr, u)
     intervals = sturm_isolate(rc.reduced)
     if not intervals:
         return TriangulationResult((), (), (), None, None, None, width_bound, True, None)

@@ -47,7 +47,10 @@ class TestRationalStrings:
         assert rat_to_str(F(-1, 3)) == "-1/3"
         assert rat_to_str(F(0)) == "0"
 
-    @pytest.mark.parametrize("bad", ["", "1/0", "a", "1.5", "3 /4", "+-1", "1e3"])
+    # the schemas' pattern admits no whitespace, Unicode or trailing newline
+    # included ("$" alone would match before the "\n" of "3\n")
+    @pytest.mark.parametrize("bad", ["", "1/0", "a", "1.5", "3 /4", "+-1", "1e3",
+                                     " 3 ", "\u30003", "\n7/2\t", "3\n", "\xa03"])
     def test_rejects_garbage(self, bad):
         with pytest.raises(ValueError):
             rat_from_str(bad)

@@ -598,7 +598,7 @@ def _quartic_scene_polynomials():
     qprod = UniPoly((F(1),))
     for q, *_ in scene.charts:
         qprod = qprod * q
-    return reduce_critical_polynomial(f, arr, u, scene=scene).reduced, squarefree_part(qprod)
+    return reduce_critical_polynomial(f, arr, u).reduced, squarefree_part(qprod)
 
 
 class TestDescartesAgainstSturmChain:

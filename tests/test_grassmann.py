@@ -269,3 +269,6 @@ class TestBezierScroll:
         assert BezierCurve.from_dict(b.to_dict()) == b
         with pytest.raises(ValueError, match="malformed bezier"):
             BezierCurve.from_dict({"control": "nope"})
+        # "012" is not read digit by digit as the point (0, 1, 2)
+        with pytest.raises(ValueError, match="malformed bezier object.*array"):
+            BezierCurve.from_dict({"control": ["012", "345"]})

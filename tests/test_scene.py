@@ -494,10 +494,14 @@ class TestSceneFor:
     def test_the_same_objects_share_one_scene_and_one_certificate(self):
         f = twisted_cubic()
         arr = Arrangement((random_camera(101, 2, 3), random_camera(102, 2, 3)))
-        shared = scene_for(f, arr, None)
-        assert scene_for(f, arr, None) is shared
+        shared = scene_for(f, arr)
+        assert scene_for(f, arr) is shared
         cert = genericity_certificate(arr, f)
         assert shared.certificate is cert and genericity_certificate(arr, f) is cert
+        # a scene that cannot be built leaves the remembered one in place
+        with pytest.raises(ValueError, match="world dimension"):
+            scene_for(cuspidal_cubic(), arr)
+        assert scene_for(f, arr) is shared
 
     def test_alternating_pairs_and_an_equal_arrangement_get_their_own_scenes(self):
         f1, f2 = twisted_cubic(), random_curve(5, 3, 3)
@@ -508,27 +512,16 @@ class TestSceneFor:
         built = []
         for f, arr in ((f1, a1), (f2, a2), (f1, a1), (f1, twin), (f1, a1), (f2, a1),
                        (f2, a1)):
-            got = scene_for(f, arr, None)
+            got = scene_for(f, arr)
             assert got.curve is f and got.arrangement is arr
             fresh = Scene(f, arr)
             assert got.images == fresh.images and got.charts == fresh.charts
-            assert got.certificate == genericity_certificate(arr, f, scene=fresh)
+            assert genericity_certificate(arr, f) is got.certificate
+            assert got.certificate == fresh.certificate
             built.append(got)
         # one slot: only a repeat of the pair just asked for is not rebuilt
         assert built[-1] is built[-2]
         assert len({id(x) for x in built}) == len(built) - 1
-
-    def test_an_explicit_scene_is_used_but_not_remembered(self):
-        f = twisted_cubic()
-        arr = Arrangement((random_camera(101, 2, 3),))
-        remembered = scene_for(f, arr, None)
-        explicit = Scene(f, arr)
-        assert scene_for(f, arr, explicit) is explicit
-        assert scene_for(f, arr, None) is remembered
-        # a scene that cannot be built leaves the remembered one in place
-        with pytest.raises(ValueError, match="world dimension"):
-            scene_for(cuspidal_cubic(), arr, None)
-        assert scene_for(f, arr, None) is remembered
 
     def test_certified_never_computes_a_certificate(self):
         f = twisted_cubic()
@@ -568,6 +561,11 @@ class TestSerialization:
                 curve_from_dict({"N": 1, "degree": degree, "coords": [["1", "0"], ["0", "1"]]})
         with pytest.raises(ValueError):
             camera_from_dict({"h": 1, "rows": [["1", "0"], ["0", "1"]]})
+        # the rows "10" and "01" are not read digit by digit as [1, 0], [0, 1]
+        with pytest.raises(ValueError, match="malformed curve object.*array"):
+            curve_from_dict({"N": 1, "degree": 1, "coords": ["10", "01"]})
+        with pytest.raises(ValueError, match="malformed camera object.*array"):
+            camera_from_dict({"h": 1, "N": 1, "rows": ["10", "01"]})
 
     # int() reads the first four as the valid 1
     NOT_JSON_INTS = [1.5, 1.0, "1", True, None, [1]]
