@@ -183,7 +183,6 @@ def critical_polynomial(f: RationalCurve, arr: Arrangement, u: DataPoint) -> Uni
     """
     u.check_shape(arr)
     scene = scene_for(f, arr)
-    scene.check_charts()
     return _uni(*_kron_sum(scene.charts, u.u, 3 * f.e * arr.n - 1, wronskian=True))
 
 
@@ -453,10 +452,8 @@ def reduce_critical_polynomial(
     f: RationalCurve, arr: Arrangement, u: DataPoint
 ) -> ReducedCritical:
     """Squarefree part of the critical polynomial, saturated against the
-    poles and the cusps of :func:`scene_for`'s :class:`Scene` of (f, arr).
-
-    Refuses h = 1 (module docstring) and a scene whose every view maps the
-    curve to a point."""
+    poles and the cusps of :func:`scene_for`'s :class:`Scene` of (f, arr),
+    once :func:`_reduction_scene`'s refusals have passed."""
     scene = _reduction_scene(f, arr, u)
     cusps = scene.cusp_chart
     g = critical_polynomial(f, arr, u)
@@ -485,18 +482,21 @@ def reduce_critical_polynomial(
     )
 
 
-def _reduction_scene(f: RationalCurve, arr: Arrangement, u: DataPoint) -> Scene:
+def _reduction_scene(f: RationalCurve, arr: Arrangement, *samples: DataPoint) -> Scene:
     """:func:`scene_for`'s scene of (f, arr), once the refusals that precede
-    every reduction have passed, in their order: h = 1, the data's shape and
-    a vanishing chart.  A point image is refused next, by the first read of
-    ``scene.cusp_chart``."""
+    every count and reduction have passed, in their order: the shape of
+    each sample, a vanishing chart (or differing dimensions) as the scene is
+    built, h = 1 (module docstring), and a point image, by the first read of
+    ``scene.cusp_chart``.  Every entry that counts or reduces refuses
+    through this one routine."""
+    for u in samples:
+        u.check_shape(arr)
+    scene = scene_for(f, arr)
     if arr.h < 2:
         raise ValueError("h = 1 arrangements are refused: a view onto a line "
                          "ramifies at smooth points, which the cusp saturation "
                          "would remove")
-    u.check_shape(arr)
-    scene = scene_for(f, arr)
-    scene.check_charts()
+    scene.cusp_chart
     return scene
 
 
@@ -588,9 +588,10 @@ def ed_degree_affine(
     ``data_points`` overrides the sampler with explicit data (reproduction and
     testing); exactly two points are used.  Both samples and the certificate
     read :func:`scene_for`'s :class:`Scene` of (f, arr).  The certificate is
-    taken after the refusals that precede every sample, in their order, and
-    before the samples, which read it (:func:`_sample_count`).  The residue
-    view pass of the charts (:func:`_mod_views`) is taken once, after the
+    taken after the refusals of :func:`_reduction_scene` (each sample's
+    shape, a vanishing chart, h = 1, a point image), and before the
+    samples, which read it (:func:`_sample_count`).  The residue view pass
+    of the charts (:func:`_mod_views`) is taken once, after the
     certificate, and both samples read it.
     """
     if data_points is None:
@@ -601,12 +602,7 @@ def ed_degree_affine(
             raise ValueError("need exactly two explicit data points")
         samples = list(data_points)
 
-    for s in samples:
-        s.check_shape(arr)
-    scene = scene_for(f, arr)
-    scene.check_charts()
-    # h = 1 and a point image are refused here, as the first sample would
-    _reduction_scene(f, arr, samples[0]).cusp_chart
+    scene = _reduction_scene(f, arr, *samples)
     cert = genericity_certificate(arr, f)
     views = _mod_views(scene.charts, 3 * f.e * arr.n - 1, wronskian=True)
     counts = [_sample_count(f, arr, s, scene, views) for s in samples]
@@ -669,8 +665,10 @@ def count_cell(
 
     ``arrangement`` is fixed, or a function of the attempt number k that
     draws one; ``data_seed(k)`` seeds attempt k's data.  ``first_data`` pins
-    the first sample of every attempt (the second stays seed-driven, so a
-    degenerate pinned point surfaces as instability).  An attempt is
+    the first sample of every attempt, and the second is drawn from
+    ``data_seed(k) + 1``, as the report's ``seeds`` say, so a degenerate
+    pinned point surfaces as instability.  Its shape is refused with every
+    other refusal of the count (:func:`_reduction_scene`).  An attempt is
     rejected on :class:`DataInstabilityError`, on a failed certificate when
     ``require_certificate``, and on ``ValueError`` only when the cameras are
     redrawn: with a fixed arrangement a degenerate scene propagates, since
@@ -688,10 +686,7 @@ def count_cell(
             arr = arrangement(k) if redraw else arrangement
             samples = None
             if first_data is not None:
-                # a misshapen point is refused before the scene is built,
-                # as in ed_degree_affine
-                first_data.check_shape(arr)
-                samples = (first_data, random_data_point(seed, arr.n, arr.h))
+                samples = (first_data, random_data_point(seed + 1, arr.n, arr.h))
             rep = ed_degree_affine(f, arr, seed, data_points=samples)
         except DataInstabilityError as exc:
             rejected.append(str(exc))
@@ -728,7 +723,9 @@ def euler_cross_check(f: RationalCurve, arr: Arrangement, seed: int) -> int:
     draw.  A multiview map that is not an immersion is refused: node
     contributions cancel from this balance, cusp contributions do not.
     The images and pole products are those of :func:`scene_for`'s
-    :class:`Scene` of (f, arr).
+    :class:`Scene` of (f, arr); its refusals come first, in their order: a
+    vanishing chart (or differing dimensions) as the scene is built, a
+    point image, then a cusp.
 
     Each attempt first reads G mod p (:func:`_squarefree_mod_p`), G of
     formal degree 2en.  A nonzero t^(2en) residue proves that G does not
@@ -750,7 +747,6 @@ def euler_cross_check(f: RationalCurve, arr: Arrangement, seed: int) -> int:
     scene = scene_for(f, arr)
     if scene.cusps.degree:
         raise CuspError("cross-check requires immersion")
-    scene.check_charts()
     prod_q = scene.prod_q_form
     degree = 2 * sum(img[0].degree for img in scene.images)
     if scene.certified:
@@ -936,9 +932,11 @@ def triangulate(
     argmin together with a certified interval for the true attained minimum:
     each midpoint value is within ``distance_error_bounds[k]`` of its exact
     critical value, so the true minimum lies in [min_k (d_k - err_k), d_argmin].
-    One :class:`Scene` of (f, arr) (:func:`scene_for`) serves the
-    reduction and the bounds: its charts and its pole products prod q_i and
-    prod Q_i, whose cube and square are Q and Q2 below.
+    A nonpositive width bound is refused first, then whatever
+    :func:`_reduction_scene` refuses, in its order.  One :class:`Scene` of
+    (f, arr) (:func:`scene_for`) serves the reduction and the bounds: its
+    charts and its pole products prod q_i and prod Q_i, whose cube and
+    square are Q and Q2 below.
 
     The bound: the squared distance D = N / Q2 (``_perturbed_numerator`` at
     beta = u, beta0 = 0, over prod Q_i^2) has D' = 2 g / Q for Q = prod q_i^3.
@@ -952,10 +950,8 @@ def triangulate(
     width_bound = _as_rat(width_bound)
     if width_bound <= 0:
         raise ValueError("width bound must be positive")
-    u.check_shape(arr)
-    scene = scene_for(f, arr)
-    scene.check_charts()
     rc = reduce_critical_polynomial(f, arr, u)
+    scene = scene_for(f, arr)
     qprod = scene.prod_q
     intervals = sturm_isolate(rc.reduced)
     if not intervals:

@@ -386,7 +386,11 @@ _SMALL_INTS = tuple(range(-64, 65))
 
 
 def _integers(cs: Iterable) -> tuple[list[int], int]:
-    """``_clear_denominators`` of the rationals cs; ints need no conversion."""
+    """``_clear_denominators`` of the rationals cs; ints need no conversion.
+    Raises ``TypeError`` on a string, which would otherwise be read
+    character by character, "123" as 1, 2, 3 (as :func:`_rat_array`)."""
+    if isinstance(cs, str):
+        raise TypeError(f"expected a sequence of rationals, not the string {cs!r}")
     cs = list(cs)
     den = 1
     if any(type(c) is not int for c in cs):
@@ -559,10 +563,6 @@ class UniPoly:
 
     def to_strs(self) -> list[str]:
         return [rat_to_str(c) for c in self.coeffs]
-
-    @classmethod
-    def from_strs(cls, items: Iterable[str]) -> "UniPoly":
-        return cls(tuple(rat_from_str(s) for s in items))
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -796,10 +796,6 @@ class HomPoly2:
 
     def to_strs(self) -> list[str]:
         return [rat_to_str(c) for c in self.coeffs]
-
-    @classmethod
-    def from_strs(cls, degree: int, items: Sequence[str]) -> "HomPoly2":
-        return cls(degree, tuple(rat_from_str(s) for s in items))
 
     def __str__(self) -> str:
         if self.is_zero:

@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import comb
 from typing import Sequence
 
-from .exactnum import HomPoly2, Rat, _rat_array, rat_to_str
+from .exactnum import HomPoly2, Rat, _as_rat, _rat_array, rat_to_str
 from .scene import Camera, RationalCurve
 
 # ---------------------------------------------------------------------------
@@ -62,7 +62,7 @@ class PlueckerLine:
     p: tuple[Rat, ...]
 
     def __post_init__(self):
-        ps = tuple(Fraction(x) for x in self.p)
+        ps = tuple(_as_rat(x) for x in self.p)
         if len(ps) != 6:
             raise ValueError("need six Plucker coordinates")
         if all(x == 0 for x in ps):
@@ -88,8 +88,8 @@ class PlueckerLine:
 
 def pluecker_from_span(x1: Sequence[Rat], x2: Sequence[Rat]) -> PlueckerLine:
     """Six minors of [X1; X2] in the fixed index order; inputs must be independent."""
-    a = [Fraction(v) for v in x1]
-    b = [Fraction(v) for v in x2]
+    a = [_as_rat(v) for v in x1]
+    b = [_as_rat(v) for v in x2]
     if len(a) != 4 or len(b) != 4:
         raise ValueError("need points of P^3 (four coordinates)")
     minors = []
@@ -192,7 +192,7 @@ def three_skew_lines(params: Sequence[tuple[Rat, Rat]]) -> tuple[PlueckerLine, .
     """Lines span([u:v:0:0], [0:0:u:v]) for three pairwise-distinct [u:v] in P^1."""
     if len(params) != 3:
         raise ValueError("need exactly three parameter points")
-    pts = [(Fraction(u), Fraction(v)) for (u, v) in params]
+    pts = [(_as_rat(u), _as_rat(v)) for (u, v) in params]
     for (u1, v1), (u2, v2) in itertools.combinations(pts, 2):
         if u1 * v2 - u2 * v1 == 0:
             raise ValueError("parameter points must be pairwise distinct")
@@ -220,7 +220,7 @@ def l3_meet_form(line: PlueckerLine) -> HomPoly2:
 
 def segre_quadric_eval(x: Sequence[Rat]) -> Rat:
     """x0*x3 - x1*x2, the equation of the ruled quadric through the skew lines."""
-    a = [Fraction(v) for v in x]
+    a = [_as_rat(v) for v in x]
     if len(a) != 4:
         raise ValueError("need a point of P^3")
     return a[0] * a[3] - a[1] * a[2]
@@ -240,7 +240,7 @@ class BezierCurve:
     def __post_init__(self):
         if self.E < 1:
             raise ValueError("need degree E >= 1")
-        pts = tuple(tuple(Fraction(x) for x in p) for p in self.control)
+        pts = tuple(tuple(_as_rat(x) for x in p) for p in self.control)
         if len(pts) != self.E + 1:
             raise ValueError("need E+1 control points")
         if any(len(p) != 3 for p in pts):

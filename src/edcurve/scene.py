@@ -297,25 +297,21 @@ class Scene:
     P^1, its formal degree.  ``certified`` reads whether a passing
     certificate is held, without computing one.
 
-    Nothing is checked on construction beyond what ``apply_camera`` checks:
-    a consumer calls ``check_charts`` where it refuses a vanishing chart, and
-    reads ``cusps`` where it refuses a point image, so each keeps its own
-    order of errors.  A scene is not changed after construction, apart from
-    filling these on first use.
+    Construction refuses, with ``ValueError``, what ``apply_camera`` refuses
+    and then the first view whose chart polynomial vanishes identically: the
+    curve lies in that view's plane at infinity.  A point image is refused
+    by the first read of ``cusps``.  A scene is not changed after
+    construction, apart from filling these on first use.
     """
 
     def __init__(self, f: RationalCurve, arr: Arrangement):
         self.curve = f
         self.arrangement = arr
         self.images = tuple(apply_camera(cam, f) for cam in arr.cameras)
-        self.charts = tuple(tuple(c.dehom() for c in img) for img in self.images)
-
-    def check_charts(self) -> None:
-        """Raise ``ValueError`` at the first view whose chart polynomial
-        vanishes identically: the curve lies in that view's plane at infinity."""
-        for i, (q, *_) in enumerate(self.charts):
-            if q.is_zero:
+        for i, img in enumerate(self.images):
+            if img[0].is_zero:
                 raise ValueError(f"curve at infinity of camera {i}")
+        self.charts = tuple(tuple(c.dehom() for c in img) for img in self.images)
 
     @cached_property
     def cusps(self) -> HomPoly2:
@@ -385,7 +381,9 @@ class GenericityCertificate:
     ``passes`` requires every listed condition of the module docstring: the
     chart conditions, base-point-freeness, and ``immersion_ok``, that the
     multiview map is an immersion (``immersion_defect_degree`` is the degree
-    of its cusp form, 0 when it is).
+    of its cusp form, 0 when it is).  It is formed only on a scene, so every
+    chart polynomial is nonzero and the image is not a point: those are
+    refused, in that order, before any condition is tested.
     """
 
     discriminants: tuple[Rat, ...]                 # per camera, of q_i
@@ -425,8 +423,9 @@ class GenericityCertificate:
 def genericity_certificate(arr: Arrangement, f: RationalCurve) -> GenericityCertificate:
     """Every certificate quantity, exact and deterministic: the
     ``certificate`` of :func:`scene_for`'s scene of (f, arr), computed once
-    per scene.  Raises ``ValueError`` when every view maps the curve to a
-    point (:func:`cusp_form`).
+    per scene.  Raises ``ValueError`` before any certificate is formed: on
+    differing dimensions, then on a vanishing chart (:class:`Scene`), then
+    when every view maps the curve to a point (:func:`cusp_form`).
     """
     if arr.N != f.N:
         raise ValueError("arrangement and curve dimensions differ")
@@ -448,20 +447,6 @@ def _certify(scene: Scene) -> GenericityCertificate:
     defect = scene.cusps.degree
     immersion_ok = defect == 0
     qs = [img[0] for img in images]
-    for i, q in enumerate(qs):
-        if q.is_zero:
-            # no discriminant/resultant data can be computed past this
-            reasons.append(f"image plane at infinity contains the curve (camera {i})")
-            return GenericityCertificate(
-                discriminants=(Fraction(0),) * arr.n,
-                pairwise_resultants=(),
-                sum_square_gcd_trivial=(False,) * arr.n,
-                base_point_free=True,
-                immersion_ok=immersion_ok,
-                immersion_defect_degree=defect,
-                reasons=tuple(reasons),
-            )
-
     discs = tuple(hom_discriminant(q) for q in qs)
     for i, d in enumerate(discs):
         if d == 0:

@@ -723,16 +723,24 @@ def l1_bound_oracle(views, rows, *, wronskian: bool, constant=F(0)) -> tuple[int
     return bound, (max(top, bound).bit_length() + 8) // 8
 
 
+def charts_and_images(f, arr) -> tuple[list, list]:
+    """The charts and the images of every view of (f, arr), as a
+    ``Scene`` holds them, but also where a chart vanishes, which an edge
+    cell may have and a scene refuses."""
+    images = [apply_camera(c, f) for c in arr.cameras]
+    return [[c.dehom() for c in img] for img in images], images
+
+
 def check_l1_bound(f, arr, u: DataPoint, beta0) -> None:
     """On the critical polynomial's assembly (the charts) and the
     cross-check's (the images, with constant beta0), ``eddeg._kron_sum``'s
     ell-1 run of ``eddeg._assemble`` gives ``l1_bound_oracle``'s bound and
     its exact run is unpacked at the oracle's nb."""
     assemble = eddeg._assemble
+    charts, images = charts_and_images(f, arr)
     for views, size, kwargs in (
-            (Scene(f, arr).charts, 3 * f.e * arr.n - 1, {"wronskian": True}),
-            ([apply_camera(c, f) for c in arr.cameras], 2 * f.e * arr.n + 1,
-             {"wronskian": False, "constant": beta0})):
+            (charts, 3 * f.e * arr.n - 1, {"wronskian": True}),
+            (images, 2 * f.e * arr.n + 1, {"wronskian": False, "constant": beta0})):
         runs = []
 
         def spy(*args, **kw):
@@ -891,8 +899,7 @@ def modular_count(seed: int, cases: int) -> int:
         if cell is None or cell[2] is None:
             continue
         f, arr, u = cell
-        charts = Scene(f, arr).charts
-        images = [apply_camera(c, f) for c in arr.cameras]
+        charts, images = charts_and_images(f, arr)
         for views, size, kwargs in (
                 (charts, 3 * f.e * arr.n - 1, {"wronskian": True}),
                 (images, 2 * f.e * arr.n + 1, {"wronskian": False, "constant": _rand_rat(rng)})):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from edcurve import cli, eddeg, exactnum, scene
 from bulk_properties import (
+    charts_and_images,
     check_l1_bound,
     critical_polynomial_oracle,
     double_root_data,
@@ -397,7 +398,7 @@ class TestCountCell:
         out = count_cell(tw, arr, lambda k: 31 + k, 2, first_data=pinned)
         assert out.rejected == () and out.arrangement is arr
         assert out.report == ed_degree_affine(
-            tw, arr, 31, data_points=(pinned, random_data_point(31, 1, 2)))
+            tw, arr, 31, data_points=(pinned, random_data_point(32, 1, 2)))
         # the pinned point reaches the count: at a degenerate one every
         # attempt is unstable, while the unpinned cell is accepted at once
         conic = curve_from_dict(_load("conic.json"))
@@ -407,6 +408,23 @@ class TestCountCell:
         with pytest.raises(CellExhaustedError):
             count_cell(conic, cam, lambda k: 40 + k, 1,
                        first_data=DataPoint.from_dict(_load("degenerate_data.json")))
+
+    def test_first_data_is_paired_with_the_sample_of_the_next_seed(self, monkeypatch):
+        # the report's seeds are (s, s + 1), and the second sample is the
+        # one drawn from s + 1
+        tw = twisted_cubic()
+        arr = arrangement_from_dict(_load("one_generic.json"))
+        pinned = DataPoint.from_dict(_load("data1.json"))
+        handed, count = [], eddeg.ed_degree_affine
+
+        def spy(f, arr, seed, *, data_points=None):
+            handed.append((seed, data_points))
+            return count(f, arr, seed, data_points=data_points)
+
+        monkeypatch.setattr(eddeg, "ed_degree_affine", spy)
+        out = count_cell(tw, arr, lambda k: 31 + k, 2, first_data=pinned)
+        assert handed == [(31, (pinned, random_data_point(32, 1, 2)))]
+        assert out.report.seeds == (31, 32)
 
     def test_a_squared_chart_counts_through_the_modular_gcd(self):
         # cameras 0 and 1 share their chart row, so q_0^3 divides the
@@ -1044,10 +1062,10 @@ class TestModularCertificate:
         # leave it as it found it
         f, arr, u = cell
         rows = (u.u, random_data_point(seed, arr.n, arr.h).u, u.u)
+        charts, images = charts_and_images(f, arr)
         for views, size, wronskian, constant in (
-                (Scene(f, arr).charts, 3 * f.e * arr.n - 1, True, F(0)),
-                ([apply_camera(c, f) for c in arr.cameras], 2 * f.e * arr.n + 1,
-                 False, beta0)):
+                (charts, 3 * f.e * arr.n - 1, True, F(0)),
+                (images, 2 * f.e * arr.n + 1, False, beta0)):
             shared = eddeg._mod_views(views, size, wronskian=wronskian)
             assert shared.p == 2**17 - 1
             for row in rows:
@@ -1381,7 +1399,7 @@ class TestSInfFromTheCertificate:
         try:
             assume(genericity_certificate(arr, f).passes)
         except ValueError:
-            assume(False)  # every view maps the curve to a point
+            assume(False)  # a vanishing chart, or a point image
         form = Scene(f, arr).prod_q_form
         x = sp.symbols("x")
         chart = _sympy_chart(form, x)
@@ -1427,11 +1445,55 @@ class TestSumSquaresModPOnCells:
     def test_small_cells_give_the_exact_certificate(self, cell):
         # the certificate's sum-of-squares test proved mod p gives the
         # certificate of the exact hom_gcd, reasons and all
+        # the scene is built inside ``outcome``: it refuses a vanishing chart
         f, arr = cell
-        got = outcome(scene._certify, Scene(f, arr))
+
+        def certify():
+            return scene._certify(Scene(f, arr))
+
+        got = outcome(certify)
         with pytest.MonkeyPatch.context() as m:
             m.setattr(scene, "_sum_square_coprime_mod_p", lambda q, ps: False)
-            assert got == outcome(scene._certify, Scene(f, arr))
+            assert got == outcome(certify)
+
+
+def _double_faults() -> dict:
+    """name -> (arrangement, data point, the error reported first) for the
+    line [t:s:0:0], each with two refusable faults."""
+    def arr(h, *rows):
+        return Arrangement((Camera(h, 3, rows),))
+
+    shape, chart, h1 = ("data shape does not match", "curve at infinity of camera 0",
+                        "h = 1 arrangements are refused")
+    fits, misfit = DataPoint(u=((1,),)), DataPoint(u=((1, 2),))
+    return {
+        "shape before chart": (arr(2, (0, 0, 1, 0), (1, 0, 0, 0), (0, 1, 0, 0)), fits, shape),
+        "chart before h = 1": (arr(1, (0, 0, 1, 0), (1, 0, 0, 0)), fits, chart),
+        "shape before h = 1": (arr(1, (0, 1, 0, 0), (1, 0, 0, 0)), misfit, shape),
+        # the line images to the point [1:0]
+        "h = 1 before point": (arr(1, (0, 1, 0, 0), (0, 0, 1, 0)), fits, h1),
+    }
+
+
+class TestOneRefusalOrder:
+    """Every entry that counts or reduces refuses through
+    ``eddeg._reduction_scene``, in one order: the samples' shapes, a
+    vanishing chart, h = 1, a point image.  Each case has two faults, and
+    the one earlier in that order is reported."""
+
+    ENTRIES = {
+        "ed_degree_affine": lambda f, arr, u: ed_degree_affine(f, arr, 0, data_points=(u, u)),
+        "reduce_critical_polynomial": reduce_critical_polynomial,
+        "triangulate": lambda f, arr, u: triangulate(f, arr, u, F(1, 1024)),
+        "count_cell": lambda f, arr, u: count_cell(f, arr, lambda k: k, 2, first_data=u),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    @pytest.mark.parametrize("case", sorted(_double_faults()))
+    def test_the_first_fault_in_the_order_is_reported(self, entry, case):
+        arr, u, first = _double_faults()[case]
+        with pytest.raises(ValueError, match=first):
+            self.ENTRIES[entry](line_in_p3(), arr, u)
 
 
 class TestEulerCrossCheck:
@@ -1735,7 +1797,6 @@ def ref_triangulate(f: RationalCurve, arr: Arrangement, u: DataPoint,
     and the lower bound.  Isolation, refinement and the interval halvings
     are triangulate's own."""
     scene = scene_for(f, arr)
-    scene.check_charts()
     rc = reduce_critical_polynomial(f, arr, u)
     intervals = sturm_isolate(rc.reduced)
     if not intervals:

@@ -272,3 +272,26 @@ class TestBezierScroll:
         # "012" is not read digit by digit as the point (0, 1, 2)
         with pytest.raises(ValueError, match="malformed bezier object.*array"):
             BezierCurve.from_dict({"control": ["012", "345"]})
+
+
+class TestInexactInputs:
+    """Every constructor here takes exact rationals only, as ``Camera``
+    does: a float and a decimal literal are refused, not rounded."""
+
+    CALLS = {
+        "PlueckerLine": lambda x: PlueckerLine((x, 0, 0, 0, 0, 0)),
+        "pluecker_from_span": lambda x: pluecker_from_span((x, 0, 0, 0), (0, 1, 0, 0)),
+        "three_skew_lines": lambda x: three_skew_lines(((x, 1), (1, 0), (0, 1))),
+        "segre_quadric_eval": lambda x: segre_quadric_eval([x, 1, 1, 1]),
+        "BezierCurve": lambda x: BezierCurve(1, ((x, 0, 0), (1, 0, 0))),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    @pytest.mark.parametrize("bad, error", [(0.5, TypeError), ("1.5", ValueError)])
+    def test_a_float_and_a_decimal_are_refused(self, name, bad, error):
+        with pytest.raises(error):
+            self.CALLS[name](bad)
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_a_rational_literal_is_read_exactly(self, name):
+        assert self.CALLS[name]("3/2") == self.CALLS[name](F(3, 2))

@@ -219,9 +219,17 @@ class TestUniPolyAgainstReference:
 
     def test_strings_and_text(self):
         p = UniPoly(("1/2", 0, "-3"))
-        assert p.to_strs() == ["1/2", "0", "-3"] and p == UniPoly.from_strs(["1/2", "0", "-3"])
+        assert p.to_strs() == ["1/2", "0", "-3"] and p == UniPoly(["1/2", "0", "-3"])
         assert str(p) == "-3*t^2 + 1/2"
         assert str(UniPoly()) == "0"
+
+    def test_a_bare_string_is_not_a_coefficient_list(self):
+        # "123" would otherwise be read digit by digit, as 1 + 2t + 3t^2
+        with pytest.raises(TypeError, match="string"):
+            UniPoly("123")
+        with pytest.raises(TypeError, match="string"):
+            HomPoly2(2, "123")
+        assert UniPoly(["123"]) == UniPoly((123,))
 
 
 # -- HomPoly2 -----------------------------------------------------------------------

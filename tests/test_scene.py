@@ -322,6 +322,17 @@ class TestRandomGeneration:
         assert (f.e, f.N) == (3, 4)
 
 
+def _at_infinity() -> tuple[RationalCurve, Arrangement]:
+    """A curve whose last world coordinate vanishes identically, and one
+    camera whose chart row selects it: the chart polynomial vanishes."""
+    f = RationalCurve(N=3, e=2, coords=(
+        H(2, 0, 0, 1), H(2, 0, 1, 0), H(2, 1, 0, 0), HomPoly2(2)))
+    cam = Camera(2, 3, ((F(0), F(0), F(0), F(1)),
+                        (F(1), F(0), F(0), F(0)),
+                        (F(0), F(1), F(0), F(0))))
+    return f, Arrangement((cam,))
+
+
 class TestGenericityCertificate:
     def test_generic_cameras_pass(self):
         arr = Arrangement((random_camera(101, 2, 3), random_camera(102, 2, 3)))
@@ -350,15 +361,10 @@ class TestGenericityCertificate:
         assert any("not an immersion" in reason for reason in cert.reasons)
 
     def test_curve_in_image_plane_at_infinity(self):
-        # last world coordinate identically zero + chart row selecting it
-        f = RationalCurve(N=3, e=2, coords=(
-            H(2, 0, 0, 1), H(2, 0, 1, 0), H(2, 1, 0, 0), HomPoly2(2)))
-        cam = Camera(2, 3, ((F(0), F(0), F(0), F(1)),
-                            (F(1), F(0), F(0), F(0)),
-                            (F(0), F(1), F(0), F(0))))
-        cert = genericity_certificate(Arrangement((cam,)), f)
-        assert not cert.passes
-        assert any("image plane at infinity" in r for r in cert.reasons)
+        # refused as the scene is built, before any certificate is formed
+        f, arr = _at_infinity()
+        with pytest.raises(ValueError, match="curve at infinity of camera 0"):
+            genericity_certificate(arr, f)
 
     def test_pass_rate_on_monomial_curves(self):
         # exact conditions hold for nearly every integer camera draw
@@ -501,6 +507,10 @@ class TestSceneFor:
         # a scene that cannot be built leaves the remembered one in place
         with pytest.raises(ValueError, match="world dimension"):
             scene_for(cuspidal_cubic(), arr)
+        assert scene_for(f, arr) is shared
+        # so does one with a vanishing chart
+        with pytest.raises(ValueError, match="curve at infinity of camera 0"):
+            scene_for(*_at_infinity())
         assert scene_for(f, arr) is shared
 
     def test_alternating_pairs_and_an_equal_arrangement_get_their_own_scenes(self):
