@@ -80,6 +80,7 @@ from .exactnum import (
     _mod_gcd,
     _pack_residues,
     _rat_array,
+    _rows,
     _sign,
     _uni,
     distinct_root_count,
@@ -128,7 +129,7 @@ class DataPoint:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "u", tuple(tuple(_as_rat(x) for x in row) for row in self.u)
+            self, "u", tuple(tuple(_as_rat(x) for x in row) for row in _rows(self.u))
         )
         object.__setattr__(self, "beta0", _as_rat(self.beta0))
 

@@ -143,9 +143,9 @@ def _int_to_str(n: int) -> str:
         return str(decimal.Decimal(n))
 
 
-# One shared Fraction per small integer: seeded scenes are built from small
-# integers, and a workload that keeps many scenes alive would otherwise hold a
-# separate 48-byte Fraction (and often a separate int) for every entry.
+# One shared Fraction per small integer: seeded data points and the Fraction
+# views of seeded curves and cameras hold mostly small integers, and would
+# otherwise hold a separate 48-byte Fraction (and often an int) per entry.
 _SMALL_RATS = tuple(Fraction(k) for k in range(-64, 65))
 
 
@@ -321,14 +321,6 @@ def _kron_unpack(v: int, nb: int, size: int) -> list[int]:
             for k in range(0, nb * size, nb)]
 
 
-def _clear_denominators(cs: Sequence[Rat]) -> tuple[list[int], int]:
-    """(integer list, positive D) with D * cs integral, D the lcm of the denominators."""
-    d = 1
-    for c in cs:
-        d = d * c.denominator // _int_gcd(d, c.denominator)
-    return [c.numerator * (d // c.denominator) for c in cs], d
-
-
 def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[int, list[int], list[int]]:
     """(scale, quo, rem) with scale * a = quo * b + rem, for integer lists with
     len(a) >= len(b) and b[-1] != 0.  scale = b[-1]^(len(a) - len(b) + 1)
@@ -380,13 +372,14 @@ _set = object.__setattr__
 
 
 # One shared int per small value, as ``_SMALL_RATS``: CPython caches only
-# -5..256, and constructors keep their coefficients for as long as the curve
-# or camera they build lives.
+# -5..256, and constructors keep their numerators, a polynomial's
+# coefficients or a camera's entries, for as long as what they build lives.
 _SMALL_INTS = tuple(range(-64, 65))
 
 
 def _integers(cs: Iterable) -> tuple[list[int], int]:
-    """``_clear_denominators`` of the rationals cs; ints need no conversion.
+    """(integer list, D) with D * cs integral, D the lcm of the denominators
+    of the rationals cs, so gcd(D, content) = 1; ints need no conversion.
     Raises ``TypeError`` on a string, which would otherwise be read
     character by character, "123" as 1, 2, 3 (as :func:`_rat_array`)."""
     if isinstance(cs, str):
@@ -394,8 +387,19 @@ def _integers(cs: Iterable) -> tuple[list[int], int]:
     cs = list(cs)
     den = 1
     if any(type(c) is not int for c in cs):
-        cs, den = _clear_denominators([_as_rat(c) for c in cs])
+        cs = [_as_rat(c) for c in cs]
+        den = lcm(*(c.denominator for c in cs))
+        cs = [c.numerator * (den // c.denominator) for c in cs]
     return [_SMALL_INTS[c + 64] if -64 <= c <= 64 else c for c in cs], den
+
+
+def _rows(rows) -> list[list]:
+    """The rows of a matrix as lists, entries unconverted.  Raises
+    ``TypeError`` on a string for the rows or a row (as :func:`_integers`)."""
+    rows = [rows] if isinstance(rows, str) else list(rows)
+    if any(isinstance(r, str) for r in rows):
+        raise TypeError("expected rows of rationals, not a string")
+    return [list(r) for r in rows]
 
 
 def _reduced(num: Sequence[int], den: int) -> tuple[Sequence[int], int]:
@@ -557,7 +561,7 @@ class UniPoly:
     def int_coeffs(self) -> tuple[list[int], int]:
         """(integer coefficient list, positive denominator D) with D*self integral.
 
-        D is the least such denominator, as ``_clear_denominators`` gives it.
+        D is the least such denominator, as ``_integers`` gives it.
         """
         return list(self.num), self.den
 

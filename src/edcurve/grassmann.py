@@ -25,8 +25,8 @@ from fractions import Fraction
 from math import comb
 from typing import Sequence
 
-from .exactnum import HomPoly2, Rat, _as_rat, _rat_array, rat_to_str
-from .scene import Camera, RationalCurve
+from .exactnum import HomPoly2, Rat, _as_rat, _rat_array, _rats, rat_to_str
+from .scene import Camera, RationalCurve, _split
 
 # ---------------------------------------------------------------------------
 # subset orderings
@@ -127,9 +127,7 @@ class WedgeCamera:
 
     def as_camera(self) -> Camera:
         """The minor matrix as a camera between the wedge-power spaces."""
-        rows = len(self.entries)
-        cols = len(self.entries[0])
-        return Camera(h=rows - 1, N=cols - 1, entries=self.entries)
+        return Camera(len(self.entries) - 1, len(self.entries[0]) - 1, self.entries)
 
     def lex_display(self) -> list[list[Rat]]:
         """Rows and columns re-ordered into plain lexicographic subset order."""
@@ -140,30 +138,24 @@ class WedgeCamera:
         return [[self.entries[i][j] for j in c_perm] for i in r_perm]
 
 
-def _minor(rows: Sequence[Sequence[Rat]], ri: Sequence[int], ci: Sequence[int]) -> Rat:
-    k = len(ri)
-    if k == 1:
+def _minor(rows: Sequence[Sequence[int]], ri: Sequence[int], ci: Sequence[int]) -> int:
+    """Laplace along the first row; k <= 4 in every use, so no pivoting needed."""
+    if len(ri) == 1:
         return rows[ri[0]][ci[0]]
-    det = Fraction(0)
-    # Laplace along the first row; k <= 4 in every use, so no pivoting needed
-    for pos, c in enumerate(ci):
-        sub = _minor(rows, ri[1:], ci[:pos] + ci[pos + 1:])
-        term = rows[ri[0]][c] * sub
-        det += term if pos % 2 == 0 else -term
-    return det
+    return sum((-1) ** pos * rows[ri[0]][c] * _minor(rows, ri[1:], ci[:pos] + ci[pos + 1:])
+               for pos, c in enumerate(ci))
 
 
 def wedge_camera(camera: Camera, k: int) -> WedgeCamera:
-    """Matrix of all k x k minors (the induced map on k-th exterior powers)."""
+    """Matrix of all k x k minors (the induced map on k-th exterior powers):
+    each minor of the camera's integer numerators, over den**k."""
     if not 1 <= k <= camera.h + 1:
         raise ValueError("wedge order k must satisfy 1 <= k <= h+1")
     rows = subset_order(camera.h + 1, k)
     cols = subset_order(camera.N + 1, k)
+    num, den = _split(camera.num, camera.N + 1), camera.den ** k
     entries = tuple(
-        tuple(
-            _minor(camera.entries, [r - 1 for r in ri], [c - 1 for c in ci])
-            for ci in cols
-        )
+        _rats([_minor(num, [r - 1 for r in ri], [c - 1 for c in ci]) for ci in cols], den)
         for ri in rows
     )
     return WedgeCamera(base=camera, k=k, entries=entries)

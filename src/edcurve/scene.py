@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import lcm, prod
@@ -42,13 +41,14 @@ from .exactnum import (
     Rat,
     UniPoly,
     _PRIMES,
-    _as_rat,
-    _clear_denominators,
     _form,
     _hom,
+    _integers,
     _mod_gcd,
     _pack_residues,
     _rat_array,
+    _rats,
+    _rows,
     hom_discriminant,
     hom_gcd,
     hom_gcd_many,
@@ -140,44 +140,49 @@ def chart_wronskians(views: Iterable[Sequence[UniPoly]]) -> Iterator[UniPoly]:
 class Camera:
     """Full-rank (h+1) x (N+1) exact rational matrix; row 0 is the chart row.
 
-    The entries are held row after row in one flat tuple, one object where a
-    tuple per row would be h + 2; ``entries`` gives the rows.
+    Stored as polynomials are: entry (j, k) is num[j (N + 1) + k] / den, in
+    canonical form, so equal cameras are equal objects.  The constructor
+    takes any rational entries (ints, Fractions, "a/b") and proves the rank
+    on the integer rows; ``entries`` gives the rows as Fractions.
     """
 
     h: int
     N: int
-    _flat: tuple[Rat, ...]
+    num: tuple[int, ...]
+    den: int
 
     def __init__(self, h: int, N: int, entries: Sequence[Sequence[Rat]]):
         if h < 1 or N < 1:
             raise ValueError("need h >= 1 and N >= 1")
-        rows = tuple(tuple(_as_rat(x) for x in row) for row in entries)
+        rows = _rows(entries)
         if len(rows) != h + 1 or any(len(r) != N + 1 for r in rows):
             raise ValueError("camera must be (h+1) x (N+1)")
-        if _exact_rank(rows) != h + 1:
+        num, den = _integers(chain.from_iterable(rows))
+        if _exact_rank(_split(num, N + 1)) != h + 1:
             raise ValueError("camera matrix not full rank")
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "N", N)
-        object.__setattr__(self, "_flat", tuple(x for row in rows for x in row))
+        object.__setattr__(self, "num", tuple(num))
+        object.__setattr__(self, "den", den)
 
     @property
     def entries(self) -> tuple[tuple[Rat, ...], ...]:
-        n, flat = self.N + 1, self._flat
-        return tuple(flat[k:k + n] for k in range(0, len(flat), n))
-
-    def row(self, j: int) -> tuple[Rat, ...]:
-        return self.entries[j]
+        return tuple(_split(_rats(self.num, self.den), self.N + 1))
 
 
-def _exact_rank(rows: Sequence[Sequence[Rat]]) -> int:
-    """Rank by fraction-free (Bareiss) elimination on the rows cleared to
-    integers.  Every row below the pivot is updated and divided exactly by
-    the previous pivot, so each entry stays a minor of the input and entry
+def _split(flat: Sequence, n: int) -> list:
+    """The rows of n entries each of a matrix held row after row."""
+    return [flat[k:k + n] for k in range(0, len(flat), n)]
+
+
+def _exact_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of an integer matrix by fraction-free (Bareiss) elimination.
+    Every row below the pivot is updated and divided exactly by the
+    previous pivot, so each entry stays a minor of the input and entry
     sizes grow linearly, not doubling with each pivot row."""
-    m = [_clear_denominators(r)[0] for r in rows]
+    m = list(rows)
     rank, prev = 0, 1
-    ncols = len(m[0]) if m else 0
-    for col in range(ncols):
+    for col in range(len(m[0]) if m else 0):
         pivot = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
         if pivot is None:
             continue
@@ -223,22 +228,21 @@ class Arrangement:
 def apply_camera(camera: Camera, f: RationalCurve) -> tuple[HomPoly2, ...]:
     """Row-by-row image of the curve: entry j is C^(j) . (f_0..f_N), degree e.
 
-    One integer combination per row: with c_k = a_k / b_k and coordinate k
-    equal to num_k / den_k, the image is sum_k a_k (L / (b_k den_k)) num_k
-    over the common denominator L.
+    One integer combination per row: with the camera's numerators a_jk over
+    its denominator D and coordinate k equal to num_k / den_k, the image is
+    sum_k a_jk (L / den_k) num_k over D L, L the lcm of the den_k.
     """
     if camera.N != f.N:
         raise ValueError(f"camera expects world dimension {camera.N}, curve has {f.N}")
+    L = lcm(*(g.den for g in f.coords))
+    cols = [g.num if g.den == L else [x * (L // g.den) for x in g.num] for g in f.coords]
     out = []
-    for row in camera.entries:
-        terms = [(c.numerator, c.denominator * g.den, g.num)
-                 for c, g in zip(row, f.coords) if c]
-        den = lcm(*(b for _, b, _ in terms))
+    for row in _split(camera.num, f.N + 1):
         acc = [0] * (f.e + 1)
-        for a, b, num in terms:
-            m = a * (den // b)
-            acc = [x + m * y for x, y in zip(acc, num)]
-        out.append(_hom(f.e, acc, den))
+        for a, col in zip(row, cols):
+            if a:
+                acc = [x + a * y for x, y in zip(acc, col)]
+        out.append(_hom(f.e, acc, camera.den * L))
     return tuple(out)
 
 
@@ -424,11 +428,10 @@ def genericity_certificate(arr: Arrangement, f: RationalCurve) -> GenericityCert
     """Every certificate quantity, exact and deterministic: the
     ``certificate`` of :func:`scene_for`'s scene of (f, arr), computed once
     per scene.  Raises ``ValueError`` before any certificate is formed: on
-    differing dimensions, then on a vanishing chart (:class:`Scene`), then
-    when every view maps the curve to a point (:func:`cusp_form`).
+    differing dimensions (:func:`apply_camera`), then on a vanishing chart
+    (:class:`Scene`), then when every view maps the curve to a point
+    (:func:`cusp_form`).
     """
-    if arr.N != f.N:
-        raise ValueError("arrangement and curve dimensions differ")
     return scene_for(f, arr).certificate
 
 
@@ -604,8 +607,8 @@ def rational_normal_curve(e: int, N: int) -> RationalCurve:
         raise ValueError("monomial curve lives in P^e; pad explicitly for N > e")
     coords = []
     for k in range(e + 1):
-        cs = [Fraction(0)] * (e + 1)
-        cs[e - k] = Fraction(1)  # s^k t^(e-k)
+        cs = [0] * (e + 1)
+        cs[e - k] = 1  # s^k t^(e-k)
         coords.append(HomPoly2(e, tuple(cs)))
     return RationalCurve(N=e, e=e, coords=tuple(coords))
 

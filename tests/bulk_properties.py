@@ -31,12 +31,16 @@ from edcurve.exactnum import (
     squarefree_part,
     sturm_isolate,
 )
+from edcurve.grassmann import subset_order, wedge_camera
 from edcurve.scene import (
     Arrangement,
     Camera,
     RationalCurve,
     Scene,
+    _by_rejection,
     apply_camera,
+    camera_from_dict,
+    camera_to_dict,
     random_camera,
     random_curve,
 )
@@ -514,6 +518,61 @@ def hom_consistency(seed: int, cases: int) -> int:
     return done
 
 
+def ref_minor(rows, ri, ci) -> F:
+    """The minor of the Fraction matrix rows on rows ri and columns ci, by
+    Laplace expansion along its first row."""
+    if len(ri) == 1:
+        return F(rows[ri[0]][ci[0]])
+    return sum(((-1) ** pos * rows[ri[0]][c]
+                * ref_minor(rows, ri[1:], ci[:pos] + ci[pos + 1:])
+                for pos, c in enumerate(ci)), F(0))
+
+
+def _rand_camera(rng: random.Random) -> Camera:
+    """A full-rank camera with rational entries, denominators 1..12 and
+    either sign, some columns zero, by rejection."""
+    while True:
+        h = rng.randint(1, 3)
+        N = rng.randint(h, 5)
+        zero = {k for k in range(N + 1) if rng.random() < 0.2}
+        rows = [[F(0) if k in zero else F(rng.randint(-9, 9), rng.randint(1, 12))
+                 for k in range(N + 1)] for _ in range(h + 1)]
+        try:
+            cam = Camera(h, N, rows)
+        except ValueError:  # not full rank
+            continue
+        assert cam.entries == tuple(map(tuple, rows)), rows
+        return cam
+
+
+def camera_laws(seed: int, cases: int) -> int:
+    """Cameras with rational entries against Fraction references: the image
+    of a curve is sum_k c_jk f_k, the wedge entries are Fraction Laplace
+    minors in ``subset_order``, the stored numerators and denominator are
+    canonical, and rebuilding a camera from its entries or from its JSON
+    object gives an equal camera with an equal hash."""
+    rng = random.Random(seed)
+    for _ in range(cases):
+        cam = _rand_camera(rng)
+        rows = cam.entries
+        assert cam.den > 0 and gcd(cam.den, *cam.num) == 1, rows
+        twin = Camera(cam.h, cam.N, rows)
+        assert twin == cam and hash(twin) == hash(cam), rows
+        assert camera_from_dict(camera_to_dict(cam)) == cam, rows
+        e = rng.randint(1, 4)
+        f = _by_rejection("curve", lambda: RationalCurve(cam.N, e, tuple(
+            HomPoly2(e, [F(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(e + 1)])
+            for _ in range(cam.N + 1))))
+        want = tuple(sum((g * c for c, g in zip(row, f.coords)), HomPoly2(e)) for row in rows)
+        assert apply_camera(cam, f) == want, (rows, f)
+        for k in range(1, cam.h + 2):
+            want = tuple(tuple(ref_minor(rows, [r - 1 for r in ri], [c - 1 for c in ci])
+                               for ci in subset_order(cam.N + 1, k))
+                         for ri in subset_order(cam.h + 1, k))
+            assert wedge_camera(cam, k).entries == want, (rows, k)
+    return cases
+
+
 def refine_agreement(seed: int, cases: int) -> int:
     """refine_root returns the interval of plain bisection (``ref_refine``) on
     every root ``sturm_isolate`` finds, from the proved interval and from one
@@ -935,4 +994,5 @@ def run_all(seed: int = 20260823) -> dict[str, int]:
         "assembly_oracle": assembly_oracle(seed + 12, 150),
         "modular_count": modular_count(seed + 13, 150),
         "l1_bound": l1_bound(seed + 14, 300),
+        "camera_laws": camera_laws(seed + 15, 300),
     }

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edcurve.exactnum import HomPoly2, UniPoly, _clear_denominators
+from edcurve.exactnum import HomPoly2, UniPoly
 
 # -- reference arithmetic on coefficient tuples ----------------------------------
 
@@ -24,6 +24,14 @@ def trim(cs):
     while cs and cs[-1] == 0:
         cs.pop()
     return tuple(cs)
+
+
+def cleared(cs):
+    """(integer list, D) with D the lcm of the denominators of cs."""
+    d = 1
+    for c in cs:
+        d = d * c.denominator // gcd(d, c.denominator)
+    return [c.numerator * (d // c.denominator) for c in cs], d
 
 
 def padded(cs, n):
@@ -123,7 +131,7 @@ def assert_canonical_uni(p: UniPoly, ref):
     if not p.num:
         assert p.den == 1
     # int_coeffs is exactly the cleared form, least denominator included
-    assert p.int_coeffs() == _clear_denominators(ref)
+    assert p.int_coeffs() == cleared(ref)
     # equal values are equal objects: rebuild from the Fractions
     twin = UniPoly(ref)
     assert twin == p and hash(twin) == hash(p)
@@ -135,7 +143,7 @@ def assert_canonical_hom(h: HomPoly2, deg, ref):
     assert h.den > 0 and gcd(h.den, *h.num) == 1
     if h.is_zero:
         assert h.den == 1
-    assert h.int_coeffs() == _clear_denominators(ref)
+    assert h.int_coeffs() == cleared(ref)
     twin = HomPoly2(deg, tuple(ref))
     assert twin == h and hash(twin) == hash(h)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction as F
+from math import lcm
 from pathlib import Path
 
 import jsonschema
@@ -211,10 +212,14 @@ class TestCamera:
     def test_shape_enforced(self):
         with pytest.raises(ValueError, match=r"\(h\+1\) x \(N\+1\)"):
             Camera(2, 3, ((F(1), F(0), F(0), F(0)),) * 2)
-
-    def test_row_accessor(self):
-        c = random_camera(7, 2, 3)
-        assert c.row(0) == c.entries[0]
+        # a string row, or a string for the rows, is not read digit by digit
+        # as [[1, 2], [3, 4]]
+        with pytest.raises(TypeError, match="string"):
+            Camera(1, 1, ["12", "34"])
+        with pytest.raises(TypeError, match="string"):
+            Camera(1, 1, "12")
+        with pytest.raises(TypeError, match="string"):
+            Camera(1, 1, [[1, 2], "34"])
 
     @settings(max_examples=300)
     @given(_low_rank_rows())
@@ -224,7 +229,11 @@ class TestCamera:
         sp = pytest.importorskip("sympy")
         matrix = sp.Matrix([[sp.Rational(x.numerator, x.denominator) for x in row]
                             for row in rows])
-        assert _exact_rank(rows) == matrix.rank()
+        # each row cleared to integers by the lcm of its denominators, which
+        # keeps the rank
+        ints = [[x.numerator * (lcm(*(y.denominator for y in row)) // x.denominator)
+                 for x in row] for row in rows]
+        assert _exact_rank(ints) == matrix.rank()
 
     def test_forty_rows_construct(self):
         """Fraction-free elimination without division doubled the entry sizes
