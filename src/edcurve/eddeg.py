@@ -39,15 +39,16 @@ double points of the image cancel from this balance identically, so the check
 is valid whenever the multiview map is an immersion; cusps break it and are
 refused.
 
-Every result is exact.  A sample whose count reaches the bound 3en - 2 is
-proved so from residues mod 2**17 - 1 without building g: H mod p
-(``_kron_sum_mod``) with a nonzero top residue and constant gcds mod p
-against H', prod q_i and the cusp chart proves that g has degree 3en - 2,
-no repeated root and nothing to saturate (``_squarefree_mod_p``).  A
-passing genericity certificate already proves the last two gcds, so the
-count computes it first and then takes only the one against H'
-(``scene.Scene``).  Any other outcome builds g and reduces it exactly; the
-cross-check reads its perturbed numerator the same way.  Data points are
+Every result is exact.  On a scene whose genericity certificate passes, a
+sample whose count reaches the bound 3en - 2 is proved so from residues
+mod 2**17 - 1 without building g: H mod p (``_kron_sum_mod``) with a
+nonzero top residue and a constant gcd mod p with H' proves that g has
+degree 3en - 2 and no repeated root (``_squarefree_mod_p``), and the
+certificate proves that there is nothing to saturate (``scene.Scene``).
+A failing certificate proves the count below 3en - 2 (``scene.Scene``),
+so such a scene, and any sample the residues do not prove, builds g and
+reduces it exactly; the cross-check reads its perturbed numerator the
+same way.  Data points are
 sampled from a seeded Mersenne-Twister generator and each count is
 recomputed with a second, independent data sample — a disagreement means
 the sample was non-generic and surfaces as an error instead of a wrong
@@ -83,6 +84,7 @@ from .exactnum import (
     _rows,
     _sign,
     _uni,
+    _unpack_residues,
     distinct_root_count,
     hom_distinct_root_count,
     hom_resultant_is_nonzero,
@@ -405,34 +407,24 @@ def _kron_sum_mod(views: _ModViews, rows, *,
     operands, with slots below 2**(2k+2).  Slots never carry, so the slots
     of the packed int are the coefficients of the polynomial.
     """
-    p, nb, size = views.p, views.nb, views.size
+    p = views.p
     h = _data_pass(views.viewed, _cleared_rows(rows), constant, lambda x: x % p, views.fold)
-    data = h.to_bytes(nb * size, "little")
-    return [int.from_bytes(data[j:j + nb], "little") % p
-            for j in range(0, nb * size, nb)], p
+    return _unpack_residues(h, p, views.nb, views.size), p
 
 
-def _squarefree_mod_p(views: _ModViews, rows, others, *,
-                      constant: Rat = Fraction(0)) -> bool:
+def _squarefree_mod_p(views: _ModViews, rows, *, constant: Rat = Fraction(0)) -> bool:
     """Whether residues prove that the H of :func:`_kron_sum` has degree
-    size - 1, for size = ``views.size``, and no repeated root, and shares no
-    root with any of the integer coefficient lists ``others``; False means
+    size - 1, for size = ``views.size``, and no repeated root; False means
     only "not proved".
 
     With (h, p) from :func:`_kron_sum_mod`, a nonzero h[size - 1] proves
-    deg H = size - 1, since H has at most size coefficients.  For an
-    integer polynomial b whose leading coefficient p does not divide
-    (``_mod_gcd`` gives None otherwise), a common factor of H and b over Q
-    has a primitive integer multiple that divides both in Z[t] (Gauss's
-    lemma), whose leading coefficient divides lc H and so survives mod p:
-    it divides h and b mod p with its degree, as in ``poly_gcd``.  So
-    ``_mod_gcd(h, b, p) == [1]`` proves H and b coprime over Q.  For b = H',
-    whose residues are h' (leading coefficient (size - 1) lc h), that proves
-    H squarefree.
+    deg H = size - 1, since H has at most size coefficients.  The residues
+    of H' are h', and ``_mod_gcd`` gives None when p divides a leading
+    coefficient, so ``_mod_gcd(h, h', p) == [1]`` proves H and H' coprime
+    over Q, as in ``poly_gcd``: H is squarefree.
     """
     h, p = _kron_sum_mod(views, rows, constant=constant)
-    return bool(h[-1]) and all(_mod_gcd(h, b, p) == [1]
-                               for b in (_derivative(h), *others))
+    return bool(h[-1]) and _mod_gcd(h, _derivative(h), p) == [1]
 
 
 def _derivative(a: Sequence[int]) -> list[int]:
@@ -502,33 +494,24 @@ def _reduction_scene(f: RationalCurve, arr: Arrangement, *samples: DataPoint) ->
 
 
 def _sample_count(f: RationalCurve, arr: Arrangement, u: DataPoint,
-                  scene: Scene, views: _ModViews) -> tuple[int, int, int, int]:
+                  views: Optional[_ModViews]) -> tuple[int, int, int, int]:
     """(count, deg g, removed pole degree, removed cusp degree) of one data
     sample, as :func:`reduce_critical_polynomial` gives them, on the scene
-    of (f, arr) once its refusals have passed (:func:`_reduction_scene`);
+    of (f, arr) once its refusals have passed (:func:`_reduction_scene`).
     ``views`` is the :func:`_mod_views` of the scene's charts for size
-    3en - 1, which every sample of a count shares.
+    3en - 1, which every sample of a count shares, when the scene's
+    certificate passes, and None otherwise.
 
-    First the residues of g's integer multiple H mod p
+    With ``views``, first the residues of g's integer multiple H mod p
     (:func:`_squarefree_mod_p`): when they prove that g has the degree bound
-    3en - 2, no repeated root and no root in common with prod q_i or the
-    cusp chart, g is its own squarefree part and neither saturation removes
-    a factor, so the tuple is (3en - 2, 3en - 2, 0, 0) and g is never built.
-    When the scene holds a passing certificate (``Scene.certified``), the
-    last two are proved already: at a zero t0 of q_i,
-    g(t0) = -q_i'(t0) * sum_j p_ij(t0)^2 * prod_{k != i} q_k(t0)^3, and the
-    discriminant, sum-of-squares and resultant conditions make each factor
-    nonzero (``scene.Scene``); ``immersion_ok`` makes the cusp chart
-    constant.  Then only the gcd with H' is taken.  Without one, both gcds
-    stay.  Any other outcome runs the exact reduction.
+    3en - 2 and no repeated root, g is its own squarefree part, and the
+    passing certificate proves that it has no root in common with prod q_i
+    or the cusp chart (``scene.Scene``), so the tuple is
+    (3en - 2, 3en - 2, 0, 0) and g is never built.  Without ``views``, or
+    when the residues prove nothing, the exact reduction runs.
     """
-    cusps = scene.cusp_chart
     bound = 3 * f.e * arr.n - 2
-    if scene.certified:
-        others = []
-    else:
-        others = [scene.prod_q.num, cusps.num] if cusps.degree else [scene.prod_q.num]
-    if _squarefree_mod_p(views, u.u, others):
+    if views is not None and _squarefree_mod_p(views, u.u):
         return bound, bound, 0, 0
     rc = reduce_critical_polynomial(f, arr, u)
     return (rc.reduced.degree, rc.raw.degree, rc.removed_pole_factors,
@@ -591,9 +574,11 @@ def ed_degree_affine(
     read :func:`scene_for`'s :class:`Scene` of (f, arr).  The certificate is
     taken after the refusals of :func:`_reduction_scene` (each sample's
     shape, a vanishing chart, h = 1, a point image), and before the
-    samples, which read it (:func:`_sample_count`).  The residue view pass
-    of the charts (:func:`_mod_views`) is taken once, after the
-    certificate, and both samples read it.
+    samples.  When it passes, the residue view pass of the charts
+    (:func:`_mod_views`) is taken once and both samples read it
+    (:func:`_sample_count`); when it fails, the count is below 3en - 2
+    (``scene.Scene``), no residues can prove it, and both samples take the
+    exact path.
     """
     if data_points is None:
         samples = [random_data_point(seed, arr.n, arr.h),
@@ -605,8 +590,9 @@ def ed_degree_affine(
 
     scene = _reduction_scene(f, arr, *samples)
     cert = genericity_certificate(arr, f)
-    views = _mod_views(scene.charts, 3 * f.e * arr.n - 1, wronskian=True)
-    counts = [_sample_count(f, arr, s, scene, views) for s in samples]
+    views = (_mod_views(scene.charts, 3 * f.e * arr.n - 1, wronskian=True)
+             if cert.passes else None)
+    counts = [_sample_count(f, arr, s, views) for s in samples]
     if counts[0][0] != counts[1][0]:
         raise DataInstabilityError("data not generic; reseed")
 
@@ -726,36 +712,32 @@ def euler_cross_check(f: RationalCurve, arr: Arrangement, seed: int) -> int:
     The images and pole products are those of :func:`scene_for`'s
     :class:`Scene` of (f, arr); its refusals come first, in their order: a
     vanishing chart (or differing dimensions) as the scene is built, a
-    point image, then a cusp.
+    point image, then a cusp.  The scene's certificate is read after them,
+    and computed if the scene holds none yet.
 
-    Each attempt first reads G mod p (:func:`_squarefree_mod_p`), G of
-    formal degree 2en.  A nonzero t^(2en) residue proves that G does not
-    vanish at [0:1], so its zeros are those of its chart, of degree 2en;
-    when that chart is also proved squarefree and coprime to the chart of
-    prod Q_k, #S_Q = 2en and the sets are disjoint.  The coprimality needs
-    no gcd when the scene already holds a passing certificate
-    (``Scene.certified``): at a zero of Q_i on P^1,
-    G = prod_{k != i} Q_k^2 * sum_j P_ij^2 for every beta and beta0, and
-    the certificate makes both factors nonzero (``scene.Scene``).  Such a
-    scene also needs no root count for #S_inf: the certificate gives
-    prod Q_k exactly as many distinct zeros on P^1 as its formal degree en
-    (``scene.Scene``).  This check never computes a certificate itself, so
-    on a scene without one the gcd is taken and ``hom_distinct_root_count``
-    counts #S_inf.  The residue view pass of the images
-    (:func:`_mod_views`) is taken once and serves every attempt.  Any other
-    outcome runs the attempt's exact steps.
+    When the certificate passes, prod Q_k has exactly as many distinct
+    zeros on P^1 as its formal degree en, which is #S_inf, and each
+    attempt first reads G mod p (:func:`_squarefree_mod_p`), G of formal
+    degree 2en.  A nonzero t^(2en) residue proves that G does not vanish at
+    [0:1], so its zeros are those of its chart, of degree 2en; when that
+    chart is also proved squarefree, #S_Q = 2en.  The sets are disjoint:
+    at a zero of Q_i on P^1, G = prod_{k != i} Q_k^2 * sum_j P_ij^2 for
+    every beta and beta0, and the certificate makes both factors nonzero
+    (``scene.Scene``).  The residue view pass of the images
+    (:func:`_mod_views`) is taken once and serves every attempt.  When the
+    certificate fails, ``hom_distinct_root_count`` counts #S_inf and every
+    attempt runs its exact steps, as does any attempt the residues do not
+    prove.
     """
     scene = scene_for(f, arr)
     if scene.cusps.degree:
         raise CuspError("cross-check requires immersion")
     prod_q = scene.prod_q_form
     degree = 2 * sum(img[0].degree for img in scene.images)
-    if scene.certified:
-        s_inf, others = prod_q.degree, []
+    if scene.certificate.passes:
+        s_inf, views = prod_q.degree, _mod_views(scene.images, degree + 1, wronskian=False)
     else:
-        # the chart of prod Q_k, taken here so that ``scene.prod_q`` stays unread
-        s_inf, others = hom_distinct_root_count(prod_q), [prod_q.dehom().num]
-    views = _mod_views(scene.images, degree + 1, wronskian=False)
+        s_inf, views = hom_distinct_root_count(prod_q), None
 
     for attempt in range(4):
         rng = random.Random(f"{seed}:euler-beta:{attempt}")
@@ -764,7 +746,7 @@ def euler_cross_check(f: RationalCurve, arr: Arrangement, seed: int) -> int:
             for _ in range(arr.n)
         ]
         beta0 = Fraction(rng.randint(1, 64), rng.randint(1, 8))
-        if _squarefree_mod_p(views, beta, others, constant=beta0):
+        if views is not None and _squarefree_mod_p(views, beta, constant=beta0):
             return s_inf + degree - 2
         g_beta = _perturbed_numerator(scene.images, beta, beta0)
         if g_beta.is_zero:

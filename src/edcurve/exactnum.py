@@ -222,9 +222,7 @@ def _mod_gcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int] | None:
             dr = (A.bit_length() - 1) // w
         if dr < 0:
             # B divides A mod p: B is the gcd, and inv makes it monic
-            data = B.to_bytes(nb * (db + 1), "little")
-            return [int.from_bytes(data[j:j + nb], "little") * inv % p
-                    for j in range(0, len(data), nb)]
+            return [x * inv % p for x in _unpack_residues(B, p, nb, db + 1)]
         A, B, da, db = B, A, db, dr
     return [1]
 
@@ -233,6 +231,14 @@ def _pack_residues(a: Sequence[int], p: int, nb: int) -> int:
     """sum (a[k] mod p) * 256**(nb*k): ``_kron_pack`` of residues, which are
     never negative."""
     return int.from_bytes(b"".join((x % p).to_bytes(nb, "little") for x in a), "little")
+
+
+def _unpack_residues(x: int, p: int, nb: int, size: int) -> list[int]:
+    """The residues mod p of the ``size`` nonnegative nb-byte slots of x,
+    lowest first: ``_pack_residues`` read back, where a slot may also hold
+    a sum or product not yet reduced mod p."""
+    data = x.to_bytes(nb * size, "little")
+    return [int.from_bytes(data[j:j + nb], "little") % p for j in range(0, nb * size, nb)]
 
 
 def _slot_layout(p: int) -> tuple[int, int]:

@@ -49,6 +49,7 @@ from .exactnum import (
     _rat_array,
     _rats,
     _rows,
+    _unpack_residues,
     hom_discriminant,
     hom_gcd,
     hom_gcd_many,
@@ -276,10 +277,14 @@ class Scene:
     pass, are taken once per count or cross-check and not kept on the
     scene.
 
-    A passing certificate also proves that neither has a root at a pole.
-    Let t0 be a zero of q_i.  Every term of g = sum_k n_k prod_{l != k} q_l^3
-    with k != i carries q_i^3, and q_i(t0) = 0 leaves n_i(t0) =
-    sum_j p_ij(t0) (-p_ij(t0) q_i'(t0)), so
+    A count or a cross-check takes a residue proof only on a scene whose
+    certificate passes.  Such a certificate proves that neither has a root
+    at a pole, and a failing one that the count is below 3en - 2, which no
+    residue proof reaches.  Both lemmas follow.
+
+    A passing certificate: let t0 be a zero of q_i.  Every term of
+    g = sum_k n_k prod_{l != k} q_l^3 with k != i carries q_i^3, and
+    q_i(t0) = 0 leaves n_i(t0) = sum_j p_ij(t0) (-p_ij(t0) q_i'(t0)), so
 
         g(t0) = -q_i'(t0) * sum_j p_ij(t0)^2 * prod_{k != i} q_k(t0)^3.
 
@@ -298,8 +303,23 @@ class Scene:
     degree e whose nonzero discriminant gives it e distinct zeros on P^1,
     [0:1] included, and the nonzero pairwise resultants keep the zeros of
     different views apart, so prod Q_k has exactly en distinct zeros on
-    P^1, its formal degree.  ``certified`` reads whether a passing
-    certificate is held, without computing one.
+    P^1, its formal degree.
+
+    A failing certificate gives deg g < 3en - 2, or g a root in common
+    with prod q_i or the cusp chart, for every data point, so the count is
+    below 3en - 2.  Take each broken condition.  At a finite t0, the
+    formula for g(t0) above vanishes at a repeated zero of q_i
+    (q_i'(t0) = 0), at a zero shared with q_k (q_k(t0) = 0) and at a zero
+    of q_i and sum_j p_ij^2.  At a cusp t0 every W_ij(t0) is 0, since the
+    cusp form divides every Wronskian, so every n_i(t0) is 0 and g(t0) = 0.
+    At [0:1], with the charts of degree at most e and each W_ij of degree
+    at most 2e - 2 (``eddeg.critical_polynomial``): a double zero gives
+    deg q_i <= e - 2; a shared zero drops the degree of two charts; a zero
+    of Q_i and sum_j P_ij^2 drops q_i and, as the squares of rationals sum
+    to 0 only when each is 0, every p_ij; and a cusp is a zero of the
+    t^(2e-2) coefficient a_e b_(e-1) - a_(e-1) b_e of every W_ij, for
+    p_ij = sum a_k t^k and q_i = sum b_k t^k.  Each leaves every term
+    n_k prod_(l != k) q_l^3 of g of degree at most 3en - 3.
 
     Construction refuses, with ``ValueError``, what ``apply_camera`` refuses
     and then the first view whose chart polynomial vanishes identically: the
@@ -340,13 +360,6 @@ class Scene:
         """The genericity certificate; raises ``ValueError`` when every view
         maps the curve to a point, as its first step reads ``cusps``."""
         return _certify(self)
-
-    @property
-    def certified(self) -> bool:
-        """Whether the scene holds a certificate that passes; reading this
-        never computes one."""
-        cert = self.__dict__.get("certificate")
-        return cert is not None and cert.passes
 
 
 # the scene that scene_for built last; one slot, read and replaced whole,
@@ -514,21 +527,18 @@ def _sum_square_coprime_mod_p(q: HomPoly2, ps: Sequence[HomPoly2]) -> bool:
     Q's value at [0:1] is a[e], so a top residue a[e] != 0 mod p rules out
     a zero there and makes the chart a(t) = Q(1, t) of degree e: every zero
     of Q is [1:t0] with a(t0) = 0.  (``_mod_gcd`` gives None when p
-    divides a[e].)  A common zero there would make a and the chart s of S
-    share an irreducible factor c over Q, taken primitive in Z[t]; by
-    Gauss's lemma c divides a and s in Z[t], and lc c divides a[e], which
-    p does not divide, so c mod p keeps its degree >= 1 and divides a mod p
-    and s mod p.  So when s mod p is not zero, with its vanishing top
-    residues dropped, ``_mod_gcd(a, s mod p, p) == [1]`` proves that Q and
-    sum_j P_j^2 share no zero on P^1, as in ``poly_gcd``.
+    divides a[e].)  So when s mod p, the chart of S mod p, is not zero,
+    with its vanishing top residues dropped, ``_mod_gcd(a, s mod p, p) ==
+    [1]`` proves a and the chart of S coprime over Q by the argument of
+    ``poly_gcd``, which needs only that p not divide a[e]: so Q and
+    sum_j P_j^2 share no zero on P^1.
     """
     p = _PRIMES[0]
     d = lcm(*(x.den for x in ps))
     size = 2 * q.degree + 1
     nb = (2 * p.bit_length() + len(ps).bit_length() + (q.degree + 1).bit_length() + 7) // 8
     packed = [_pack_residues([c * (d // x.den) for c in x.num], p, nb) for x in ps]
-    data = sum(x * x for x in packed).to_bytes(nb * size, "little")
-    s = [int.from_bytes(data[j:j + nb], "little") % p for j in range(0, nb * size, nb)]
+    s = _unpack_residues(sum(x * x for x in packed), p, nb, size)
     while s and not s[-1]:
         s.pop()
     return bool(s) and _mod_gcd(q.num, s, p) == [1]

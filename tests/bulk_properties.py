@@ -35,6 +35,7 @@ from edcurve.grassmann import subset_order, wedge_camera
 from edcurve.scene import (
     Arrangement,
     Camera,
+    GenericityCertificate,
     RationalCurve,
     Scene,
     _by_rejection,
@@ -940,8 +941,10 @@ def modular_count(seed: int, cases: int) -> int:
     same error with the same message, with the cell's data as the first
     sample.  The cells are seeded generic ones, non-generic ones (``_non_generic_cell``)
     and ones with a double root, a root at a pole or a cusp
-    (``_special_cell``), each of which only one test of the certificate
-    mod p refuses.  Both outcomes of the certificate must occur."""
+    (``_special_cell``).  On a cell whose genericity certificate fails, a
+    count is below 3en - 2 and neither call takes a residue proof
+    (``scene.Scene``).  Both outcomes of the residue proof must occur: a
+    double root refuses it on a certified scene."""
     rng = random.Random(seed)
     draws = (_generic_cell, _non_generic_cell, _special_cell)
     proved = {True: 0, False: 0}
@@ -952,7 +955,7 @@ def modular_count(seed: int, cases: int) -> int:
         proved[ok] += 1
         return ok
 
-    done = 0
+    done = failed = 0
     while done < cases:
         cell = rng.choice(draws)(rng)
         if cell is None or cell[2] is None:
@@ -966,13 +969,21 @@ def modular_count(seed: int, cases: int) -> int:
             assert h == [c % p for c in eddeg._kron_sum(views, u.u, size, **kwargs)[0]], cell
         s = rng.randrange(2**32)
         points = (u, eddeg.random_data_point(s, arr.n, arr.h))
+        cert = outcome(lambda: Scene(f, arr).certificate)
+        failing = isinstance(cert, GenericityCertificate) and not cert.passes
+        failed += failing
         for fn, kwargs in ((eddeg.ed_degree_affine, {"data_points": points}),
                            (eddeg.euler_cross_check, {})):
+            before = dict(proved)
             with mock.patch.object(eddeg, "_squarefree_mod_p", spy):
                 got = outcome(fn, f, arr, s, **kwargs)
             assert got == exact_outcome(fn, f, arr, s, **kwargs), (f, arr, u, s, got)
+            if failing:
+                assert proved == before, (f, arr, u, s)
+                if isinstance(got, eddeg.EDReport):
+                    assert got.ed_degree < 3 * f.e * arr.n - 2, (f, arr, u, s, got)
         done += 1
-    assert proved[True] and proved[False], proved
+    assert proved[True] and proved[False] and failed, (proved, failed)
     return done
 
 

@@ -624,10 +624,11 @@ class TestOneToOneViews:
         twin = Arrangement(arr.cameras)
         assert euler_cross_check(f, twin, 5) == rep.ed_degree
         assert calls == {"apply_camera": 6, "cusp_form": 2}
-        # the cross-check fills only the caches it reads: the cusp form and
-        # the product of the chart forms; it computes no certificate
+        # the cross-check fills only the caches it reads: the cusp form,
+        # the product of the chart forms and the certificate
         assert set(vars(scene_for(f, twin))) == {
-            "curve", "arrangement", "images", "charts", "cusps", "prod_q_form"}
+            "curve", "arrangement", "images", "charts", "cusps", "prod_q_form",
+            "certificate"}
         assert ed_degree_affine(f, twin, 5) == rep
         assert calls == {"apply_camera": 6, "cusp_form": 2}
         # a cell's count and the cross-check on its outcome's arrangement
@@ -641,7 +642,7 @@ class TestOneToOneViews:
         # the remembered scene is matched by identity: alternating cells,
         # and an arrangement equal to another but distinct, each count on
         # a scene of their own objects, as on fresh twins of them; the
-        # twins' cross-checks each run on a scene without a certificate
+        # twins' cross-checks each compute the certificate of their scene
         f1, f2 = random_curve(77, 3, 3), twisted_cubic()
         a1, a2 = generic_arrangement(300, 3, 2, 3), generic_arrangement(100, 2, 2, 3)
         twin = Arrangement(a1.cameras)
@@ -1218,20 +1219,6 @@ class TestModularCertificate:
         assert results["ed_degree"] == results["cross_check"] == 16
 
 
-def _spy_others(monkeypatch) -> list:
-    """Patch ``eddeg._squarefree_mod_p`` to record the ``others`` of each
-    call, with whether it was the count's (Wronskian) one; the list."""
-    seen, certify = [], eddeg._squarefree_mod_p
-
-    def spy(views, rows, others, **kwargs):
-        # only the count's view pass forms Wronskians
-        seen.append((views.viewed[0][2] is not None, [list(b) for b in others]))
-        return certify(views, rows, others, **kwargs)
-
-    monkeypatch.setattr(eddeg, "_squarefree_mod_p", spy)
-    return seen
-
-
 def _spy_mod_gcd(monkeypatch) -> list:
     """Patch ``eddeg._mod_gcd`` to record each (b, result); the list."""
     seen, mod_gcd = [], eddeg._mod_gcd
@@ -1253,10 +1240,23 @@ def _sympy_chart(form, x):
 _SMALL_RAT = st.builds(F, st.integers(-9, 9), st.integers(1, 4))
 
 
+def _sympy_critical(views, u, x):
+    """g = sum_ij (p_ij - u_ij q_i) W_ij prod_{k != i} q_k^3 in sympy, for
+    the sympy charts (q_i, p_i1, ...) of each view and the data rows u."""
+    sp = pytest.importorskip("sympy")
+    qs = [v[0] for v in views]
+    return sum(((p - sp.Rational(uij.numerator, uij.denominator) * q)
+                * (p.diff(x) * q - p * q.diff(x))
+                * sp.prod([r ** 3 for k, r in enumerate(qs) if k != i]))
+               for i, ((q, *ps), ui) in enumerate(zip(views, u))
+               for p, uij in zip(ps, ui))
+
+
 class TestCertificateDischargesThePoleGcds:
     """A passing certificate proves that g shares no root with prod q_i and
-    G_beta none with the chart of prod Q_k, so the count and a cross-check
-    on a certified scene take neither gcd; without one both stay."""
+    G_beta none with the chart of prod Q_k, so the residue proof of a count
+    or a cross-check takes only the gcd with H'; a failing certificate
+    takes no residue proof at all, and its outcome is the exact path's."""
 
     @settings(max_examples=60, deadline=None)
     @given(_small_cells(), st.data())
@@ -1276,15 +1276,10 @@ class TestCertificateDischargesThePoleGcds:
         qs = [v[0] for v in views]
         prod_q = sp.prod(qs)
 
-        def others(i, power):
-            return sp.prod([q ** power for k, q in enumerate(qs) if k != i])
-
-        g = sum(((p - sp.Rational(uij.numerator, uij.denominator) * q)
-                 * (p.diff(x) * q - p * q.diff(x)) * others(i, 3))
-                for i, ((q, *ps), ui) in enumerate(zip(views, u))
-                for p, uij in zip(ps, ui))
+        g = _sympy_critical(views, u, x)
         g_beta = sp.Rational(beta0.numerator, beta0.denominator) * prod_q ** 2 + sum(
-            ((p - sp.Rational(b.numerator, b.denominator) * q) ** 2 * others(i, 2))
+            ((p - sp.Rational(b.numerator, b.denominator) * q) ** 2
+             * sp.prod([r ** 2 for k, r in enumerate(qs) if k != i]))
             for i, ((q, *ps), bi) in enumerate(zip(views, beta))
             for p, b in zip(ps, bi))
         assert sp.gcd(g, prod_q).degree() == 0
@@ -1295,33 +1290,31 @@ class TestCertificateDischargesThePoleGcds:
         tw, arr = twisted_cubic(), generic_arrangement(100, 2, 2, 3)
         want = (exact_outcome(ed_degree_affine, tw, arr, 5),
                 exact_outcome(euler_cross_check, tw, arr, 5))
-        gcds, others = _spy_mod_gcd(monkeypatch), _spy_others(monkeypatch)
+        gcds = _spy_mod_gcd(monkeypatch)
         rep = ed_degree_affine(tw, arr, 5)
         assert rep.certificate.passes
         assert (rep, euler_cross_check(tw, arr, 5)) == want
         # two samples and the cross-check, each proved by the gcd with its
         # derivative alone
-        assert others == [(True, []), (True, []), (False, [])]
         assert [(len(b), r) for b, r in gcds] == [(16, [1]), (16, [1]), (12, [1])]
 
-    def test_a_root_at_a_pole_is_still_found_without_a_certificate(self, monkeypatch):
+    def test_a_root_at_a_pole_is_found_without_residues(self, monkeypatch):
         # the circle of test_a_root_at_a_pole_falls_through: its chart
         # 1 + t^2 shares its zeros with 1 + t^2 = p_1^2 + p_2^2, so the
-        # certificate fails, and the gcd with prod q_i is the one that
-        # refuses each sample
+        # certificate fails, and both samples take the exact path, whose
+        # saturation removes the two roots at the poles
         circle = RationalCurve(N=2, e=2, coords=(H(2, 1, 0, 1), H(2, 1, 0, 0),
                                                  H(2, 0, 1, 0)))
         arr = Arrangement((Camera(2, 2, ((1, 0, 0), (0, 1, 0), (0, 0, 1))),
                            random_camera(5, 2, 2)))
-        gcds = _spy_mod_gcd(monkeypatch)
+        calls = _spy_calls(monkeypatch, ("_kron_sum_mod",))
         rep = ed_degree_affine(circle, arr, 3)
         assert not rep.certificate.passes
         assert (rep.ed_degree, rep.removed_pole_factors) == (8, 2)
-        prod_q = list(Scene(circle, arr).prod_q.num)
-        assert [r for b, r in gcds if b == prod_q] == [[1, 0, 1], [1, 0, 1]]
+        assert calls == {"_kron_sum_mod": 0}
 
     @pytest.mark.parametrize("name", ["shared chart row", "conic"])
-    def test_a_failing_certificate_keeps_both_gcds(self, monkeypatch, name):
+    def test_a_failing_certificate_takes_no_residue_pass(self, monkeypatch, name):
         if name == "conic":
             f = curve_from_dict(_load("conic.json"))
             arr = arrangement_from_dict(_load("parabola_cam.json"))
@@ -1330,32 +1323,184 @@ class TestCertificateDischargesThePoleGcds:
             cams = [random_camera(300 + i, 3, 4) for i in range(4)]
             cams[1] = Camera(3, 4, (cams[0].entries[0], *cams[1].entries[1:]))
             arr = Arrangement(tuple(cams))
-        fresh = Scene(f, arr)
-        prod_q, chart = list(fresh.prod_q.num), list(fresh.prod_q_form.dehom().num)
-        others = _spy_others(monkeypatch)
-        rep = count_cell(f, arr, lambda k: 11 + k, 3, require_certificate=False).report
-        assert not rep.certificate.passes
-        # the shared row's cross-check ends in NonGenericBetaError; each of
-        # its attempts asks for the gcd all the same
-        outcome(euler_cross_check, f, arr, 11)
-        assert [w for w, _ in others] == [True, True] + [False] * (len(others) - 2)
-        assert len(others) > 2
-        for wronskian, bs in others:
-            assert (prod_q if wronskian else chart) in bs
+        want = (exact_outcome(count_cell, f, arr, lambda k: 11 + k, 3,
+                              require_certificate=False),
+                exact_outcome(euler_cross_check, f, arr, 11))
+        calls = _spy_calls(monkeypatch, ("_mod_views", "_kron_sum_mod"))
+        out = count_cell(f, arr, lambda k: 11 + k, 3, require_certificate=False)
+        assert not out.report.certificate.passes
+        # the shared row's cross-check ends in NonGenericBetaError
+        assert (out, outcome(euler_cross_check, f, arr, 11)) == want
+        assert calls == {"_mod_views": 0, "_kron_sum_mod": 0}
 
-    def test_a_lone_cross_check_keeps_the_chart_gcd(self, monkeypatch):
-        # a cross-check never computes a certificate: on objects no count
-        # has seen, or on their twins, it takes the gcd with the chart of
-        # prod Q_k, and it drops it once the scene holds a passing one
+    def test_a_lone_cross_check_computes_one_certificate(self, monkeypatch):
+        # on objects no count has seen, or on their twins, a cross-check
+        # computes the scene's certificate once and takes the certified
+        # path: the gcd with G_beta' alone, and #S_inf from the formal degree
         tw, arr = twisted_cubic(), generic_arrangement(100, 2, 2, 3)
-        others = _spy_others(monkeypatch)
+        certified, certify = [], scene._certify
+        monkeypatch.setattr(scene, "_certify",
+                            lambda sc: certified.append(sc) or certify(sc))
+        gcds = _spy_mod_gcd(monkeypatch)
         assert euler_cross_check(tw, arr, 5) == 16
-        chart = list(scene_for(tw, arr).prod_q_form.dehom().num)
+        assert certified == [scene_for(tw, arr)]
+        assert euler_cross_check(tw, arr, 5) == 16
         assert euler_cross_check(tw, Arrangement(arr.cameras), 5) == 16
-        assert others == [(False, [chart])] * 2
-        assert genericity_certificate(arr, tw).passes
-        assert euler_cross_check(tw, arr, 5) == 16
-        assert others[-1] == (False, [])
+        assert len(certified) == 2 and certified[1] is not certified[0]
+        assert [(len(b), r) for b, r in gcds] == [(12, [1])] * 3
+
+    @pytest.mark.parametrize("name, want", [
+        ("generic", 16), ("conic", 3),
+        ("shared chart row", (NonGenericBetaError, "non-generic beta"))])
+    def test_a_lone_cross_check_is_the_exact_one(self, name, want):
+        def cell():
+            # new objects on every call, so that no scene is shared
+            if name == "generic":
+                return twisted_cubic(), generic_arrangement(100, 2, 2, 3)
+            if name == "conic":
+                return (curve_from_dict(_load("conic.json")),
+                        arrangement_from_dict(_load("parabola_cam.json")))
+            cams = [random_camera(300 + i, 3, 4) for i in range(4)]
+            cams[1] = Camera(3, 4, (cams[0].entries[0], *cams[1].entries[1:]))
+            return random_curve(7, 4, 4), Arrangement(tuple(cams))
+
+        assert outcome(euler_cross_check, *cell(), 11) == want
+        assert exact_outcome(euler_cross_check, *cell(), 11) == want
+
+
+def _perpendicular(row, vectors) -> list:
+    """``row`` minus its orthogonal projection onto the span of ``vectors``,
+    over Q (Gram-Schmidt)."""
+    basis = []
+    for v in [*vectors, row]:
+        for b in basis:
+            c = sum(x * y for x, y in zip(v, b)) / sum(y * y for y in b)
+            v = [x - c * y for x, y in zip(v, b)]
+        if any(v):
+            basis.append(v)
+    return v
+
+
+def _point_and_tangent(f: RationalCurve, t0) -> tuple[list, list]:
+    """f at the parameter t0, or at [0:1] when t0 is None, and the
+    derivative of f there in the local parameter: t at [1:t0], s at [0:1]."""
+    local = [c.dehom() if t0 is not None else UniPoly(tuple(reversed(c.coeffs)))
+             for c in f.coords]
+    x = F(0) if t0 is None else t0
+    return [c.evaluate(x) for c in local], [c.derivative().evaluate(x) for c in local]
+
+
+_FAULTS = ("repeated zero", "shared zero", "shared chart row", "sum of squares", "cusp")
+
+
+@st.composite
+def _failing_cells(draw):
+    """(curve, arrangement, fault, t0): a conic or cubic in P^3 with
+    entries in [-3, 3], under one to three cameras of height 2, with one
+    fault that breaks the certificate at the parameter t0, a rational, or
+    at [0:1] when t0 is None:
+
+    * ``repeated zero``: camera 0's chart row kills f and f' at t0, so q_0
+      has a double zero there;
+    * ``shared zero``: the chart rows of cameras 0 and 1 kill f at t0 (at
+      [0:1], two degree-drop rows);
+    * ``shared chart row``: camera 1 takes camera 0's chart row (t0 is
+      None, and not a fault's place);
+    * ``sum of squares``: camera 0's centre is f(t0), so q_0 and every
+      p_0j vanish there;
+    * ``cusp``: every camera's centre lies on the tangent line of f at t0.
+    """
+    fault = draw(st.sampled_from(_FAULTS))
+    e = draw(st.integers(2, 3))
+    n = draw(st.integers(2 if fault.startswith("shared") else 1, 3))
+    entry = st.integers(-3, 3)
+    coords = draw(st.lists(st.lists(entry, min_size=e + 1, max_size=e + 1),
+                           min_size=4, max_size=4))
+    try:
+        f = RationalCurve(N=3, e=e, coords=tuple(HomPoly2(e, c) for c in coords))
+    except ValueError:
+        assume(False)
+    finite = fault != "shared chart row" and draw(st.booleans())
+    t0 = draw(_SMALL_RAT) if finite else None
+    point, tangent = _point_and_tangent(f, t0)
+    row = st.lists(entry.map(F), min_size=4, max_size=4)
+    cams = [draw(st.lists(row, min_size=3, max_size=3)) for _ in range(n)]
+    if fault == "repeated zero":
+        cams[0][0] = _perpendicular(cams[0][0], (point, tangent))
+    elif fault == "shared zero":
+        for cam in cams[:2]:
+            cam[0] = _perpendicular(cam[0], (point,))
+    elif fault == "shared chart row":
+        cams[1][0] = cams[0][0]
+    elif fault == "sum of squares":
+        cams[0] = [_perpendicular(r, (point,)) for r in cams[0]]
+    else:
+        a, b = draw(_SMALL_RAT), draw(_SMALL_RAT.filter(bool))
+        centre = [a * x + b * y for x, y in zip(point, tangent)]
+        assume(any(centre))
+        cams = [[_perpendicular(r, (centre,)) for r in cam] for cam in cams]
+    try:
+        arr = Arrangement(tuple(Camera(2, 3, cam) for cam in cams))
+    except ValueError:
+        assume(False)  # a camera not of full rank
+    return f, arr, fault, t0
+
+
+class TestAFailingCertificateBoundsTheCount:
+    """The second lemma of ``scene.Scene``: a failing certificate gives
+    deg g < 3en - 2, or g a root in common with prod q_i or the cusp chart,
+    so the count is below 3en - 2 and no residue proof is lost by skipping
+    it."""
+
+    REASONS = {
+        "repeated zero": ("has a repeated zero",),
+        "shared zero": ("share a zero at infinity",),
+        "shared chart row": ("share a zero at infinity",),
+        "sum of squares": ("shares a zero with its view's sum of squares",
+                           "image coordinates vanish identically"),
+        "cusp": ("not an immersion",),
+    }
+
+    @settings(max_examples=100, deadline=None)
+    @given(_failing_cells(), st.data())
+    def test_the_lemma_on_small_cells(self, cell, data):
+        sp = pytest.importorskip("sympy")
+        f, arr, fault, t0 = cell
+        try:
+            cert = genericity_certificate(arr, f)
+        except ValueError:
+            assume(False)  # a vanishing chart, or a point image
+        assert not cert.passes
+        assert any(want in reason for want in self.REASONS[fault] for reason in cert.reasons)
+        x = sp.symbols("x")
+        views = [[_sympy_chart(c, x) for c in apply_camera(cam, f)] for cam in arr.cameras]
+        rows = st.lists(_SMALL_RAT, min_size=arr.h, max_size=arr.h)
+        u = data.draw(st.lists(rows, min_size=arr.n, max_size=arr.n))
+        g = _sympy_critical(views, u, x)
+        prod_q = sp.prod([v[0] for v in views])
+        cusps = sp.Poly(0, x)
+        for v in views:
+            for a, b in ((a, b) for k, a in enumerate(v) for b in v[k + 1:]):
+                cusps = sp.gcd(cusps, a * b.diff(x) - a.diff(x) * b)
+        bound = 3 * f.e * arr.n - 2
+        assert (g.degree() < bound or sp.gcd(g, prod_q).degree() > 0
+                or sp.gcd(g, cusps).degree() > 0)
+        # each fault in its own place: a root of g at t0, where prod q_i or
+        # the cusp chart vanishes, or a degree drop at [0:1]
+        if t0 is not None:
+            r = sp.Rational(t0.numerator, t0.denominator)
+            assert g.eval(r) == 0 and (prod_q.eval(r) == 0 or cusps.eval(r) == 0)
+        elif fault != "shared chart row":
+            assert g.degree() <= bound - 1
+        second = random_data_point(data.draw(st.integers(0, 2**32)), arr.n, arr.h)
+        got = outcome(ed_degree_affine, f, arr, 0,
+                      data_points=(DataPoint(u=tuple(map(tuple, u))), second))
+        if isinstance(got, EDReport):
+            assert got.ed_degree < bound
+        else:
+            assert got in ((DataInstabilityError, "data not generic; reseed"),
+                           (ValueError, "critical polynomial vanished identically; data "
+                                        "sits on the variety's symmetry locus"))
 
 
 def _spy_calls(monkeypatch, names) -> dict:
@@ -1379,15 +1524,15 @@ class TestOneViewPassPerCount:
 
     @pytest.mark.parametrize("proved", [True, False], ids=["proved", "exact"])
     def test_the_view_pass_runs_once_per_count(self, monkeypatch, proved):
-        # the cuspidal cubic's samples fall through to the exact path, whose
-        # own view passes run in the integer rings
+        # the cuspidal cubic's certificate fails, so its samples take the
+        # exact path alone, whose own view passes run in the integer rings
         f = twisted_cubic() if proved else cuspidal_cubic()
         arr = generic_arrangement(100, 2, 2, 3) if proved else generic_arrangement(9, 2, 2, 2)
         calls = _spy_calls(monkeypatch, ("_mod_views", "_kron_sum_mod", "_kron_sum"))
         rep = ed_degree_affine(f, arr, 5)
         assert rep.certificate.passes is proved
-        assert calls == {"_mod_views": 1, "_kron_sum_mod": 2,
-                         "_kron_sum": 0 if proved else 2}
+        assert calls == ({"_mod_views": 1, "_kron_sum_mod": 2, "_kron_sum": 0} if proved
+                         else {"_mod_views": 0, "_kron_sum_mod": 0, "_kron_sum": 2})
         assert exact_outcome(ed_degree_affine, f, arr, 5) == rep
         if proved:
             calls.update(dict.fromkeys(calls, 0))
@@ -1421,15 +1566,13 @@ class TestSInfFromTheCertificate:
                             lambda p: seen.append(p) or squarefree(p))
         return seen
 
-    def test_only_an_uncertified_cross_check_counts_the_zeros(self, monkeypatch):
+    def test_a_lone_cross_check_on_a_generic_scene_counts_no_zeros(self, monkeypatch):
+        # no certificate is held yet: the cross-check computes one, and it
+        # passes, so #S_inf is the formal degree
         tw, arr = twisted_cubic(), generic_arrangement(100, 2, 2, 3)
         seen = self._squarefree_parts(monkeypatch)
-        # no certificate is held yet: the cross-check counts the zeros
         assert euler_cross_check(tw, arr, 5) == 16
-        assert seen == [scene_for(tw, arr).prod_q_form.dehom()]
-        assert genericity_certificate(arr, tw).passes
-        seen.clear()
-        assert euler_cross_check(tw, arr, 5) == 16
+        assert "certificate" in vars(scene_for(tw, arr))
         assert seen == []
 
     def test_a_failing_certificate_counts_the_zeros(self, monkeypatch):
@@ -1503,6 +1646,35 @@ class TestOneRefusalOrder:
         arr, u, first = _double_faults()[case]
         with pytest.raises(ValueError, match=first):
             self.ENTRIES[entry](line_in_p3(), arr, u)
+
+    @pytest.mark.parametrize("case", ["chart before point", "chart before cusp",
+                                      "point", "cusp"])
+    def test_a_lone_cross_check_refuses_before_its_certificate(self, monkeypatch, case):
+        """On objects no count has seen, the cross-check refuses a
+        vanishing chart, then a point image, then a cusp, and computes no
+        certificate first."""
+        cusped = RationalCurve(N=3, e=3, coords=(H(3, 1, 0, 0, 0), H(3, 0, 0, 1, 0),
+                                                 H(3, 0, 0, 0, 1), HomPoly2(3)))
+        # the line [t:s:0:0]: these rows give [0:0:t], a vanishing chart
+        # and a point image, and [t:t:t], a point image alone
+        chart_and_point = Camera(2, 3, ((0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0)))
+        point = Camera(2, 3, ((1, 0, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1)))
+        # the cusped cubic's chart row picks its zero coordinate
+        at_infinity = Camera(2, 3, ((0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0)))
+        f, cams, error, message = {
+            "chart before point": (line_in_p3(), (chart_and_point,), ValueError,
+                                   "curve at infinity of camera 0"),
+            "chart before cusp": (cusped, (random_camera(7, 2, 3), at_infinity), ValueError,
+                                  "curve at infinity of camera 1"),
+            "point": (line_in_p3(), (point,), ValueError,
+                                  "the image of the curve in every view is a point"),
+            "cusp": (cusped, (random_camera(7, 2, 3),), CuspError,
+                     "cross-check requires immersion"),
+        }[case]
+        certified = []
+        monkeypatch.setattr(scene, "_certify", certified.append)
+        assert outcome(euler_cross_check, f, Arrangement(cams), 0) == (error, message)
+        assert certified == []
 
     def test_differing_dimensions_are_refused_with_one_message(self):
         """The certificate has no check of its own: every entry refuses a

@@ -542,16 +542,6 @@ class TestSceneFor:
         assert built[-1] is built[-2]
         assert len({id(x) for x in built}) == len(built) - 1
 
-    def test_certified_never_computes_a_certificate(self):
-        f = twisted_cubic()
-        c = random_camera(7, 2, 3)
-        for arr, passes in ((Arrangement((c, random_camera(8, 2, 3))), True),
-                            (Arrangement((c, c)), False)):
-            fresh = Scene(f, arr)
-            assert not fresh.certified and "certificate" not in vars(fresh)
-            assert fresh.certificate.passes is passes
-            assert fresh.certified is passes
-
 
 class TestSerialization:
     def test_curve_round_trip_and_schema(self):
