@@ -114,7 +114,9 @@ class CuspError(ValueError):
 
 
 class NonGenericBetaError(RuntimeError):
-    """Perturbation parameters kept colliding with the infinity locus."""
+    """prod Q_k and the cross-check's perturbed numerator G_beta share a zero
+    on P^1.  Such a zero is one of every G_beta, whatever beta is drawn
+    (:func:`euler_cross_check`), so the cross-check does not apply."""
 
 
 # ---------------------------------------------------------------------------
@@ -155,18 +157,22 @@ class DataPoint:
         return cls(u=u, beta0=beta0)
 
 
-def random_data_point(seed: int, n: int, h: int) -> DataPoint:
-    """Rationals num/den with num in [-64, 64], den in [1, 8] (Mersenne Twister).
+def _rational_rows(rng: random.Random, n: int, h: int) -> tuple[tuple[Rat, ...], ...]:
+    """n rows of h rationals num/den with num in [-64, 64], den in [1, 8],
+    drawn from ``rng`` row by row, each num before its den.
 
     Small denominators keep cleared-integer coefficient growth modest while the
     draws stay generic with probability 1 for every algebraic condition used.
     """
-    rng = random.Random(seed)
-    u = tuple(
+    return tuple(
         tuple(Fraction(rng.randint(-64, 64), rng.randint(1, 8)) for _ in range(h))
         for _ in range(n)
     )
-    return DataPoint(u=u)
+
+
+def random_data_point(seed: int, n: int, h: int) -> DataPoint:
+    """The rows of :func:`_rational_rows` from a Mersenne Twister seeded with ``seed``."""
+    return DataPoint(u=_rational_rows(random.Random(seed), n, h))
 
 
 # ---------------------------------------------------------------------------
@@ -659,10 +665,13 @@ def count_cell(
     rejected on :class:`DataInstabilityError`, on a failed certificate when
     ``require_certificate``, and on ``ValueError`` only when the cameras are
     redrawn: with a fixed arrangement a degenerate scene propagates, since
-    reseeding the data cannot cure it.  Each attempt counts on
-    :func:`scene_for`'s :class:`Scene`, so retries on a fixed arrangement
-    share one, and its certificate, and a cross-check on the outcome's
-    arrangement reads the accepted attempt's.  Raises
+    reseeding the data cannot cure it.  Only what a reseed can change is
+    retried: a fixed arrangement's failed certificate ends the cell after
+    that attempt, with its one reason, since ``rep.certificate`` is the
+    certificate of :func:`scene_for`'s scene, which reads only f and the
+    arrangement.  Each attempt counts on that :class:`Scene`, so retries on
+    a fixed arrangement share one, and its certificate, and a cross-check on
+    the outcome's arrangement reads the accepted attempt's.  Raises
     :class:`CellExhaustedError` when no attempt is accepted.
     """
     redraw = not isinstance(arrangement, Arrangement)
@@ -685,6 +694,8 @@ def count_cell(
             continue
         if require_certificate and not rep.certificate.passes:
             rejected.append("certificate failed: " + "; ".join(rep.certificate.reasons))
+            if not redraw:
+                break
             continue
         return CellOutcome(report=rep, arrangement=arr, rejected=tuple(rejected))
     raise CellExhaustedError(rejected)
@@ -703,31 +714,39 @@ def euler_cross_check(f: RationalCurve, arr: Arrangement, seed: int) -> int:
 
         G = beta0 * prod Q_k^2 + sum_i [prod_{k != i} Q_k^2] sum_j (P_ij - beta_ij Q_i)^2
 
-    for generic rational beta (:func:`_perturbed_numerator`).  The two sets
-    must be disjoint (verified by a binary-form gcd); a collision is a
-    beta-independent certificate failure, but beta is re-drawn a few times
-    before giving up, since the check itself must not depend on one unlucky
-    draw.  A multiview map that is not an immersion is refused: node
-    contributions cancel from this balance, cusp contributions do not.
-    The images and pole products are those of :func:`scene_for`'s
-    :class:`Scene` of (f, arr); its refusals come first, in their order: a
-    vanishing chart (or differing dimensions) as the scene is built, a
-    point image, then a cusp.  The scene's certificate is read after them,
-    and computed if the scene holds none yet.
+    for rational beta and beta0 > 0 drawn once from ``seed``
+    (:func:`_perturbed_numerator`).  The two sets must be disjoint, which a
+    binary-form gcd verifies, and a second draw could not change its verdict:
+
+    * G is never the zero form.  beta0 = a/b with a >= 1, so on real t,
+      G(1, t) >= beta0 * prod q_k(t)^2, which is positive wherever
+      prod q_k(t) != 0; such a t exists, since the scene refuses a
+      vanishing chart.
+    * A shared zero does not depend on beta.  At a zero t0 in P^1 of Q_i,
+      every term of G but view i's carries Q_i^2, so
+      G(t0) = prod_{k != i} Q_k(t0)^2 * sum_j P_ij(t0)^2 for every beta and
+      beta0.  So when prod Q_k and G share a zero, every G does, and
+      :class:`NonGenericBetaError` is raised at once.
+
+    A multiview map that is not an immersion is refused: node contributions
+    cancel from this balance, cusp contributions do not.  The images and
+    pole products are those of :func:`scene_for`'s :class:`Scene` of
+    (f, arr); its refusals come first, in their order: a vanishing chart (or
+    differing dimensions) as the scene is built, a point image, then a cusp.
+    The scene's certificate is read after them, and computed if the scene
+    holds none yet.
 
     When the certificate passes, prod Q_k has exactly as many distinct
-    zeros on P^1 as its formal degree en, which is #S_inf, and each
-    attempt first reads G mod p (:func:`_squarefree_mod_p`), G of formal
-    degree 2en.  A nonzero t^(2en) residue proves that G does not vanish at
-    [0:1], so its zeros are those of its chart, of degree 2en; when that
-    chart is also proved squarefree, #S_Q = 2en.  The sets are disjoint:
-    at a zero of Q_i on P^1, G = prod_{k != i} Q_k^2 * sum_j P_ij^2 for
-    every beta and beta0, and the certificate makes both factors nonzero
-    (``scene.Scene``).  The residue view pass of the images
-    (:func:`_mod_views`) is taken once and serves every attempt.  When the
-    certificate fails, ``hom_distinct_root_count`` counts #S_inf and every
-    attempt runs its exact steps, as does any attempt the residues do not
-    prove.
+    zeros on P^1 as its formal degree en, which is #S_inf, and G mod p is
+    read first (:func:`_squarefree_mod_p`), G of formal degree 2en, on the
+    residue view pass of the images (:func:`_mod_views`).  A nonzero
+    t^(2en) residue proves that G does not vanish at [0:1], so its zeros
+    are those of its chart, of degree 2en; when that chart is also proved
+    squarefree, #S_Q = 2en.  The sets are disjoint by the second fact
+    above: the certificate makes both factors nonzero (``scene.Scene``).
+    When the certificate fails, ``hom_distinct_root_count`` counts #S_inf,
+    and G is built and its zeros counted exactly, as they are when the
+    residues prove nothing.
     """
     scene = scene_for(f, arr)
     if scene.cusps.degree:
@@ -739,22 +758,15 @@ def euler_cross_check(f: RationalCurve, arr: Arrangement, seed: int) -> int:
     else:
         s_inf, views = hom_distinct_root_count(prod_q), None
 
-    for attempt in range(4):
-        rng = random.Random(f"{seed}:euler-beta:{attempt}")
-        beta = [
-            [Fraction(rng.randint(-64, 64), rng.randint(1, 8)) for _ in range(arr.h)]
-            for _ in range(arr.n)
-        ]
-        beta0 = Fraction(rng.randint(1, 64), rng.randint(1, 8))
-        if views is not None and _squarefree_mod_p(views, beta, constant=beta0):
-            return s_inf + degree - 2
-        g_beta = _perturbed_numerator(scene.images, beta, beta0)
-        if g_beta.is_zero:
-            continue
-        if hom_resultant_is_nonzero(prod_q, g_beta):
-            s_q = hom_distinct_root_count(g_beta)
-            return s_inf + s_q - 2
-    raise NonGenericBetaError("non-generic beta")
+    rng = random.Random(f"{seed}:euler-beta:0")
+    beta = _rational_rows(rng, arr.n, arr.h)
+    beta0 = Fraction(rng.randint(1, 64), rng.randint(1, 8))
+    if views is not None and _squarefree_mod_p(views, beta, constant=beta0):
+        return s_inf + degree - 2
+    g_beta = _perturbed_numerator(scene.images, beta, beta0)
+    if not hom_resultant_is_nonzero(prod_q, g_beta):
+        raise NonGenericBetaError("non-generic beta")
+    return s_inf + hom_distinct_root_count(g_beta) - 2
 
 
 def _perturbed_numerator(images, beta, beta0: Rat) -> HomPoly2:

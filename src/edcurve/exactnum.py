@@ -125,6 +125,33 @@ def rat_to_str(x: Rat) -> str:
     return f"{_int_to_str(x.numerator)}/{_int_to_str(x.denominator)}"
 
 
+def _power(x: str, k: int) -> str:
+    """The monomial x^k as text: "" for k = 0, "x" for k = 1."""
+    return "" if k == 0 else x if k == 1 else f"{x}^{k}"
+
+
+def _render_terms(terms) -> str:
+    """The sum of the terms (coefficient, powers), in their order, each
+    power a text of :func:`_power`: a zero term is skipped, the nonempty
+    powers are joined by "*", a unit coefficient is dropped before them, a
+    constant prints its coefficient alone, and "+ -" folds into "- "; "0"
+    when no term is left."""
+    parts = []
+    for c, powers in terms:
+        if not c:
+            continue
+        mono = "*".join(filter(None, powers))
+        if not mono:
+            parts.append(rat_to_str(c))
+        elif c == 1:
+            parts.append(mono)
+        elif c == -1:
+            parts.append(f"-{mono}")
+        else:
+            parts.append(f"{rat_to_str(c)}*{mono}")
+    return " + ".join(parts).replace("+ -", "- ") or "0"
+
+
 def _str_to_int(s: str) -> int:
     """int(s), also past the interpreter's int-to-str digit limit, through an
     exact Decimal as in :func:`_int_to_str`."""
@@ -575,24 +602,8 @@ class UniPoly:
         return [rat_to_str(c) for c in self.coeffs]
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
         cs = self.coeffs
-        parts = []
-        for k in range(len(cs) - 1, -1, -1):
-            c = cs[k]
-            if not c:
-                continue
-            mono = "1" if k == 0 else ("t" if k == 1 else f"t^{k}")
-            if k == 0:
-                parts.append(rat_to_str(c))
-            elif c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{rat_to_str(c)}*{mono}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return _render_terms((cs[k], (_power("t", k),)) for k in range(len(cs) - 1, -1, -1))
 
 
 def _uni(num: Sequence[int], den: int) -> UniPoly:
@@ -808,25 +819,9 @@ class HomPoly2:
         return [rat_to_str(c) for c in self.coeffs]
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
         e = self.degree
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            sm, tm = e - k, k
-            mono = "*".join(
-                ([f"s^{sm}" if sm > 1 else "s"] if sm else [])
-                + ([f"t^{tm}" if tm > 1 else "t"] if tm else [])
-            ) or "1"
-            if c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{rat_to_str(c)}*{mono}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return _render_terms((c, (_power("s", e - k), _power("t", k)))
+                             for k, c in enumerate(self.coeffs))
 
 
 def _hom(degree: int, num: Sequence[int], den: int) -> HomPoly2:

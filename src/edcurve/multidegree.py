@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .exactnum import _int_to_str
+from .exactnum import _power, _render_terms
 
 Expo = tuple[int, ...]
 
@@ -120,32 +120,11 @@ class MultiDeg:
 
     # -- rendering -----------------------------------------------------------
 
-    def _monomial_str(self, expo: Expo) -> str:
-        factors = []
-        for i, a in enumerate(expo, start=1):
-            if a == 1:
-                factors.append(f"T{i}")
-            elif a > 1:
-                factors.append(f"T{i}^{a}")
-        return "*".join(factors)
-
     def render(self) -> str:
         """Deterministic text form: terms in descending lexicographic exponent order."""
-        if not self.terms:
-            return "0"
-        parts = []
-        for expo in sorted(self.terms, reverse=True):
-            c = self.terms[expo]
-            mono = self._monomial_str(expo)
-            if not mono:
-                parts.append(_int_to_str(c))
-            elif c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{_int_to_str(c)}*{mono}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return _render_terms(
+            (self.terms[expo], [_power(f"T{i}", a) for i, a in enumerate(expo, start=1)])
+            for expo in sorted(self.terms, reverse=True))
 
     def render_dual(self) -> str:
         """Complementary-exponent shorthand: c*T^alpha shown as c*T^(h*1-alpha)."""

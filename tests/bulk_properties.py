@@ -26,6 +26,7 @@ from edcurve.exactnum import (
     hom_discriminant,
     hom_distinct_root_count,
     hom_resultant,
+    hom_resultant_is_nonzero,
     poly_gcd,
     refine_root,
     squarefree_part,
@@ -987,6 +988,42 @@ def modular_count(seed: int, cases: int) -> int:
     return done
 
 
+def beta_independence(seed: int, cases: int) -> int:
+    """The cross-check's one beta draw decides what every draw would: on
+    seeded generic, non-generic and special cells (``_generic_cell``,
+    ``_non_generic_cell``, ``_special_cell``) whose charts do not vanish,
+    three draws of beta and beta0 > 0 as ``eddeg.euler_cross_check`` draws
+    them give perturbed numerators G_beta that are never the zero form and
+    that share a zero with prod Q_k all or none (``hom_resultant_is_nonzero``).
+    Both verdicts must occur: ``_CIRCLE``'s chart zeros are zeros of every
+    G_beta."""
+    rng = random.Random(seed)
+    draws = (_generic_cell, _non_generic_cell, _special_cell)
+    verdicts = {True: 0, False: 0}
+    done = 0
+    while done < cases:
+        cell = rng.choice(draws)(rng)
+        if cell is None:
+            continue
+        f, arr, _ = cell
+        try:
+            sc = Scene(f, arr)
+        except ValueError:
+            continue  # a vanishing chart
+        seen = set()
+        for _ in range(3):
+            beta = eddeg._rational_rows(rng, arr.n, arr.h)
+            beta0 = F(rng.randint(1, 64), rng.randint(1, 8))
+            g_beta = eddeg._perturbed_numerator(sc.images, beta, beta0)
+            assert not g_beta.is_zero, (f, arr, beta, beta0)
+            seen.add(hom_resultant_is_nonzero(sc.prod_q_form, g_beta))
+        assert len(seen) == 1, (f, arr)
+        verdicts[seen.pop()] += 1
+        done += 1
+    assert verdicts[True] and verdicts[False], verdicts
+    return done
+
+
 def run_all(seed: int = 20260823) -> dict[str, int]:
     """Run every suite; the value is the per-suite executed-case count."""
     return {
@@ -1006,4 +1043,5 @@ def run_all(seed: int = 20260823) -> dict[str, int]:
         "modular_count": modular_count(seed + 13, 150),
         "l1_bound": l1_bound(seed + 14, 300),
         "camera_laws": camera_laws(seed + 15, 300),
+        "beta_independence": beta_independence(seed + 16, 300),
     }

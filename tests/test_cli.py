@@ -22,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from edcurve import cli
+from edcurve import cli, eddeg
 from edcurve.cli import build_parser, derive_seed, main
 from edcurve.eddeg import DataPoint, triangulate
 from edcurve.scene import apply_camera, arrangement_from_dict, curve_from_dict
@@ -259,6 +259,49 @@ class TestSweep:
         code, _, err = run_cli(capsys, "sweep", "--h", "1")
         assert code == 1
         assert ">= 2" in err
+
+    def test_a_grid_without_cells(self, capsys):
+        # the curves of e = 1, 2 live in P^3 and P^4, where no camera of
+        # height 6 has full rank, so every variant is skipped
+        code, out, _ = run_cli(capsys, "sweep", "--e", "1..2", "--h", "6")
+        assert code == 0
+        assert out.splitlines()[1:] == ["certified cells all match: True"]
+        env = run_json(capsys, "sweep", "--e", "1..2", "--h", "6")
+        assert env["results"] == {"cells": [], "all_certified_match": True}
+
+    @pytest.mark.parametrize("kind", ["unstable", "degenerate"])
+    def test_a_cell_that_fails_is_an_error_row(self, capsys, monkeypatch, kind):
+        # the two-camera cell fails on every attempt: each unstable attempt
+        # with a reason of its own, of which the row shows the last, or a
+        # degenerate scene at once; the row changes neither the verdict
+        # nor the exit code
+        count, attempts = eddeg.ed_degree_affine, []
+
+        def failing(f, arr, seed, **kwargs):
+            if arr.n < 2:
+                return count(f, arr, seed, **kwargs)
+            attempts.append(seed)
+            if kind == "degenerate":
+                raise ValueError("a degenerate scene")
+            raise eddeg.DataInstabilityError(f"unstable attempt {len(attempts) - 1}")
+
+        monkeypatch.setattr(eddeg, "ed_degree_affine", failing)
+        reason = "a degenerate scene" if kind == "degenerate" else "unstable attempt 2"
+        env = run_json(capsys, "sweep", "--e", "1", "--n", "1..2", "--h", "2",
+                       "--retries", "3")
+        cells = env["results"]["cells"]
+        assert [c["status"] for c in cells] == ["ok", "error"]
+        assert cells[1] == {"e": 1, "n": 2, "h": 2, "variant": "generic",
+                            "cell_seed": derive_seed(0, "sweep:h2:e1:n2:generic"),
+                            "status": "error", "error": reason}
+        assert env["results"]["all_certified_match"] is True
+        assert len(attempts) == (1 if kind == "degenerate" else 3)
+        attempts.clear()
+        code, out, _ = run_cli(capsys, "sweep", "--e", "1", "--n", "1..2", "--h", "2",
+                               "--retries", "3")
+        assert code == 0
+        assert out.splitlines()[2].endswith(f"- error: {reason}")
+        assert out.splitlines()[-1] == "certified cells all match: True"
 
 
 class TestL3:

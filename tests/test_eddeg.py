@@ -364,6 +364,18 @@ class TestCountCell:
         assert out.report == ed_degree_affine(f5, draw(0), 100)
         assert out.report.ed_degree == 9 and not out.report.certificate.passes
 
+    def test_a_fixed_failing_certificate_ends_the_cell(self, monkeypatch):
+        # the certificate reads only the curve and the arrangement, so a
+        # reseed cannot pass it: one count, one reason
+        f5, arr = rational_normal_curve(5, 5), Arrangement((random_camera_block_pairs(0),))
+        calls = _spy_calls(monkeypatch, ("ed_degree_affine",))
+        with pytest.raises(CellExhaustedError) as exc:
+            count_cell(f5, arr, lambda k: 100 + k, 5)
+        assert calls == {"ed_degree_affine": 1}
+        assert exc.value.reasons == (
+            "certificate failed: chart polynomial of camera 0 has a repeated zero; "
+            "parameterization is not an immersion (cusp present)",)
+
     def test_value_error_propagates_for_a_fixed_scene(self):
         # the line through the camera centre [0:0:0:1] images to a point
         line = curve_from_dict({"N": 3, "degree": 1, "coords": [
@@ -1026,6 +1038,15 @@ class TestTreeAssembly:
         assert g == UniPoly((0, 0, 0, 2 * n * a * a, 0, 3 * n * a * a))
 
 
+def _circle() -> tuple[RationalCurve, Arrangement]:
+    """The circle (1, t) / (1 + t^2) through the identity beside a random
+    view: its chart's zeros +-i are simple roots of the critical polynomial
+    and zeros of every perturbed numerator G_beta."""
+    return (RationalCurve(N=2, e=2, coords=(H(2, 1, 0, 1), H(2, 1, 0, 0), H(2, 0, 1, 0))),
+            Arrangement((Camera(2, 2, ((1, 0, 0), (0, 1, 0), (0, 0, 1))),
+                         random_camera(5, 2, 2))))
+
+
 def _spy_kron_sum(monkeypatch) -> list:
     """Patch ``eddeg._kron_sum`` to record each call's size; the list."""
     sizes, exact = [], eddeg._kron_sum
@@ -1152,17 +1173,15 @@ class TestModularCertificate:
     def test_a_root_at_a_pole_falls_through(self, monkeypatch):
         # the circle (1, t) / (1 + t^2): only the gcd with prod q_i refuses
         # the count, and every G_beta vanishes at the chart's zeros +-i,
-        # which only the gcd with the chart of prod Q_k refuses
-        circle = RationalCurve(N=2, e=2, coords=(H(2, 1, 0, 1), H(2, 1, 0, 0), H(2, 0, 1, 0)))
-        arr = Arrangement((Camera(2, 2, ((1, 0, 0), (0, 1, 0), (0, 0, 1))),
-                           random_camera(5, 2, 2)))
+        # so the cross-check's one G_beta shares them with prod Q_k
+        circle, arr = _circle()
         sizes = _spy_kron_sum(monkeypatch)
         rep = ed_degree_affine(circle, arr, 3)
         assert (rep.ed_degree, rep.critical_poly_degree) == (8, 10)
         assert (rep.removed_pole_factors, rep.removed_immersion_factors) == (2, 0)
         with pytest.raises(NonGenericBetaError):
             euler_cross_check(circle, arr, 3)
-        assert sizes == [11, 11, 9, 9, 9, 9]
+        assert sizes == [11, 11, 9]
         assert exact_outcome(ed_degree_affine, circle, arr, 3) == rep
 
     def test_a_cusp_falls_through(self, monkeypatch):
@@ -1303,10 +1322,7 @@ class TestCertificateDischargesThePoleGcds:
         # 1 + t^2 shares its zeros with 1 + t^2 = p_1^2 + p_2^2, so the
         # certificate fails, and both samples take the exact path, whose
         # saturation removes the two roots at the poles
-        circle = RationalCurve(N=2, e=2, coords=(H(2, 1, 0, 1), H(2, 1, 0, 0),
-                                                 H(2, 0, 1, 0)))
-        arr = Arrangement((Camera(2, 2, ((1, 0, 0), (0, 1, 0), (0, 0, 1))),
-                           random_camera(5, 2, 2)))
+        circle, arr = _circle()
         calls = _spy_calls(monkeypatch, ("_kron_sum_mod",))
         rep = ed_degree_affine(circle, arr, 3)
         assert not rep.certificate.passes
@@ -1351,8 +1367,9 @@ class TestCertificateDischargesThePoleGcds:
 
     @pytest.mark.parametrize("name, want", [
         ("generic", 16), ("conic", 3),
-        ("shared chart row", (NonGenericBetaError, "non-generic beta"))])
-    def test_a_lone_cross_check_is_the_exact_one(self, name, want):
+        ("shared chart row", (NonGenericBetaError, "non-generic beta")),
+        ("circle", (NonGenericBetaError, "non-generic beta"))])
+    def test_a_lone_cross_check_is_the_exact_one(self, monkeypatch, name, want):
         def cell():
             # new objects on every call, so that no scene is shared
             if name == "generic":
@@ -1360,12 +1377,17 @@ class TestCertificateDischargesThePoleGcds:
             if name == "conic":
                 return (curve_from_dict(_load("conic.json")),
                         arrangement_from_dict(_load("parabola_cam.json")))
+            if name == "circle":
+                return _circle()
             cams = [random_camera(300 + i, 3, 4) for i in range(4)]
             cams[1] = Camera(3, 4, (cams[0].entries[0], *cams[1].entries[1:]))
             return random_curve(7, 4, 4), Arrangement(tuple(cams))
 
         assert outcome(euler_cross_check, *cell(), 11) == want
+        calls = _spy_calls(monkeypatch, ("_perturbed_numerator",))
         assert exact_outcome(euler_cross_check, *cell(), 11) == want
+        # beta is drawn once: one G_beta, also on the way to NonGenericBetaError
+        assert calls == {"_perturbed_numerator": 1}
 
 
 def _perpendicular(row, vectors) -> list:
@@ -1394,11 +1416,11 @@ _FAULTS = ("repeated zero", "shared zero", "shared chart row", "sum of squares",
 
 
 @st.composite
-def _failing_cells(draw):
+def _failing_cells(draw, faults=_FAULTS):
     """(curve, arrangement, fault, t0): a conic or cubic in P^3 with
     entries in [-3, 3], under one to three cameras of height 2, with one
-    fault that breaks the certificate at the parameter t0, a rational, or
-    at [0:1] when t0 is None:
+    fault of ``faults`` that breaks the certificate at the parameter t0, a
+    rational, or at [0:1] when t0 is None:
 
     * ``repeated zero``: camera 0's chart row kills f and f' at t0, so q_0
       has a double zero there;
@@ -1408,9 +1430,10 @@ def _failing_cells(draw):
       None, and not a fault's place);
     * ``sum of squares``: camera 0's centre is f(t0), so q_0 and every
       p_0j vanish there;
-    * ``cusp``: every camera's centre lies on the tangent line of f at t0.
+    * ``cusp``: every camera's centre lies on the tangent line of f at t0;
+    * ``generic``: no fault is planted (t0 is not a fault's place).
     """
-    fault = draw(st.sampled_from(_FAULTS))
+    fault = draw(st.sampled_from(faults))
     e = draw(st.integers(2, 3))
     n = draw(st.integers(2 if fault.startswith("shared") else 1, 3))
     entry = st.integers(-3, 3)
@@ -1434,7 +1457,7 @@ def _failing_cells(draw):
         cams[1][0] = cams[0][0]
     elif fault == "sum of squares":
         cams[0] = [_perpendicular(r, (point,)) for r in cams[0]]
-    else:
+    elif fault == "cusp":
         a, b = draw(_SMALL_RAT), draw(_SMALL_RAT.filter(bool))
         centre = [a * x + b * y for x, y in zip(point, tangent)]
         assume(any(centre))
@@ -1501,6 +1524,48 @@ class TestAFailingCertificateBoundsTheCount:
             assert got in ((DataInstabilityError, "data not generic; reseed"),
                            (ValueError, "critical polynomial vanished identically; data "
                                         "sits on the variety's symmetry locus"))
+
+
+class TestOneBetaDraw:
+    """The cross-check draws beta once: G_beta is never the zero form, and
+    whether it shares a zero with prod Q_k does not depend on beta, since
+    G_beta = prod_{k != i} Q_k^2 * sum_j P_ij^2 at a zero of Q_i
+    (``eddeg.euler_cross_check``).  ``bulk_properties.beta_independence``
+    checks the same law on seeded cells."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_failing_cells(("generic", "shared zero", "sum of squares")), st.data())
+    def test_a_shared_zero_does_not_depend_on_beta(self, cell, data):
+        sp = pytest.importorskip("sympy")
+        f, arr, fault, _ = cell
+        try:
+            sc = Scene(f, arr)
+        except ValueError:
+            assume(False)  # a vanishing chart
+        s, t = sp.symbols("s t")
+
+        def form(p):
+            return sum(sp.Rational(c.numerator, c.denominator) * s ** (p.degree - k) * t ** k
+                       for k, c in enumerate(p.coeffs))
+
+        prod_q = form(sc.prod_q_form)
+        verdicts = set()
+        for _ in range(3):
+            rng = random.Random(data.draw(st.integers(0, 2**32)))
+            beta = eddeg._rational_rows(rng, arr.n, arr.h)
+            beta0 = F(rng.randint(1, 64), rng.randint(1, 8))
+            g_beta = eddeg._perturbed_numerator(sc.images, beta, beta0)
+            assert not g_beta.is_zero
+            coprime = exactnum.hom_resultant_is_nonzero(sc.prod_q_form, g_beta)
+            # two binary forms share a zero on P^1 exactly when their gcd
+            # in Q[s, t] is not constant
+            shared = sp.Poly(sp.gcd(prod_q, form(g_beta)), s, t).total_degree() > 0
+            assert coprime is not shared
+            verdicts.add(coprime)
+        assert len(verdicts) == 1
+        if fault != "generic":
+            # Q_0 vanishes at the fault with Q_1, or with every P_0j
+            assert verdicts == {False}
 
 
 def _spy_calls(monkeypatch, names) -> dict:

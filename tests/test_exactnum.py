@@ -103,6 +103,12 @@ class TestUniPolyBasics:
         assert p.derivative().coeffs == (F(-2), F(6))
         assert p.evaluate(F(2)) == 9
 
+    def test_str(self):
+        assert str(P(1, -2, 3)) == "3*t^2 - 2*t + 1"
+        assert str(P(0, 1, 0, -1)) == "-t^3 + t"
+        assert str(P(F(-1, 2))) == "-1/2"
+        assert str(UniPoly()) == "0"
+
     def test_exact_div(self):
         p = P(-1, 0, 1)  # t^2-1
         assert p.exact_div(P(-1, 1)).coeffs == (F(1), F(1))
@@ -219,6 +225,16 @@ class TestHomPoly:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             hom_distinct_root_count(HomPoly2(2))
+
+    def test_str(self):
+        # the rule of UniPoly's and MultiDeg's strings: zero terms skipped,
+        # a unit coefficient dropped, "+ -" folded, and a constant alone
+        assert str(HomPoly2(3, (F(1), F(0), F(-2), F(5, 3)))) == "s^3 - 2*s*t^2 + 5/3*t^3"
+        assert str(HomPoly2(2, (F(-1), F(1), F(0)))) == "-s^2 + s*t"
+        assert str(HomPoly2(1, (F(0), F(-7)))) == "-7*t"
+        assert str(HomPoly2(0, (F(5),))) == "5"
+        assert str(HomPoly2(0, (F(-1),))) == "-1"
+        assert str(HomPoly2(2)) == "0"
 
     def test_hom_resultant_shared_point_at_infinity(self):
         # both divisible by s: common root [0:1]
