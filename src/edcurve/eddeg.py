@@ -72,13 +72,14 @@ from .exactnum import (
     _PRIMES,
     _as_rat,
     _bisect,
+    _coprime_mod_p,
+    _derivative,
     _eval_int,
     _fold_masks,
     _hom,
     _kron_pack,
     _kron_unpack,
     _mersenne_fold,
-    _mod_gcd,
     _pack_residues,
     _rat_array,
     _rows,
@@ -425,16 +426,11 @@ def _squarefree_mod_p(views: _ModViews, rows, *, constant: Rat = Fraction(0)) ->
 
     With (h, p) from :func:`_kron_sum_mod`, a nonzero h[size - 1] proves
     deg H = size - 1, since H has at most size coefficients.  The residues
-    of H' are h', and ``_mod_gcd`` gives None when p divides a leading
-    coefficient, so ``_mod_gcd(h, h', p) == [1]`` proves H and H' coprime
-    over Q, as in ``poly_gcd``: H is squarefree.
+    of H' are h', so ``_coprime_mod_p(h, h', p)`` proves H and H' coprime
+    over Q: H is squarefree.
     """
     h, p = _kron_sum_mod(views, rows, constant=constant)
-    return bool(h[-1]) and _mod_gcd(h, _derivative(h), p) == [1]
-
-
-def _derivative(a: Sequence[int]) -> list[int]:
-    return [k * a[k] for k in range(1, len(a))]
+    return _coprime_mod_p(h, _derivative(h), p)
 
 
 @dataclass(frozen=True)
@@ -737,26 +733,27 @@ def euler_cross_check(f: RationalCurve, arr: Arrangement, seed: int) -> int:
     holds none yet.
 
     When the certificate passes, prod Q_k has exactly as many distinct
-    zeros on P^1 as its formal degree en, which is #S_inf, and G mod p is
+    zeros on P^1 as its formal degree en, which is #S_inf, read from the
+    images' formal degrees without forming prod Q_k, and G mod p is
     read first (:func:`_squarefree_mod_p`), G of formal degree 2en, on the
     residue view pass of the images (:func:`_mod_views`).  A nonzero
     t^(2en) residue proves that G does not vanish at [0:1], so its zeros
     are those of its chart, of degree 2en; when that chart is also proved
     squarefree, #S_Q = 2en.  The sets are disjoint by the second fact
     above: the certificate makes both factors nonzero (``scene.Scene``).
-    When the certificate fails, ``hom_distinct_root_count`` counts #S_inf,
-    and G is built and its zeros counted exactly, as they are when the
-    residues prove nothing.
+    When the certificate fails, ``hom_distinct_root_count`` counts #S_inf
+    on the scene's ``prod_q_form``, and G is built and its zeros counted
+    exactly, as they are when the residues prove nothing; the gcd with G
+    reads ``prod_q_form`` too.
     """
     scene = scene_for(f, arr)
     if scene.cusps.degree:
         raise CuspError("cross-check requires immersion")
-    prod_q = scene.prod_q_form
     degree = 2 * sum(img[0].degree for img in scene.images)
     if scene.certificate.passes:
-        s_inf, views = prod_q.degree, _mod_views(scene.images, degree + 1, wronskian=False)
+        s_inf, views = degree // 2, _mod_views(scene.images, degree + 1, wronskian=False)
     else:
-        s_inf, views = hom_distinct_root_count(prod_q), None
+        s_inf, views = hom_distinct_root_count(scene.prod_q_form), None
 
     rng = random.Random(f"{seed}:euler-beta:0")
     beta = _rational_rows(rng, arr.n, arr.h)
@@ -764,7 +761,7 @@ def euler_cross_check(f: RationalCurve, arr: Arrangement, seed: int) -> int:
     if views is not None and _squarefree_mod_p(views, beta, constant=beta0):
         return s_inf + degree - 2
     g_beta = _perturbed_numerator(scene.images, beta, beta0)
-    if not hom_resultant_is_nonzero(prod_q, g_beta):
+    if not hom_resultant_is_nonzero(scene.prod_q_form, g_beta):
         raise NonGenericBetaError("non-generic beta")
     return s_inf + hom_distinct_root_count(g_beta) - 2
 

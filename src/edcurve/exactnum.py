@@ -196,6 +196,11 @@ def _int_primitive(a: Sequence[int]) -> list[int]:
     return [x // c for x in a]
 
 
+def _derivative(a: Sequence[int]) -> list[int]:
+    """The coefficients of the derivative, lowest first."""
+    return [k * a[k] for k in range(1, len(a))]
+
+
 def _mod_gcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int] | None:
     """Residues of the monic gcd(a mod p, b mod p), lowest first, or None if
     p kills a leading coefficient.
@@ -252,6 +257,26 @@ def _mod_gcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int] | None:
             return [x * inv % p for x in _unpack_residues(B, p, nb, db + 1)]
         A, B, da, db = B, A, db, dr
     return [1]
+
+
+def _coprime_mod_p(a: Sequence[int], b: Sequence[int], p: int) -> bool:
+    """Whether residues mod p prove the integer polynomials A and B coprime
+    over Q, for a and b congruent to their coefficients mod p, lowest first;
+    False means only "not proved".
+
+    A top residue a[-1] != 0 mod p is required (``_mod_gcd`` gives None
+    otherwise): it proves deg A = len(a) - 1 and that p does not divide
+    lc A.  B's vanishing top residues are dropped, which leaves B mod p, and
+    a B that vanishes mod p proves nothing.  Then ``_mod_gcd(a, b, p) ==
+    [1]`` proves A and B coprime by the argument of ``poly_gcd``, which
+    needs only that p not divide lc A: the primitive gcd of A and B has a
+    leading coefficient dividing lc A, so it keeps its degree mod p, where
+    it divides both.
+    """
+    n = len(b)
+    while n and b[n - 1] % p == 0:
+        n -= 1
+    return bool(n) and _mod_gcd(a, b[:n], p) == [1]
 
 
 def _pack_residues(a: Sequence[int], p: int, nb: int) -> int:
@@ -549,8 +574,7 @@ class UniPoly:
         return _uni([n * x for x in self.num], self.den * c.denominator)
 
     def derivative(self) -> "UniPoly":
-        num = self.num
-        return _uni([k * num[k] for k in range(1, len(num))], self.den)
+        return _uni(_derivative(self.num), self.den)
 
     def evaluate(self, x: Rat) -> Rat:
         x = _as_rat(x)
@@ -776,8 +800,7 @@ class HomPoly2:
         e = self.degree
         if e == 0:
             return _hom(0, (0,), 1)
-        num = self.num
-        return _hom(e - 1, [k * num[k] for k in range(1, e + 1)], self.den)
+        return _hom(e - 1, _derivative(self.num), self.den)
 
     def evaluate(self, s: Rat, t: Rat) -> Rat:
         """The value at (s, t): Horner in T = tn sd with powers of S = sn td."""

@@ -41,10 +41,13 @@ from .exactnum import (
     Rat,
     UniPoly,
     _PRIMES,
+    _coprime_mod_p,
+    _derivative,
+    _fold_masks,
     _form,
     _hom,
     _integers,
-    _mod_gcd,
+    _mersenne_fold,
     _pack_residues,
     _rat_array,
     _rats,
@@ -266,8 +269,11 @@ class Scene:
       of the charts, whose pairs with q_i come first, so on a generic scene
       it builds only the first view's; and ``cusp_chart``, its chart part;
     * ``prod_q_form``, the product of the chart forms Q_i, and ``prod_q``,
-      its chart prod_i q_i;
-    * ``certificate``, the :class:`GenericityCertificate` of the scene.
+      its chart prod_i q_i, read by a triangulation and by a count or a
+      cross-check whose certificate fails;
+    * ``certificate``, the :class:`GenericityCertificate` of the scene,
+      decided from residues where they prove that it passes, and from the
+      exact values otherwise (:func:`_certify`).
 
     The critical polynomial and the cross-check's perturbed numerator read
     only the charts and the images, through one program (``eddeg._assemble``)
@@ -296,7 +302,10 @@ class Scene:
     A passing certificate makes every factor nonzero: the discriminant of
     Q_i makes its zeros simple, so q_i'(t0) != 0; the trivial gcd of Q_i
     with sum_j P_ij^2 gives sum_j p_ij(t0)^2 != 0; the pairwise resultants
-    give Q_k != 0 at a zero of Q_i for k != i.  So g is coprime to prod q_i
+    give Q_k != 0 at a zero of Q_i for k != i.  A certificate passed from
+    residues proves the same nonvanishing without the values: prod Q_i has
+    en distinct zeros on P^1, so each discriminant and each pairwise
+    resultant is nonzero (:func:`_certify`).  So g is coprime to prod q_i
     and G_beta to the chart of prod Q_k, for every data point, and
     ``immersion_ok`` makes the cusp chart constant.  The same conditions
     count the cross-check's #S_inf: each Q_i is a nonzero form of formal
@@ -391,35 +400,62 @@ def scene_for(f: RationalCurve, arr: Arrangement) -> Scene:
 # genericity certificate
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GenericityCertificate:
     """Exact nonvanishing conditions for the closed-form critical count.
 
     ``passes`` requires every listed condition of the module docstring: the
     chart conditions, base-point-freeness, and ``immersion_ok``, that the
     multiview map is an immersion (``immersion_defect_degree`` is the degree
-    of its cusp form, 0 when it is).  It is formed only on a scene, so every
+    of its cusp form, 0 when it is).  ``reasons`` names every condition
+    that fails, in a fixed order, so the certificate passes exactly when it
+    names none.  It is formed only on a scene (:func:`_certify`), so every
     chart polynomial is nonzero and the image is not a point: those are
     refused, in that order, before any condition is tested.
+
+    ``discriminants``, of each chart form Q_i in ``chart_forms``, and
+    ``pairwise_resultants``, the (i, j, Res(Q_i, Q_j)) for i < j, are the
+    exact values of the chart conditions.  ``passes`` does not read them.
+    A certificate that residues proved computes them on first read, as
+    :meth:`to_json_dict` does; one from the exact path holds the values its
+    reasons were read from.  Equality compares these values and every other
+    field, and not ``chart_forms``, so a proved certificate equals the exact
+    one of its scene.  Comparing or hashing computes the values.
     """
 
-    discriminants: tuple[Rat, ...]                 # per camera, of q_i
-    pairwise_resultants: tuple[tuple[int, int, Rat], ...]
     sum_square_gcd_trivial: tuple[bool, ...]       # per camera a: gcd(q_a, sum_j p_aj^2) == 1
     base_point_free: bool
     immersion_ok: bool
     immersion_defect_degree: int                   # deg of the multiview cusp form
     reasons: tuple[str, ...]                       # human-readable failure notes
+    chart_forms: tuple[HomPoly2, ...]              # per camera, Q_i
+
+    @cached_property
+    def discriminants(self) -> tuple[Rat, ...]:
+        return tuple(hom_discriminant(q) for q in self.chart_forms)
+
+    @cached_property
+    def pairwise_resultants(self) -> tuple[tuple[int, int, Rat], ...]:
+        qs = self.chart_forms
+        return tuple((i, j, hom_resultant(qs[i], qs[j]))
+                     for i in range(len(qs)) for j in range(i + 1, len(qs)))
 
     @property
     def passes(self) -> bool:
-        return (
-            all(d != 0 for d in self.discriminants)
-            and all(r != 0 for _, _, r in self.pairwise_resultants)
-            and all(self.sum_square_gcd_trivial)
-            and self.base_point_free
-            and self.immersion_ok
-        )
+        return not self.reasons
+
+    def _key(self) -> tuple:
+        return (self.discriminants, self.pairwise_resultants, self.sum_square_gcd_trivial,
+                self.base_point_free, self.immersion_ok, self.immersion_defect_degree,
+                self.reasons)
+
+    def __eq__(self, other):
+        if not isinstance(other, GenericityCertificate):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def to_json_dict(self) -> dict:
         return {
@@ -451,26 +487,41 @@ def genericity_certificate(arr: Arrangement, f: RationalCurve) -> GenericityCert
 def _certify(scene: Scene) -> GenericityCertificate:
     """The certificate of ``scene``, computed (``Scene.certificate``).
 
-    Each view's sum-of-squares condition is first proved from residues mod
-    2**17 - 1 (:func:`_sum_square_coprime_mod_p`), which gives True only
-    where the exact test gives True; anything it does not prove, such as a
-    sum of squares that vanishes mod p, takes the exact ``hom_gcd``.  So the
-    certificate, its reasons and their order are the exact ones.
+    The cusp form is read first.  Then each view's sum-of-squares condition
+    is tested on residues mod 2**17 - 1, once per view
+    (:func:`_sum_square_coprime_mod_p`), which gives True only where the
+    exact test gives True.  When the cusp form is constant, every view is
+    proved and residues prove prod Q_i squarefree on P^1 with no zero at
+    [0:1] (:func:`_prod_q_squarefree_mod_p`), every condition holds: prod
+    Q_i has en distinct zeros, so each Q_i has simple zeros and no two
+    share one, and every discriminant and pairwise resultant is nonzero.
+    That certificate passes with no reasons, and computes its values when
+    they are read.
+
+    Anything not proved takes the exact path: the discriminants and the
+    pairwise resultants, then the exact ``hom_gcd`` for each view whose
+    residue test proved nothing, such as a sum of squares that vanishes mod
+    p.  So the certificate, its values, its reasons and their order are the
+    exact ones on either path.
     """
-    arr, f = scene.arrangement, scene.curve
-    reasons: list[str] = []
-    images = scene.images
     defect = scene.cusps.degree
-    immersion_ok = defect == 0
-    qs = [img[0] for img in images]
+    images = scene.images
+    qs = tuple(img[0] for img in images)
+    proved = [_sum_square_coprime_mod_p(img[0], img[1:]) for img in images]
+    if not defect and all(proved) and _prod_q_squarefree_mod_p(qs):
+        return GenericityCertificate(
+            sum_square_gcd_trivial=tuple(proved), base_point_free=True, immersion_ok=True,
+            immersion_defect_degree=0, reasons=(), chart_forms=qs)
+
+    reasons: list[str] = []
     discs = tuple(hom_discriminant(q) for q in qs)
     for i, d in enumerate(discs):
         if d == 0:
             reasons.append(f"chart polynomial of camera {i} has a repeated zero")
 
     pres = []
-    for i in range(arr.n):
-        for j in range(i + 1, arr.n):
+    for i in range(len(qs)):
+        for j in range(i + 1, len(qs)):
             r = hom_resultant(qs[i], qs[j])
             pres.append((i, j, r))
             if r == 0:
@@ -478,10 +529,10 @@ def _certify(scene: Scene) -> GenericityCertificate:
 
     gcd_trivial = []
     for i, img in enumerate(images):
-        if _sum_square_coprime_mod_p(img[0], img[1:]):
+        if proved[i]:
             gcd_trivial.append(True)
             continue
-        ssq = HomPoly2(2 * f.e)
+        ssq = HomPoly2(2 * scene.curve.e)
         for p in img[1:]:
             ssq = ssq + p * p
         if ssq.is_zero:
@@ -496,20 +547,58 @@ def _certify(scene: Scene) -> GenericityCertificate:
                 "sum of squares"
             )
 
-    if not immersion_ok:
+    if defect:
         reasons.append("parameterization is not an immersion (cusp present)")
 
     # base-point-freeness is a construction invariant of RationalCurve; recorded
     # honestly rather than assumed
-    return GenericityCertificate(
-        discriminants=discs,
-        pairwise_resultants=tuple(pres),
+    cert = GenericityCertificate(
         sum_square_gcd_trivial=tuple(gcd_trivial),
         base_point_free=True,
-        immersion_ok=immersion_ok,
+        immersion_ok=not defect,
         immersion_defect_degree=defect,
         reasons=tuple(reasons),
+        chart_forms=qs,
     )
+    # the values the reasons were read from, so that none is computed twice
+    object.__setattr__(cert, "discriminants", discs)
+    object.__setattr__(cert, "pairwise_resultants", tuple(pres))
+    return cert
+
+
+def _prod_q_squarefree_mod_p(qs: Sequence[HomPoly2]) -> bool:
+    """Whether residues mod p = 2**17 - 1 prove that the product of the
+    nonzero forms Q_i has distinct zeros on P^1, none at [0:1]; False means
+    only "not proved".
+
+    Let a_i be the integer numerators of Q_i (a_i[k] multiplies
+    s^(e_i - k) t^k) and A = prod a_i, read as a polynomial in t of at most
+    size = sum e_i + 1 coefficients: the chart of prod Q_i times a nonzero
+    integer.  Its residues are one product of the packed residues of the
+    a_i (``_pack_residues``), folded after each factor (``_mersenne_fold``,
+    whose masks of size slots make it a ring map).  Each slot of a product
+    sums at most m = max len(a_i) terms, a folded slot below 2**(k+1) times
+    a residue below 2**k, so the w = 8 nb >= 2k + 1 + bitlen(m) bit slots
+    below never carry; past w = 3k - 1, the widest that folds, nothing is
+    proved.
+
+    A top residue prod a_i[e_i] != 0 mod p puts no zero of any Q_i at
+    [0:1] and makes deg A = size - 1, so every zero of prod Q_i is [1:t0]
+    with A(t0) = 0, and ``_coprime_mod_p(A, A', p)`` proves A squarefree
+    over Q: each Q_i then has e_i simple zeros, and no two share one.
+    """
+    p = _PRIMES[0]
+    k = p.bit_length()
+    size = sum(q.degree for q in qs) + 1
+    nb = (2 * k + 1 + max(len(q.num) for q in qs).bit_length() + 7) // 8
+    if 8 * nb > 3 * k - 1:
+        return False
+    low, high = _fold_masks(p, nb, size)
+    acc = 1
+    for q in qs:
+        acc = _mersenne_fold(acc * _pack_residues(q.num, p, nb), k, low, high)
+    a = _unpack_residues(acc, p, nb, size)
+    return _coprime_mod_p(a, _derivative(a), p)
 
 
 def _sum_square_coprime_mod_p(q: HomPoly2, ps: Sequence[HomPoly2]) -> bool:
@@ -526,22 +615,16 @@ def _sum_square_coprime_mod_p(q: HomPoly2, ps: Sequence[HomPoly2]) -> bool:
 
     Q's value at [0:1] is a[e], so a top residue a[e] != 0 mod p rules out
     a zero there and makes the chart a(t) = Q(1, t) of degree e: every zero
-    of Q is [1:t0] with a(t0) = 0.  (``_mod_gcd`` gives None when p
-    divides a[e].)  So when s mod p, the chart of S mod p, is not zero,
-    with its vanishing top residues dropped, ``_mod_gcd(a, s mod p, p) ==
-    [1]`` proves a and the chart of S coprime over Q by the argument of
-    ``poly_gcd``, which needs only that p not divide a[e]: so Q and
-    sum_j P_j^2 share no zero on P^1.
+    of Q is [1:t0] with a(t0) = 0.  So ``_coprime_mod_p(a, s, p)``, for s
+    the residues of the chart of S, proves a and the chart of S coprime
+    over Q: Q and sum_j P_j^2 share no zero on P^1.
     """
     p = _PRIMES[0]
     d = lcm(*(x.den for x in ps))
     size = 2 * q.degree + 1
     nb = (2 * p.bit_length() + len(ps).bit_length() + (q.degree + 1).bit_length() + 7) // 8
     packed = [_pack_residues([c * (d // x.den) for c in x.num], p, nb) for x in ps]
-    s = _unpack_residues(sum(x * x for x in packed), p, nb, size)
-    while s and not s[-1]:
-        s.pop()
-    return bool(s) and _mod_gcd(q.num, s, p) == [1]
+    return _coprime_mod_p(q.num, _unpack_residues(sum(x * x for x in packed), p, nb, size), p)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from itertools import product
 from math import gcd, isqrt
 from unittest import mock
 
-from edcurve import eddeg, exactnum
+from edcurve import eddeg, exactnum, scene
 from edcurve.eddeg import DataPoint, critical_polynomial
 from edcurve.exactnum import (
     UNI_ONE,
@@ -1024,6 +1024,68 @@ def beta_independence(seed: int, cases: int) -> int:
     return done
 
 
+def certificate_outcome(f, arr, exact: bool):
+    """:func:`outcome` of the certificate of a fresh scene of (f, arr),
+    with neither residue test when ``exact``."""
+    if not exact:
+        return outcome(lambda: scene._certify(Scene(f, arr)))
+    with mock.patch.object(scene, "_sum_square_coprime_mod_p", lambda q, ps: False), \
+            mock.patch.object(scene, "_prod_q_squarefree_mod_p", lambda qs: False):
+        return outcome(lambda: scene._certify(Scene(f, arr)))
+
+
+def _large_cell(rng: random.Random):
+    """(curve, arrangement, None): a seeded (e, n, h) = (6, 8, 3) cell in
+    P^5, the size of the benchmark's generic cells."""
+    f = random_curve(rng.randrange(2**32), 6, 5)
+    return f, Arrangement(tuple(random_camera(rng.randrange(2**32), 3, 5)
+                                for _ in range(8))), None
+
+
+def _shared_chart_row_cell():
+    """The (6, 8, 3) cell of ``random_curve(7, 6, 5)`` under
+    ``random_camera(300 + i, 3, 5)``, with camera 1 given camera 0's chart
+    row: Q_0 = Q_1, so the two share every zero."""
+    cams = [random_camera(300 + i, 3, 5) for i in range(8)]
+    cams[1] = Camera(3, 5, (cams[0].entries[0], *cams[1].entries[1:]))
+    return random_curve(7, 6, 5), Arrangement(tuple(cams))
+
+
+def certificate_laws(seed: int, cases: int) -> int:
+    """The genericity certificate decided from residues (``scene._certify``)
+    is the exact one, computed with neither residue test: the same
+    ``passes``, reasons, values and ``to_json_dict``, or the same error
+    with the same message.  A certificate that residues proved passes and
+    has computed no value before it is read.  The first case is the
+    shared-chart-row (6, 8, 3) cell (``_shared_chart_row_cell``), which must
+    fall back to the exact path; then every fourth cell is a seeded
+    (6, 8, 3) cell (``_large_cell``) and the others are small generic,
+    non-generic and special cells (``_generic_cell``, ``_non_generic_cell``,
+    ``_special_cell``).  Both outcomes must occur."""
+    rng = random.Random(seed)
+    draws = (_large_cell, _generic_cell, _non_generic_cell, _special_cell)
+    proved = {True: 0, False: 0}
+    done = 0
+    while done < cases:
+        cell = _shared_chart_row_cell() if not done else draws[done % 4](rng)
+        if cell is None:
+            continue
+        f, arr = cell[:2]
+        got = certificate_outcome(f, arr, exact=False)
+        want = certificate_outcome(f, arr, exact=True)
+        if isinstance(got, GenericityCertificate):
+            residue = "discriminants" not in vars(got)
+            assert not residue or got.passes, (f, arr, got)
+            proved[residue] += 1
+            if not done:
+                assert not residue and "cameras 0 and 1 share a zero at infinity" in got.reasons
+            assert got.to_json_dict() == want.to_json_dict(), (f, arr)
+        assert got == want, (f, arr, got, want)
+        done += 1
+    assert proved[True] and proved[False], proved
+    return done
+
+
 def run_all(seed: int = 20260823) -> dict[str, int]:
     """Run every suite; the value is the per-suite executed-case count."""
     return {
@@ -1044,4 +1106,5 @@ def run_all(seed: int = 20260823) -> dict[str, int]:
         "l1_bound": l1_bound(seed + 14, 300),
         "camera_laws": camera_laws(seed + 15, 300),
         "beta_independence": beta_independence(seed + 16, 300),
+        "certificate_laws": certificate_laws(seed + 17, 200),
     }

@@ -202,6 +202,18 @@ class TestEddeg:
                        "--seed", "2")
         assert env["results"]["cross_check"] == env["results"]["ed_degree"]
 
+    def test_a_non_generic_beta_exits_two_without_traceback(self, capsys, monkeypatch):
+        # the CLI cross-checks only a count whose certificate passes, which
+        # rules this error out, so it is planted: the handler still ends
+        # the run with exit 2 and one error line
+        def non_generic(*args):
+            raise eddeg.NonGenericBetaError("non-generic beta")
+
+        monkeypatch.setattr(cli, "euler_cross_check", non_generic)
+        code, out, err = run_cli(capsys, "eddeg", "--curve", TW, "--cameras", ONE)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["edcurve: error: non-generic beta"]
+
     def test_count_and_cross_check_share_one_scene(self, capsys, monkeypatch):
         calls = []
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from edcurve import cli, eddeg, exactnum, scene
 from bulk_properties import (
+    certificate_outcome,
     charts_and_images,
     check_l1_bound,
     critical_polynomial_oracle,
@@ -636,11 +637,10 @@ class TestOneToOneViews:
         twin = Arrangement(arr.cameras)
         assert euler_cross_check(f, twin, 5) == rep.ed_degree
         assert calls == {"apply_camera": 6, "cusp_form": 2}
-        # the cross-check fills only the caches it reads: the cusp form,
-        # the product of the chart forms and the certificate
+        # the cross-check fills only the caches it reads: the cusp form and
+        # the certificate; a passing one gives #S_inf without prod Q_k
         assert set(vars(scene_for(f, twin))) == {
-            "curve", "arrangement", "images", "charts", "cusps", "prod_q_form",
-            "certificate"}
+            "curve", "arrangement", "images", "charts", "cusps", "certificate"}
         assert ed_degree_affine(f, twin, 5) == rep
         assert calls == {"apply_camera": 6, "cusp_form": 2}
         # a cell's count and the cross-check on its outcome's arrangement
@@ -1239,14 +1239,15 @@ class TestModularCertificate:
 
 
 def _spy_mod_gcd(monkeypatch) -> list:
-    """Patch ``eddeg._mod_gcd`` to record each (b, result); the list."""
-    seen, mod_gcd = [], eddeg._mod_gcd
+    """Patch ``eddeg._coprime_mod_p``, the residue gcd of a count or a
+    cross-check, to record each (b, result); the list."""
+    seen, coprime = [], eddeg._coprime_mod_p
 
     def spy(a, b, p):
-        seen.append((list(b), mod_gcd(a, b, p)))
+        seen.append((list(b), coprime(a, b, p)))
         return seen[-1][1]
 
-    monkeypatch.setattr(eddeg, "_mod_gcd", spy)
+    monkeypatch.setattr(eddeg, "_coprime_mod_p", spy)
     return seen
 
 
@@ -1315,7 +1316,7 @@ class TestCertificateDischargesThePoleGcds:
         assert (rep, euler_cross_check(tw, arr, 5)) == want
         # two samples and the cross-check, each proved by the gcd with its
         # derivative alone
-        assert [(len(b), r) for b, r in gcds] == [(16, [1]), (16, [1]), (12, [1])]
+        assert [(len(b), r) for b, r in gcds] == [(16, True), (16, True), (12, True)]
 
     def test_a_root_at_a_pole_is_found_without_residues(self, monkeypatch):
         # the circle of test_a_root_at_a_pole_falls_through: its chart
@@ -1363,7 +1364,7 @@ class TestCertificateDischargesThePoleGcds:
         assert euler_cross_check(tw, arr, 5) == 16
         assert euler_cross_check(tw, Arrangement(arr.cameras), 5) == 16
         assert len(certified) == 2 and certified[1] is not certified[0]
-        assert [(len(b), r) for b, r in gcds] == [(12, [1])] * 3
+        assert [(len(b), r) for b, r in gcds] == [(12, True)] * 3
 
     @pytest.mark.parametrize("name, want", [
         ("generic", 16), ("conic", 3),
@@ -1672,6 +1673,79 @@ class TestSumSquaresModPOnCells:
         with pytest.MonkeyPatch.context() as m:
             m.setattr(scene, "_sum_square_coprime_mod_p", lambda q, ps: False)
             assert got == outcome(certify)
+
+
+def _vanishing_sum_of_squares():
+    # camera 0's image rows pick the line's two zero coordinates
+    f = RationalCurve(N=3, e=1, coords=(H(1, 1, 0), H(1, 0, 1), HomPoly2(1), HomPoly2(1)))
+    return f, Arrangement((Camera(2, 3, ((1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))),
+                           random_camera(5, 2, 3)))
+
+
+class TestResidueCertificate:
+    """A certificate whose every condition residues prove (the sum of
+    squares per view, prod Q_i squarefree with no zero at [0:1], and a
+    constant cusp form) passes without the exact discriminants and
+    resultants, and computes them on first read; every other certificate
+    takes the exact path.  Either way it is the exact certificate."""
+
+    @settings(max_examples=150, deadline=None, phases=_NO_SHRINK)
+    @given(st.one_of(_small_cells(),
+                     _failing_cells(_FAULTS + ("generic",)).map(lambda cell: cell[:2])))
+    # a vanishing sum of squares; a chart with a zero at [0:1], alone and
+    # twice; Q = s^2 on the conic, a double zero at [0:1]
+    @example(_vanishing_sum_of_squares())
+    @example((twisted_cubic(), Arrangement((random_camera_degree_drop(3),))))
+    @example((twisted_cubic(), Arrangement((random_camera_degree_drop(3),
+                                            random_camera_degree_drop(4)))))
+    @example((curve_from_dict(_load("conic.json")),
+              arrangement_from_dict(_load("parabola_cam.json"))))
+    def test_small_cells_give_the_exact_certificate(self, cell):
+        # equality compares passes, reasons and values; the JSON, their bytes
+        got, want = (certificate_outcome(*cell, exact) for exact in (False, True))
+        if isinstance(want, scene.GenericityCertificate):
+            assert got.to_json_dict() == want.to_json_dict()
+        assert got == want
+
+    def test_a_proved_certificate_computes_its_values_when_read(self, monkeypatch):
+        f = random_curve(2024, 6, 5)
+        arr = generic_arrangement(700, 8, 3, 5)
+        calls = {"hom_discriminant": 0, "hom_resultant": 0}
+        for name in calls:
+            def spy(*args, _name=name, _fn=getattr(scene, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(scene, name, spy)
+        rep = ed_degree_affine(f, arr, 5)
+        assert euler_cross_check(f, arr, 5) == rep.ed_degree == 3 * 6 * 8 - 2
+        assert rep.certificate.passes and rep.certificate.reasons == ()
+        assert calls == {"hom_discriminant": 0, "hom_resultant": 0}
+        first = rep.to_json_dict()
+        assert calls == {"hom_discriminant": 8, "hom_resultant": 28}
+        # computed once, and the exact path's values
+        assert rep.to_json_dict() == first
+        assert calls == {"hom_discriminant": 8, "hom_resultant": 28}
+        monkeypatch.undo()
+        assert first["certificate"] == certificate_outcome(f, arr, exact=True).to_json_dict()
+
+    def test_a_proved_certificate_equals_the_exact_one(self, monkeypatch):
+        f, arr = twisted_cubic(), generic_arrangement(100, 2, 2, 3)
+        rep = ed_degree_affine(f, arr, 5)
+        assert rep.certificate.passes
+        assert "discriminants" not in vars(rep.certificate)  # proved from residues
+        twin = Arrangement(arr.cameras)
+        with monkeypatch.context() as m:
+            m.setattr(scene, "_prod_q_squarefree_mod_p", lambda qs: False)
+            exact = ed_degree_affine(f, twin, 5)
+        assert "discriminants" in vars(exact.certificate)  # the exact path's
+        assert exact.certificate == rep.certificate and exact == rep
+        assert hash(exact.certificate) == hash(rep.certificate)
+        assert exact.to_json_dict() == rep.to_json_dict()
+        # another scene's proved certificate differs only in its values
+        other = ed_degree_affine(f, generic_arrangement(200, 2, 2, 3), 5).certificate
+        assert other.passes and other.sum_square_gcd_trivial == (True, True)
+        assert other != rep.certificate
+        assert other.discriminants != rep.certificate.discriminants
 
 
 def _double_faults() -> dict:

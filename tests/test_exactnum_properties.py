@@ -75,6 +75,7 @@ class TestBulkSuites:
         "assembly_oracle",
         "modular_count",
         "l1_bound",
+        "certificate_laws",
     ])
     def test_suite_runs(self, suite):
         assert self._counts()[suite] > 0

@@ -502,6 +502,28 @@ class TestSumSquaresModP:
         assert cert == _exact_certificate(monkeypatch, f, arr)
 
 
+class TestProdQModP:
+    """``scene._prod_q_squarefree_mod_p`` proves prod Q_i squarefree on P^1
+    with no zero at [0:1] from one gcd mod 2**17 - 1, and proves nothing
+    where its slots would not fold."""
+
+    def test_each_fault_is_not_proved(self):
+        generic = (H(2, 1, 0, -1), H(2, 1, 1, 1))
+        assert scene._prod_q_squarefree_mod_p(generic)
+        for qs in ((H(2, 1, 0, -1), H(2, 2, -3, 1)),   # a shared zero t = 1
+                   (H(2, 1, 2, 1),),                     # a double zero t = -1
+                   (H(2, 1, 1, 0),),                     # a zero at [0:1]
+                   (H(1, 1, _P17),)):                    # top residue 0, not a zero
+            assert not scene._prod_q_squarefree_mod_p(qs)
+
+    def test_forms_past_the_widest_slot_are_not_proved(self):
+        # s^e + t^e is squarefree; at e = 8191 a slot would need 56 bits,
+        # past the 50 that fold at k = 17
+        for e, proved in ((8190, True), (8191, False)):
+            q = HomPoly2(e, (1,) + (0,) * (e - 1) + (1,))
+            assert scene._prod_q_squarefree_mod_p((q,)) is proved
+
+
 class TestSceneFor:
     """``scene_for`` hands back the one scene it built last when asked for
     the very same curve and arrangement objects, and builds one otherwise."""
